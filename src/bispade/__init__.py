@@ -55,7 +55,6 @@ from .overlap import (
 from .source import (
     SchmidtModel,
     SourceParams,
-    choose_truncation,
     coefficient_ratio,
     gamma_from_physical,
     schmidt_coeff,
@@ -113,7 +112,6 @@ __all__ = [
     "physical_shift",
     "SchmidtModel",
     "SourceParams",
-    "choose_truncation",
     "coefficient_ratio",
     "gamma_from_physical",
     "schmidt_coeff",

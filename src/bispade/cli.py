@@ -348,7 +348,7 @@ def cmd_estimate(cfg: RunConfig, files: list[str]) -> Path:
         if set(file_space.idler) != expected_idler or set(file_space.signal) != expected_signal:
             raise DataFormatError(
                 f"{name}: mode tuples do not match the configured "
-                f"{cfg.modes_k + 1}x{cfg.modes_k + 1} space (modes_k={cfg.modes_k}, "
+                f"{len(space.idler)}x{len(space.signal)} space (modes_k={cfg.modes_k}, "
                 f"modes_l={cfg.modes_l})"
             )
         datasets.append((name, cm))

@@ -1,8 +1,8 @@
 """Two-photon source model.
 
 The dimensionless parameter gamma fixes the whole mode decomposition: the
-coefficients C_mn, the Schmidt number K, and how many modes carry appreciable
-weight. gamma can be given directly or derived from pump/crystal parameters.
+coefficients C_mn and the Schmidt number K. gamma can be given directly or
+derived from pump/crystal parameters.
 """
 from __future__ import annotations
 
@@ -11,20 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
-
 __all__ = [
-    "TRUNCATION_HARD_CAP",
     "SourceParams",
     "SchmidtModel",
     "coefficient_ratio",
     "gamma_from_physical",
     "schmidt_coeff",
     "schmidt_number",
-    "choose_truncation",
 ]
-
-TRUNCATION_HARD_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -95,56 +89,20 @@ def schmidt_number(gamma: float) -> float:
     return half * half
 
 
-def choose_truncation(
-    gamma: float, mass_deficit: float, hard_cap: int = TRUNCATION_HARD_CAP
-) -> tuple[int, int]:
-    """Smallest symmetric truncation (max_m, max_l) with sum C_mn^2 >= 1 - mass_deficit."""
-    _check_gamma(gamma)
-    if not 0.0 < mass_deficit < 1.0:
-        raise ValueError(f"mass_deficit must lie in (0, 1), got {mass_deficit!r}")
-    q = coefficient_ratio(gamma) ** 2
-    one_minus_q = 4.0 * gamma / (1.0 + gamma) ** 2
-    row_sum = 0.0
-    power = 1.0
-    for order in range(hard_cap + 1):
-        row_sum += power
-        power *= q
-        if (one_minus_q * row_sum) ** 2 >= 1.0 - mass_deficit:
-            return order, order
-    raise NumericalError(
-        f"truncation for gamma={gamma} exceeds the hard cap of {hard_cap} modes"
-    )
-
-
 @dataclass(frozen=True)
 class SchmidtModel:
     """Immutable source description consumed by the probability models."""
 
     gamma: float
     q: float
-    max_m: int
-    max_l: int
-    mass_deficit: float
 
     @classmethod
-    def from_gamma(
-        cls,
-        gamma: float,
-        mass_deficit: float = 1e-9,
-        hard_cap: int = TRUNCATION_HARD_CAP,
-    ) -> "SchmidtModel":
-        max_m, max_l = choose_truncation(gamma, mass_deficit, hard_cap)
-        return cls(
-            gamma=float(gamma),
-            q=coefficient_ratio(gamma) ** 2,
-            max_m=max_m,
-            max_l=max_l,
-            mass_deficit=mass_deficit,
-        )
+    def from_gamma(cls, gamma: float) -> "SchmidtModel":
+        return cls(gamma=float(gamma), q=coefficient_ratio(gamma) ** 2)
 
     @classmethod
-    def from_physical(cls, params: SourceParams, mass_deficit: float = 1e-9) -> "SchmidtModel":
-        return cls.from_gamma(gamma_from_physical(params), mass_deficit)
+    def from_physical(cls, params: SourceParams) -> "SchmidtModel":
+        return cls.from_gamma(gamma_from_physical(params))
 
     def coeff(self, m, n):
         return schmidt_coeff(m, n, self.gamma)
@@ -152,10 +110,3 @@ class SchmidtModel:
     @property
     def schmidt_number(self) -> float:
         return schmidt_number(self.gamma)
-
-    def captured_mass(self) -> float:
-        """Coefficient mass sum C_mn^2 inside the (max_m, max_l) truncation."""
-        m = np.arange(self.max_m + 1)
-        l = np.arange(self.max_l + 1)
-        c = schmidt_coeff(m[:, None], l[None, :], self.gamma)
-        return float(np.sum(c * c))

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used only by the tests.
 
 These deliberately avoid the recurrence/closed-form code paths they check:
-explicit series sums in exact rational arithmetic, dense Riemann binning,
-and direct coefficient summations.
+explicit series sums in exact rational arithmetic, truncated Hermite-Gauss
+mode sums, and dense Riemann binning.
 """
 import math
 from fractions import Fraction
@@ -51,24 +51,33 @@ def gauss_weight_moment(k: int) -> float:
     return math.gamma((k + 1) / 2.0)
 
 
-def riemann_pixel_probs(d, grid, model, kind, points: int = 10_000) -> np.ndarray:
-    """Midpoint-rule binning of the marginal intensity on a dense uniform grid."""
-    from bispade import marginal_intensity
+def mode_sum_intensity(x, d, model, kind):
+    """Marginal intensity as the truncated mode sum sum_m w_m (hg_m(x-d)^2 + hg_m(x+d)^2)/2.
 
+    'gaussian' keeps the fundamental mode alone; 'spdc' weights the reduced
+    one-photon modes by w_m = (1-q) q^m, summed until q^m < 1e-17.
+    """
+    from bispade import hg1d_batch
+
+    if kind == "gaussian":
+        weights = np.ones(1)
+    else:
+        count = 1
+        while model.q ** count >= 1e-17:
+            count += 1
+        weights = (1.0 - model.q) * model.q ** np.arange(count)
+    xs = np.asarray(x, dtype=float)
+    minus = hg1d_batch(len(weights) - 1, xs - d)
+    plus = hg1d_batch(len(weights) - 1, xs + d)
+    return 0.5 * (weights @ (minus * minus) + weights @ (plus * plus))
+
+
+def riemann_pixel_probs(d, grid, model, kind, points: int = 10_000) -> np.ndarray:
+    """Midpoint-rule binning of the mode-sum intensity on a dense uniform grid."""
     lo, hi = grid.span
     step = (hi - lo) / points
     xs = lo + (np.arange(points) + 0.5) * step
-    intensity = marginal_intensity(xs, d, model, kind)
+    intensity = mode_sum_intensity(xs, d, model, kind)
     per_pixel = points // grid.count
     probs = intensity.reshape(grid.count, per_pixel).sum(axis=1) * step
     return np.append(probs, 1.0 - probs.sum())
-
-
-def coeff_mass(gamma: float, max_m: int, max_l: int) -> float:
-    """Direct truncated summation of the squared mode coefficients."""
-    ratio = abs(1.0 - gamma) / (1.0 + gamma)
-    c00 = 4.0 * gamma / (1.0 + gamma) ** 2
-    m = np.arange(max_m + 1)
-    l = np.arange(max_l + 1)
-    c = c00 * ratio ** (m[:, None] + l[None, :])
-    return float(np.sum(c * c))

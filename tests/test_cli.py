@@ -155,6 +155,18 @@ class TestMatrices:
         assert len(list(tmp_path.glob("matrix_*.csv"))) == 3
 
 
+    @pytest.mark.parametrize("gamma", ["0.002", "500"])
+    def test_extreme_gamma(self, tmp_path, gamma):
+        code = main([
+            "matrices", "--gamma", gamma, "--out-dir", str(tmp_path),
+            "--sep-start", "0", "--sep-stop", "0.5", "--sep-step", "0.5",
+        ])
+        assert code == EXIT_OK
+        for path in sorted(tmp_path.glob("matrix_*.csv")):
+            probs = np.array([float(r[4]) for r in _read_rows(path)[2]])
+            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 class TestCountsIo:
     def test_write_read_round_trip(self, tmp_path, space7):
         counts = np.arange(49, dtype=np.int64).reshape(7, 7)
@@ -236,6 +248,14 @@ class TestEstimate:
         code = main(["estimate", str(path), "--out-dir", str(tmp_path)])
         assert code == EXIT_DATA
 
+    def test_space_mismatch_names_configured_space(self, tmp_path, capsys):
+        space = bp.ModeSpace.grid(max_k=2)
+        counts = np.ones(space.shape, dtype=np.int64)
+        path = write_counts_file(tmp_path / "small.csv", space, counts)
+        code = main(["estimate", str(path), "--modes-l", "1", "--out-dir", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert "configured 14x14 space" in capsys.readouterr().err
+
     def test_calibrate_requires_labels(self, tmp_path, capsys):
         space = bp.ModeSpace.grid()
         counts = np.ones(space.shape, dtype=np.int64)
@@ -291,7 +311,7 @@ class TestExitCodes:
         assert code == EXIT_USAGE
 
     def test_numerical_failure_is_three(self, tmp_path, capsys):
-        # a gamma this small needs more modes than the truncation hard cap
+        # at a gamma this small the 7x7 space holds too little probability mass
         from bispade.cli import EXIT_NUMERIC
 
         code = main(["matrices", "--gamma", "1e-06", "--out-dir", str(tmp_path)])

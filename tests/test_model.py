@@ -8,6 +8,7 @@ from bispade import (
     ModeSpace,
     NumericalError,
     PixelGrid,
+    SchmidtModel,
     apply_calibration,
     coincidence_prob,
     fit_calibration,
@@ -20,7 +21,19 @@ from bispade import (
     spade_forward,
     CountMatrix,
 )
-from oracles import riemann_pixel_probs
+from oracles import mode_sum_intensity, riemann_pixel_probs
+
+
+def _entrywise_matrix(d, space, model):
+    return np.array([
+        [coincidence_prob(k, l, kp, lp, d, model) for kp, lp in space.signal]
+        for k, l in space.idler
+    ])
+
+
+_pairs = st.lists(
+    st.tuples(st.integers(0, 30), st.integers(0, 2)), min_size=1, max_size=12, unique=True
+)
 
 
 class TestModeSpace:
@@ -182,6 +195,32 @@ class TestProbMatrix:
                 if l != lp:
                     assert pm.entries[i, j] == 0.0
 
+    @given(
+        idler=_pairs,
+        signal=_pairs,
+        d=st.floats(0.0, 3.0),
+        gamma=st.sampled_from([0.07, 0.15, 1.0, 3.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_entrywise_coincidence_prob(self, idler, signal, d, gamma):
+        # absolute tolerance only: entries below 1e-12 lose relative accuracy at d = 3
+        space = ModeSpace(idler=tuple(idler), signal=tuple(signal))
+        model = SchmidtModel.from_gamma(gamma)
+        pm = prob_matrix(d, space, model, renormalize=False)
+        np.testing.assert_allclose(
+            pm.entries, _entrywise_matrix(d, space, model), rtol=0.0, atol=1e-14
+        )
+
+    def test_accurate_at_many_modes_and_large_separation(self):
+        # slowly decaying coefficients expose any loss of accuracy in the
+        # high-order overlaps, which grows with mode order times separation
+        space = ModeSpace.grid(max_k=100)
+        model = SchmidtModel.from_gamma(0.002)
+        pm = prob_matrix(3.0, space, model, renormalize=False)
+        np.testing.assert_allclose(
+            pm.entries, _entrywise_matrix(3.0, space, model), rtol=0.0, atol=1e-16
+        )
+
     def test_degenerate_space_signals(self, model015):
         space = ModeSpace(idler=((200, 200),), signal=((200, 200),))
         with pytest.raises(NumericalError):
@@ -261,6 +300,19 @@ class TestMarginalIntensity:
         left = marginal_intensity(-x, d, model015, "spdc")
         right = marginal_intensity(x, d, model015, "spdc")
         assert left == pytest.approx(right, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("gamma", [0.07, 0.15, 1.0])
+    @pytest.mark.parametrize("d", [0.0, 0.3, 1.0])
+    def test_matches_mode_sum(self, gamma, d):
+        model = SchmidtModel.from_gamma(gamma)
+        xs = np.linspace(-6.0, 6.0, 601)
+        for kind in ("gaussian", "spdc"):
+            np.testing.assert_allclose(
+                marginal_intensity(xs, d, model, kind),
+                mode_sum_intensity(xs, d, model, kind),
+                rtol=0.0,
+                atol=1e-10,
+            )
 
     def test_rejects_unknown_kind(self, model015):
         with pytest.raises(ValueError):

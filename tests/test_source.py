@@ -4,15 +4,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from bispade import (
-    NumericalError,
     SchmidtModel,
     SourceParams,
-    choose_truncation,
     gamma_from_physical,
     schmidt_coeff,
     schmidt_number,
 )
-from oracles import coeff_mass
 
 gammas = st.floats(0.02, 5.0)
 
@@ -106,40 +103,11 @@ class TestSchmidtNumber:
         assert schmidt_number(gamma) >= 1.0
 
 
-class TestChooseTruncation:
-    def test_single_mode_state(self):
-        assert choose_truncation(1.0, 1e-6) == (0, 0)
-
-    @pytest.mark.parametrize("gamma,eps", [(0.15, 1e-6), (0.5, 1e-3)])
-    def test_smallest_truncation_by_direct_summation(self, gamma, eps):
-        max_m, max_l = choose_truncation(gamma, eps)
-        assert max_m == max_l
-        assert coeff_mass(gamma, max_m, max_l) >= 1.0 - eps
-        if max_m > 0:
-            assert coeff_mass(gamma, max_m - 1, max_l - 1) < 1.0 - eps
-
-    def test_hard_cap_signals(self):
-        with pytest.raises(NumericalError):
-            choose_truncation(0.5, 1e-12, hard_cap=3)
-
-    def test_rejects_bad_deficit(self):
-        with pytest.raises(ValueError):
-            choose_truncation(0.15, 0.0)
-        with pytest.raises(ValueError):
-            choose_truncation(0.15, 1.0)
-
-    def test_captured_mass_monotone(self):
-        masses = [coeff_mass(0.15, m, m) for m in range(25)]
-        assert all(b >= a for a, b in zip(masses, masses[1:]))
-
-
 class TestSchmidtModel:
     def test_from_gamma_fields(self):
-        model = SchmidtModel.from_gamma(0.15, mass_deficit=1e-6)
+        model = SchmidtModel.from_gamma(0.15)
         assert model.gamma == 0.15
         assert model.q == pytest.approx(((1 - 0.15) / (1 + 0.15)) ** 2, rel=1e-14)
-        assert model.max_m == model.max_l == 23
-        assert model.captured_mass() >= 1.0 - 1e-6
 
     def test_from_physical(self):
         params = SourceParams(pump_waist=40e-6, crystal_length=0.5e-3, pump_wavelength=405e-9)
