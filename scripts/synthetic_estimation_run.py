@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """End-to-end estimation rehearsal on synthetic counts files.
 
-Generates labeled counts files over the experimental separation grid with a
-known attenuation/background imperfection baked in, then runs the estimate
-subcommand twice: once against the bare model and once with --calibrate.
+Generates labeled counts files (in <out-dir>/counts) over the experimental
+separation grid with a known attenuation/background imperfection baked in,
+then runs the estimate subcommand twice: once against the bare model and once
+with --calibrate.
 Prints the fitted slope of estimate vs truth for both, which shows the
 systematic deviation the calibration removes.
 """
 import argparse
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,8 @@ def run(argv=None):
     separations = np.arange(0.0, 1.35 + 0.02325, 0.0465)
 
     out_dir = Path(args.out_dir)
-    data_dir = Path(tempfile.mkdtemp(prefix="bispade_counts_"))
+    data_dir = out_dir / "counts"
+    data_dir.mkdir(parents=True, exist_ok=True)
     files = []
     for i, d in enumerate(separations):
         matrix = bp.apply_calibration(

@@ -8,6 +8,7 @@ deterministic given (config, seed) and writes comma-separated tables with a
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -20,11 +21,12 @@ from .errors import NumericalError
 from .inference import (
     METHODS,
     CountMatrix,
+    _fit,
+    _GridTable,
+    _mc_cell,
     crlb,
     direct_forward,
     fit_calibration,
-    mc_standard_error,
-    mle_estimate,
     spade_forward,
 )
 from .model import ModeSpace, PixelGrid, prob_matrix
@@ -181,9 +183,6 @@ def _header_lines(cfg: RunConfig, command: str, **extra) -> list[str]:
         f"# gamma = {_fmt(gamma)}",
         f"# schmidt_number = {_fmt(schmidt_number(gamma))}",
         f"# separation_convention = {CONVENTION}",
-        f"# photons = {cfg.photons}",
-        f"# trials = {cfg.trials}",
-        f"# seed = {cfg.seed}",
     ]
     lines.extend(f"# {key} = {value}" for key, value in extra.items())
     return lines
@@ -364,25 +363,21 @@ def cmd_estimate(cfg: RunConfig, files: list[str]) -> Path:
         calibration = fit_calibration(labeled, forward)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for name, cm in datasets:
-        label = "" if cm.separation is None else _fmt(cm.separation)
-        try:
-            result = mle_estimate(
-                cm,
-                forward,
-                calibration=calibration,
-                bounds=DEFAULT_BOUNDS,
-                crlb_variance=crlb(model.schmidt_number, cm.total),
+    labels = ["" if cm.separation is None else _fmt(cm.separation) for _, cm in datasets]
+    crlbs = [crlb(model.schmidt_number, cm.total) for _, cm in datasets]
+    obs = np.stack([cm.counts.ravel() for _, cm in datasets]).astype(float)
+    try:
+        fits = _fit(obs, forward, _GridTable.build(forward, calibration, DEFAULT_BOUNDS))
+    except NumericalError as exc:
+        rows = [f"{label},nan,nan,nan,nan,error:{exc}" for label in labels]
+    else:
+        rows = [
+            f"{label},{_fmt(d_hat)},{_fmt(2.0 * d_hat)},{_fmt(loglik)},{_fmt(bound)},"
+            + (";".join(fits.flags(i)) or "ok")
+            for i, (label, d_hat, loglik, bound) in enumerate(
+                zip(labels, fits.d_hat, fits.log_likelihood, crlbs)
             )
-        except NumericalError as exc:
-            rows.append(f"{label},nan,nan,nan,nan,error:{exc}")
-            continue
-        flags = ";".join(result.flags) if result.flags else "ok"
-        rows.append(
-            f"{label},{_fmt(result.d_hat)},{_fmt(result.delta_hat)},"
-            f"{_fmt(result.log_likelihood)},{_fmt(result.crlb_variance)},{flags}"
-        )
+        ]
     path = out_dir / "estimates.csv"
     _write_table(
         path,
@@ -411,6 +406,10 @@ def cmd_compare(cfg: RunConfig) -> Path:
         "direct_gaussian": direct_forward(model, grid, "gaussian"),
         "direct_spdc": direct_forward(model, grid, "spdc"),
     }
+    tables = {
+        method: _GridTable.build(forward, None, DEFAULT_BOUNDS)
+        for method, forward in forwards.items()
+    }
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -419,16 +418,9 @@ def cmd_compare(cfg: RunConfig) -> Path:
             cell_seed = int(
                 np.random.SeedSequence((cfg.seed, method_index, sep_index)).generate_state(1)[0]
             )
-            result = mc_standard_error(
-                method,
-                model.gamma,
-                cfg.photons,
-                float(d),
-                cfg.trials,
-                cell_seed,
-                forward=forwards[method],
-                model=model,
-                bounds=DEFAULT_BOUNDS,
+            result = _mc_cell(
+                method, model, cfg.photons, float(d), cfg.trials, cell_seed,
+                forwards[method], tables[method],
             )
             rows.append(
                 f"{_fmt(d)},{_fmt(2.0 * d)},{method},{_fmt(result.std_err)},"
@@ -440,6 +432,9 @@ def cmd_compare(cfg: RunConfig) -> Path:
         _header_lines(
             cfg,
             "compare",
+            photons=cfg.photons,
+            trials=cfg.trials,
+            seed=cfg.seed,
             modes_k=cfg.modes_k,
             modes_l=cfg.modes_l,
             projections=len(space.idler) * len(space.signal),
@@ -480,6 +475,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", dest="out_dir", default=None)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bispade", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")

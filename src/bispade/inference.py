@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .model import (
     ModeSpace,
     PixelGrid,
     ProbabilityMatrix,
+    _pixel_probs,
+    _spade_probs,
     pixel_probs,
     prob_matrix,
 )
@@ -55,7 +57,14 @@ PARAMETERIZATION = "delta = 2*d"
 LIKELIHOOD_FLOOR = 1e-15
 METHODS = ("spade", "direct_gaussian", "direct_spdc")
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_REFINE_STEPS = 100
+# central-difference step for the derivative of a forward map that has no exact one
+_DIFF_STEP = 1e-6
+# refinement must beat the best grid point's log-likelihood by more than this
+# relative amount, a few ulps of the sum of count * log p terms; a point within
+# rounding of the grid optimum (as near d = 0, where the model is even in d)
+# does not displace it
+_TIE = 1e-15
 
 
 @dataclass(frozen=True)
@@ -264,83 +273,175 @@ def mle_estimate(
     forward(d) returns outcome probabilities at per-arm shift d (any shape,
     flattened against the counts). A calibration, when given, applies the
     per-outcome affine map to the model and renormalizes before the
-    likelihood, mirroring apply_calibration. The search runs a coarse grid
-    and then golden-section refinement; a bracketing method stays robust
-    where the likelihood is locally flat (the model is even in d, so d = 0
-    can sit on a plateau). The multinomial coefficient is separation
-    independent and dropped.
+    likelihood, mirroring apply_calibration. The search scores a coarse grid,
+    then refines by safeguarded Fisher scoring inside the bracket of the best
+    grid point's neighbours; the model is even in d, so d = 0 can sit on a
+    plateau, where scoring falls back to bisection and the grid point is kept
+    unless refinement beats it. The maps of spade_forward and direct_forward
+    supply the exact d-derivative; for any other callable it is a central
+    difference. The multinomial coefficient is separation independent and
+    dropped.
     """
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not hi > lo:
-        raise ValueError("bounds must satisfy lo < hi")
-    if grid_points < 2:
-        raise ValueError("need at least 2 grid points")
-    obs = counts.counts.ravel().astype(float)
-    alpha = beta = None
-    if calibration is not None:
-        alpha = calibration.alpha.ravel()
-        beta = calibration.beta.ravel()
-        if alpha.size != obs.size:
-            raise ValueError("calibration shape does not match the counts")
-
-    def loglik(d: float) -> float:
-        p = np.asarray(forward(d), dtype=float).ravel()
-        if p.size != obs.size:
-            raise ValueError("forward model size does not match the counts")
-        if alpha is not None:
-            p = np.clip(alpha * p + beta, 0.0, None)
-            tot = p.sum()
-            if tot <= 0.0:
-                raise NumericalError("calibrated probabilities vanish everywhere")
-            p = p / tot
-        return float(obs @ np.log(np.maximum(p, floor)))
-
-    grid = np.linspace(lo, hi, grid_points)
-    values = np.array([loglik(d) for d in grid])
-    if not np.all(np.isfinite(values)):
-        raise NumericalError("non-finite log-likelihood on the search grid")
-    best = int(np.argmax(values))
-    flags: list[str] = []
-    spread = float(values.max() - values.min())
-    if spread < 1e-9 * (abs(float(values.max())) + 1.0):
-        flags.append("flat-likelihood")
-
-    a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, grid_points - 1)])
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = loglik(x1), loglik(x2)
-    iterations = 0
-    max_iterations = 200
-    while (b - a) > refine_tol and iterations < max_iterations:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = loglik(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = loglik(x1)
-        iterations += 1
-    converged = (b - a) <= refine_tol
-    d_hat = 0.5 * (a + b)
-    best_ll = loglik(d_hat)
-    if values[best] > best_ll:
-        # refinement landed on a plateau below the grid optimum; keep the grid point
-        d_hat, best_ll = float(grid[best]), float(values[best])
-    if d_hat <= lo + refine_tol or d_hat >= hi - refine_tol:
-        flags.append("boundary")
+    obs = counts.counts.ravel()[None, :].astype(float)
+    table = _GridTable.build(forward, calibration, bounds, grid_points, floor)
+    fits = _fit(obs, forward, table, refine_tol)
+    d_hat = float(fits.d_hat[0])
     return EstimationResult(
-        d_hat=float(d_hat),
-        delta_hat=2.0 * float(d_hat),
-        log_likelihood=float(best_ll),
+        d_hat=d_hat,
+        delta_hat=2.0 * d_hat,
+        log_likelihood=float(fits.log_likelihood[0]),
         crlb_variance=crlb_variance,
-        bounds=(lo, hi),
+        bounds=(float(table.grid[0]), float(table.grid[-1])),
         grid_points=grid_points,
-        refine_iterations=iterations,
-        converged=converged,
-        flags=tuple(flags),
+        refine_iterations=int(fits.iterations[0]),
+        converged=bool(fits.converged[0]),
+        flags=fits.flags(0),
     )
+
+
+class _GridTable(NamedTuple):
+    """Log-probabilities of one forward map (with its calibration) on the search grid."""
+
+    grid: np.ndarray
+    log_probs: np.ndarray  # (grid points, outcomes)
+    calibration: CalibrationModel | None
+    floor: float
+
+    @classmethod
+    def build(
+        cls, forward, calibration, bounds, grid_points=200, floor=LIKELIHOOD_FLOOR
+    ) -> "_GridTable":
+        lo, hi = float(bounds[0]), float(bounds[1])
+        if not hi > lo:
+            raise ValueError("bounds must satisfy lo < hi")
+        if grid_points < 2:
+            raise ValueError("need at least 2 grid points")
+        grid = np.linspace(lo, hi, grid_points)
+        probs, _ = _calibrated(_evaluate(forward, grid, derivative=False), calibration)
+        return cls(grid, np.log(np.maximum(probs, floor)), calibration, floor)
+
+
+def _evaluate(forward, d: np.ndarray, derivative: bool):
+    # (probabilities, d-derivatives or None) at each separation of d, outcomes flattened
+    if isinstance(forward, _ForwardMap):
+        probs, slopes = forward.batch(d, derivative)
+        return probs.reshape(len(d), -1), None if slopes is None else slopes.reshape(len(d), -1)
+
+    def at(shift):
+        return np.stack([np.asarray(forward(float(x)), dtype=float).ravel() for x in d + shift])
+
+    probs = at(0.0)
+    if not derivative:
+        return probs, None
+    return probs, (at(_DIFF_STEP) - at(-_DIFF_STEP)) / (2.0 * _DIFF_STEP)
+
+
+def _calibrated(evaluated, calibration: CalibrationModel | None):
+    # the affine detector map of apply_calibration, floored at zero and
+    # renormalized, applied to (probabilities, derivatives) rows
+    probs, slopes = evaluated
+    if calibration is None:
+        return probs, slopes
+    alpha = calibration.alpha.ravel()
+    if alpha.size != probs.shape[1]:
+        raise ValueError("calibration shape does not match the counts")
+    raw = alpha * probs + calibration.beta.ravel()
+    live = raw > 0.0
+    raw = np.where(live, raw, 0.0)
+    totals = raw.sum(axis=1)
+    if np.any(totals <= 0.0):
+        raise NumericalError("calibrated probabilities vanish everywhere")
+    probs = raw / totals[:, None]
+    if slopes is None:
+        return probs, None
+    raw_slopes = np.where(live, alpha * slopes, 0.0)
+    slopes = (raw_slopes - probs * raw_slopes.sum(axis=1)[:, None]) / totals[:, None]
+    return probs, slopes
+
+
+class _Fits(NamedTuple):
+    """Per-row outcome of _fit."""
+
+    d_hat: np.ndarray
+    log_likelihood: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    flat: np.ndarray
+    boundary: np.ndarray
+
+    def flags(self, row: int) -> tuple[str, ...]:
+        named = (("flat-likelihood", self.flat[row]), ("boundary", self.boundary[row]))
+        return tuple(name for name, hit in named if hit)
+
+
+def _fit(obs: np.ndarray, forward, table: _GridTable, refine_tol: float = 1e-5) -> _Fits:
+    """Maximum-likelihood separations of every row of the (rows x outcomes) count matrix.
+
+    One matmul scores all rows on the grid table. Every row then refines in
+    lockstep by Fisher scoring, d += score / information, started at its best
+    grid point and kept inside the bracket of that point's grid neighbours;
+    the bracket shrinks to the side the score points to. A step that would
+    leave the bracket, that would not halve the previous step, or that has no
+    information behind it (at d = 0 the model is even in d, so score and
+    information vanish) is replaced by bisection. A row stops once its step
+    is below 1e-3 * refine_tol. Refinement that does not beat the best grid
+    point by more than rounding keeps the grid point.
+    """
+    grid, floor = table.grid, table.floor
+    if table.log_probs.shape[1] != obs.shape[1]:
+        raise ValueError("forward model size does not match the counts")
+    scores = obs @ table.log_probs.T
+    if not np.all(np.isfinite(scores)):
+        raise NumericalError("non-finite log-likelihood on the search grid")
+    rows = np.arange(len(obs))
+    best = np.argmax(scores, axis=1)
+    top = scores[rows, best]
+    flat = top - scores.min(axis=1) < 1e-9 * (np.abs(top) + 1.0)
+
+    lower = grid[np.maximum(best - 1, 0)]
+    upper = grid[np.minimum(best + 1, len(grid) - 1)]
+    x = grid[best]
+    last_step = upper - lower
+    d_hat = x.copy()
+    loglik = top.copy()
+    iterations = np.zeros(len(obs), dtype=int)
+    converged = np.zeros(len(obs), dtype=bool)
+    photons = obs.sum(axis=1)
+    active = rows
+    for _ in range(_MAX_REFINE_STEPS):
+        if not active.size:
+            break
+        at = x[active]
+        probs, slopes = _calibrated(_evaluate(forward, at, derivative=True), table.calibration)
+        counts = obs[active]
+        live = probs > floor
+        ratio = np.divide(slopes, probs, out=np.zeros_like(probs), where=live)
+        score = (counts * ratio).sum(axis=1)
+        information = photons[active] * (slopes * ratio).sum(axis=1)
+        d_hat[active] = at
+        loglik[active] = (counts * np.log(np.maximum(probs, floor))).sum(axis=1)
+        iterations[active] += 1
+        lo = lower[active] = np.where(score > 0.0, at, lower[active])
+        hi = upper[active] = np.where(score < 0.0, at, upper[active])
+        step = np.divide(score, information, out=np.zeros_like(score), where=information > 0.0)
+        newton = (
+            (information > 0.0)
+            & (at + step > lo)
+            & (at + step < hi)
+            & (np.abs(step) <= 0.5 * last_step[active])
+        )
+        step = np.where(newton, step, 0.5 * (lo + hi) - at)
+        done = np.abs(step) < 1e-3 * refine_tol
+        converged[active[done]] = True
+        active, step = active[~done], step[~done]
+        x[active] += step
+        last_step[active] = np.abs(step)
+
+    keep_grid = loglik - top <= _TIE * (np.abs(top) + 1.0)
+    d_hat = np.where(keep_grid, grid[best], d_hat)
+    loglik = np.where(keep_grid, top, loglik)
+    boundary = (d_hat <= grid[0] + refine_tol) | (d_hat >= grid[-1] - refine_tol)
+    return _Fits(d_hat, loglik, iterations, converged, flat, boundary)
 
 
 def fit_calibration(
@@ -364,7 +465,7 @@ def fit_calibration(
     shape = datasets[0][1].counts.shape
     if any(cm.counts.shape != shape for _, cm in datasets):
         raise ValueError("datasets must share a counts shape")
-    x = np.stack([np.asarray(forward(s), dtype=float).ravel() for s in seps])
+    x, _ = _evaluate(forward, np.array(seps), derivative=False)
     y = np.stack([cm.counts.ravel() / cm.total for _, cm in datasets])
     x_mean = x.mean(axis=0)
     y_mean = y.mean(axis=0)
@@ -380,39 +481,50 @@ def fit_calibration(
     )
 
 
-def _memoized(fn: Callable[[float], np.ndarray]) -> Callable[[float], np.ndarray]:
-    cache: dict[float, np.ndarray] = {}
+class _ForwardMap:
+    """d -> outcome probabilities, at one separation or at an array of them.
 
-    def wrapped(d: float) -> np.ndarray:
-        key = float(d)
-        out = cache.get(key)
-        if out is None:
-            out = cache[key] = fn(key)
-        return out
+    Called with a scalar, it returns the array of the single-separation model
+    function; called with an array of separations, the stacked arrays from
+    one vectorized pass. batch(d, derivative) takes a 1-D array of separations
+    and returns (probabilities, exact d-derivatives or None), stacked alike.
+    """
 
-    return wrapped
+    __slots__ = ("_single", "batch", "shape")
+
+    def __init__(self, single, batch, shape):
+        self._single = single
+        self.batch = batch
+        self.shape = shape
+
+    def __call__(self, d):
+        if np.ndim(d) == 0:
+            return self._single(float(d))
+        d = np.asarray(d, dtype=float)
+        probs, _ = self.batch(d.ravel(), False)
+        return probs.reshape(d.shape + self.shape)
 
 
 def spade_forward(
     model: SchmidtModel, space: ModeSpace, renormalize: bool = True
 ) -> Callable[[float], np.ndarray]:
-    """Memoized forward map d -> coincidence probability matrix entries."""
-
-    def fn(d: float) -> np.ndarray:
-        return prob_matrix(d, space, model, renormalize=renormalize).entries
-
-    return _memoized(fn)
+    """Forward map d -> coincidence probability matrix entries (d scalar or array)."""
+    return _ForwardMap(
+        lambda d: prob_matrix(d, space, model, renormalize=renormalize).entries,
+        lambda d, derivative: _spade_probs(d, space, model, renormalize, derivative)[:2],
+        space.shape,
+    )
 
 
 def direct_forward(
     model: SchmidtModel, grid: PixelGrid, kind: str
 ) -> Callable[[float], np.ndarray]:
-    """Memoized forward map d -> pixel probability vector (with residual bucket)."""
-
-    def fn(d: float) -> np.ndarray:
-        return pixel_probs(d, grid, model, kind)
-
-    return _memoized(fn)
+    """Forward map d -> pixel probability vector with residual bucket (d scalar or array)."""
+    return _ForwardMap(
+        lambda d: pixel_probs(d, grid, model, kind),
+        lambda d, derivative: _pixel_probs(d, grid, model, kind, derivative),
+        (grid.count + 1,),
+    )
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
@@ -453,17 +565,19 @@ def mc_standard_error(
         else:
             kind = "gaussian" if method == "direct_gaussian" else "spdc"
             forward = direct_forward(model, grid if grid is not None else PixelGrid(), kind)
+    table = _GridTable.build(forward, None, bounds)
+    return _mc_cell(method, model, n_photons, d, trials, seed, forward, table)
+
+
+def _mc_cell(method, model, n_photons, d, trials, seed, forward, table) -> MonteCarloResult:
+    # the trials of one cell: counts drawn per trial sub-seed, all fitted in one _fit call
     bound_var = crlb(model.schmidt_number, n_photons) if n_photons >= 1 else None
     truth = np.asarray(forward(float(d)), dtype=float)
-    estimates = np.empty(trials)
-    boundary_hits = 0
-    flat_hits = 0
-    for t in range(trials):
-        cm = sample_counts(truth, n_photons, trial_seed(seed, t))
-        result = mle_estimate(cm, forward, bounds=bounds, crlb_variance=bound_var)
-        estimates[t] = result.delta_hat
-        boundary_hits += "boundary" in result.flags
-        flat_hits += "flat-likelihood" in result.flags
+    obs = np.stack([
+        sample_counts(truth, n_photons, trial_seed(seed, t)).counts.ravel() for t in range(trials)
+    ]).astype(float)
+    fits = _fit(obs, forward, table)
+    estimates = 2.0 * fits.d_hat
     return MonteCarloResult(
         method=method,
         d=float(d),
@@ -471,8 +585,8 @@ def mc_standard_error(
         trials=int(trials),
         mean=float(estimates.mean()),
         std_err=float(estimates.std(ddof=1)),
-        boundary_fraction=boundary_hits / trials,
-        flat_fraction=flat_hits / trials,
+        boundary_fraction=int(fits.boundary.sum()) / trials,
+        flat_fraction=int(fits.flat.sum()) / trials,
         crlb_variance=bound_var,
         estimates=estimates,
     )

@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _MIN_IN_SPACE_MASS = 1e-9
+_BLOCK_CELLS = 1 << 14
 
 
 def _check_pairs(pairs, label):
@@ -169,9 +170,11 @@ def small_sep_prob(k: int, l: int, kp: int, lp: int, d: float, model: SchmidtMod
 
 @lru_cache(maxsize=32)
 def _overlap_layout(n: int):
-    # everything in _squared_overlaps that depends on the table size alone:
+    # everything in _overlap_amplitudes that depends on the table size alone:
     # Laguerre recurrence coefficients per degree, the (min, |difference|)
-    # index of each table cell, and 0.5*log(min!/max!) per cell
+    # index of each table cell, 0.5*log(min!/max!) per cell, and the cells with
+    # an odd difference and with the row index above the column index (the sign
+    # pattern of the amplitudes)
     order = np.arange(n + 1.0)
     steps = tuple(
         ((2.0 * m + 1.0 + order[: n - m]) / (m + 1.0), (m + order[: n - m]) / (m + 1.0))
@@ -182,35 +185,105 @@ def _overlap_layout(n: int):
     lo = np.minimum.outer(index, index)
     gap = np.abs(np.subtract.outer(index, index))
     half_log_ratio = 0.5 * (log_fact[lo] - log_fact[lo + gap])
-    for array in (order, lo, gap, half_log_ratio, *(c for step in steps for c in step)):
+    odd = gap % 2 == 1
+    below = np.greater.outer(index, index)
+    for array in (order, lo, gap, half_log_ratio, odd, below, *(c for st in steps for c in st)):
         array.flags.writeable = False
-    return order, steps, lo, gap, half_log_ratio
+    return order, steps, lo, gap, half_log_ratio, odd, below
 
 
-def _squared_overlaps(n: int, d: float) -> np.ndarray:
-    """Table |<m|n',d>|^2 for m, n' <= n in one vectorized pass.
+def _overlap_amplitudes(n: int, d: np.ndarray) -> np.ndarray:
+    """Signed amplitudes <m|n',d> for m, n' <= n, one table per separation in d.
 
     For m <= n' the amplitude is sqrt(m!/n'!) alpha^(n'-m) exp(-alpha^2/2)
     L_m^(n'-m)(alpha^2) with alpha = d/sqrt(2) (Cahill & Glauber, Phys. Rev. 177,
-    1857 (1969)); the square is symmetric in (m, n') and even in d, so one sign
-    serves both components of the +-d mixture. The Laguerre values come from their
-    upward recurrence in m, run for every order n'-m at once. The displaced-number-
-    state recurrence in n' is not used: its rounding errors grow with n'*d (1e-2 in
-    the square at n' = 100, d = 3).
+    1857 (1969)); exchanging m and n' flips the sign of d. The Laguerre values
+    come from their upward recurrence in m, run for every order n'-m and every
+    separation at once. The displaced-number-state recurrence in n' is not used:
+    its rounding errors grow with n'*d (1e-2 in the square at n' = 100, d = 3).
+    Returns shape (len(d), n+1, n+1); raises NumericalError where the table
+    overflows (mode orders above about 1000).
     """
     x = 0.5 * d * d
-    if x == 0.0:
-        return np.eye(n + 1)
-    order, steps, lo, gap, half_log_ratio = _overlap_layout(n)
-    lag = np.zeros((n + 1, n + 1))
-    lag[0] = 1.0
-    if n:
-        lag[1, :n] = 1.0 + order[:n] - x
-    for m, (slope, lag_weight) in enumerate(steps, start=1):
-        w = n - m
-        lag[m + 1, :w] = (slope - x / (m + 1.0)) * lag[m, :w] - lag_weight * lag[m - 1, :w]
-    amp = np.exp(half_log_ratio + 0.5 * math.log(x) * gap - 0.5 * x) * lag[lo, gap]
-    return amp * amp
+    order, steps, lo, gap, half_log_ratio, odd, below = _overlap_layout(n)
+    lag = np.zeros((len(d), n + 1, n + 1))
+    lag[:, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n:
+            lag[:, 1, :n] = 1.0 + order[:n] - x[:, None]
+        for m, (slope, lag_weight) in enumerate(steps, start=1):
+            w = n - m
+            lag[:, m + 1, :w] = (
+                (slope - (x / (m + 1.0))[:, None]) * lag[:, m, :w] - lag_weight * lag[:, m - 1, :w]
+            )
+        # x^(gap/2) in log space; at x = 0 the table is the identity, set below
+        half_log_x = 0.5 * np.log(np.where(x > 0.0, x, 1.0))
+        amp = np.exp(half_log_ratio + half_log_x[:, None, None] * gap - 0.5 * x[:, None, None])
+        amp *= lag[:, lo, gap]
+    amp[x == 0.0] = np.eye(n + 1)
+    if not np.all(np.isfinite(amp)):
+        raise NumericalError(f"overlap table overflows for mode orders up to {n}")
+    flip = odd & (below != (d < 0.0)[:, None, None])
+    return np.where(flip, -amp, amp)
+
+
+def _in_blocks(evaluate, d: np.ndarray, row_cells: int):
+    # evaluate(block) over consecutive blocks of d, each holding at most
+    # _BLOCK_CELLS table cells, so temporaries stay small for long d or large tables
+    rows = max(1, _BLOCK_CELLS // row_cells)
+    if len(d) <= rows:
+        return evaluate(d)
+    parts = [evaluate(d[i : i + rows]) for i in range(0, len(d), rows)]
+    return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
+
+
+def _spade_probs(d: np.ndarray, space: ModeSpace, model: SchmidtModel, renormalize: bool,
+                 derivative: bool):
+    """Probability matrices (and their d-derivatives) at each separation of the 1-D array d.
+
+    Returns (entries, slopes, totals): entries and slopes of shape
+    (len(d),) + space.shape, slopes None unless derivative, and the in-space
+    mass per separation. The slope of an amplitude is
+    d<m|n',d>/dd = sqrt(n'/2) <m|n'-1,d> - sqrt((n'+1)/2) <m|n'+1,d>,
+    which needs one table column past the largest index of the space.
+    """
+    k, l = np.array(space.idler).T
+    kp, lp = np.array(space.signal).T
+    size = int(max(k.max(), kp.max())) + (1 if derivative else 0)
+    return _in_blocks(
+        lambda block: _spade_block(block, k, l, kp, lp, size, model, renormalize, derivative),
+        d,
+        (size + 1) ** 2,
+    )
+
+
+def _spade_block(d, k, l, kp, lp, size, model, renormalize, derivative):
+    amps = _overlap_amplitudes(size, d)
+    c = schmidt_coeff(kp, lp, model.gamma)
+    weight = np.where(l[:, None] == lp[None, :], (c * c)[None, :], 0.0)
+
+    def cells(columns):
+        # contiguous, so that each row sums in the same order whatever len(d) is
+        return np.ascontiguousarray(amps[:, k[:, None], columns[None, :]])
+
+    a = cells(kp)
+    entries = weight * (a * a)
+    totals = entries.reshape(len(d), -1).sum(axis=1)
+    slopes = None
+    if derivative:
+        down = np.sqrt(0.5 * kp) * cells(np.maximum(kp - 1, 0))
+        up = np.sqrt(0.5 * (kp + 1.0)) * cells(kp + 1)
+        slopes = 2.0 * weight * a * (down - up)
+    if renormalize:
+        if np.any(totals < _MIN_IN_SPACE_MASS):
+            raise NumericalError(
+                f"in-space probability mass {totals.min():.3e} below {_MIN_IN_SPACE_MASS:.0e}"
+            )
+        entries = entries / totals[:, None, None]
+        if slopes is not None:
+            slope_totals = slopes.reshape(len(d), -1).sum(axis=1)
+            slopes = (slopes - entries * slope_totals[:, None, None]) / totals[:, None, None]
+    return entries, slopes, totals
 
 
 def prob_matrix(
@@ -219,27 +292,18 @@ def prob_matrix(
     """Assemble coincidence probabilities over the detection space.
 
     Entry (i, j) is C_{k',l}^2 * delta_{l,l'} * |<k|k',d>|^2, the value of
-    coincidence_prob, built from one squared-overlap table for the whole space.
+    coincidence_prob, built from one overlap table for the whole space.
     With renormalize=True the matrix conditions on detection inside the space
     (entries divided by the in-space total), matching how measured matrices
     are normalized.
     """
-    k, l = np.array(space.idler).T
-    kp, lp = np.array(space.signal).T
-    overlaps = _squared_overlaps(int(max(k.max(), kp.max())), float(d))
-    c = schmidt_coeff(kp, lp, model.gamma)
-    entries = np.where(
-        l[:, None] == lp[None, :], (c * c)[None, :] * overlaps[k[:, None], kp[None, :]], 0.0
-    )
-    total = float(entries.sum())
-    if renormalize:
-        if total < _MIN_IN_SPACE_MASS:
-            raise NumericalError(
-                f"in-space probability mass {total:.3e} below {_MIN_IN_SPACE_MASS:.0e}"
-            )
-        entries = entries / total
+    entries, _, totals = _spade_probs(np.array([float(d)]), space, model, renormalize, False)
     return ProbabilityMatrix(
-        space=space, entries=entries, d=float(d), renormalized=renormalize, in_space_mass=total
+        space=space,
+        entries=entries[0],
+        d=float(d),
+        renormalized=renormalize,
+        in_space_mass=float(totals[0]),
     )
 
 
@@ -287,6 +351,47 @@ def marginal_intensity(x, d: float, model: SchmidtModel, kind: str = "spdc"):
     return float(out) if xa.ndim == 0 else out
 
 
+def _pixel_probs(d: np.ndarray, grid: PixelGrid, model: SchmidtModel, kind: str,
+                 derivative: bool):
+    """Pixel vectors (and their d-derivatives) at each separation in d.
+
+    Returns (probs, slopes), each of shape (len(d), grid.count + 1), slopes
+    None unless derivative. The slope of a component's pixel mass is a
+    difference of Gaussian values at the pixel edges.
+    """
+    s = _psf_scale(model, kind)
+    return _in_blocks(
+        lambda block: _pixel_block(block, grid, s, derivative), d, 2 * (grid.count + 1)
+    )
+
+
+def _pixel_block(d, grid, s, derivative):
+    u = s * (grid.edges[None, None, :] - np.stack([d, -d], axis=1)[:, :, None])
+    flat = np.abs(u).ravel()
+    tails = np.fromiter(map(math.erfc, memoryview(flat)), float, flat.size).reshape(u.shape)
+    lo, hi = u[..., :-1], u[..., 1:]
+    t_lo, t_hi = tails[..., :-1], tails[..., 1:]
+    masses = np.where(
+        lo >= 0.0, t_lo - t_hi, np.where(hi <= 0.0, t_hi - t_lo, 2.0 - t_lo - t_hi)
+    )
+    probs = 0.25 * (masses[:, 0] + masses[:, 1])
+    totals = probs.sum(axis=1)
+    # a total above one is rounding: renormalize and leave no residual
+    over = totals > 1.0
+    scale = np.where(over, totals, 1.0)[:, None]
+    probs = probs / scale
+    residual = np.where(over, 0.0, 1.0 - totals)
+    slopes = None
+    if derivative:
+        edge = np.exp(-u * u)
+        falls = edge[..., :-1] - edge[..., 1:]
+        raw = 0.5 * s / math.sqrt(math.pi) * (falls[:, 0] - falls[:, 1])
+        raw_totals = raw.sum(axis=1)
+        slopes = np.where(over[:, None], raw - probs * raw_totals[:, None], raw) / scale
+        slopes = np.concatenate((slopes, np.where(over, 0.0, -raw_totals)[:, None]), axis=1)
+    return np.concatenate((probs, residual[:, None]), axis=1), slopes
+
+
 def pixel_probs(d: float, grid: PixelGrid, model: SchmidtModel, kind: str = "spdc") -> np.ndarray:
     """Exact pixel masses of the marginal intensity, plus an out-of-span residual bucket.
 
@@ -295,19 +400,4 @@ def pixel_probs(d: float, grid: PixelGrid, model: SchmidtModel, kind: str = "spd
     of the edges away from zero, so tail pixels keep their relative accuracy and
     the d = 0 vector stays mirror-symmetric. The returned vector sums to one.
     """
-    s = _psf_scale(model, kind)
-    u = s * (grid.edges[None, :] - np.array([[d], [-d]]))
-    tails = np.array([math.erfc(v) for v in np.abs(u).ravel().tolist()]).reshape(u.shape)
-    lo, hi = u[:, :-1], u[:, 1:]
-    t_lo, t_hi = tails[:, :-1], tails[:, 1:]
-    masses = np.where(
-        lo >= 0.0, t_lo - t_hi, np.where(hi <= 0.0, t_hi - t_lo, 2.0 - t_lo - t_hi)
-    )
-    probs = 0.25 * (masses[0] + masses[1])
-    total = float(probs.sum())
-    if total > 1.0:
-        probs = probs / total
-        residual = 0.0
-    else:
-        residual = 1.0 - total
-    return np.append(probs, residual)
+    return _pixel_probs(np.array([float(d)]), grid, model, kind, False)[0][0]

@@ -298,6 +298,39 @@ class TestCompare:
         assert (out_a / "compare.csv").read_bytes() == (out_b / "compare.csv").read_bytes()
 
 
+class TestHeaders:
+    RUN_KEYS = ("photons", "trials", "seed")
+
+    def _header(self, tmp_path, argv, name):
+        assert main([*argv, "--out-dir", str(tmp_path), "--seed", "3"]) == EXIT_OK
+        return _read_rows(tmp_path / name)[0]
+
+    def test_compare_records_photons_trials_and_seed(self, tmp_path):
+        header = self._header(tmp_path, [
+            "compare", "--photons", "500", "--trials", "2",
+            "--sep-start", "0.5", "--sep-stop", "0.5", "--sep-step", "0.5",
+        ], "compare.csv")
+        assert [_header_value(header, key) for key in self.RUN_KEYS] == ["500", "2", "3"]
+
+    @pytest.mark.parametrize("argv,name", [
+        (["crlb-curves", "--k-values", "1,2"], "crlb_curves.csv"),
+        (["matrices", "--sep-start", "0", "--sep-stop", "0", "--sep-step", "1"],
+         "matrix_00.csv"),
+    ])
+    def test_commands_without_sampling_omit_them(self, tmp_path, argv, name):
+        header = self._header(tmp_path, argv, name)
+        for key in self.RUN_KEYS:
+            with pytest.raises(KeyError):
+                _header_value(header, key)
+
+    def test_estimate_omits_them(self, tmp_path):
+        files = _make_synthetic_files(tmp_path, [0.3], photons=1000)
+        header = self._header(tmp_path, ["estimate", *files], "estimates.csv")
+        for key in self.RUN_KEYS:
+            with pytest.raises(KeyError):
+                _header_value(header, key)
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert main([]) == EXIT_USAGE
@@ -316,3 +349,19 @@ class TestExitCodes:
 
         code = main(["matrices", "--gamma", "1e-06", "--out-dir", str(tmp_path)])
         assert code == EXIT_NUMERIC
+
+    def test_overflowing_mode_orders_are_three(self, tmp_path, capsys):
+        from bispade.cli import EXIT_NUMERIC
+
+        code = main([
+            "matrices", "--modes-k", "1100", "--out-dir", str(tmp_path),
+            "--sep-start", "0.5", "--sep-stop", "0.5", "--sep-step", "0.5",
+        ])
+        assert code == EXIT_NUMERIC
+        assert "overflows" in capsys.readouterr().err
+
+
+def test_parser_is_built_once():
+    from bispade.cli import _build_parser
+
+    assert _build_parser() is _build_parser()

@@ -220,6 +220,80 @@ class TestSampleCounts:
             bp.sample_counts(pm, 1000, seed=3)
 
 
+def _central_difference(fn, d, step=1e-6):
+    return (np.asarray(fn(d + step)) - np.asarray(fn(d - step))) / (2.0 * step)
+
+
+_SEPARATIONS = np.array([0.0, 1e-3, 0.05, 0.3, 0.93, 1.35, 2.0])
+
+
+class TestForwardMaps:
+    @pytest.mark.parametrize("renormalize", [True, False])
+    def test_spade_derivative_matches_central_difference(self, model015, renormalize):
+        space = bp.ModeSpace(idler=((0, 0), (2, 0), (3, 1), (5, 0)),
+                             signal=((1, 0), (3, 1), (0, 0), (9, 1), (6, 0)))
+        forward = bp.spade_forward(model015, space, renormalize=renormalize)
+        probs, slopes = forward.batch(_SEPARATIONS, derivative=True)
+        for d, p, slope in zip(_SEPARATIONS, probs, slopes):
+            np.testing.assert_array_equal(p, forward(d))
+            numeric = _central_difference(
+                lambda x: bp.prob_matrix(x, space, model015, renormalize).entries, d
+            )
+            np.testing.assert_allclose(slope, numeric, rtol=0.0, atol=1e-9)
+        # the model is even in d, so the slope vanishes at d = 0
+        assert np.all(slopes[0] == 0.0)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "spdc"])
+    def test_pixel_derivative_matches_central_difference(self, model015, kind):
+        grid = bp.PixelGrid()
+        forward = bp.direct_forward(model015, grid, kind)
+        probs, slopes = forward.batch(_SEPARATIONS, derivative=True)
+        for d, p, slope in zip(_SEPARATIONS, probs, slopes):
+            np.testing.assert_array_equal(p, forward(d))
+            numeric = _central_difference(lambda x: bp.pixel_probs(x, grid, model015, kind), d)
+            np.testing.assert_allclose(slope, numeric, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(slopes[0], 0.0, atol=1e-15)
+        np.testing.assert_allclose(slopes.sum(axis=1), 0.0, atol=1e-15)
+
+    def test_array_evaluation_matches_scalar_path(self, model015, space7):
+        # 450 separations span several evaluation blocks
+        ds = np.concatenate((np.linspace(0.0, 2.0, 449), [-0.47]))
+        maps = [
+            (bp.spade_forward(model015, space7), lambda d: bp.prob_matrix(d, space7, model015)),
+            (bp.spade_forward(model015, space7, renormalize=False),
+             lambda d: bp.prob_matrix(d, space7, model015, renormalize=False)),
+        ] + [
+            (bp.direct_forward(model015, bp.PixelGrid(), kind),
+             lambda d, kind=kind: bp.pixel_probs(d, bp.PixelGrid(), model015, kind))
+            for kind in ("gaussian", "spdc")
+        ]
+        for forward, scalar in maps:
+            stacked = forward(ds)
+            assert stacked.shape == (len(ds),) + np.shape(forward(0.1))
+            for d, row in zip(ds, stacked):
+                expected = scalar(float(d))
+                np.testing.assert_array_equal(row, getattr(expected, "entries", expected))
+
+
+def _brute_force_mle(counts, forward, calibration=None):
+    # dense grid over the whole bounds, then two dense zooms around the best point
+    obs = counts.counts.ravel().astype(float)
+
+    def loglik(ds):
+        p = forward(ds).reshape(len(ds), -1)
+        if calibration is not None:
+            p = np.clip(calibration.alpha.ravel() * p + calibration.beta.ravel(), 0.0, None)
+            p = p / p.sum(axis=1, keepdims=True)
+        return np.log(np.maximum(p, bp.LIKELIHOOD_FLOOR)) @ obs
+
+    ds = np.linspace(0.0, 2.0, 20_001)
+    for half_width in (2e-4, 2e-7, None):
+        best = ds[np.argmax(loglik(ds))]
+        if half_width is None:
+            return best
+        ds = np.clip(np.linspace(best - half_width, best + half_width, 2001), 0.0, 2.0)
+
+
 class TestMleEstimate:
     @pytest.mark.parametrize("d_true", [0.0, 0.2, 0.5, 1.0])
     def test_fixed_point_on_expected_counts(self, model015, space7, d_true):
@@ -254,6 +328,51 @@ class TestMleEstimate:
             bp.CountMatrix.from_counts(counts), forward, crlb_variance=bound
         )
         assert result.crlb_variance == bound
+
+    @pytest.mark.parametrize(
+        "method,d_true", [("spade", 0.05), ("spade", 0.5), ("spade", 1.2),
+                          ("direct_gaussian", 0.6), ("direct_spdc", 1.0)]
+    )
+    def test_matches_brute_force_oracle(self, model015, space7, method, d_true):
+        if method == "spade":
+            forward = bp.spade_forward(model015, space7)
+        else:
+            forward = bp.direct_forward(model015, bp.PixelGrid(), method.split("_")[1])
+        counts = bp.sample_counts(forward(d_true), 37_000, seed=17)
+        result = bp.mle_estimate(counts, forward)
+        assert result.converged
+        assert result.d_hat == pytest.approx(_brute_force_mle(counts, forward), abs=1e-6)
+
+    def test_calibrated_fit_matches_brute_force_oracle(self, model015, space7):
+        forward = bp.spade_forward(model015, space7)
+        cal = bp.CalibrationModel(alpha=np.full(space7.shape, 0.8),
+                                  beta=np.full(space7.shape, 0.01))
+        truth = bp.apply_calibration(bp.prob_matrix(0.7, space7, model015), cal)
+        counts = bp.sample_counts(truth, 37_000, seed=23)
+        result = bp.mle_estimate(counts, forward, calibration=cal)
+        oracle = _brute_force_mle(counts, forward, calibration=cal)
+        assert result.d_hat == pytest.approx(oracle, abs=1e-6)
+
+    def test_plain_callable_gets_a_numeric_derivative(self, model015, space7):
+        forward = bp.spade_forward(model015, space7)
+        counts = bp.sample_counts(forward(0.4), 37_000, seed=29)
+        exact = bp.mle_estimate(counts, forward)
+        plain = bp.mle_estimate(counts, lambda d: bp.prob_matrix(d, space7, model015).entries)
+        assert plain.d_hat == pytest.approx(exact.d_hat, abs=1e-8)
+
+    @pytest.mark.parametrize("method", bp.METHODS)
+    def test_batched_cell_equals_single_fits(self, model015, space7, method):
+        if method == "spade":
+            forward = bp.spade_forward(model015, space7)
+        else:
+            forward = bp.direct_forward(model015, bp.PixelGrid(), method.split("_")[1])
+        mc = bp.mc_standard_error(
+            method, 0.15, 5000, 0.1, 12, seed=41, forward=forward, model=model015
+        )
+        truth = forward(0.1)
+        for t, estimate in enumerate(mc.estimates):
+            counts = bp.sample_counts(truth, 5000, bp.trial_seed(41, t))
+            assert estimate == 2.0 * bp.mle_estimate(counts, forward).d_hat
 
     def test_flat_likelihood_flagged(self):
         constant = lambda d: np.full(4, 0.25)

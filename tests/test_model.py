@@ -226,6 +226,14 @@ class TestProbMatrix:
         with pytest.raises(NumericalError):
             prob_matrix(0.0, space, model015, renormalize=True)
 
+    @pytest.mark.parametrize("renormalize", [True, False])
+    def test_overflowing_table_signals(self, model015, renormalize):
+        # Laguerre values of order ~1000 overflow float64; the failure must be
+        # an error (with no RuntimeWarning), not a matrix of nan
+        space = ModeSpace(idler=((0, 0), (1100, 0)), signal=((0, 0), (3, 0)))
+        with pytest.raises(NumericalError, match="overflows"):
+            prob_matrix(1.0, space, model015, renormalize=renormalize)
+
 
 class TestCalibration:
     def test_identity_is_noop(self, model015, space7):
