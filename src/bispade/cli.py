@@ -23,7 +23,7 @@ from .inference import (
     CountMatrix,
     _fit,
     _GridTable,
-    _mc_cell,
+    _mc_cells,
     crlb,
     direct_forward,
     fit_calibration,
@@ -56,7 +56,6 @@ class RunConfig:
     pump_waist_um: float | None = None
     crystal_length_mm: float | None = None
     pump_wavelength_nm: float | None = None
-    schmidt_waist_um: float | None = None
     modes_k: int = 6
     modes_l: int = 0
     sep_start: float | None = None
@@ -100,9 +99,6 @@ class RunConfig:
                 pump_waist=self.pump_waist_um * 1e-6,
                 crystal_length=self.crystal_length_mm * 1e-3,
                 pump_wavelength=self.pump_wavelength_nm * 1e-9,
-                schmidt_waist=(
-                    self.schmidt_waist_um * 1e-6 if self.schmidt_waist_um is not None else None
-                ),
             )
             return gamma_from_physical(params)
         return DEFAULT_GAMMA
@@ -395,6 +391,11 @@ def cmd_estimate(cfg: RunConfig, files: list[str]) -> Path:
     return path
 
 
+def _cell_seed(seed: int, method_index: int, sep_index: int) -> int:
+    # master seed of one compare cell; its trials take trial_seed sub-seeds of it
+    return int(np.random.SeedSequence((seed, method_index, sep_index)).generate_state(1)[0])
+
+
 def cmd_compare(cfg: RunConfig) -> Path:
     """Monte-Carlo standard errors for spade vs direct imaging over the grid."""
     seps = cfg.separations(0.0, 1.35, 0.0465)
@@ -412,20 +413,21 @@ def cmd_compare(cfg: RunConfig) -> Path:
     }
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for sep_index, d in enumerate(seps):
-        for method_index, method in enumerate(METHODS):
-            cell_seed = int(
-                np.random.SeedSequence((cfg.seed, method_index, sep_index)).generate_state(1)[0]
-            )
-            result = _mc_cell(
-                method, model, cfg.photons, float(d), cfg.trials, cell_seed,
-                forwards[method], tables[method],
-            )
-            rows.append(
-                f"{_fmt(d)},{_fmt(2.0 * d)},{method},{_fmt(result.std_err)},"
-                f"{_fmt(result.mean)},{_fmt(result.boundary_fraction)}"
-            )
+    by_method = [
+        _mc_cells(
+            method, model, cfg.photons, seps, cfg.trials,
+            [_cell_seed(cfg.seed, method_index, sep_index) for sep_index in range(len(seps))],
+            forwards[method], tables[method],
+        )
+        for method_index, method in enumerate(METHODS)
+    ]
+    # sep-major rows, methods in METHODS order within a separation
+    rows = [
+        f"{_fmt(r.d)},{_fmt(2.0 * r.d)},{r.method},{_fmt(r.std_err)},"
+        f"{_fmt(r.mean)},{_fmt(r.boundary_fraction)}"
+        for same_sep in zip(*by_method)
+        for r in same_sep
+    ]
     path = out_dir / "compare.csv"
     _write_table(
         path,

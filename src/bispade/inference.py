@@ -58,6 +58,9 @@ LIKELIHOOD_FLOOR = 1e-15
 METHODS = ("spade", "direct_gaussian", "direct_spdc")
 
 _MAX_REFINE_STEPS = 100
+# row budget of one _fit call in a Monte-Carlo sweep: consecutive whole cells
+# are fitted together up to this many trials
+_FIT_ROWS = 512
 # central-difference step for the derivative of a forward map that has no exact one
 _DIFF_STEP = 1e-6
 # refinement must beat the best grid point's log-likelihood by more than this
@@ -245,17 +248,25 @@ def sample_counts(probabilities, n_photons: int, seed) -> CountMatrix:
         separation = None
     if n_photons < 0:
         raise ValueError("n_photons must be non-negative")
-    flat = p.ravel()
+    draw = _draw(_normalized(p.ravel()), n_photons, seed)
+    return CountMatrix(
+        counts=draw.reshape(p.shape), total=int(n_photons), separation=separation
+    )
+
+
+def _normalized(flat: np.ndarray) -> np.ndarray:
+    # the multinomial weights of a flat probability vector, after the checks of sample_counts
     if np.any(flat < -1e-12):
         raise ValueError("probabilities must be non-negative")
     total = float(flat.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities must sum to 1 (got {total!r}); renormalize first")
-    rng = np.random.default_rng(seed)
-    draw = rng.multinomial(int(n_photons), np.clip(flat, 0.0, None) / total)
-    return CountMatrix(
-        counts=draw.reshape(p.shape), total=int(n_photons), separation=separation
-    )
+    return np.clip(flat, 0.0, None) / total
+
+
+def _draw(weights: np.ndarray, n_photons: int, seed) -> np.ndarray:
+    # the one multinomial draw behind sample_counts and the Monte-Carlo cells
+    return np.random.default_rng(seed).multinomial(int(n_photons), weights)
 
 
 def mle_estimate(
@@ -566,27 +577,52 @@ def mc_standard_error(
             kind = "gaussian" if method == "direct_gaussian" else "spdc"
             forward = direct_forward(model, grid if grid is not None else PixelGrid(), kind)
     table = _GridTable.build(forward, None, bounds)
-    return _mc_cell(method, model, n_photons, d, trials, seed, forward, table)
+    return _mc_cells(method, model, n_photons, [d], trials, [seed], forward, table)[0]
 
 
-def _mc_cell(method, model, n_photons, d, trials, seed, forward, table) -> MonteCarloResult:
-    # the trials of one cell: counts drawn per trial sub-seed, all fitted in one _fit call
+def _mc_cells(
+    method, model, n_photons, seps, trials, cell_seeds, forward, table
+) -> list[MonteCarloResult]:
+    """Monte-Carlo cells of one method at each separation of seps, in order.
+
+    Every cell's truth vector comes from one batched forward evaluation and is
+    checked once, as sample_counts checks it. Trial t of the cell at seps[i]
+    draws its counts with sub-seed trial_seed(cell_seeds[i], t), the draw of
+    sample_counts. Consecutive whole cells share one _fit call of at most
+    _FIT_ROWS rows (a cell with more trials is fitted alone); rows fit
+    independently, so the grouping changes no result.
+    """
+    if n_photons < 0:
+        raise ValueError("n_photons must be non-negative")
     bound_var = crlb(model.schmidt_number, n_photons) if n_photons >= 1 else None
-    truth = np.asarray(forward(float(d)), dtype=float)
-    obs = np.stack([
-        sample_counts(truth, n_photons, trial_seed(seed, t)).counts.ravel() for t in range(trials)
-    ]).astype(float)
-    fits = _fit(obs, forward, table)
-    estimates = 2.0 * fits.d_hat
-    return MonteCarloResult(
-        method=method,
-        d=float(d),
-        n_photons=int(n_photons),
-        trials=int(trials),
-        mean=float(estimates.mean()),
-        std_err=float(estimates.std(ddof=1)),
-        boundary_fraction=int(fits.boundary.sum()) / trials,
-        flat_fraction=int(fits.flat.sum()) / trials,
-        crlb_variance=bound_var,
-        estimates=estimates,
-    )
+    seps = np.asarray(seps, dtype=float)
+    truths, _ = _evaluate(forward, seps, derivative=False)
+    weights = [_normalized(truth) for truth in truths]
+    cells_per_fit = max(1, _FIT_ROWS // trials)
+    results = []
+    for first in range(0, len(seps), cells_per_fit):
+        cells = range(first, min(first + cells_per_fit, len(seps)))
+        obs = np.array(
+            [_draw(weights[c], n_photons, trial_seed(cell_seeds[c], t))
+             for c in cells for t in range(trials)],
+            dtype=float,
+        )
+        if np.any(obs < 0.0) or np.any(obs.sum(axis=1) != n_photons):
+            raise NumericalError(f"multinomial draw does not hold {n_photons} non-negative counts")
+        fits = _fit(obs, forward, table)
+        for i, c in enumerate(cells):
+            trial_rows = slice(i * trials, (i + 1) * trials)
+            estimates = 2.0 * fits.d_hat[trial_rows]
+            results.append(MonteCarloResult(
+                method=method,
+                d=float(seps[c]),
+                n_photons=int(n_photons),
+                trials=int(trials),
+                mean=float(estimates.mean()),
+                std_err=float(estimates.std(ddof=1)),
+                boundary_fraction=int(fits.boundary[trial_rows].sum()) / trials,
+                flat_fraction=int(fits.flat[trial_rows].sum()) / trials,
+                crlb_variance=bound_var,
+                estimates=estimates,
+            ))
+    return results

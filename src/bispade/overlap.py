@@ -9,6 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .errors import NumericalError
 from .specfun import laguerre
 
 __all__ = [
@@ -62,7 +65,8 @@ def displaced_overlap(m: int, n: int, d: float, sign: int = 1) -> float:
         sqrt(m!/n!) 2^((m-n)/2) (sign*d)^(n-m) exp(-d^2/4) L_m^(n-m)(d^2/2)
     with the prefactor kept in log space. The m > n case uses the exchange
     symmetry: swap the modes and flip the sign (one code path, no second
-    formula branch).
+    formula branch). Raises NumericalError where the evaluation overflows:
+    mode orders above about 1000, or d^(n-m) past the float range.
     """
     if m < 0 or n < 0:
         raise ValueError("mode indices must be non-negative")
@@ -70,11 +74,18 @@ def displaced_overlap(m: int, n: int, d: float, sign: int = 1) -> float:
     if m > n:
         return displaced_overlap(n, m, d, -sign)
     log_pref = 0.5 * (math.lgamma(m + 1) - math.lgamma(n + 1)) + 0.5 * (m - n) * math.log(2.0)
-    return (
-        (sign * d) ** (n - m)
-        * math.exp(log_pref - 0.25 * d * d)
-        * laguerre(m, n - m, 0.5 * d * d)
-    )
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = (
+                (sign * d) ** (n - m)
+                * math.exp(log_pref - 0.25 * d * d)
+                * laguerre(m, n - m, 0.5 * d * d)
+            )
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericalError(f"overlap overflows for mode orders up to {n}")
+    return value
 
 
 def overlap_first_order(m: int, n: int, d: float, sign: int = 1) -> float:

@@ -23,24 +23,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SourceParams:
-    """Physical source settings; all lengths in meters.
-
-    The Schmidt waist is carried only for unit conversion of separations; it
-    is an experimental tuning input, not derived from the other parameters.
-    """
+    """Physical source settings; all lengths in meters."""
 
     pump_waist: float
     crystal_length: float
     pump_wavelength: float
-    schmidt_waist: float | None = None
 
     def __post_init__(self):
         for name in ("pump_waist", "crystal_length", "pump_wavelength"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        if self.schmidt_waist is not None and not self.schmidt_waist > 0:
-            raise ValueError("schmidt_waist must be strictly positive when given")
 
 
 def gamma_from_physical(params: SourceParams) -> float:

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import bispade as bp
+from bispade import inference
 from bispade.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
+    _fmt,
     load_config_file,
     main,
     read_counts_file,
@@ -69,6 +71,12 @@ class TestConfig:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("wavelength = 405\n")
         with pytest.raises(ValueError):
+            load_config_file(cfg_file)
+
+    def test_schmidt_waist_key_is_gone(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("schmidt_waist_um = 25\n")
+        with pytest.raises(ValueError, match="unknown config key"):
             load_config_file(cfg_file)
 
     def test_gamma_and_physical_conflict(self):
@@ -296,6 +304,69 @@ class TestCompare:
         assert main(args + ["--out-dir", str(out_a)]) == EXIT_OK
         assert main(args + ["--out-dir", str(out_b)]) == EXIT_OK
         assert (out_a / "compare.csv").read_bytes() == (out_b / "compare.csv").read_bytes()
+
+    def test_rows_equal_per_trial_oracle(self, tmp_path):
+        # every cell refitted trial by trial through the public API (one
+        # sample_counts draw and one mle_estimate fit per trial), then reduced
+        photons, trials, seed = 5000, 4, 17
+        code = main([
+            "compare", "--out-dir", str(tmp_path), "--photons", str(photons),
+            "--trials", str(trials), "--sep-start", "0", "--sep-stop", "0.6",
+            "--sep-step", "0.3", "--seed", str(seed),
+        ])
+        assert code == EXIT_OK
+        _, _, rows = _read_rows(tmp_path / "compare.csv")
+        model = bp.SchmidtModel.from_gamma(0.15)
+        forwards = {
+            "spade": bp.spade_forward(model, bp.ModeSpace.grid()),
+            "direct_gaussian": bp.direct_forward(model, bp.PixelGrid(), "gaussian"),
+            "direct_spdc": bp.direct_forward(model, bp.PixelGrid(), "spdc"),
+        }
+        expected = []
+        for sep_index, d in enumerate(np.arange(0.0, 0.75, 0.3)):
+            for method_index, method in enumerate(bp.METHODS):
+                cell_seed = int(
+                    np.random.SeedSequence((seed, method_index, sep_index)).generate_state(1)[0]
+                )
+                truth = forwards[method](float(d))
+                fits = [
+                    bp.mle_estimate(
+                        bp.sample_counts(truth, photons, bp.trial_seed(cell_seed, t)),
+                        forwards[method],
+                    )
+                    for t in range(trials)
+                ]
+                estimates = np.array([fit.delta_hat for fit in fits])
+                boundary = sum("boundary" in fit.flags for fit in fits) / trials
+                expected.append([
+                    _fmt(d), _fmt(2.0 * d), method, _fmt(estimates.std(ddof=1)),
+                    _fmt(estimates.mean()), _fmt(boundary),
+                ])
+        assert rows == expected
+
+    def test_row_budget_changes_no_byte(self, tmp_path, monkeypatch):
+        # 5 cells of 5 trials per method; a budget below one cell's trials still
+        # fits whole cells, one per call, and a budget of 25 fits all cells at once
+        args = [
+            "compare", "--photons", "3000", "--trials", "5", "--sep-start", "0",
+            "--sep-stop", "0.4", "--sep-step", "0.1", "--seed", "3",
+        ]
+        fit = inference._fit
+        outputs = {}
+        for budget, rows_per_fit in ((3, 5), (25, 25)):
+            fitted_rows = []
+
+            def counting_fit(obs, *rest):
+                fitted_rows.append(len(obs))
+                return fit(obs, *rest)
+
+            monkeypatch.setattr(inference, "_FIT_ROWS", budget)
+            monkeypatch.setattr(inference, "_fit", counting_fit)
+            out = tmp_path / str(budget)
+            assert main(args + ["--out-dir", str(out)]) == EXIT_OK
+            assert fitted_rows == [rows_per_fit] * (3 * 25 // rows_per_fit)
+            outputs[budget] = (out / "compare.csv").read_bytes()
+        assert outputs[3] == outputs[25]
 
 
 class TestHeaders:

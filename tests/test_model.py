@@ -92,6 +92,10 @@ class TestCoincidenceProb:
         with pytest.raises(ValueError):
             coincidence_prob(-1, 0, 0, 0, 0.1, model015)
 
+    def test_overflowing_overlap_signals(self, model015):
+        with pytest.raises(NumericalError, match="overflows"):
+            coincidence_prob(550, 0, 1100, 0, 1.0, model015)
+
     @given(k=st.integers(0, 5), kp=st.integers(0, 5), d=st.floats(0.05, 1.5))
     @settings(max_examples=40)
     def test_factorizes_over_l(self, model015, k, kp, d):

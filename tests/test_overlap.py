@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from bispade import (
     Displacement,
+    NumericalError,
     adimensional_shift,
     displaced_overlap,
     overlap_first_order,
@@ -97,6 +98,13 @@ class TestDisplacedOverlap:
     def test_rejects_negative_modes(self):
         with pytest.raises(ValueError):
             displaced_overlap(-1, 0, 0.5, 1)
+
+    @pytest.mark.parametrize("m, n, d", [(550, 1100, 1.0), (1100, 550, 1.0), (0, 400, 40.0)])
+    def test_overflow_signals(self, m, n, d):
+        # Laguerre values of order ~1000 (or the power d^(n-m)) overflow
+        # float64; the failure must be an error, not nan or an OverflowError
+        with pytest.raises(NumericalError, match="overflows"):
+            displaced_overlap(m, n, d, 1)
 
 
 class TestFirstOrder:

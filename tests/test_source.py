@@ -20,10 +20,6 @@ class TestSourceParams:
             SourceParams(pump_waist=0.0, crystal_length=1e-3, pump_wavelength=405e-9)
         with pytest.raises(ValueError):
             SourceParams(pump_waist=40e-6, crystal_length=-1e-3, pump_wavelength=405e-9)
-        with pytest.raises(ValueError):
-            SourceParams(
-                pump_waist=40e-6, crystal_length=1e-3, pump_wavelength=405e-9, schmidt_waist=0.0
-            )
 
 
 class TestGammaFromPhysical:
