@@ -51,6 +51,7 @@ from .overlap import (
     displaced_overlap,
     overlap_first_order,
     physical_shift,
+    quad_overlap,
 )
 from .source import (
     SchmidtModel,
@@ -60,17 +61,6 @@ from .source import (
     schmidt_coeff,
     schmidt_number,
 )
-from .specfun import (
-    MAX_QUADRATURE_ORDER,
-    QuadratureRule,
-    gauss_hermite_rule,
-    hermite,
-    hg1d,
-    hg1d_batch,
-    laguerre,
-    quad_overlap,
-)
-
 __all__ = [
     "__version__",
     "NumericalError",
@@ -110,18 +100,11 @@ __all__ = [
     "displaced_overlap",
     "overlap_first_order",
     "physical_shift",
+    "quad_overlap",
     "SchmidtModel",
     "SourceParams",
     "coefficient_ratio",
     "gamma_from_physical",
     "schmidt_coeff",
     "schmidt_number",
-    "MAX_QUADRATURE_ORDER",
-    "QuadratureRule",
-    "gauss_hermite_rule",
-    "hermite",
-    "hg1d",
-    "hg1d_batch",
-    "laguerre",
-    "quad_overlap",
 ]

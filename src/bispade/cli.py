@@ -339,6 +339,8 @@ def cmd_estimate(cfg: RunConfig, files: list[str]) -> Path:
     datasets = []
     for name in files:
         cm = read_counts_file(name)
+        if cm.total < 1:
+            raise DataFormatError(f"{name}: counts sum to zero")
         file_space: ModeSpace = cm.meta["space"]
         if set(file_space.idler) != expected_idler or set(file_space.signal) != expected_signal:
             raise DataFormatError(

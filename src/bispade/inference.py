@@ -22,10 +22,9 @@ from .model import (
     ModeSpace,
     PixelGrid,
     ProbabilityMatrix,
+    _calibrate_rows,
     _pixel_probs,
     _spade_probs,
-    pixel_probs,
-    prob_matrix,
 )
 from .source import SchmidtModel, coefficient_ratio, schmidt_coeff
 
@@ -348,26 +347,13 @@ def _evaluate(forward, d: np.ndarray, derivative: bool):
 
 
 def _calibrated(evaluated, calibration: CalibrationModel | None):
-    # the affine detector map of apply_calibration, floored at zero and
-    # renormalized, applied to (probabilities, derivatives) rows
+    # apply_calibration's map on (probabilities, derivatives) rows
     probs, slopes = evaluated
     if calibration is None:
         return probs, slopes
-    alpha = calibration.alpha.ravel()
-    if alpha.size != probs.shape[1]:
+    if calibration.alpha.size != probs.shape[1]:
         raise ValueError("calibration shape does not match the counts")
-    raw = alpha * probs + calibration.beta.ravel()
-    live = raw > 0.0
-    raw = np.where(live, raw, 0.0)
-    totals = raw.sum(axis=1)
-    if np.any(totals <= 0.0):
-        raise NumericalError("calibrated probabilities vanish everywhere")
-    probs = raw / totals[:, None]
-    if slopes is None:
-        return probs, None
-    raw_slopes = np.where(live, alpha * slopes, 0.0)
-    slopes = (raw_slopes - probs * raw_slopes.sum(axis=1)[:, None]) / totals[:, None]
-    return probs, slopes
+    return _calibrate_rows(probs, slopes, calibration)[:2]
 
 
 class _Fits(NamedTuple):
@@ -492,25 +478,20 @@ def fit_calibration(
     )
 
 
+@dataclass(frozen=True)
 class _ForwardMap:
     """d -> outcome probabilities, at one separation or at an array of them.
 
-    Called with a scalar, it returns the array of the single-separation model
-    function; called with an array of separations, the stacked arrays from
-    one vectorized pass. batch(d, derivative) takes a 1-D array of separations
-    and returns (probabilities, exact d-derivatives or None), stacked alike.
+    Called with separations of any shape, it returns the stacked arrays of one
+    vectorized pass, of shape np.shape(d) + shape. batch(d, derivative) takes
+    a 1-D array of separations and returns (probabilities, exact d-derivatives
+    or None), stacked alike.
     """
 
-    __slots__ = ("_single", "batch", "shape")
-
-    def __init__(self, single, batch, shape):
-        self._single = single
-        self.batch = batch
-        self.shape = shape
+    batch: Callable
+    shape: tuple
 
     def __call__(self, d):
-        if np.ndim(d) == 0:
-            return self._single(float(d))
         d = np.asarray(d, dtype=float)
         probs, _ = self.batch(d.ravel(), False)
         return probs.reshape(d.shape + self.shape)
@@ -521,7 +502,6 @@ def spade_forward(
 ) -> Callable[[float], np.ndarray]:
     """Forward map d -> coincidence probability matrix entries (d scalar or array)."""
     return _ForwardMap(
-        lambda d: prob_matrix(d, space, model, renormalize=renormalize).entries,
         lambda d, derivative: _spade_probs(d, space, model, renormalize, derivative)[:2],
         space.shape,
     )
@@ -532,7 +512,6 @@ def direct_forward(
 ) -> Callable[[float], np.ndarray]:
     """Forward map d -> pixel probability vector with residual bucket (d scalar or array)."""
     return _ForwardMap(
-        lambda d: pixel_probs(d, grid, model, kind),
         lambda d, derivative: _pixel_probs(d, grid, model, kind, derivative),
         (grid.count + 1,),
     )

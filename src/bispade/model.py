@@ -7,13 +7,13 @@ direct-imaging intensity/pixel baselines used for benchmarking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericalError
-from .overlap import displaced_overlap
+from .overlap import _overlap_amplitudes, displaced_overlap
 from .source import SchmidtModel, schmidt_coeff
 
 __all__ = [
@@ -126,9 +126,11 @@ class PixelGrid:
             raise ValueError("span must be increasing")
         object.__setattr__(self, "span", (float(self.span[0]), float(self.span[1])))
 
-    @property
+    @cached_property
     def edges(self) -> np.ndarray:
-        return np.linspace(self.span[0], self.span[1], self.count + 1)
+        edges = np.linspace(self.span[0], self.span[1], self.count + 1)
+        edges.flags.writeable = False
+        return edges
 
 
 def coincidence_prob(k: int, l: int, kp: int, lp: int, d: float, model: SchmidtModel) -> float:
@@ -166,65 +168,6 @@ def small_sep_prob(k: int, l: int, kp: int, lp: int, d: float, model: SchmidtMod
     if k == kp + 1:
         return c2 * 0.5 * d * d * (kp + 1)
     return 0.0
-
-
-@lru_cache(maxsize=32)
-def _overlap_layout(n: int):
-    # everything in _overlap_amplitudes that depends on the table size alone:
-    # Laguerre recurrence coefficients per degree, the (min, |difference|)
-    # index of each table cell, 0.5*log(min!/max!) per cell, and the cells with
-    # an odd difference and with the row index above the column index (the sign
-    # pattern of the amplitudes)
-    order = np.arange(n + 1.0)
-    steps = tuple(
-        ((2.0 * m + 1.0 + order[: n - m]) / (m + 1.0), (m + order[: n - m]) / (m + 1.0))
-        for m in range(1, n)
-    )
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(order[1:]))))
-    index = np.arange(n + 1)
-    lo = np.minimum.outer(index, index)
-    gap = np.abs(np.subtract.outer(index, index))
-    half_log_ratio = 0.5 * (log_fact[lo] - log_fact[lo + gap])
-    odd = gap % 2 == 1
-    below = np.greater.outer(index, index)
-    for array in (order, lo, gap, half_log_ratio, odd, below, *(c for st in steps for c in st)):
-        array.flags.writeable = False
-    return order, steps, lo, gap, half_log_ratio, odd, below
-
-
-def _overlap_amplitudes(n: int, d: np.ndarray) -> np.ndarray:
-    """Signed amplitudes <m|n',d> for m, n' <= n, one table per separation in d.
-
-    For m <= n' the amplitude is sqrt(m!/n'!) alpha^(n'-m) exp(-alpha^2/2)
-    L_m^(n'-m)(alpha^2) with alpha = d/sqrt(2) (Cahill & Glauber, Phys. Rev. 177,
-    1857 (1969)); exchanging m and n' flips the sign of d. The Laguerre values
-    come from their upward recurrence in m, run for every order n'-m and every
-    separation at once. The displaced-number-state recurrence in n' is not used:
-    its rounding errors grow with n'*d (1e-2 in the square at n' = 100, d = 3).
-    Returns shape (len(d), n+1, n+1); raises NumericalError where the table
-    overflows (mode orders above about 1000).
-    """
-    x = 0.5 * d * d
-    order, steps, lo, gap, half_log_ratio, odd, below = _overlap_layout(n)
-    lag = np.zeros((len(d), n + 1, n + 1))
-    lag[:, 0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        if n:
-            lag[:, 1, :n] = 1.0 + order[:n] - x[:, None]
-        for m, (slope, lag_weight) in enumerate(steps, start=1):
-            w = n - m
-            lag[:, m + 1, :w] = (
-                (slope - (x / (m + 1.0))[:, None]) * lag[:, m, :w] - lag_weight * lag[:, m - 1, :w]
-            )
-        # x^(gap/2) in log space; at x = 0 the table is the identity, set below
-        half_log_x = 0.5 * np.log(np.where(x > 0.0, x, 1.0))
-        amp = np.exp(half_log_ratio + half_log_x[:, None, None] * gap - 0.5 * x[:, None, None])
-        amp *= lag[:, lo, gap]
-    amp[x == 0.0] = np.eye(n + 1)
-    if not np.all(np.isfinite(amp)):
-        raise NumericalError(f"overlap table overflows for mode orders up to {n}")
-    flip = odd & (below != (d < 0.0)[:, None, None])
-    return np.where(flip, -amp, amp)
 
 
 def _in_blocks(evaluate, d: np.ndarray, row_cells: int):
@@ -311,17 +254,35 @@ def apply_calibration(matrix: ProbabilityMatrix, cal: CalibrationModel) -> Proba
     """Entrywise alpha*P + beta, floored at zero, then renormalized."""
     if cal.alpha.shape != matrix.entries.shape:
         raise ValueError("calibration shape does not match the probability matrix")
-    raw = np.clip(cal.alpha * matrix.entries + cal.beta, 0.0, None)
-    total = float(raw.sum())
-    if total <= 0.0:
-        raise NumericalError("calibration maps every entry to zero")
-    return ProbabilityMatrix(
-        space=matrix.space,
-        entries=raw / total,
-        d=matrix.d,
+    entries, _, totals = _calibrate_rows(matrix.entries.reshape(1, -1), None, cal)
+    return replace(
+        matrix,
+        entries=entries.reshape(matrix.entries.shape),
         renormalized=True,
-        in_space_mass=total,
+        in_space_mass=float(totals[0]),
     )
+
+
+def _calibrate_rows(probs: np.ndarray, slopes: np.ndarray | None, cal: CalibrationModel):
+    """The affine detector map on (rows x outcomes) probabilities and their d-derivatives.
+
+    Each row becomes alpha*p + beta, floored at zero and divided by its total.
+    Returns (probs, slopes, totals): slopes by the quotient rule (None when
+    slopes is None), totals before the division. Raises NumericalError when
+    a row maps to zero everywhere.
+    """
+    alpha = cal.alpha.ravel()
+    raw = alpha * probs + cal.beta.ravel()
+    live = raw > 0.0
+    raw = np.where(live, raw, 0.0)
+    totals = raw.sum(axis=1)
+    if np.any(totals <= 0.0):
+        raise NumericalError("calibrated probabilities vanish everywhere")
+    probs = raw / totals[:, None]
+    if slopes is not None:
+        raw_slopes = np.where(live, alpha * slopes, 0.0)
+        slopes = (raw_slopes - probs * raw_slopes.sum(axis=1)[:, None]) / totals[:, None]
+    return probs, slopes, totals
 
 
 def _psf_scale(model: SchmidtModel, kind: str) -> float:

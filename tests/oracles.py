@@ -1,8 +1,8 @@
 """Independent brute-force oracles used only by the tests.
 
 These deliberately avoid the recurrence/closed-form code paths they check:
-explicit series sums in exact rational arithmetic, truncated Hermite-Gauss
-mode sums, and dense Riemann binning.
+explicit series sums in exact rational arithmetic, scalar recurrences,
+truncated Hermite-Gauss mode sums, and dense Riemann binning.
 """
 import math
 from fractions import Fraction
@@ -44,11 +44,57 @@ def laguerre_series_scale(m: int, alpha: int, x: float) -> float:
     return float(sum(abs(t) for t in _laguerre_terms(m, alpha, x)))
 
 
-def gauss_weight_moment(k: int) -> float:
-    """Exact integral of x^k exp(-x^2) over the real line."""
-    if k % 2 == 1:
-        return 0.0
-    return math.gamma((k + 1) / 2.0)
+def laguerre(m: int, alpha: int, x):
+    """Generalized Laguerre polynomial L_m^alpha(x) by the stable upward recurrence."""
+    if m < 0:
+        raise ValueError(f"Laguerre order must be non-negative, got {m}")
+    if alpha < -m:
+        raise ValueError(f"alpha must satisfy alpha >= -m, got alpha={alpha}, m={m}")
+    xa = np.asarray(x, dtype=float)
+    scalar = xa.ndim == 0
+    l_prev = np.ones_like(xa)
+    if m == 0:
+        return float(l_prev) if scalar else l_prev
+    l_cur = 1.0 + alpha - xa
+    for k in range(1, m):
+        l_cur, l_prev = (
+            ((2.0 * k + 1.0 + alpha - xa) * l_cur - (k + alpha) * l_prev) / (k + 1.0),
+            l_cur,
+        )
+    return float(l_cur) if scalar else l_cur
+
+
+def scalar_overlap(m: int, n: int, d: float, sign: int = 1) -> float:
+    """<m|n, sign*d> from the scalar Cahill-Glauber formula, one cell at a time.
+
+    For n >= m:
+        sqrt(m!/n!) 2^((m-n)/2) (sign*d)^(n-m) exp(-d^2/4) L_m^(n-m)(d^2/2)
+    with the prefactor in log space; m > n swaps the modes and flips the sign.
+    """
+    if m > n:
+        return scalar_overlap(n, m, d, -sign)
+    log_pref = 0.5 * (math.lgamma(m + 1) - math.lgamma(n + 1)) + 0.5 * (m - n) * math.log(2.0)
+    return (
+        (sign * d) ** (n - m) * math.exp(log_pref - 0.25 * d * d) * laguerre(m, n - m, 0.5 * d * d)
+    )
+
+
+def hg1d_batch(max_m: int, x) -> np.ndarray:
+    """Hermite-Gauss amplitudes (2^m m! sqrt(pi))^(-1/2) H_m(x) exp(-x^2/2), m = 0..max_m.
+
+    One pass of the normalized three-term recurrence; returns shape
+    (max_m+1,) + shape(x), with scalar x treated as shape (1,).
+    """
+    if max_m < 0:
+        raise ValueError(f"mode index must be non-negative, got {max_m}")
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((max_m + 1,) + xa.shape)
+    out[0] = math.pi ** -0.25 * np.exp(-0.5 * xa * xa)
+    if max_m >= 1:
+        out[1] = math.sqrt(2.0) * xa * out[0]
+    for m in range(1, max_m):
+        out[m + 1] = math.sqrt(2.0 / (m + 1)) * xa * out[m] - math.sqrt(m / (m + 1)) * out[m - 1]
+    return out
 
 
 def mode_sum_intensity(x, d, model, kind):
@@ -57,8 +103,6 @@ def mode_sum_intensity(x, d, model, kind):
     'gaussian' keeps the fundamental mode alone; 'spdc' weights the reduced
     one-photon modes by w_m = (1-q) q^m, summed until q^m < 1e-17.
     """
-    from bispade import hg1d_batch
-
     if kind == "gaussian":
         weights = np.ones(1)
     else:

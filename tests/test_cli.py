@@ -244,6 +244,15 @@ class TestEstimate:
         assert code == EXIT_DATA
         assert "empty.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("calibrate", [[], ["--calibrate"]], ids=["plain", "calibrate"])
+    def test_all_zero_counts_file_is_a_data_error(self, tmp_path, capsys, calibrate):
+        space = bp.ModeSpace.grid()
+        zero = write_counts_file(tmp_path / "zero.csv", space, np.zeros(space.shape), 0.3)
+        other = write_counts_file(tmp_path / "other.csv", space, np.ones(space.shape), 0.6)
+        code = main(["estimate", str(other), str(zero), *calibrate, "--out-dir", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert "zero.csv" in capsys.readouterr().err
+
     def test_malformed_file_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("0,0,0,0\n")

@@ -21,12 +21,14 @@ from bispade import (
     spade_forward,
     CountMatrix,
 )
-from oracles import mode_sum_intensity, riemann_pixel_probs
+from oracles import mode_sum_intensity, riemann_pixel_probs, scalar_overlap
 
 
 def _entrywise_matrix(d, space, model):
+    # C_{k',l}^2 delta_{l,l'} |<k|k',d>|^2 from the scalar overlap formula
     return np.array([
-        [coincidence_prob(k, l, kp, lp, d, model) for kp, lp in space.signal]
+        [schmidt_coeff(kp, lp, model.gamma) ** 2 * scalar_overlap(k, kp, d) ** 2 if l == lp
+         else 0.0 for kp, lp in space.signal]
         for k, l in space.idler
     ])
 

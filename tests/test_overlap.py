@@ -13,6 +13,7 @@ from bispade import (
     physical_shift,
     quad_overlap,
 )
+from bispade.overlap import _MAX_QUADRATURE_ORDER
 
 modes = st.integers(0, 12)
 shifts = st.floats(0.0, 3.0)
@@ -99,12 +100,47 @@ class TestDisplacedOverlap:
         with pytest.raises(ValueError):
             displaced_overlap(-1, 0, 0.5, 1)
 
-    @pytest.mark.parametrize("m, n, d", [(550, 1100, 1.0), (1100, 550, 1.0), (0, 400, 40.0)])
+    @pytest.mark.parametrize("m, n, d", [(550, 1100, 1.0), (1100, 550, 1.0)])
     def test_overflow_signals(self, m, n, d):
-        # Laguerre values of order ~1000 (or the power d^(n-m)) overflow
-        # float64; the failure must be an error, not nan or an OverflowError
+        # Laguerre values of order ~1000 overflow float64; the failure must
+        # be an error, not nan
         with pytest.raises(NumericalError, match="overflows"):
             displaced_overlap(m, n, d, 1)
+
+    def test_large_power_stays_finite(self):
+        # d^(n-m) = 40^400 overflows float64, but the overlap is finite:
+        # alpha^400 exp(-alpha^2/2) / sqrt(400!) with alpha = 40/sqrt(2)
+        alpha = 40.0 / math.sqrt(2.0)
+        expected = math.exp(400 * math.log(alpha) - 0.5 * alpha * alpha - 0.5 * math.lgamma(401))
+        assert displaced_overlap(0, 400, 40.0, 1) == pytest.approx(expected, rel=1e-12)
+
+
+class TestQuadOverlap:
+    def test_normalization(self):
+        assert quad_overlap(0, 0, 0.0) == pytest.approx(1.0, rel=1e-13)
+
+    def test_orthonormality_at_zero_shift(self):
+        for m in range(8):
+            for n in range(8):
+                assert abs(quad_overlap(m, n, 0.0) - (m == n)) < 1e-12
+
+    def test_matches_closed_form(self):
+        # the mode n at x - shift is the mode displaced by -shift in the +- convention
+        assert quad_overlap(1, 0, 0.6) == pytest.approx(
+            displaced_overlap(1, 0, 0.6, -1), abs=1e-10
+        )
+
+    def test_rejects_too_low_order(self):
+        with pytest.raises(ValueError):
+            quad_overlap(4, 4, 0.5, order=10)
+
+    def test_rejects_unavailable_order(self):
+        with pytest.raises(ValueError):
+            quad_overlap(0, 0, 0.5, order=_MAX_QUADRATURE_ORDER + 1)
+
+    def test_rejects_negative_modes(self):
+        with pytest.raises(ValueError):
+            quad_overlap(-1, 0, 0.5)
 
 
 class TestFirstOrder:

@@ -1,3 +1,9 @@
+"""The special functions of the test oracles, checked against exact series.
+
+`oracles.laguerre` is the recurrence behind `oracles.scalar_overlap`, the
+reference for the overlap table; `oracles.hg1d_batch` is the mode basis of
+`oracles.mode_sum_intensity`, the reference for the direct-imaging model.
+"""
 import math
 
 import numpy as np
@@ -5,58 +11,19 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from bispade import (
-    MAX_QUADRATURE_ORDER,
-    QuadratureRule,
-    displaced_overlap,
-    gauss_hermite_rule,
-    hermite,
-    hg1d,
-    hg1d_batch,
-    laguerre,
-    quad_overlap,
-)
+from bispade import quad_overlap
 from oracles import (
-    gauss_weight_moment,
     hermite_series,
     hermite_series_scale,
+    hg1d_batch,
+    laguerre,
     laguerre_series,
     laguerre_series_scale,
 )
 
 
-class TestHermite:
-    def test_zeroth_order_is_one(self):
-        assert hermite(0, 3.7) == 1.0
-
-    def test_second_order(self):
-        assert hermite(2, 1.0) == pytest.approx(2.0, rel=1e-14)
-
-    def test_order_seven_matches_series_oracle(self):
-        # frozen from the exact explicit series sum
-        assert hermite(7, 0.9) == pytest.approx(205.04344320000007, rel=1e-12)
-
-    @given(n=st.integers(0, 20), x=st.floats(-5.0, 5.0))
-    @settings(max_examples=80)
-    def test_recurrence_matches_series(self, n, x):
-        # 1e-12 relative to the summation scale, which also covers the
-        # unavoidable precision loss right at polynomial zeros
-        expected = hermite_series(n, x)
-        tol = 1e-12 * max(1.0, hermite_series_scale(n, x))
-        assert abs(hermite(n, x) - expected) <= tol
-
-    def test_no_overflow_high_order(self):
-        assert math.isfinite(hermite(60, 10.0))
-
-    def test_rejects_negative_order(self):
-        with pytest.raises(ValueError):
-            hermite(-1, 0.0)
-
-    def test_array_input(self):
-        xs = np.array([-1.0, 0.0, 2.0])
-        out = hermite(3, xs)
-        assert out.shape == xs.shape
-        assert out[1] == 0.0
+def _hg1d(m, x):
+    return hg1d_batch(m, x)[m]
 
 
 class TestLaguerre:
@@ -90,15 +57,15 @@ class TestLaguerre:
 
 class TestHg1d:
     def test_gaussian_peak(self):
-        assert hg1d(0, 0.0) == pytest.approx(math.pi ** -0.25, rel=1e-14)
+        assert _hg1d(0, 0.0) == pytest.approx(math.pi ** -0.25, rel=1e-14)
 
     def test_odd_mode_vanishes_at_origin(self):
-        assert hg1d(1, 0.0) == 0.0
+        assert _hg1d(1, 0.0) == 0.0
 
     @given(m=st.integers(0, 12), x=st.floats(-6.0, 6.0))
     @settings(max_examples=60)
     def test_parity(self, m, x):
-        assert hg1d(m, -x) == pytest.approx((-1.0) ** m * hg1d(m, x), rel=1e-12, abs=1e-14)
+        assert _hg1d(m, -x) == pytest.approx((-1.0) ** m * _hg1d(m, x), rel=1e-12, abs=1e-14)
 
     def test_orthonormal_under_quadrature_oracle(self):
         for m in range(11):
@@ -107,71 +74,17 @@ class TestHg1d:
                 assert abs(value - (1.0 if m == n else 0.0)) < 1e-10
 
     def test_batch_matches_scalar(self):
+        # every row of the recurrence against the normalized exact Hermite series,
+        # to 1e-12 of the series' summation scale
         xs = np.linspace(-4.0, 4.0, 17)
         batch = hg1d_batch(10, xs)
         for m in range(11):
-            np.testing.assert_allclose(batch[m], hg1d(m, xs), rtol=1e-12, atol=1e-14)
+            norm = (2.0 ** m * math.factorial(m) * math.sqrt(math.pi)) ** -0.5
+            for x, value in zip(xs, batch[m]):
+                envelope = norm * math.exp(-0.5 * x * x)
+                tol = 1e-12 * envelope * max(1.0, hermite_series_scale(m, x)) + 1e-14
+                assert abs(value - envelope * hermite_series(m, x)) <= tol
 
     def test_rejects_negative_mode(self):
         with pytest.raises(ValueError):
-            hg1d(-1, 0.0)
-
-
-class TestQuadrature:
-    def test_rule_invariants(self):
-        rule = gauss_hermite_rule(40)
-        assert rule.order == 40
-        assert np.all(np.diff(rule.nodes) > 0)
-        assert np.all(rule.weights > 0)
-
-    @given(order=st.integers(2, 40), k=st.integers(0, 20))
-    @settings(max_examples=60)
-    def test_exact_on_monomials(self, order, k):
-        if k > 2 * order - 1:
-            k = 2 * order - 1
-        rule = gauss_hermite_rule(order)
-        value = rule.integrate(rule.nodes ** k)
-        expected = gauss_weight_moment(k)
-        # odd moments vanish by symmetry; measure error against the |x| moment
-        scale = math.gamma((k + 1) / 2.0)
-        assert abs(value - expected) <= 1e-12 * max(1.0, scale)
-
-    def test_rule_rejects_bad_orders(self):
-        with pytest.raises(ValueError):
-            gauss_hermite_rule(0)
-        with pytest.raises(ValueError):
-            gauss_hermite_rule(MAX_QUADRATURE_ORDER + 1)
-
-    def test_rule_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=np.array([0.0, -1.0]), weights=np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=np.array([0.0, 1.0]), weights=np.array([1.0, -1.0]))
-
-
-class TestQuadOverlap:
-    def test_normalization(self):
-        assert quad_overlap(0, 0, 0.0) == pytest.approx(1.0, rel=1e-13)
-
-    def test_orthonormality_at_zero_shift(self):
-        for m in range(8):
-            for n in range(8):
-                assert abs(quad_overlap(m, n, 0.0) - (m == n)) < 1e-12
-
-    def test_matches_closed_form(self):
-        # hg1d(n, x - shift) is the mode displaced by -shift in the +- convention
-        assert quad_overlap(1, 0, 0.6) == pytest.approx(
-            displaced_overlap(1, 0, 0.6, -1), abs=1e-10
-        )
-
-    def test_rejects_too_low_order(self):
-        with pytest.raises(ValueError):
-            quad_overlap(4, 4, 0.5, order=10)
-
-    def test_rejects_unavailable_order(self):
-        with pytest.raises(ValueError):
-            quad_overlap(0, 0, 0.5, order=MAX_QUADRATURE_ORDER + 1)
-
-    def test_rejects_negative_modes(self):
-        with pytest.raises(ValueError):
-            quad_overlap(-1, 0, 0.5)
+            hg1d_batch(-1, 0.0)
