@@ -11,7 +11,9 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, fields
+import types
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +26,8 @@ from .inference import (
     _fit,
     _GridTable,
     _mc_cells,
+    _method_forward,
     crlb,
-    direct_forward,
     fit_calibration,
     spade_forward,
 )
@@ -42,6 +44,8 @@ DEFAULT_BOUNDS = (0.0, 2.0)
 CONVENTION = "per-arm shift d; delta = 2*d is the total separation; FI/CRLB about delta"
 
 _PHYSICAL_KEYS = ("pump_waist_um", "crystal_length_mm", "pump_wavelength_nm")
+# float64 sums of counts are exact up to here
+_MAX_PHOTONS = 2**53
 
 
 class DataFormatError(Exception):
@@ -50,7 +54,12 @@ class DataFormatError(Exception):
 
 @dataclass
 class RunConfig:
-    """Flat run settings; file values are overridden by command-line flags."""
+    """Flat run settings; file values are overridden by command-line flags.
+
+    Each field is a config key and a --flag of the same name, parsed by its
+    type. A field whose metadata names a command is a flag of that command
+    only.
+    """
 
     gamma: float | None = None
     pump_waist_um: float | None = None
@@ -64,9 +73,11 @@ class RunConfig:
     photons: int = 37000
     trials: int = 200
     seed: int = 0
-    calibrate: bool = False
     out_dir: str = "."
-    k_values: tuple[float, ...] | None = None
+    calibrate: bool = field(default=False, metadata={"command": "estimate"})
+    k_values: tuple[float, ...] | None = field(default=None, metadata={
+        "command": "crlb-curves", "help": "comma-separated Schmidt numbers to tabulate",
+    })
 
     def validate(self) -> None:
         physical = [getattr(self, key) for key in _PHYSICAL_KEYS]
@@ -86,8 +97,14 @@ class RunConfig:
             raise ValueError("sep-step must be positive")
         if self.photons < 1:
             raise ValueError("photons must be at least 1")
+        if self.photons > _MAX_PHOTONS:
+            raise ValueError(
+                f"photons must be at most 2**53 = {_MAX_PHOTONS}, where float64 counts stay exact"
+            )
         if self.trials < 2:
             raise ValueError("trials must be at least 2")
+        if self.k_values is not None and not self.k_values:
+            raise ValueError("k_values must name at least one Schmidt number")
         if self.k_values is not None and any(k < 1.0 for k in self.k_values):
             raise ValueError("k_values must all be >= 1")
 
@@ -118,27 +135,32 @@ class RunConfig:
         return np.arange(start, stop + 0.5 * step, step)
 
 
-def _parse_value(key: str, text: str):
-    text = text.strip()
-    if key in ("modes_k", "modes_l", "photons", "trials", "seed"):
-        return int(text)
-    if key == "calibrate":
-        low = text.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse boolean {text!r} for key {key}")
-    if key == "out_dir":
-        return text
-    if key == "k_values":
-        return tuple(float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
-    return float(text)
+def _parse_bool(text: str) -> bool:
+    low = text.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"cannot parse boolean {text!r}")
+
+
+def _float_tuple(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
+
+
+def _text_parser(hint):
+    # parser of a setting's text from its type; an optional setting parses as its type
+    if isinstance(hint, types.UnionType):
+        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+    return {int: int, float: float, str: str, bool: _parse_bool,
+            tuple[float, ...]: _float_tuple}[hint]
+
+
+_PARSERS = {name: _text_parser(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
 
 
 def load_config_file(path: str | Path) -> dict:
     """Parse a flat key = value config file; '#' starts a comment."""
-    known = {f.name for f in fields(RunConfig)}
     out: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -148,9 +170,12 @@ def load_config_file(path: str | Path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in known:
+        if key not in _PARSERS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = _parse_value(key, value)
+        try:
+            out[key] = _PARSERS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return out
 
 
@@ -404,22 +429,15 @@ def cmd_compare(cfg: RunConfig) -> Path:
     model = SchmidtModel.from_gamma(cfg.resolved_gamma())
     space = cfg.mode_space()
     grid = PixelGrid()
-    forwards = {
-        "spade": spade_forward(model, space),
-        "direct_gaussian": direct_forward(model, grid, "gaussian"),
-        "direct_spdc": direct_forward(model, grid, "spdc"),
-    }
-    tables = {
-        method: _GridTable.build(forward, None, DEFAULT_BOUNDS)
-        for method, forward in forwards.items()
-    }
+    forwards = [_method_forward(method, model, space, grid) for method in METHODS]
+    tables = [_GridTable.build(forward, None, DEFAULT_BOUNDS) for forward in forwards]
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     by_method = [
         _mc_cells(
             method, model, cfg.photons, seps, cfg.trials,
             [_cell_seed(cfg.seed, method_index, sep_index) for sep_index in range(len(seps))],
-            forwards[method], tables[method],
+            forwards[method_index], tables[method_index],
         )
         for method_index, method in enumerate(METHODS)
     ]
@@ -460,23 +478,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file; flags win")
-    parser.add_argument("--gamma", type=float, default=None)
-    parser.add_argument("--pump-waist-um", dest="pump_waist_um", type=float, default=None)
-    parser.add_argument("--crystal-length-mm", dest="crystal_length_mm", type=float, default=None)
-    parser.add_argument(
-        "--pump-wavelength-nm", dest="pump_wavelength_nm", type=float, default=None
-    )
-    parser.add_argument("--modes-k", dest="modes_k", type=int, default=None)
-    parser.add_argument("--modes-l", dest="modes_l", type=int, default=None)
-    parser.add_argument("--sep-start", dest="sep_start", type=float, default=None)
-    parser.add_argument("--sep-stop", dest="sep_stop", type=float, default=None)
-    parser.add_argument("--sep-step", dest="sep_step", type=float, default=None)
-    parser.add_argument("--photons", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out-dir", dest="out_dir", default=None)
+_COMMANDS = {
+    "crlb-curves": "CRLB and total FI vs Schmidt number",
+    "matrices": "theory coincidence matrices over a separation grid",
+    "estimate": "maximum-likelihood estimates from counts files",
+    "compare": "Monte-Carlo spade vs direct-imaging standard errors",
+}
 
 
 @functools.lru_cache(maxsize=1)
@@ -484,26 +491,20 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="bispade", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_crlb = sub.add_parser("crlb-curves", help="CRLB and total FI vs Schmidt number")
-    _add_common_flags(p_crlb)
-    p_crlb.add_argument(
-        "--k-values",
-        dest="k_values",
-        default=None,
-        help="comma-separated Schmidt numbers to tabulate",
-    )
-
-    p_mat = sub.add_parser("matrices", help="theory coincidence matrices over a separation grid")
-    _add_common_flags(p_mat)
-
-    p_est = sub.add_parser("estimate", help="maximum-likelihood estimates from counts files")
-    _add_common_flags(p_est)
-    p_est.add_argument("files", nargs="+", help="long-format counts files")
-    p_est.add_argument("--calibrate", action="store_true", default=False)
-
-    p_cmp = sub.add_parser("compare", help="Monte-Carlo spade vs direct-imaging standard errors")
-    _add_common_flags(p_cmp)
+    for command, summary in _COMMANDS.items():
+        p_cmd = sub.add_parser(command, help=summary)
+        if command == "estimate":
+            p_cmd.add_argument("files", nargs="+", help="long-format counts files")
+        p_cmd.add_argument("--config", help="flat key = value config file; flags win")
+        for setting in fields(RunConfig):
+            if setting.metadata.get("command", command) != command:
+                continue
+            flag = "--" + setting.name.replace("_", "-")
+            parse = _PARSERS[setting.name]
+            if parse is _parse_bool:
+                p_cmd.add_argument(flag, action="store_true")
+            else:
+                p_cmd.add_argument(flag, type=parse, help=setting.metadata.get("help"))
     return parser
 
 
@@ -513,12 +514,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "k_values", None) is not None and isinstance(args.k_values, str):
-        try:
-            args.k_values = _parse_value("k_values", args.k_values)
-        except ValueError as exc:
-            print(f"bispade: config error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     try:
         cfg = build_config(args)
         if args.command == "crlb-curves":

@@ -517,6 +517,14 @@ def direct_forward(
     )
 
 
+def _method_forward(method: str, model: SchmidtModel, space: ModeSpace, grid: PixelGrid):
+    # the forward map each method of METHODS fits: spade over the mode space,
+    # direct_<kind> over the pixel grid
+    if method == "spade":
+        return spade_forward(model, space)
+    return direct_forward(model, grid, method.removeprefix("direct_"))
+
+
 def trial_seed(master_seed: int, trial: int) -> int:
     """Deterministic per-trial sub-seed derived from the master seed and trial index."""
     return int(np.random.SeedSequence((master_seed, trial)).generate_state(1)[0])
@@ -550,11 +558,7 @@ def mc_standard_error(
     if model is None:
         model = SchmidtModel.from_gamma(gamma)
     if forward is None:
-        if method == "spade":
-            forward = spade_forward(model, space if space is not None else ModeSpace.grid())
-        else:
-            kind = "gaussian" if method == "direct_gaussian" else "spdc"
-            forward = direct_forward(model, grid if grid is not None else PixelGrid(), kind)
+        forward = _method_forward(method, model, space or ModeSpace.grid(), grid or PixelGrid())
     table = _GridTable.build(forward, None, bounds)
     return _mc_cells(method, model, n_photons, [d], trials, [seed], forward, table)[0]
 

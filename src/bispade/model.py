@@ -2,7 +2,7 @@
 
 Joint mode-projection coincidence probabilities over a detection space, their
 small-separation approximations, the affine detector calibration, and the
-direct-imaging intensity/pixel baselines used for benchmarking.
+direct-imaging pixel baselines used for benchmarking.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ __all__ = [
     "small_sep_prob",
     "prob_matrix",
     "apply_calibration",
-    "marginal_intensity",
     "pixel_probs",
 ]
 
@@ -287,7 +286,8 @@ def _calibrate_rows(probs: np.ndarray, slopes: np.ndarray | None, cal: Calibrati
 
 def _psf_scale(model: SchmidtModel, kind: str) -> float:
     # each +-d component of the intensity is the Gaussian s/sqrt(pi) exp(-s^2 (x-+d)^2).
-    # 'spdc' sums (1-q) q^m hg_m^2 over the reduced one-photon modes; by the diagonal
+    # 'gaussian' images a fundamental-mode point source; 'spdc' images the reduced
+    # single-arm state, (1-q) q^m hg_m^2 summed over its modes; by the diagonal
     # of Mehler's kernel (DLMF 18.18.28) that is s^2 = (1-q)/(1+q) = 2 gamma/(1+gamma^2),
     # written in gamma to avoid the cancellation in 1-q as gamma -> 0 or infinity
     if kind == "gaussian":
@@ -295,21 +295,6 @@ def _psf_scale(model: SchmidtModel, kind: str) -> float:
     if kind == "spdc":
         return math.sqrt(2.0 * model.gamma / (1.0 + model.gamma * model.gamma))
     raise ValueError(f"unknown PSF kind {kind!r}; expected 'gaussian' or 'spdc'")
-
-
-def marginal_intensity(x, d: float, model: SchmidtModel, kind: str = "spdc"):
-    """Image-plane intensity of the incoherent +-d mixture seen by one detector.
-
-    kind 'gaussian' is a fundamental-mode point source; 'spdc' images the
-    reduced single-arm state of the two-photon source, a Gaussian widened by
-    K^(1/4). With gamma = 1 the two coincide.
-    """
-    s = _psf_scale(model, kind)
-    xa = np.asarray(x, dtype=float)
-    out = 0.5 * s / math.sqrt(math.pi) * (
-        np.exp(-((s * (xa - d)) ** 2)) + np.exp(-((s * (xa + d)) ** 2))
-    )
-    return float(out) if xa.ndim == 0 else out
 
 
 def _pixel_probs(d: np.ndarray, grid: PixelGrid, model: SchmidtModel, kind: str,

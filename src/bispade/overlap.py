@@ -10,58 +10,18 @@ delta = 2*d. A physical shift converts as d = sqrt(2) * d_phys / sigma_s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericalError
 
-__all__ = [
-    "Displacement",
-    "adimensional_shift",
-    "physical_shift",
-    "displaced_overlap",
-    "overlap_first_order",
-    "quad_overlap",
-]
+__all__ = ["displaced_overlap", "quad_overlap"]
 
 _MAX_QUADRATURE_ORDER = 512
-
-
-def adimensional_shift(d_phys: float, sigma_s: float) -> float:
-    """Per-arm shift in envelope units from a physical shift sharing sigma_s's units."""
-    if not sigma_s > 0:
-        raise ValueError("sigma_s must be positive")
-    return math.sqrt(2.0) * d_phys / sigma_s
-
-
-def physical_shift(d: float, sigma_s: float) -> float:
-    """Inverse of adimensional_shift."""
-    if not sigma_s > 0:
-        raise ValueError("sigma_s must be positive")
-    return d * sigma_s / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class Displacement:
-    """Per-arm lateral shift; the +- component signs are handled at call sites."""
-
-    d: float
-
-    def __post_init__(self):
-        if not self.d >= 0:
-            raise ValueError("stored shift must be non-negative; use the sign argument")
-
-    @property
-    def delta(self) -> float:
-        """Total separation between the two displaced components."""
-        return 2.0 * self.d
-
-
-def _check_sign(sign: int) -> None:
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+# largest table whose layout is cached: a larger layout costs tens of megabytes,
+# and its table overflows near this order anyway
+_MAX_CACHED_ORDER = 1000
 
 
 @lru_cache(maxsize=32)
@@ -101,7 +61,8 @@ def _overlap_amplitudes(n: int, d: np.ndarray) -> np.ndarray:
     overflows (mode orders above about 1000).
     """
     x = 0.5 * d * d
-    order, steps, lo, gap, half_log_ratio, odd, below = _overlap_layout(n)
+    layout = _overlap_layout if n <= _MAX_CACHED_ORDER else _overlap_layout.__wrapped__
+    order, steps, lo, gap, half_log_ratio, odd, below = layout(n)
     lag = np.zeros((len(d), n + 1, n + 1))
     lag[:, 0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -133,27 +94,9 @@ def displaced_overlap(m: int, n: int, d: float, sign: int = 1) -> float:
     """
     if m < 0 or n < 0:
         raise ValueError("mode indices must be non-negative")
-    _check_sign(sign)
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     return float(_overlap_amplitudes(max(m, n), np.array([sign * d], dtype=float))[0, m, n])
-
-
-def overlap_first_order(m: int, n: int, d: float, sign: int = 1) -> float:
-    """First-order (in d) approximation of displaced_overlap, for |d| << 1.
-
-    The displaced mode expands as
-        |n +- d> = |n> + sign*d*(sqrt(n/2)|n-1> - sqrt((n+1)/2)|n+1>) + O(d^2),
-    so only the diagonal and the two neighbouring modes survive.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("mode indices must be non-negative")
-    _check_sign(sign)
-    if m == n:
-        return 1.0
-    if m == n - 1:
-        return sign * d * math.sqrt(0.5 * n)
-    if m == n + 1:
-        return -sign * d * math.sqrt(0.5 * (n + 1))
-    return 0.0
 
 
 @lru_cache(maxsize=64)

@@ -87,18 +87,14 @@ class SchmidtModel:
     """Immutable source description consumed by the probability models."""
 
     gamma: float
-    q: float
+
+    def __post_init__(self):
+        _check_gamma(self.gamma)
+        object.__setattr__(self, "gamma", float(self.gamma))
 
     @classmethod
     def from_gamma(cls, gamma: float) -> "SchmidtModel":
-        return cls(gamma=float(gamma), q=coefficient_ratio(gamma) ** 2)
-
-    @classmethod
-    def from_physical(cls, params: SourceParams) -> "SchmidtModel":
-        return cls.from_gamma(gamma_from_physical(params))
-
-    def coeff(self, m, n):
-        return schmidt_coeff(m, n, self.gamma)
+        return cls(gamma)
 
     @property
     def schmidt_number(self) -> float:

@@ -101,15 +101,17 @@ def mode_sum_intensity(x, d, model, kind):
     """Marginal intensity as the truncated mode sum sum_m w_m (hg_m(x-d)^2 + hg_m(x+d)^2)/2.
 
     'gaussian' keeps the fundamental mode alone; 'spdc' weights the reduced
-    one-photon modes by w_m = (1-q) q^m, summed until q^m < 1e-17.
+    one-photon modes by w_m = (1-q) q^m with q = ((1-gamma)/(1+gamma))^2,
+    summed until q^m < 1e-17.
     """
     if kind == "gaussian":
         weights = np.ones(1)
     else:
+        q = ((1.0 - model.gamma) / (1.0 + model.gamma)) ** 2
         count = 1
-        while model.q ** count >= 1e-17:
+        while q ** count >= 1e-17:
             count += 1
-        weights = (1.0 - model.q) * model.q ** np.arange(count)
+        weights = (1.0 - q) * q ** np.arange(count)
     xs = np.asarray(x, dtype=float)
     minus = hg1d_batch(len(weights) - 1, xs - d)
     plus = hg1d_batch(len(weights) - 1, xs + d)

@@ -11,45 +11,40 @@ import bispade
 PUBLIC = [
     "__version__",
     "NumericalError",
+    "PARAMETERIZATION",
     "LIKELIHOOD_FLOOR",
     "METHODS",
-    "PARAMETERIZATION",
     "CountMatrix",
-    "EstimationResult",
     "FisherReport",
+    "EstimationResult",
     "MonteCarloResult",
-    "crlb",
-    "direct_forward",
-    "fi_branch_totals_2d",
+    "fisher_numeric",
     "fi_closed_form",
     "fi_total_1d",
+    "fi_branch_totals_2d",
     "fi_total_2d",
-    "fisher_numeric",
-    "fit_calibration",
+    "crlb",
     "gaussian_hg1_prob",
-    "mc_standard_error",
-    "mle_estimate",
     "sample_counts",
+    "mle_estimate",
+    "fit_calibration",
+    "mc_standard_error",
     "spade_forward",
+    "direct_forward",
     "trial_seed",
-    "CalibrationModel",
     "ModeSpace",
-    "PixelGrid",
     "ProbabilityMatrix",
-    "apply_calibration",
+    "CalibrationModel",
+    "PixelGrid",
     "coincidence_prob",
-    "marginal_intensity",
-    "pixel_probs",
-    "prob_matrix",
     "small_sep_prob",
-    "Displacement",
-    "adimensional_shift",
+    "prob_matrix",
+    "apply_calibration",
+    "pixel_probs",
     "displaced_overlap",
-    "overlap_first_order",
-    "physical_shift",
     "quad_overlap",
-    "SchmidtModel",
     "SourceParams",
+    "SchmidtModel",
     "coefficient_ratio",
     "gamma_from_physical",
     "schmidt_coeff",

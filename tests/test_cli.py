@@ -1,3 +1,6 @@
+import argparse
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from bispade.cli import (
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
+    _build_parser,
     _fmt,
     load_config_file,
     main,
@@ -66,6 +70,58 @@ class TestConfig:
             "calibrate": True,
             "k_values": (1.0, 2.0, 11.6),
         }
+
+    # every RunConfig field in order: config text and the value it parses to
+    SETTINGS = {
+        "gamma": ("0.25", 0.25),
+        "pump_waist_um": ("40", 40.0),
+        "crystal_length_mm": ("0.5", 0.5),
+        "pump_wavelength_nm": ("405", 405.0),
+        "modes_k": ("4", 4),
+        "modes_l": ("1", 1),
+        "sep_start": ("0", 0.0),
+        "sep_stop": ("1.2", 1.2),
+        "sep_step": ("0.1", 0.1),
+        "photons": ("500", 500),
+        "trials": ("3", 3),
+        "seed": ("7", 7),
+        "out_dir": ("results/a b", "results/a b"),
+        "calibrate": ("on", True),
+        "k_values": ("1; 2.5,4", (1.0, 2.5, 4.0)),
+    }
+
+    def test_every_setting_is_a_config_key_parsed_to_its_type(self, tmp_path):
+        assert list(self.SETTINGS) == [f.name for f in fields(RunConfig)]
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("".join(f"{key} = {text}\n" for key, (text, _) in self.SETTINGS.items()))
+        values = load_config_file(cfg_file)
+        assert values == {key: value for key, (_, value) in self.SETTINGS.items()}
+        for key, (_, value) in self.SETTINGS.items():
+            assert type(values[key]) is type(value), key
+
+    def test_flags_parse_like_config_keys(self):
+        for command, extra in (("crlb-curves", ()), ("estimate", ("f.csv",))):
+            argv = [command, *extra]
+            for key, (text, _) in self.SETTINGS.items():
+                if key == "calibrate":
+                    argv += ["--calibrate"] if command == "estimate" else []
+                elif key != "k_values" or command == "crlb-curves":
+                    argv += ["--" + key.replace("_", "-"), text]
+            args = vars(_build_parser().parse_args(argv))
+            for key, (_, value) in self.SETTINGS.items():
+                if key in args:
+                    assert args[key] == value and type(args[key]) is type(value), key
+
+    @pytest.mark.parametrize("line", ["photons = 1.5", "calibrate = maybe", "gamma = abc",
+                                      "k_values = 1, x"])
+    def test_bad_value_names_file_and_line(self, tmp_path, capsys, line):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"# a comment\n{line}\n")
+        key = line.split(" ")[0]
+        with pytest.raises(ValueError, match=f"run.cfg:2: bad value for {key}: "):
+            load_config_file(cfg_file)
+        assert main(["matrices", "--config", str(cfg_file), "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        assert f"run.cfg:2: bad value for {key}" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -132,6 +188,25 @@ class TestCrlbCurves:
     def test_bad_k_values(self, tmp_path, capsys):
         code = main(["crlb-curves", "--out-dir", str(tmp_path), "--k-values", "0.5,2"])
         assert code == EXIT_USAGE
+
+    def test_malformed_k_values_is_a_usage_error(self, tmp_path, capsys):
+        code = main(["crlb-curves", "--out-dir", str(tmp_path), "--k-values", "x"])
+        assert code == EXIT_USAGE
+        assert "argument --k-values" in capsys.readouterr().err
+
+    def test_empty_k_list_flag_is_rejected(self, tmp_path, capsys):
+        code = main(["crlb-curves", "--out-dir", str(tmp_path), "--k-values", ""])
+        assert code == EXIT_USAGE
+        assert "k_values must name at least one" in capsys.readouterr().err
+        assert not (tmp_path / "crlb_curves.csv").exists()
+
+    def test_empty_k_list_config_is_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("k_values =\n")
+        code = main(["crlb-curves", "--config", str(cfg_file), "--out-dir", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert "k_values must name at least one" in capsys.readouterr().err
+        assert not (tmp_path / "crlb_curves.csv").exists()
 
 
 class TestMatrices:
@@ -416,6 +491,20 @@ class TestExitCodes:
         assert main([]) == EXIT_USAGE
         assert main(["compare", "--photons", "0"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("photons", ["10000000000000000000", "9223372036854775807"])
+    def test_photons_past_float64_exact_counts_are_rejected(self, tmp_path, capsys, photons):
+        # float64 count sums are exact up to 2**53; the run must stop before sampling
+        code = main([
+            "compare", "--photons", photons, "--trials", "2", "--out-dir", str(tmp_path),
+            "--sep-start", "0.3", "--sep-stop", "0.3",
+        ])
+        assert code == EXIT_USAGE
+        assert "photons must be at most 2**53" in capsys.readouterr().err
+        assert not (tmp_path / "compare.csv").exists()
+
+    def test_photons_at_float64_limit_are_valid(self):
+        RunConfig(photons=2**53).validate()
+
     def test_conflicting_source_definition(self, capsys):
         code = main([
             "crlb-curves", "--gamma", "0.15", "--pump-waist-um", "40",
@@ -442,6 +531,33 @@ class TestExitCodes:
 
 
 def test_parser_is_built_once():
-    from bispade.cli import _build_parser
-
     assert _build_parser() is _build_parser()
+
+
+_COMMON_OPTIONS = [
+    "-h", "--help", "--config", "--gamma", "--pump-waist-um", "--crystal-length-mm",
+    "--pump-wavelength-nm", "--modes-k", "--modes-l", "--sep-start", "--sep-stop",
+    "--sep-step", "--photons", "--trials", "--seed", "--out-dir",
+]
+
+
+def test_command_line_surface_is_pinned():
+    commands = next(
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    surface = {
+        name: [opt for action in sub._actions for opt in action.option_strings]
+        for name, sub in commands.items()
+    }
+    assert surface == {
+        "crlb-curves": [*_COMMON_OPTIONS, "--k-values"],
+        "matrices": _COMMON_OPTIONS,
+        "estimate": [*_COMMON_OPTIONS, "--calibrate"],
+        "compare": _COMMON_OPTIONS,
+    }
+    positionals = {
+        name: [action.dest for action in sub._actions if not action.option_strings]
+        for name, sub in commands.items()
+    }
+    assert positionals == {"crlb-curves": [], "matrices": [], "estimate": ["files"], "compare": []}

@@ -11,8 +11,8 @@ from bispade import (
     SchmidtModel,
     apply_calibration,
     coincidence_prob,
+    direct_forward,
     fit_calibration,
-    marginal_intensity,
     pixel_probs,
     prob_matrix,
     quad_overlap,
@@ -21,7 +21,7 @@ from bispade import (
     spade_forward,
     CountMatrix,
 )
-from oracles import mode_sum_intensity, riemann_pixel_probs, scalar_overlap
+from oracles import riemann_pixel_probs, scalar_overlap
 
 
 def _entrywise_matrix(d, space, model):
@@ -293,46 +293,6 @@ class TestCalibration:
             np.testing.assert_allclose(reproduced, target, atol=1e-6)
 
 
-class TestMarginalIntensity:
-    @given(x=st.floats(-4.0, 4.0), d=st.floats(0.0, 1.5))
-    @settings(max_examples=40)
-    def test_separable_limit_equals_gaussian(self, model_gauss, x, d):
-        spdc = marginal_intensity(x, d, model_gauss, "spdc")
-        gauss = marginal_intensity(x, d, model_gauss, "gaussian")
-        assert spdc == pytest.approx(gauss, rel=1e-12, abs=1e-15)
-
-    @pytest.mark.parametrize("kind", ["gaussian", "spdc"])
-    @pytest.mark.parametrize("d", [0.0, 0.7, 1.35])
-    def test_unit_mass(self, model015, kind, d):
-        xs = np.linspace(-14.0, 14.0, 100_001)
-        total = np.trapezoid(marginal_intensity(xs, d, model015, kind), xs)
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-    @given(x=st.floats(0.0, 4.0), d=st.floats(0.0, 1.5))
-    @settings(max_examples=40)
-    def test_mirror_symmetric(self, model015, x, d):
-        left = marginal_intensity(-x, d, model015, "spdc")
-        right = marginal_intensity(x, d, model015, "spdc")
-        assert left == pytest.approx(right, rel=1e-12, abs=1e-15)
-
-    @pytest.mark.parametrize("gamma", [0.07, 0.15, 1.0])
-    @pytest.mark.parametrize("d", [0.0, 0.3, 1.0])
-    def test_matches_mode_sum(self, gamma, d):
-        model = SchmidtModel.from_gamma(gamma)
-        xs = np.linspace(-6.0, 6.0, 601)
-        for kind in ("gaussian", "spdc"):
-            np.testing.assert_allclose(
-                marginal_intensity(xs, d, model, kind),
-                mode_sum_intensity(xs, d, model, kind),
-                rtol=0.0,
-                atol=1e-10,
-            )
-
-    def test_rejects_unknown_kind(self, model015):
-        with pytest.raises(ValueError):
-            marginal_intensity(0.0, 0.1, model015, "lorentzian")
-
-
 class TestPixelProbs:
     def test_vector_sums_to_one(self, model015):
         grid = PixelGrid()
@@ -350,12 +310,35 @@ class TestPixelProbs:
         assert np.argmax(vec) in (grid.count // 2 - 1, grid.count // 2)
 
     @pytest.mark.parametrize("kind", ["gaussian", "spdc"])
-    def test_matches_riemann_oracle(self, model015, kind):
+    def test_matches_riemann_oracle(self, kind):
         grid = PixelGrid()
-        for d in (0.0, 0.7):
-            vec = pixel_probs(d, grid, model015, kind)
-            brute = riemann_pixel_probs(d, grid, model015, kind)
-            assert np.max(np.abs(vec - brute)) < 1e-6
+        for gamma in (0.07, 0.15, 1.0):
+            model = SchmidtModel.from_gamma(gamma)
+            for d in (0.0, 0.7):
+                vec = pixel_probs(d, grid, model, kind)
+                brute = riemann_pixel_probs(d, grid, model, kind)
+                assert np.max(np.abs(vec - brute)) < 1e-6
+
+    def test_separable_limit_equals_gaussian(self, model_gauss):
+        # at gamma = 1 the reduced single-arm state is the fundamental mode
+        grid = PixelGrid()
+        d = np.linspace(0.0, 1.5, 7)
+        spdc = direct_forward(model_gauss, grid, "spdc")(d)
+        gauss = direct_forward(model_gauss, grid, "gaussian")(d)
+        np.testing.assert_allclose(spdc, gauss, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "spdc"])
+    def test_mirror_symmetric(self, model015, kind):
+        # the +-d mixture is even in x, so the pixel vector reads the same reversed
+        for d in (0.3, 1.35):
+            vec = pixel_probs(d, PixelGrid(), model015, kind)[:-1]
+            np.testing.assert_allclose(vec, vec[::-1], rtol=1e-12, atol=1e-15)
+
+    def test_rejects_unknown_kind(self, model015):
+        with pytest.raises(ValueError, match="unknown PSF kind"):
+            pixel_probs(0.1, PixelGrid(), model015, "lorentzian")
+        with pytest.raises(ValueError, match="unknown PSF kind"):
+            direct_forward(model015, PixelGrid(), "lorentzian")(0.1)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

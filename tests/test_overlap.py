@@ -1,41 +1,17 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from bispade import (
-    Displacement,
-    NumericalError,
-    adimensional_shift,
-    displaced_overlap,
-    overlap_first_order,
-    physical_shift,
-    quad_overlap,
-)
+from bispade import NumericalError, displaced_overlap, quad_overlap
+from bispade import overlap
 from bispade.overlap import _MAX_QUADRATURE_ORDER
 
 modes = st.integers(0, 12)
 shifts = st.floats(0.0, 3.0)
-
-
-class TestDisplacement:
-    def test_delta_is_twice_d(self):
-        disp = Displacement(d=0.4)
-        assert disp.delta == pytest.approx(0.8)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Displacement(d=-0.1)
-
-    def test_unit_conversion_round_trip(self):
-        d = adimensional_shift(12e-6, 30e-6)
-        assert d == pytest.approx(math.sqrt(2.0) * 12.0 / 30.0, rel=1e-14)
-        assert physical_shift(d, 30e-6) == pytest.approx(12e-6, rel=1e-14)
-
-    def test_conversion_rejects_bad_waist(self):
-        with pytest.raises(ValueError):
-            adimensional_shift(1.0, 0.0)
 
 
 class TestDisplacedOverlap:
@@ -107,6 +83,23 @@ class TestDisplacedOverlap:
         with pytest.raises(NumericalError, match="overflows"):
             displaced_overlap(m, n, d, 1)
 
+    def test_overflowing_table_leaves_no_cached_layout(self):
+        # the layout of an 1101 x 1101 table holds about 41 MB of index arrays
+        overlap._overlap_layout.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match="overflows"):
+                overlap._overlap_amplitudes(1100, np.array([1.0]))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert overlap._overlap_layout.cache_info().currsize == 0
+        assert retained < 1_000_000
+
+    def test_zero_shift_is_identity_past_the_cache(self):
+        table = overlap._overlap_amplitudes(1100, np.array([0.0]))[0]
+        assert np.array_equal(table, np.eye(1101))
+
     def test_large_power_stays_finite(self):
         # d^(n-m) = 40^400 overflows float64, but the overlap is finite:
         # alpha^400 exp(-alpha^2/2) / sqrt(400!) with alpha = 40/sqrt(2)
@@ -141,39 +134,3 @@ class TestQuadOverlap:
     def test_rejects_negative_modes(self):
         with pytest.raises(ValueError):
             quad_overlap(-1, 0, 0.5)
-
-
-class TestFirstOrder:
-    @given(m=modes, d=st.floats(0.0, 0.2), sign=st.sampled_from([1, -1]))
-    @settings(max_examples=40)
-    def test_diagonal_is_one(self, m, d, sign):
-        assert overlap_first_order(m, m, d, sign) == 1.0
-
-    def test_leading_coefficient_magnitude(self):
-        value = overlap_first_order(0, 1, 0.05, 1)
-        assert abs(value) == pytest.approx(0.05 * math.sqrt(0.5), rel=1e-14)
-
-    def test_matches_exact_to_second_order(self):
-        approx = overlap_first_order(2, 3, 0.01, 1)
-        exact = displaced_overlap(2, 3, 0.01, 1)
-        assert abs(approx - exact) <= 5e-4
-
-    @given(m=st.integers(0, 8), sign=st.sampled_from([1, -1]))
-    @settings(max_examples=40)
-    def test_neighbour_error_scales_quadratically(self, m, sign):
-        # |exact - first order| on a neighbour pair shrinks like d^2
-        err = {}
-        for d in (0.02, 0.002):
-            err[d] = abs(
-                overlap_first_order(m, m + 1, d, sign) - displaced_overlap(m, m + 1, d, sign)
-            )
-        assert err[0.002] <= err[0.02] * 1e-2 * 1.5 + 1e-15
-
-    def test_distant_modes_vanish(self):
-        assert overlap_first_order(0, 4, 0.1, 1) == 0.0
-
-    def test_consistent_with_exchange(self):
-        # same identity the exact overlap obeys
-        assert overlap_first_order(3, 2, 0.01, 1) == pytest.approx(
-            overlap_first_order(2, 3, 0.01, -1), rel=1e-14
-        )

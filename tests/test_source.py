@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,13 +104,18 @@ class TestSchmidtNumber:
 class TestSchmidtModel:
     def test_from_gamma_fields(self):
         model = SchmidtModel.from_gamma(0.15)
-        assert model.gamma == 0.15
-        assert model.q == pytest.approx(((1 - 0.15) / (1 + 0.15)) ** 2, rel=1e-14)
+        assert model == SchmidtModel(0.15)
+        assert [f.name for f in dataclasses.fields(model)] == ["gamma"]
+        assert model.schmidt_number == schmidt_number(0.15)
 
-    def test_from_physical(self):
-        params = SourceParams(pump_waist=40e-6, crystal_length=0.5e-3, pump_wavelength=405e-9)
-        model = SchmidtModel.from_physical(params)
-        assert model.gamma == pytest.approx(gamma_from_physical(params), rel=1e-14)
+    @pytest.mark.parametrize("gamma", [0.0, -0.15, float("nan"), float("inf"), "0.15", None])
+    def test_direct_construction_is_validated(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be"):
+            SchmidtModel(gamma)
+        with pytest.raises(ValueError, match="gamma must be"):
+            SchmidtModel.from_gamma(gamma)
 
-    def test_coeff_delegates(self, model015):
-        assert model015.coeff(1, 0) == schmidt_coeff(1, 0, 0.15)
+    def test_gamma_is_stored_as_float(self):
+        for gamma in (1, np.float64(0.5)):
+            model = SchmidtModel(gamma)
+            assert type(model.gamma) is float and model.gamma == gamma
