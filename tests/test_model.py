@@ -293,6 +293,51 @@ class TestCalibration:
             np.testing.assert_allclose(reproduced, target, atol=1e-6)
 
 
+class TestMarginalIntensity:
+    """The direct-imaging marginal intensity, checked through its exact pixel masses."""
+
+    def test_separable_limit_equals_gaussian(self, model_gauss):
+        # at gamma = 1 the reduced single-arm state is the fundamental mode
+        grid = PixelGrid()
+        d = np.linspace(0.0, 1.5, 7)
+        spdc = direct_forward(model_gauss, grid, "spdc")(d)
+        gauss = direct_forward(model_gauss, grid, "gaussian")(d)
+        np.testing.assert_allclose(spdc, gauss, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "spdc"])
+    @pytest.mark.parametrize("d", [0.0, 0.7, 1.35])
+    def test_unit_mass(self, model015, kind, d):
+        # the +-d mixture is even in x, so a unit-mass intensity puts exactly one
+        # half on the positive half-line; one pixel keeps the total below one, so
+        # no renormalization can hide a wrong scale
+        vec = pixel_probs(d, PixelGrid(count=1, span=(0.0, 14.0)), model015, kind)
+        assert vec[0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_mirror_symmetric(self, model015):
+        # the pixel vector of an even intensity reads the same reversed
+        for kind in ("gaussian", "spdc"):
+            for d in (0.3, 1.35):
+                vec = pixel_probs(d, PixelGrid(), model015, kind)[:-1]
+                np.testing.assert_allclose(vec, vec[::-1], rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("gamma", [0.07, 0.15, 1.0])
+    @pytest.mark.parametrize("d", [0.0, 0.3, 1.0])
+    def test_matches_mode_sum(self, gamma, d):
+        # fine 0.12-wide pixels against the binned truncated mode sum
+        model = SchmidtModel.from_gamma(gamma)
+        grid = PixelGrid(count=100, span=(-6.0, 6.0))
+        for kind in ("gaussian", "spdc"):
+            vec = pixel_probs(d, grid, model, kind)
+            brute = riemann_pixel_probs(d, grid, model, kind)
+            np.testing.assert_allclose(vec, brute, rtol=0.0, atol=1e-6)
+
+    def test_rejects_unknown_kind(self, model015):
+        with pytest.raises(ValueError, match="unknown PSF kind"):
+            pixel_probs(0.1, PixelGrid(), model015, "lorentzian")
+        with pytest.raises(ValueError, match="unknown PSF kind"):
+            direct_forward(model015, PixelGrid(), "lorentzian")(0.1)
+
+
 class TestPixelProbs:
     def test_vector_sums_to_one(self, model015):
         grid = PixelGrid()
@@ -318,27 +363,6 @@ class TestPixelProbs:
                 vec = pixel_probs(d, grid, model, kind)
                 brute = riemann_pixel_probs(d, grid, model, kind)
                 assert np.max(np.abs(vec - brute)) < 1e-6
-
-    def test_separable_limit_equals_gaussian(self, model_gauss):
-        # at gamma = 1 the reduced single-arm state is the fundamental mode
-        grid = PixelGrid()
-        d = np.linspace(0.0, 1.5, 7)
-        spdc = direct_forward(model_gauss, grid, "spdc")(d)
-        gauss = direct_forward(model_gauss, grid, "gaussian")(d)
-        np.testing.assert_allclose(spdc, gauss, rtol=0.0, atol=1e-12)
-
-    @pytest.mark.parametrize("kind", ["gaussian", "spdc"])
-    def test_mirror_symmetric(self, model015, kind):
-        # the +-d mixture is even in x, so the pixel vector reads the same reversed
-        for d in (0.3, 1.35):
-            vec = pixel_probs(d, PixelGrid(), model015, kind)[:-1]
-            np.testing.assert_allclose(vec, vec[::-1], rtol=1e-12, atol=1e-15)
-
-    def test_rejects_unknown_kind(self, model015):
-        with pytest.raises(ValueError, match="unknown PSF kind"):
-            pixel_probs(0.1, PixelGrid(), model015, "lorentzian")
-        with pytest.raises(ValueError, match="unknown PSF kind"):
-            direct_forward(model015, PixelGrid(), "lorentzian")(0.1)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
