@@ -22,6 +22,7 @@ from . import __version__
 from .errors import NumericalError
 from .inference import (
     METHODS,
+    PARAMETERIZATION,
     CountMatrix,
     _fit,
     _GridTable,
@@ -40,7 +41,6 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 DEFAULT_GAMMA = 0.15
-DEFAULT_BOUNDS = (0.0, 2.0)
 CONVENTION = "per-arm shift d; delta = 2*d is the total separation; FI/CRLB about delta"
 
 _PHYSICAL_KEYS = ("pump_waist_um", "crystal_length_mm", "pump_wavelength_nm")
@@ -93,6 +93,10 @@ class RunConfig:
             raise ValueError("gamma must be positive")
         if self.modes_k < 0 or self.modes_l < 0:
             raise ValueError("mode indices must be non-negative")
+        for name in ("sep_start", "sep_stop", "sep_step"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name.replace('_', '-')} must be finite, got {value!r}")
         if self.sep_step is not None and not self.sep_step > 0:
             raise ValueError("sep-step must be positive")
         if self.photons < 1:
@@ -103,8 +107,12 @@ class RunConfig:
             )
         if self.trials < 2:
             raise ValueError("trials must be at least 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.k_values is not None and not self.k_values:
             raise ValueError("k_values must name at least one Schmidt number")
+        if self.k_values is not None and not all(map(math.isfinite, self.k_values)):
+            raise ValueError("k_values must all be finite")
         if self.k_values is not None and any(k < 1.0 for k in self.k_values):
             raise ValueError("k_values must all be >= 1")
 
@@ -196,22 +204,23 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _header_lines(cfg: RunConfig, command: str, **extra) -> list[str]:
+def _write_table(cfg: RunConfig, command: str, name: str, extra: dict, columns: str,
+                 rows: list[str]) -> Path:
+    """Write one output table into cfg.out_dir: '#' header lines, the column line, the rows."""
     gamma = cfg.resolved_gamma()
-    lines = [
+    header = [
         f"# artifact_version = {__version__}",
         f"# command = {command}",
         f"# gamma = {_fmt(gamma)}",
         f"# schmidt_number = {_fmt(schmidt_number(gamma))}",
         f"# separation_convention = {CONVENTION}",
+        *(f"# {key} = {value}" for key, value in extra.items()),
     ]
-    lines.extend(f"# {key} = {value}" for key, value in extra.items())
-    return lines
-
-
-def _write_table(path: Path, header: list[str], columns: str, rows: list[str]) -> None:
-    text = "\n".join(header + [columns] + rows) + "\n"
-    path.write_text(text, newline="\n")
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / name
+    path.write_text("\n".join(header + [columns] + rows) + "\n", newline="\n")
+    return path
 
 
 def write_counts_file(
@@ -239,140 +248,108 @@ def write_counts_file(
     return path
 
 
-def read_counts_file(path: str | Path) -> CountMatrix:
-    """Parse a long-format counts file into a CountMatrix over its own mode space."""
+def read_counts_file(path: str | Path, space: ModeSpace) -> CountMatrix:
+    """Parse a long-format counts file into a CountMatrix over the given mode space.
+
+    Rows may come in any order, but every (idler, signal) pair of the space
+    needs exactly one. '#' lines are skipped, except '# separation = <d>'.
+    """
     path = Path(path)
-    separation: float | None = None
-    meta: dict = {}
-    records: dict[tuple, int] = {}
     try:
         text = path.read_text()
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot read file ({exc})") from exc
+    configured = f"configured {len(space.idler)}x{len(space.signal)} space"
+    cells = {
+        idler + signal: (i, j)
+        for i, idler in enumerate(space.idler)
+        for j, signal in enumerate(space.signal)
+    }
+    counts = np.full(space.shape, -1, dtype=np.int64)  # -1: no row yet
+    separation: float | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, value = (part.strip() for part in body.split("=", 1))
-                if key == "separation":
-                    try:
-                        separation = float(value)
-                    except ValueError as exc:
-                        raise DataFormatError(
-                            f"{path}:{lineno}: bad separation value {value!r}"
-                        ) from exc
-                else:
-                    meta[key] = value
+            name, equals, value = line.lstrip("#").partition("=")
+            if equals and name.strip() == "separation":
+                try:
+                    separation = float(value)
+                except ValueError as exc:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: bad separation value {value.strip()!r}"
+                    ) from exc
             continue
         tokens = [tok.strip() for tok in line.split(",")]
-        if tokens and tokens[0] == "k_idler":
+        if not line or tokens[0] == "k_idler":
             continue
         if len(tokens) != 5:
             raise DataFormatError(f"{path}:{lineno}: expected 5 columns, got {len(tokens)}")
         try:
-            k, l, kp, lp = (int(tok) for tok in tokens[:4])
-            count = int(tokens[4])
+            k, l, kp, lp, count = map(int, tokens)
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: non-integer field in {line!r}") from exc
-        if min(k, l, kp, lp) < 0 or count < 0:
-            raise DataFormatError(f"{path}:{lineno}: negative index or count")
+        if count < 0:
+            raise DataFormatError(f"{path}:{lineno}: negative count")
         key = (k, l, kp, lp)
-        if key in records:
+        if key not in cells:
+            raise DataFormatError(f"{path}:{lineno}: mode tuple {key} is outside the {configured}")
+        if counts[cells[key]] >= 0:
             raise DataFormatError(f"{path}:{lineno}: duplicate mode tuple {key}")
-        records[key] = count
-    if not records:
-        raise DataFormatError(f"{path}: no count rows found")
-    idler = sorted({(k, l) for k, l, _, _ in records}, key=lambda p: (p[1], p[0]))
-    signal = sorted({(kp, lp) for _, _, kp, lp in records}, key=lambda p: (p[1], p[0]))
-    if len(records) != len(idler) * len(signal):
-        raise DataFormatError(f"{path}: rows do not cover the full idler x signal product")
-    counts = np.zeros((len(idler), len(signal)), dtype=np.int64)
-    for (k, l, kp, lp), count in records.items():
-        counts[idler.index((k, l)), signal.index((kp, lp))] = count
-    space = ModeSpace(idler=tuple(idler), signal=tuple(signal))
-    meta["space"] = space
-    meta["path"] = str(path)
-    return CountMatrix(
-        counts=counts, total=int(counts.sum()), separation=separation, meta=meta
-    )
+        counts[cells[key]] = count
+    missing = np.argwhere(counts < 0)
+    if len(missing):
+        i, j = missing[0]
+        raise DataFormatError(
+            f"{path}: {len(missing)} mode tuples of the {configured} have no row, the first "
+            f"{space.idler[i] + space.signal[j]}"
+        )
+    return CountMatrix.from_counts(counts, separation)
 
 
-def cmd_crlb_curves(cfg: RunConfig) -> Path:
+def cmd_crlb_curves(cfg: RunConfig, args: argparse.Namespace) -> list[tuple]:
     """Table of (K, per-photon CRLB, total FI) rows over a Schmidt-number sweep."""
     k_values = cfg.k_values if cfg.k_values is not None else tuple(np.arange(1.0, 20.01, 0.5))
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = [
         f"{_fmt(k)},{_fmt(crlb(k, 1))},{_fmt(math.sqrt(k) / 2.0)}"
         for k in k_values
     ]
-    path = out_dir / "crlb_curves.csv"
-    _write_table(
-        path,
-        _header_lines(cfg, "crlb-curves", k_count=len(rows)),
-        "K,crlb_per_photon,total_fi",
-        rows,
-    )
-    return path
+    return [("crlb_curves.csv", {"k_count": len(rows)}, "K,crlb_per_photon,total_fi", rows)]
 
 
-def cmd_matrices(cfg: RunConfig) -> list[Path]:
-    """One renormalized probability-matrix file per separation on the grid."""
+def cmd_matrices(cfg: RunConfig, args: argparse.Namespace) -> list[tuple]:
+    """One renormalized probability-matrix table per separation on the grid."""
     seps = cfg.separations(0.0, 0.93, 0.93 / 4.0)
     model = SchmidtModel.from_gamma(cfg.resolved_gamma())
     space = cfg.mode_space()
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
+    tables = []
     for index, d in enumerate(seps):
         pm = prob_matrix(float(d), space, model, renormalize=True)
         rows = []
         for i, (k, l) in enumerate(space.idler):
             for j, (kp, lp) in enumerate(space.signal):
                 rows.append(f"{k},{l},{kp},{lp},{_fmt(pm.entries[i, j])}")
-        path = out_dir / f"matrix_{index:02d}.csv"
-        _write_table(
-            path,
-            _header_lines(
-                cfg,
-                "matrices",
-                separation_d=_fmt(d),
-                separation_delta=_fmt(2.0 * d),
-                modes_k=cfg.modes_k,
-                modes_l=cfg.modes_l,
-                in_space_mass=_fmt(pm.in_space_mass),
-            ),
-            "k_idler,l_idler,k_signal,l_signal,probability",
-            rows,
-        )
-        paths.append(path)
-    return paths
+        extra = {
+            "separation_d": _fmt(d),
+            "separation_delta": _fmt(2.0 * d),
+            "modes_k": cfg.modes_k,
+            "modes_l": cfg.modes_l,
+            "in_space_mass": _fmt(pm.in_space_mass),
+        }
+        columns = "k_idler,l_idler,k_signal,l_signal,probability"
+        tables.append((f"matrix_{index:02d}.csv", extra, columns, rows))
+    return tables
 
 
-def cmd_estimate(cfg: RunConfig, files: list[str]) -> Path:
-    """Maximum-likelihood estimates per counts file, optionally after calibration."""
-    if not files:
-        raise ValueError("estimate needs at least one counts file")
+def cmd_estimate(cfg: RunConfig, args: argparse.Namespace) -> list[tuple]:
+    """Maximum-likelihood estimates per counts file of args.files, optionally after calibration."""
     space = cfg.mode_space()
     model = SchmidtModel.from_gamma(cfg.resolved_gamma())
     forward = spade_forward(model, space)
-    expected_idler = set(space.idler)
-    expected_signal = set(space.signal)
     datasets = []
-    for name in files:
-        cm = read_counts_file(name)
+    for name in args.files:
+        cm = read_counts_file(name, space)
         if cm.total < 1:
             raise DataFormatError(f"{name}: counts sum to zero")
-        file_space: ModeSpace = cm.meta["space"]
-        if set(file_space.idler) != expected_idler or set(file_space.signal) != expected_signal:
-            raise DataFormatError(
-                f"{name}: mode tuples do not match the configured "
-                f"{len(space.idler)}x{len(space.signal)} space (modes_k={cfg.modes_k}, "
-                f"modes_l={cfg.modes_l})"
-            )
         datasets.append((name, cm))
     calibration = None
     if cfg.calibrate:
@@ -384,13 +361,11 @@ def cmd_estimate(cfg: RunConfig, files: list[str]) -> Path:
                 f"missing in: {', '.join(missing)}"
             )
         calibration = fit_calibration(labeled, forward)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     labels = ["" if cm.separation is None else _fmt(cm.separation) for _, cm in datasets]
     crlbs = [crlb(model.schmidt_number, cm.total) for _, cm in datasets]
     obs = np.stack([cm.counts.ravel() for _, cm in datasets]).astype(float)
     try:
-        fits = _fit(obs, forward, _GridTable.build(forward, calibration, DEFAULT_BOUNDS))
+        fits = _fit(obs, forward, _GridTable.build(forward, calibration))
     except NumericalError as exc:
         rows = [f"{label},nan,nan,nan,nan,error:{exc}" for label in labels]
     else:
@@ -401,21 +376,13 @@ def cmd_estimate(cfg: RunConfig, files: list[str]) -> Path:
                 zip(labels, fits.d_hat, fits.log_likelihood, crlbs)
             )
         ]
-    path = out_dir / "estimates.csv"
-    _write_table(
-        path,
-        _header_lines(
-            cfg,
-            "estimate",
-            calibrate=cfg.calibrate,
-            files=len(datasets),
-            modes_k=cfg.modes_k,
-            modes_l=cfg.modes_l,
-        ),
-        "label,d_hat,delta_hat,log_likelihood,crlb,flags",
-        rows,
-    )
-    return path
+    extra = {
+        "calibrate": cfg.calibrate,
+        "files": len(datasets),
+        "modes_k": cfg.modes_k,
+        "modes_l": cfg.modes_l,
+    }
+    return [("estimates.csv", extra, "label,d_hat,delta_hat,log_likelihood,crlb,flags", rows)]
 
 
 def _cell_seed(seed: int, method_index: int, sep_index: int) -> int:
@@ -423,21 +390,17 @@ def _cell_seed(seed: int, method_index: int, sep_index: int) -> int:
     return int(np.random.SeedSequence((seed, method_index, sep_index)).generate_state(1)[0])
 
 
-def cmd_compare(cfg: RunConfig) -> Path:
+def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> list[tuple]:
     """Monte-Carlo standard errors for spade vs direct imaging over the grid."""
     seps = cfg.separations(0.0, 1.35, 0.0465)
     model = SchmidtModel.from_gamma(cfg.resolved_gamma())
     space = cfg.mode_space()
     grid = PixelGrid()
-    forwards = [_method_forward(method, model, space, grid) for method in METHODS]
-    tables = [_GridTable.build(forward, None, DEFAULT_BOUNDS) for forward in forwards]
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     by_method = [
         _mc_cells(
-            method, model, cfg.photons, seps, cfg.trials,
+            method, cfg.photons, seps, cfg.trials,
             [_cell_seed(cfg.seed, method_index, sep_index) for sep_index in range(len(seps))],
-            forwards[method_index], tables[method_index],
+            _method_forward(method, model, space, grid),
         )
         for method_index, method in enumerate(METHODS)
     ]
@@ -448,26 +411,18 @@ def cmd_compare(cfg: RunConfig) -> Path:
         for same_sep in zip(*by_method)
         for r in same_sep
     ]
-    path = out_dir / "compare.csv"
-    _write_table(
-        path,
-        _header_lines(
-            cfg,
-            "compare",
-            photons=cfg.photons,
-            trials=cfg.trials,
-            seed=cfg.seed,
-            modes_k=cfg.modes_k,
-            modes_l=cfg.modes_l,
-            projections=len(space.idler) * len(space.signal),
-            pixel_count=grid.count,
-            pixel_span=f"[{_fmt(grid.span[0])}, {_fmt(grid.span[1])}]",
-            estimates_parameter="delta = 2*d",
-        ),
-        "d,delta,method,std_err,mean,boundary_fraction",
-        rows,
-    )
-    return path
+    extra = {
+        "photons": cfg.photons,
+        "trials": cfg.trials,
+        "seed": cfg.seed,
+        "modes_k": cfg.modes_k,
+        "modes_l": cfg.modes_l,
+        "projections": len(space.idler) * len(space.signal),
+        "pixel_count": grid.count,
+        "pixel_span": f"[{_fmt(grid.span[0])}, {_fmt(grid.span[1])}]",
+        "estimates_parameter": PARAMETERIZATION,
+    }
+    return [("compare.csv", extra, "d,delta,method,std_err,mean,boundary_fraction", rows)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -478,11 +433,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# each subcommand: its help summary and the function that computes its output tables
 _COMMANDS = {
-    "crlb-curves": "CRLB and total FI vs Schmidt number",
-    "matrices": "theory coincidence matrices over a separation grid",
-    "estimate": "maximum-likelihood estimates from counts files",
-    "compare": "Monte-Carlo spade vs direct-imaging standard errors",
+    "crlb-curves": ("CRLB and total FI vs Schmidt number", cmd_crlb_curves),
+    "matrices": ("theory coincidence matrices over a separation grid", cmd_matrices),
+    "estimate": ("maximum-likelihood estimates from counts files", cmd_estimate),
+    "compare": ("Monte-Carlo spade vs direct-imaging standard errors", cmd_compare),
 }
 
 
@@ -491,7 +447,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="bispade", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, summary in _COMMANDS.items():
+    for command, (summary, _) in _COMMANDS.items():
         p_cmd = sub.add_parser(command, help=summary)
         if command == "estimate":
             p_cmd.add_argument("files", nargs="+", help="long-format counts files")
@@ -516,16 +472,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = build_config(args)
-        if args.command == "crlb-curves":
-            path = cmd_crlb_curves(cfg)
-            print(path)
-        elif args.command == "matrices":
-            for path in cmd_matrices(cfg):
-                print(path)
-        elif args.command == "estimate":
-            print(cmd_estimate(cfg, args.files))
-        elif args.command == "compare":
-            print(cmd_compare(cfg))
+        _, compute = _COMMANDS[args.command]
+        for table in compute(cfg, args):
+            print(_write_table(cfg, args.command, *table))
     except ValueError as exc:
         print(f"bispade: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,8 +11,8 @@ to rule out silent factor-of-4 mistakes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,6 +56,11 @@ PARAMETERIZATION = "delta = 2*d"
 LIKELIHOOD_FLOOR = 1e-15
 METHODS = ("spade", "direct_gaussian", "direct_spdc")
 
+# the d search of every fit: a grid over [0, 2] scored first, then Fisher scoring
+# from the best grid point until the step is below 1e-3 * _REFINE_TOL
+_GRID = np.linspace(0.0, 2.0, 200)
+_GRID.flags.writeable = False
+_REFINE_TOL = 1e-5
 _MAX_REFINE_STEPS = 100
 # row budget of one _fit call in a Monte-Carlo sweep: consecutive whole cells
 # are fitted together up to this many trials
@@ -76,7 +81,6 @@ class CountMatrix:
     counts: np.ndarray
     total: int
     separation: float | None = None
-    meta: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
@@ -94,9 +98,9 @@ class CountMatrix:
         object.__setattr__(self, "total", int(self.total))
 
     @classmethod
-    def from_counts(cls, counts, separation: float | None = None, **meta) -> "CountMatrix":
+    def from_counts(cls, counts, separation: float | None = None) -> "CountMatrix":
         counts = np.asarray(counts)
-        return cls(counts=counts, total=int(counts.sum()), separation=separation, meta=dict(meta))
+        return cls(counts=counts, total=int(counts.sum()), separation=separation)
 
 
 @dataclass(frozen=True)
@@ -118,9 +122,6 @@ class EstimationResult:
     d_hat: float
     delta_hat: float
     log_likelihood: float
-    crlb_variance: float | None
-    bounds: tuple[float, float]
-    grid_points: int
     refine_iterations: int
     converged: bool
     flags: tuple[str, ...]
@@ -139,7 +140,6 @@ class MonteCarloResult:
     std_err: float
     boundary_fraction: float
     flat_fraction: float
-    crlb_variance: float | None
     estimates: np.ndarray
 
 
@@ -272,37 +272,28 @@ def mle_estimate(
     counts: CountMatrix,
     forward: Callable[[float], np.ndarray],
     calibration: CalibrationModel | None = None,
-    bounds: tuple[float, float] = (0.0, 2.0),
-    grid_points: int = 200,
-    refine_tol: float = 1e-5,
-    crlb_variance: float | None = None,
-    floor: float = LIKELIHOOD_FLOOR,
 ) -> EstimationResult:
     """Maximize the multinomial log-likelihood of `counts` under `forward`.
 
     forward(d) returns outcome probabilities at per-arm shift d (any shape,
     flattened against the counts). A calibration, when given, applies the
     per-outcome affine map to the model and renormalizes before the
-    likelihood, mirroring apply_calibration. The search scores a coarse grid,
-    then refines by safeguarded Fisher scoring inside the bracket of the best
-    grid point's neighbours; the model is even in d, so d = 0 can sit on a
-    plateau, where scoring falls back to bisection and the grid point is kept
-    unless refinement beats it. The maps of spade_forward and direct_forward
-    supply the exact d-derivative; for any other callable it is a central
-    difference. The multinomial coefficient is separation independent and
-    dropped.
+    likelihood, mirroring apply_calibration. The search over d in [0, 2] is
+    fixed: it scores a 200-point grid, then refines by safeguarded Fisher
+    scoring inside the bracket of the best grid point's neighbours; the model
+    is even in d, so d = 0 can sit on a plateau, where scoring falls back to
+    bisection and the grid point is kept unless refinement beats it. The maps
+    of spade_forward and direct_forward supply the exact d-derivative; for any
+    other callable it is a central difference. The multinomial coefficient is
+    separation independent and dropped.
     """
     obs = counts.counts.ravel()[None, :].astype(float)
-    table = _GridTable.build(forward, calibration, bounds, grid_points, floor)
-    fits = _fit(obs, forward, table, refine_tol)
+    fits = _fit(obs, forward, _GridTable.build(forward, calibration))
     d_hat = float(fits.d_hat[0])
     return EstimationResult(
         d_hat=d_hat,
         delta_hat=2.0 * d_hat,
         log_likelihood=float(fits.log_likelihood[0]),
-        crlb_variance=crlb_variance,
-        bounds=(float(table.grid[0]), float(table.grid[-1])),
-        grid_points=grid_points,
         refine_iterations=int(fits.iterations[0]),
         converged=bool(fits.converged[0]),
         flags=fits.flags(0),
@@ -312,23 +303,13 @@ def mle_estimate(
 class _GridTable(NamedTuple):
     """Log-probabilities of one forward map (with its calibration) on the search grid."""
 
-    grid: np.ndarray
     log_probs: np.ndarray  # (grid points, outcomes)
     calibration: CalibrationModel | None
-    floor: float
 
     @classmethod
-    def build(
-        cls, forward, calibration, bounds, grid_points=200, floor=LIKELIHOOD_FLOOR
-    ) -> "_GridTable":
-        lo, hi = float(bounds[0]), float(bounds[1])
-        if not hi > lo:
-            raise ValueError("bounds must satisfy lo < hi")
-        if grid_points < 2:
-            raise ValueError("need at least 2 grid points")
-        grid = np.linspace(lo, hi, grid_points)
-        probs, _ = _calibrated(_evaluate(forward, grid, derivative=False), calibration)
-        return cls(grid, np.log(np.maximum(probs, floor)), calibration, floor)
+    def build(cls, forward, calibration) -> "_GridTable":
+        probs, _ = _calibrated(_evaluate(forward, _GRID, derivative=False), calibration)
+        return cls(np.log(np.maximum(probs, LIKELIHOOD_FLOOR)), calibration)
 
 
 def _evaluate(forward, d: np.ndarray, derivative: bool):
@@ -371,7 +352,7 @@ class _Fits(NamedTuple):
         return tuple(name for name, hit in named if hit)
 
 
-def _fit(obs: np.ndarray, forward, table: _GridTable, refine_tol: float = 1e-5) -> _Fits:
+def _fit(obs: np.ndarray, forward, table: _GridTable) -> _Fits:
     """Maximum-likelihood separations of every row of the (rows x outcomes) count matrix.
 
     One matmul scores all rows on the grid table. Every row then refines in
@@ -381,10 +362,9 @@ def _fit(obs: np.ndarray, forward, table: _GridTable, refine_tol: float = 1e-5) 
     leave the bracket, that would not halve the previous step, or that has no
     information behind it (at d = 0 the model is even in d, so score and
     information vanish) is replaced by bisection. A row stops once its step
-    is below 1e-3 * refine_tol. Refinement that does not beat the best grid
+    is below 1e-3 * _REFINE_TOL. Refinement that does not beat the best grid
     point by more than rounding keeps the grid point.
     """
-    grid, floor = table.grid, table.floor
     if table.log_probs.shape[1] != obs.shape[1]:
         raise ValueError("forward model size does not match the counts")
     scores = obs @ table.log_probs.T
@@ -395,9 +375,9 @@ def _fit(obs: np.ndarray, forward, table: _GridTable, refine_tol: float = 1e-5) 
     top = scores[rows, best]
     flat = top - scores.min(axis=1) < 1e-9 * (np.abs(top) + 1.0)
 
-    lower = grid[np.maximum(best - 1, 0)]
-    upper = grid[np.minimum(best + 1, len(grid) - 1)]
-    x = grid[best]
+    lower = _GRID[np.maximum(best - 1, 0)]
+    upper = _GRID[np.minimum(best + 1, len(_GRID) - 1)]
+    x = _GRID[best]
     last_step = upper - lower
     d_hat = x.copy()
     loglik = top.copy()
@@ -411,12 +391,12 @@ def _fit(obs: np.ndarray, forward, table: _GridTable, refine_tol: float = 1e-5) 
         at = x[active]
         probs, slopes = _calibrated(_evaluate(forward, at, derivative=True), table.calibration)
         counts = obs[active]
-        live = probs > floor
+        live = probs > LIKELIHOOD_FLOOR
         ratio = np.divide(slopes, probs, out=np.zeros_like(probs), where=live)
         score = (counts * ratio).sum(axis=1)
         information = photons[active] * (slopes * ratio).sum(axis=1)
         d_hat[active] = at
-        loglik[active] = (counts * np.log(np.maximum(probs, floor))).sum(axis=1)
+        loglik[active] = (counts * np.log(np.maximum(probs, LIKELIHOOD_FLOOR))).sum(axis=1)
         iterations[active] += 1
         lo = lower[active] = np.where(score > 0.0, at, lower[active])
         hi = upper[active] = np.where(score < 0.0, at, upper[active])
@@ -428,16 +408,16 @@ def _fit(obs: np.ndarray, forward, table: _GridTable, refine_tol: float = 1e-5) 
             & (np.abs(step) <= 0.5 * last_step[active])
         )
         step = np.where(newton, step, 0.5 * (lo + hi) - at)
-        done = np.abs(step) < 1e-3 * refine_tol
+        done = np.abs(step) < 1e-3 * _REFINE_TOL
         converged[active[done]] = True
         active, step = active[~done], step[~done]
         x[active] += step
         last_step[active] = np.abs(step)
 
     keep_grid = loglik - top <= _TIE * (np.abs(top) + 1.0)
-    d_hat = np.where(keep_grid, grid[best], d_hat)
+    d_hat = np.where(keep_grid, _GRID[best], d_hat)
     loglik = np.where(keep_grid, top, loglik)
-    boundary = (d_hat <= grid[0] + refine_tol) | (d_hat >= grid[-1] - refine_tol)
+    boundary = (d_hat <= _GRID[0] + _REFINE_TOL) | (d_hat >= _GRID[-1] - _REFINE_TOL)
     return _Fits(d_hat, loglik, iterations, converged, flat, boundary)
 
 
@@ -538,9 +518,6 @@ def mc_standard_error(
     trials: int,
     seed: int,
     *,
-    space: ModeSpace | None = None,
-    grid: PixelGrid | None = None,
-    bounds: tuple[float, float] = (0.0, 2.0),
     forward: Callable[[float], np.ndarray] | None = None,
     model: SchmidtModel | None = None,
 ) -> MonteCarloResult:
@@ -549,7 +526,8 @@ def mc_standard_error(
     Returns the sample standard deviation and mean of the delta_hat estimates,
     with the fraction of boundary and flat-likelihood trials. Deterministic
     for a given seed: each trial uses a sub-seed derived from its index, and
-    results are reduced in trial order.
+    results are reduced in trial order. Without a forward map the method fits
+    the default 7x7 mode space or 50-pixel grid.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -558,26 +536,24 @@ def mc_standard_error(
     if model is None:
         model = SchmidtModel.from_gamma(gamma)
     if forward is None:
-        forward = _method_forward(method, model, space or ModeSpace.grid(), grid or PixelGrid())
-    table = _GridTable.build(forward, None, bounds)
-    return _mc_cells(method, model, n_photons, [d], trials, [seed], forward, table)[0]
+        forward = _method_forward(method, model, ModeSpace.grid(), PixelGrid())
+    return _mc_cells(method, n_photons, [d], trials, [seed], forward)[0]
 
 
-def _mc_cells(
-    method, model, n_photons, seps, trials, cell_seeds, forward, table
-) -> list[MonteCarloResult]:
+def _mc_cells(method, n_photons, seps, trials, cell_seeds, forward) -> list[MonteCarloResult]:
     """Monte-Carlo cells of one method at each separation of seps, in order.
 
-    Every cell's truth vector comes from one batched forward evaluation and is
-    checked once, as sample_counts checks it. Trial t of the cell at seps[i]
-    draws its counts with sub-seed trial_seed(cell_seeds[i], t), the draw of
-    sample_counts. Consecutive whole cells share one _fit call of at most
-    _FIT_ROWS rows (a cell with more trials is fitted alone); rows fit
-    independently, so the grouping changes no result.
+    The cells share one grid table of forward. Every cell's truth vector comes
+    from one batched forward evaluation and is checked once, as sample_counts
+    checks it. Trial t of the cell at seps[i] draws its counts with sub-seed
+    trial_seed(cell_seeds[i], t), the draw of sample_counts. Consecutive whole
+    cells share one _fit call of at most _FIT_ROWS rows (a cell with more
+    trials is fitted alone); rows fit independently, so the grouping changes
+    no result.
     """
     if n_photons < 0:
         raise ValueError("n_photons must be non-negative")
-    bound_var = crlb(model.schmidt_number, n_photons) if n_photons >= 1 else None
+    table = _GridTable.build(forward, None)
     seps = np.asarray(seps, dtype=float)
     truths, _ = _evaluate(forward, seps, derivative=False)
     weights = [_normalized(truth) for truth in truths]
@@ -605,7 +581,6 @@ def _mc_cells(
                 std_err=float(estimates.std(ddof=1)),
                 boundary_fraction=int(fits.boundary[trial_rows].sum()) / trials,
                 flat_fraction=int(fits.flat[trial_rows].sum()) / trials,
-                crlb_variance=bound_var,
                 estimates=estimates,
             ))
     return results

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalError
-from .overlap import _overlap_amplitudes, displaced_overlap
+from .overlap import _overlap_amplitudes
 from .source import SchmidtModel, schmidt_coeff
 
 __all__ = [
@@ -135,17 +135,11 @@ class PixelGrid:
 def coincidence_prob(k: int, l: int, kp: int, lp: int, d: float, model: SchmidtModel) -> float:
     """Joint projection probability: idler on (k, l), signal on (kp, lp).
 
-    C_{kp,l}^2 * delta_{l,lp} * |<k|kp,d>|^2, the +-d average of the mixture
-    reduced to one term because |<k|kp,+d>|^2 = |<k|kp,-d>|^2 exactly; the l
-    indices obey a strict selection rule because only the x axis is displaced.
+    The single entry of the unrenormalized prob_matrix over that one pair of
+    modes, C_{kp,l}^2 * delta_{l,lp} * |<k|kp,d>|^2.
     """
-    if min(k, l, kp, lp) < 0:
-        raise ValueError("mode indices must be non-negative")
-    if l != lp:
-        return 0.0
-    c = schmidt_coeff(kp, l, model.gamma)
-    overlap = displaced_overlap(k, kp, d)
-    return c * c * overlap * overlap
+    space = ModeSpace(idler=((k, l),), signal=((kp, lp),))
+    return float(prob_matrix(d, space, model, renormalize=False).entries[0, 0])
 
 
 def small_sep_prob(k: int, l: int, kp: int, lp: int, d: float, model: SchmidtModel) -> float:
@@ -233,8 +227,10 @@ def prob_matrix(
 ) -> ProbabilityMatrix:
     """Assemble coincidence probabilities over the detection space.
 
-    Entry (i, j) is C_{k',l}^2 * delta_{l,l'} * |<k|k',d>|^2, the value of
-    coincidence_prob, built from one overlap table for the whole space.
+    Entry (i, j) is C_{k',l}^2 * delta_{l,l'} * |<k|k',d>|^2, the +-d average
+    of the mixture reduced to one term because |<k|k',+d>|^2 = |<k|k',-d>|^2
+    exactly; the l indices obey a strict selection rule because only the x axis
+    is displaced. The entries come from one overlap table for the whole space.
     With renormalize=True the matrix conditions on detection inside the space
     (entries divided by the in-space total), matching how measured matrices
     are normalized.

@@ -7,6 +7,7 @@ derived from pump/crystal parameters.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ class SourceParams:
     def __post_init__(self):
         for name in ("pump_waist", "crystal_length", "pump_wavelength"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+            if not _finite_positive(value):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 def gamma_from_physical(params: SourceParams) -> float:
@@ -43,14 +44,22 @@ def gamma_from_physical(params: SourceParams) -> float:
     ) / params.pump_waist
 
 
-def _check_gamma(gamma: float) -> None:
-    if not (isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma > 0):
+def _finite_positive(value) -> bool:
+    # any real number but a bool: Python and numpy ints and floats alike
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
+def _checked_gamma(gamma) -> float:
+    # gamma as a Python float, so that a numpy float32 argument computes in float64
+    if not _finite_positive(gamma):
         raise ValueError(f"gamma must be a finite positive number, got {gamma!r}")
+    return float(gamma)
 
 
 def coefficient_ratio(gamma: float) -> float:
     """Amplitude decay r = |1-gamma| / (1+gamma) per unit of total mode order."""
-    _check_gamma(gamma)
+    gamma = _checked_gamma(gamma)
     return abs(1.0 - gamma) / (1.0 + gamma)
 
 
@@ -60,7 +69,7 @@ def schmidt_coeff(m, n, gamma):
     Evaluated in log space so large m+n underflows gracefully. Accepts scalar
     or array indices; with gamma = 1 only C_00 survives.
     """
-    _check_gamma(gamma)
+    gamma = _checked_gamma(gamma)
     ma = np.asarray(m)
     na = np.asarray(n)
     if np.any(ma < 0) or np.any(na < 0):
@@ -77,7 +86,7 @@ def schmidt_coeff(m, n, gamma):
 
 def schmidt_number(gamma: float) -> float:
     """Effective number of entangled mode pairs, K = (gamma + 1/gamma)^2 / 4."""
-    _check_gamma(gamma)
+    gamma = _checked_gamma(gamma)
     half = 0.5 * (gamma + 1.0 / gamma)
     return half * half
 
@@ -89,8 +98,7 @@ class SchmidtModel:
     gamma: float
 
     def __post_init__(self):
-        _check_gamma(self.gamma)
-        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "gamma", _checked_gamma(self.gamma))
 
     @classmethod
     def from_gamma(cls, gamma: float) -> "SchmidtModel":

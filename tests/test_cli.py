@@ -8,6 +8,8 @@ import bispade as bp
 from bispade import inference
 from bispade.cli import (
     EXIT_DATA,
+    EXIT_NUMERIC,
+    DataFormatError,
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
@@ -254,34 +256,67 @@ class TestCountsIo:
     def test_write_read_round_trip(self, tmp_path, space7):
         counts = np.arange(49, dtype=np.int64).reshape(7, 7)
         path = write_counts_file(tmp_path / "c.csv", space7, counts, separation=0.3)
-        cm = read_counts_file(path)
+        cm = read_counts_file(path, space7)
         np.testing.assert_array_equal(cm.counts, counts)
         assert cm.separation == 0.3
-        assert cm.meta["space"].idler == space7.idler
 
-    def test_empty_file_rejected(self, tmp_path):
+    def test_empty_file_rejected(self, tmp_path, space7):
         path = tmp_path / "empty.csv"
         path.write_text("# separation = 0.1\nk_idler,l_idler,k_signal,l_signal,count\n")
-        from bispade.cli import DataFormatError
+        with pytest.raises(DataFormatError, match="empty.csv"):
+            read_counts_file(path, space7)
 
-        with pytest.raises(DataFormatError):
-            read_counts_file(path)
-
-    def test_duplicate_tuple_rejected(self, tmp_path):
+    def test_duplicate_tuple_rejected(self, tmp_path, space7):
         path = tmp_path / "dup.csv"
         path.write_text("0,0,0,0,5\n0,0,0,0,7\n")
-        from bispade.cli import DataFormatError
+        with pytest.raises(DataFormatError, match="dup.csv:2: duplicate"):
+            read_counts_file(path, space7)
 
-        with pytest.raises(DataFormatError):
-            read_counts_file(path)
-
-    def test_negative_count_rejected(self, tmp_path):
+    def test_negative_count_rejected(self, tmp_path, space7):
         path = tmp_path / "neg.csv"
         path.write_text("0,0,0,0,-5\n")
-        from bispade.cli import DataFormatError
+        with pytest.raises(DataFormatError, match="neg.csv:1: negative count"):
+            read_counts_file(path, space7)
 
-        with pytest.raises(DataFormatError):
-            read_counts_file(path)
+    def _rows(self, space):
+        # the data rows of a counts file over space with distinct counts, and its matrix
+        counts = np.arange(space.shape[0] * space.shape[1]).reshape(space.shape) + 10
+        rows = [
+            f"{k},{l},{kp},{lp},{counts[i, j]}"
+            for i, (k, l) in enumerate(space.idler)
+            for j, (kp, lp) in enumerate(space.signal)
+        ]
+        return rows, counts
+
+    def test_shuffled_rows_read_equal_to_ordered_rows(self, tmp_path):
+        # a space with l = 1 pairs: a sort of the rows by (k, l) would misplace them
+        space = bp.ModeSpace.grid(max_k=2, max_l=1)
+        rows, counts = self._rows(space)
+        shuffled = list(rows)
+        np.random.default_rng(4).shuffle(shuffled)
+        assert shuffled != rows
+        header = ["# separation = 0.25", "# note without an equals sign", "# lab = B"]
+        (tmp_path / "ordered.csv").write_text("\n".join(header + rows) + "\n")
+        (tmp_path / "shuffled.csv").write_text("\n".join(header + shuffled) + "\n")
+        ordered = read_counts_file(tmp_path / "ordered.csv", space)
+        mixed = read_counts_file(tmp_path / "shuffled.csv", space)
+        np.testing.assert_array_equal(ordered.counts, counts)
+        np.testing.assert_array_equal(mixed.counts, counts)
+        assert mixed.separation == ordered.separation == 0.25
+
+    def test_tuple_outside_the_space_rejected(self, tmp_path, space7):
+        rows, _ = self._rows(space7)
+        path = tmp_path / "outside.csv"
+        path.write_text("\n".join(rows + ["7,0,0,0,3"]) + "\n")
+        with pytest.raises(DataFormatError, match=r"outside.csv:50: mode tuple \(7, 0, 0, 0\)"):
+            read_counts_file(path, space7)
+
+    def test_missing_pair_rejected(self, tmp_path, space7):
+        rows, _ = self._rows(space7)
+        path = tmp_path / "missing.csv"
+        path.write_text("\n".join(rows[:17] + rows[18:]) + "\n")
+        with pytest.raises(DataFormatError, match=r"missing.csv: 1 mode tuples .* \(2, 0, 3, 0\)"):
+            read_counts_file(path, space7)
 
 
 class TestEstimate:
@@ -528,6 +563,29 @@ class TestExitCodes:
         ])
         assert code == EXIT_NUMERIC
         assert "overflows" in capsys.readouterr().err
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("argv,message", [
+        (["crlb-curves", "--k-values", "1,inf"], "k_values must all be finite"),
+        (["compare", "--sep-stop", "inf"], "sep-stop must be finite, got inf"),
+        (["compare", "--sep-start", "nan"], "sep-start must be finite, got nan"),
+        (["matrices", "--sep-step", "inf"], "sep-step must be finite, got inf"),
+        (["compare", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["crlb-curves", "--pump-waist-um", "inf", "--crystal-length-mm", "2",
+          "--pump-wavelength-nm", "405"], "pump_waist must be a finite positive number"),
+    ], ids=["k-values", "sep-stop", "sep-start", "sep-step", "seed", "pump-waist"])
+    def test_is_a_config_error_naming_the_setting(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_failed_run_creates_no_output_directory(tmp_path):
+    out = tmp_path / "out"
+    assert main(["matrices", "--gamma", "1e-06", "--out-dir", str(out)]) == EXIT_NUMERIC
+    assert not out.exists()
 
 
 def test_parser_is_built_once():

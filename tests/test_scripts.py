@@ -30,3 +30,15 @@ def test_synthetic_estimation_run_calibrates(tmp_path, capsys):
     slope = float(re.search(r"calibrated: slope (\S+),", report).group(1))
     assert 0.97 <= slope <= 1.03
     assert len(list((tmp_path / "counts").glob("counts_*.csv"))) == 30
+
+
+def test_output_digest_lines(capsys):
+    assert _load("output_digest").run([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(re.fullmatch(r"[\w./-]+ [0-9a-f]{64}", line) for line in lines)
+    names = [line.split()[0] for line in lines]
+    assert len(set(names)) == len(names)
+    for name in ("compare-default/compare.csv", "estimate-calibrate/estimates.csv",
+                 "matrices/matrix_04.csv", "crlb-curves/crlb_curves.csv", "estimate-help/stdout",
+                 "compare-sweep_k51-seed3/compare.csv", "error-negative-seed/stderr"):
+        assert name in names

@@ -23,6 +23,19 @@ class TestSourceParams:
         with pytest.raises(ValueError):
             SourceParams(pump_waist=40e-6, crystal_length=-1e-3, pump_wavelength=405e-9)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), True])
+    def test_rejects_non_finite_and_bool_naming_the_parameter(self, bad):
+        with pytest.raises(ValueError, match="pump_waist must be a finite positive number"):
+            SourceParams(pump_waist=bad, crystal_length=1e-3, pump_wavelength=405e-9)
+        with pytest.raises(ValueError, match="pump_wavelength must be a finite positive number"):
+            SourceParams(pump_waist=40e-6, crystal_length=1e-3, pump_wavelength=bad)
+
+    def test_accepts_numpy_scalars(self):
+        params = SourceParams(np.float32(1e-4), np.int64(1), np.float64(405e-9))
+        assert gamma_from_physical(params) == pytest.approx(
+            gamma_from_physical(SourceParams(float(np.float32(1e-4)), 1.0, 405e-9)), rel=1e-15
+        )
+
 
 class TestGammaFromPhysical:
     def test_experimental_setting(self):
@@ -116,6 +129,19 @@ class TestSchmidtModel:
             SchmidtModel.from_gamma(gamma)
 
     def test_gamma_is_stored_as_float(self):
-        for gamma in (1, np.float64(0.5)):
-            model = SchmidtModel(gamma)
-            assert type(model.gamma) is float and model.gamma == gamma
+        for gamma in (1, np.float64(0.5), np.float32(0.15), np.int64(1), np.int32(2)):
+            model = SchmidtModel.from_gamma(gamma)
+            assert type(model.gamma) is float and model.gamma == float(gamma)
+
+    def test_numpy_scalars_compute_in_float64(self):
+        gamma = np.float32(0.15)
+        assert schmidt_number(gamma) == schmidt_number(float(gamma))
+        assert type(schmidt_number(gamma)) is float
+        assert schmidt_coeff(1, 2, gamma) == schmidt_coeff(1, 2, float(gamma))
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
+    def test_bool_is_not_a_gamma(self, flag):
+        with pytest.raises(ValueError, match="gamma must be"):
+            SchmidtModel.from_gamma(flag)
+        with pytest.raises(ValueError, match="gamma must be"):
+            schmidt_number(flag)
