@@ -1,0 +1,226 @@
+#!/usr/bin/env python3
+"""Time each layer of the bispade stack on fixed inputs, and two runs end to end.
+
+The layers, bottom up: the overlap table (``overlap._overlap_amplitudes``), the
+forward maps (``model._spade_probs``, ``model._pixel_probs``), the grid table
+(``inference._GridTable.build``), the batched fit (``inference._fit``), the
+multinomial draw (``inference._draw``) and the Monte-Carlo cells
+(``inference._mc_cells``). End to end it times ``bispade.cli.main`` on the
+full default ``compare`` and on an ``estimate --calibrate`` of 29 labeled
+counts files. It also counts the lockstep refinement passes of the
+direct-imaging fits in 30 ``compare`` jobs at the benchmark's sweep_k12
+setting.
+
+Every timing uses ``time.perf_counter`` on inputs fixed in this file, after
+one untimed call. A sample is the mean of a fixed number of calls. Each item
+reports its sample count and median; with at least 40 samples it also
+reports the highest percentile that has at least ten samples above it.
+
+The results, with the core count, the library versions and the thread
+variables, are appended to the list ``runs.<label>`` of the JSON file --out;
+everything else in the file is kept. On a shared machine the medians of one
+run move by tens of percent, so compare two source trees by alternating runs
+of each:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=<old checkout>/src python scripts/bench.py \
+        --label parent --out bench.json
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/bench.py --label change --out bench.json
+"""
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+import bispade as bp
+from bispade import inference, model, overlap
+from bispade.cli import main as cli_main, write_counts_file
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+GAMMA = 0.15
+PHOTONS = 37_000
+STEP = 0.0465
+# the benchmark's sweep_k12 jobs: every fifth point of the default grid from 0.0465
+SWEEP = ["compare", "--gamma", "0.15", "--modes-k", "6", "--modes-l", "0", "--photons",
+         "37000", "--trials", "8", "--sep-start", "0.0465", "--sep-stop", "1.209",
+         "--sep-step", "0.2325"]
+SWEEP_JOBS = range(1, 31)
+
+
+def _summary(samples: list[float], unit: str) -> dict:
+    out = {"unit": unit, "samples": len(samples), "p50": statistics.median(samples)}
+    if len(samples) >= 40:
+        q = int(100 * (1 - 10 / len(samples)))
+        out[f"p{q}"] = float(np.percentile(samples, q))
+    return out
+
+
+def _time(fn, samples: int, calls: int, unit: str = "us") -> dict:
+    scale = {"us": 1e6, "ms": 1e3, "s": 1.0}[unit]
+    fn()
+    times = []
+    for _ in range(samples):
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        times.append((time.perf_counter() - start) / calls * scale)
+    return _summary(times, unit)
+
+
+def _draws(forward, seps, trials: int, seed: int) -> np.ndarray:
+    # count rows of `trials` draws at each separation of seps
+    truths = forward(np.asarray(seps))
+    return np.array([
+        inference._draw(truth.ravel() / truth.sum(), PHOTONS, bp.trial_seed(seed, t))
+        for truth in truths for t in range(trials)
+    ], dtype=float)
+
+
+def layers() -> dict:
+    m = bp.SchmidtModel.from_gamma(GAMMA)
+    space = bp.ModeSpace.grid()
+    grid = bp.PixelGrid()
+    one = np.array([0.3])
+    many = np.linspace(0.0, 2.0, 200)
+    items = {}
+    for label, d in (("1", one), ("200", many)):
+        calls = 200 if len(d) == 1 else 10
+        items[f"overlap._overlap_amplitudes[{label}]"] = _time(
+            lambda d=d: overlap._overlap_amplitudes(7, d), 100, calls)
+        items[f"model._spade_probs[{label}]"] = _time(
+            lambda d=d: model._spade_probs(d, space, m, True, True), 100, calls)
+        for kind in ("gaussian", "spdc"):
+            items[f"model._pixel_probs[{kind},{label}]"] = _time(
+                lambda d=d, kind=kind: model._pixel_probs(d, grid, m, kind, True), 100, calls)
+    forwards = {method: inference._method_forward(method, m, space, grid)
+                for method in bp.METHODS}
+    for method, forward in forwards.items():
+        items[f"inference._GridTable.build[{method}]"] = _time(
+            lambda f=forward: inference._GridTable.build(f, None), 40, 2, "ms")
+    for method, forward in forwards.items():
+        table = inference._GridTable.build(forward, None)
+        cell = _draws(forward, [STEP], 48, seed=5)
+        sweep = _draws(forward, STEP * np.arange(1, 30, 4), 50, seed=6)
+        items[f"inference._fit[{method},48 rows,d=0.0465]"] = _time(
+            lambda f=forward, t=table, o=cell: inference._fit(o, f, t), 40, 1, "ms")
+        items[f"inference._fit[{method},400 rows]"] = _time(
+            lambda f=forward, t=table, o=sweep: inference._fit(o, f, t), 20, 1, "ms")
+    weights = forwards["spade"](0.3).ravel()
+    weights = weights / weights.sum()
+    items["inference._draw[49 outcomes]"] = _time(
+        lambda: inference._draw(weights, PHOTONS, 12345), 100, 50)
+    seps = STEP * np.arange(1, 27, 5)
+    for method, forward in forwards.items():
+        items[f"inference._mc_cells[{method},6x8 trials]"] = _time(
+            lambda method=method, f=forward: inference._mc_cells(
+                method, PHOTONS, seps, 8, list(range(len(seps))), f),
+            40, 1, "ms")
+    return items
+
+
+def _counts_files(directory: Path) -> list[Path]:
+    # labeled counts files: d = 0.0465 k for k = 1..29, an attenuation of 0.8
+    # and a background of 0.01 baked in
+    m = bp.SchmidtModel.from_gamma(GAMMA)
+    space = bp.ModeSpace.grid()
+    imperfection = bp.CalibrationModel(alpha=np.full(space.shape, 0.8),
+                                       beta=np.full(space.shape, 0.01))
+    directory.mkdir(parents=True)
+    files = []
+    for k in range(1, 30):
+        matrix = bp.apply_calibration(bp.prob_matrix(STEP * k, space, m), imperfection)
+        counts = bp.sample_counts(matrix, PHOTONS, seed=bp.trial_seed(2024, k))
+        files.append(write_counts_file(directory / f"counts_{k:02d}.csv", space,
+                                       counts.counts, separation=STEP * k))
+    return files
+
+
+def _run(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(argv)
+    if code != 0:
+        raise SystemExit(f"bench: {' '.join(argv[:1])} exited with {code}")
+
+
+def end_to_end(root: Path) -> dict:
+    files = list(map(str, _counts_files(root / "inputs")))
+    out = str(root / "out")
+    return {
+        "cli.main[compare default]": _time(lambda: _run(["compare", "--out-dir", out]),
+                                           5, 1, "s"),
+        "cli.main[estimate --calibrate, 29 files]": _time(
+            lambda: _run(["estimate", *files, "--calibrate", "--gamma", "0.15",
+                          "--out-dir", out]), 20, 1, "ms"),
+    }
+
+
+def direct_passes(root: Path) -> dict:
+    # lockstep passes: calls of _evaluate for a first derivative, made by _fit
+    # once per pass; a pixel map has 1-D outcomes, a mode-space map 2-D ones
+    passes = {"direct": 0, "spade": 0}
+    evaluate = inference._evaluate
+
+    def counting(forward, d, derivative):
+        if derivative == 1:
+            passes["direct" if len(forward.shape) == 1 else "spade"] += 1
+        return evaluate(forward, d, derivative)
+
+    inference._evaluate = counting
+    try:
+        for seed in SWEEP_JOBS:
+            _run([*SWEEP, "--seed", str(seed), "--out-dir", str(root / "sweep")])
+    finally:
+        inference._evaluate = evaluate
+    jobs = len(SWEEP_JOBS)
+    return {f"{name}_passes_per_sweep_k12_job": count / jobs for name, count in passes.items()}
+
+
+def environment() -> dict:
+    package = Path(bp.__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(package.glob("*.py")):
+        digest.update(path.name.encode() + path.read_bytes())
+    return {
+        "cpu_count": os.cpu_count(),
+        "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "threads": {name: os.environ.get(name) for name in THREAD_VARS},
+        "bispade_version": bp.__version__,
+        "src_sha256": digest.hexdigest(),
+    }
+
+
+def run(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--label", required=True, help="key of this run in the JSON file")
+    parser.add_argument("--out", required=True, help="JSON file to write or merge into")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        result = {"environment": environment(), "layers": layers(),
+                  "end_to_end": end_to_end(root), "counts": direct_passes(root)}
+    path = Path(args.out)
+    data = json.loads(path.read_text()) if path.exists() else {}
+    data.setdefault("harness", "scripts/bench.py")
+    data.setdefault("runs", {}).setdefault(args.label, []).append(result)
+    path.write_text(json.dumps(data, indent=2) + "\n")
+    print(json.dumps(result, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())

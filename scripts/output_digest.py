@@ -80,6 +80,7 @@ def _runs(paths: list[Path]) -> dict[str, list[str]]:
         "infinite-sep-stop": ["compare", "--sep-stop", "inf"],
         "nan-sep-start": ["compare", "--sep-start", "nan"],
         "infinite-sep-step": ["matrices", "--sep-step", "inf"],
+        "too-many-separations": ["matrices", "--sep-stop", "1e300"],
         "negative-seed": ["compare", "--seed", "-1"],
         "infinite-pump-waist": ["crlb-curves", "--pump-waist-um", "inf",
                                 "--crystal-length-mm", "2", "--pump-wavelength-nm", "405"],

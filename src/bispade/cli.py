@@ -46,6 +46,8 @@ CONVENTION = "per-arm shift d; delta = 2*d is the total separation; FI/CRLB abou
 _PHYSICAL_KEYS = ("pump_waist_um", "crystal_length_mm", "pump_wavelength_nm")
 # float64 sums of counts are exact up to here
 _MAX_PHOTONS = 2**53
+# most separations one run may sweep; each costs a fit per trial and method or a matrix file
+_MAX_SEPARATIONS = 10_000
 
 
 class DataFormatError(Exception):
@@ -140,6 +142,12 @@ class RunConfig:
             step = self.sep_step
         if stop < start:
             raise ValueError("sep-stop must be >= sep-start")
+        count = (stop - start) / step + 1.0
+        if not count <= _MAX_SEPARATIONS:
+            raise ValueError(
+                f"sep-start {start!r}, sep-stop {stop!r} and sep-step {step!r} give about "
+                f"{count:.3g} separations, more than {_MAX_SEPARATIONS}"
+            )
         return np.arange(start, stop + 0.5 * step, step)
 
 
@@ -475,7 +483,8 @@ def main(argv: list[str] | None = None) -> int:
         _, compute = _COMMANDS[args.command]
         for table in compute(cfg, args):
             print(_write_table(cfg, args.command, *table))
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # an OSError is an unusable path setting, such as an --out-dir that names a file
         print(f"bispade: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataFormatError as exc:

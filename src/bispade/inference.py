@@ -65,8 +65,10 @@ _MAX_REFINE_STEPS = 100
 # row budget of one _fit call in a Monte-Carlo sweep: consecutive whole cells
 # are fitted together up to this many trials
 _FIT_ROWS = 512
-# central-difference step for the derivative of a forward map that has no exact one
+# central-difference steps for the first and second derivative of a forward map
+# that has no exact ones
 _DIFF_STEP = 1e-6
+_CURVE_STEP = 1e-4
 # refinement must beat the best grid point's log-likelihood by more than this
 # relative amount, a few ulps of the sum of count * log p terms; a point within
 # rounding of the grid optimum (as near d = 0, where the model is even in d)
@@ -280,12 +282,14 @@ def mle_estimate(
     per-outcome affine map to the model and renormalizes before the
     likelihood, mirroring apply_calibration. The search over d in [0, 2] is
     fixed: it scores a 200-point grid, then refines by safeguarded Fisher
-    scoring inside the bracket of the best grid point's neighbours; the model
-    is even in d, so d = 0 can sit on a plateau, where scoring falls back to
-    bisection and the grid point is kept unless refinement beats it. The maps
-    of spade_forward and direct_forward supply the exact d-derivative; for any
-    other callable it is a central difference. The multinomial coefficient is
-    separation independent and dropped.
+    scoring inside the bracket of the best grid point's neighbours. The model
+    is even in d, so score and information vanish at d = 0: a fit whose best
+    grid point is 0 stops there when the log-likelihood curves down at 0, and
+    otherwise falls back to bisection, the grid point kept unless refinement
+    beats it. The maps of spade_forward and direct_forward supply the exact
+    d-derivative and second derivative at 0; for any other callable they are
+    central differences. The multinomial coefficient is separation
+    independent and dropped.
     """
     obs = counts.counts.ravel()[None, :].astype(float)
     fits = _fit(obs, forward, _GridTable.build(forward, calibration))
@@ -312,8 +316,9 @@ class _GridTable(NamedTuple):
         return cls(np.log(np.maximum(probs, LIKELIHOOD_FLOOR)), calibration)
 
 
-def _evaluate(forward, d: np.ndarray, derivative: bool):
-    # (probabilities, d-derivatives or None) at each separation of d, outcomes flattened
+def _evaluate(forward, d: np.ndarray, derivative: int):
+    # (probabilities, d-derivatives or None) at each separation of d, outcomes flattened;
+    # derivative 0 (False) gives none, 1 (True) the first, 2 the second at d = 0
     if isinstance(forward, _ForwardMap):
         probs, slopes = forward.batch(d, derivative)
         return probs.reshape(len(d), -1), None if slopes is None else slopes.reshape(len(d), -1)
@@ -324,11 +329,14 @@ def _evaluate(forward, d: np.ndarray, derivative: bool):
     probs = at(0.0)
     if not derivative:
         return probs, None
+    if derivative == 2:
+        return probs, (at(_CURVE_STEP) - 2.0 * probs + at(-_CURVE_STEP)) / _CURVE_STEP**2
     return probs, (at(_DIFF_STEP) - at(-_DIFF_STEP)) / (2.0 * _DIFF_STEP)
 
 
 def _calibrated(evaluated, calibration: CalibrationModel | None):
-    # apply_calibration's map on (probabilities, derivatives) rows
+    # apply_calibration's map on (probabilities, derivatives) rows; the quotient rule of
+    # the first derivative also maps a second derivative where the first vanishes
     probs, slopes = evaluated
     if calibration is None:
         return probs, slopes
@@ -363,7 +371,10 @@ def _fit(obs: np.ndarray, forward, table: _GridTable) -> _Fits:
     information behind it (at d = 0 the model is even in d, so score and
     information vanish) is replaced by bisection. A row stops once its step
     is below 1e-3 * _REFINE_TOL. Refinement that does not beat the best grid
-    point by more than rounding keeps the grid point.
+    point by more than rounding keeps the grid point. A row whose best grid
+    point is d = 0 and whose log-likelihood curves down there,
+    sum_i n_i p_i''(0) / p_i(0) < 0, has its maximum at 0 and stops before
+    the first pass.
     """
     if table.log_probs.shape[1] != obs.shape[1]:
         raise ValueError("forward model size does not match the counts")
@@ -384,7 +395,14 @@ def _fit(obs: np.ndarray, forward, table: _GridTable) -> _Fits:
     iterations = np.zeros(len(obs), dtype=int)
     converged = np.zeros(len(obs), dtype=bool)
     photons = obs.sum(axis=1)
-    active = rows
+    peaked = best == 0
+    if np.any(peaked):
+        probs, curvature = _calibrated(_evaluate(forward, _GRID[:1], 2), table.calibration)
+        live = probs > LIKELIHOOD_FLOOR
+        ratio = np.divide(curvature, probs, out=np.zeros_like(probs), where=live)
+        peaked &= obs @ ratio[0] < 0.0
+    converged[peaked] = True
+    active = rows[~peaked]
     for _ in range(_MAX_REFINE_STEPS):
         if not active.size:
             break
@@ -465,7 +483,8 @@ class _ForwardMap:
     Called with separations of any shape, it returns the stacked arrays of one
     vectorized pass, of shape np.shape(d) + shape. batch(d, derivative) takes
     a 1-D array of separations and returns (probabilities, exact d-derivatives
-    or None), stacked alike.
+    or None), stacked alike: none for derivative 0, the first for 1, and the
+    second at d = 0 for 2.
     """
 
     batch: Callable

@@ -174,18 +174,19 @@ def _in_blocks(evaluate, d: np.ndarray, row_cells: int):
 
 
 def _spade_probs(d: np.ndarray, space: ModeSpace, model: SchmidtModel, renormalize: bool,
-                 derivative: bool):
+                 derivative: int):
     """Probability matrices (and their d-derivatives) at each separation of the 1-D array d.
 
     Returns (entries, slopes, totals): entries and slopes of shape
-    (len(d),) + space.shape, slopes None unless derivative, and the in-space
-    mass per separation. The slope of an amplitude is
+    (len(d),) + space.shape, and the in-space mass per separation. slopes is
+    None for derivative 0, the first d-derivative for 1, and the second
+    d-derivative at d = 0 for 2 (every d must be 0). The slope of an amplitude is
     d<m|n',d>/dd = sqrt(n'/2) <m|n'-1,d> - sqrt((n'+1)/2) <m|n'+1,d>,
     which needs one table column past the largest index of the space.
     """
     k, l = np.array(space.idler).T
     kp, lp = np.array(space.signal).T
-    size = int(max(k.max(), kp.max())) + (1 if derivative else 0)
+    size = int(max(k.max(), kp.max())) + (1 if derivative == 1 else 0)
     return _in_blocks(
         lambda block: _spade_block(block, k, l, kp, lp, size, model, renormalize, derivative),
         d,
@@ -206,10 +207,17 @@ def _spade_block(d, k, l, kp, lp, size, model, renormalize, derivative):
     entries = weight * (a * a)
     totals = entries.reshape(len(d), -1).sum(axis=1)
     slopes = None
-    if derivative:
+    if derivative == 1:
         down = np.sqrt(0.5 * kp) * cells(np.maximum(kp - 1, 0))
         up = np.sqrt(0.5 * (kp + 1.0)) * cells(kp + 1)
         slopes = 2.0 * weight * a * (down - up)
+    elif derivative == 2:
+        # the d^2 coefficients of small_sep_prob, doubled; with zero first
+        # derivatives the renormalization below keeps the slope's quotient rule
+        gap = k[:, None] - kp[None, :]
+        curvature = weight * np.select([gap == 0, gap == -1, gap == 1],
+                                       [-2.0 * kp - 1.0, kp, kp + 1.0])
+        slopes = np.broadcast_to(curvature, entries.shape)
     if renormalize:
         if np.any(totals < _MIN_IN_SPACE_MASS):
             raise NumericalError(
@@ -294,12 +302,14 @@ def _psf_scale(model: SchmidtModel, kind: str) -> float:
 
 
 def _pixel_probs(d: np.ndarray, grid: PixelGrid, model: SchmidtModel, kind: str,
-                 derivative: bool):
+                 derivative: int):
     """Pixel vectors (and their d-derivatives) at each separation in d.
 
-    Returns (probs, slopes), each of shape (len(d), grid.count + 1), slopes
-    None unless derivative. The slope of a component's pixel mass is a
-    difference of Gaussian values at the pixel edges.
+    Returns (probs, slopes), each of shape (len(d), grid.count + 1). slopes
+    is None for derivative 0, the first d-derivative for 1, and the second
+    d-derivative at d = 0 for 2. The slope of a component's
+    pixel mass is a difference of Gaussian values at the pixel edges, its
+    second derivative a difference of u exp(-u^2).
     """
     s = _psf_scale(model, kind)
     return _in_blocks(
@@ -326,8 +336,14 @@ def _pixel_block(d, grid, s, derivative):
     slopes = None
     if derivative:
         edge = np.exp(-u * u)
+        if derivative == 2:
+            # a component's mass curves by s^2/sqrt(pi) times the fall of u exp(-u^2);
+            # with zero first derivatives (d = 0) the quotient rule below keeps its form
+            edge = 2.0 * s * u * edge
         falls = edge[..., :-1] - edge[..., 1:]
-        raw = 0.5 * s / math.sqrt(math.pi) * (falls[:, 0] - falls[:, 1])
+        # the -d component moves against the +d one but curves with it
+        mirrored = falls[:, 1] if derivative == 2 else -falls[:, 1]
+        raw = 0.5 * s / math.sqrt(math.pi) * (falls[:, 0] + mirrored)
         raw_totals = raw.sum(axis=1)
         slopes = np.where(over[:, None], raw - probs * raw_totals[:, None], raw) / scale
         slopes = np.concatenate((slopes, np.where(over, 0.0, -raw_totals)[:, None]), axis=1)

@@ -582,6 +582,42 @@ class TestNonFiniteSettings:
         assert not out.exists()
 
 
+class TestSeparationCount:
+    @pytest.mark.parametrize("argv", [
+        ["--sep-stop", "1e300"],
+        ["--sep-stop", "1e6", "--sep-step", "1e-3"],
+    ], ids=["1e300", "1e9-points"])
+    def test_too_many_is_a_config_error_before_any_allocation(
+            self, tmp_path, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.arange called for an oversized separation grid")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        out = tmp_path / "out"
+        assert main(["matrices", *argv, "--out-dir", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("bispade: config error: ")
+        assert all(name in err for name in ("sep-start", "sep-stop", "sep-step"))
+        assert not out.exists()
+
+    def test_the_bound_itself_is_accepted(self):
+        seps = RunConfig(sep_start=0.0, sep_stop=9999.0, sep_step=1.0).separations(0.0, 1.0, 1.0)
+        assert len(seps) == 10_000
+
+
+@pytest.mark.parametrize("tail", ["", "sub"])
+def test_out_dir_naming_a_file_is_a_config_error(tmp_path, capsys, tail):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / tail if tail else taken
+    assert main(["crlb-curves", "--out-dir", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("bispade: config error: ")
+    assert str(out) in err
+    assert err.count("\n") == 1
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_failed_run_creates_no_output_directory(tmp_path):
     out = tmp_path / "out"
     assert main(["matrices", "--gamma", "1e-06", "--out-dir", str(out)]) == EXIT_NUMERIC

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import bispade as bp
+from bispade import inference
+from bispade.inference import _calibrated, _evaluate, _fit, _GridTable
+from bispade.model import _pixel_probs, _spade_probs
 
 gammas = st.floats(0.05, 3.0)
 
@@ -276,6 +279,66 @@ class TestForwardMaps:
                 np.testing.assert_array_equal(row, getattr(expected, "entries", expected))
 
 
+def _second_difference(fn, h=3e-4):
+    return (fn(h) - 2.0 * fn(0.0) + fn(-h)) / (h * h)
+
+
+class TestCurvatureAtZero:
+    # p''(0) checked against a central second difference of the public maps,
+    # good to about 1e-7 at this step
+    @pytest.mark.parametrize("space", [
+        bp.ModeSpace.grid(),
+        bp.ModeSpace.grid(2, 1),
+        bp.ModeSpace(idler=((0, 0), (2, 0), (3, 1), (5, 0)),
+                     signal=((1, 0), (3, 1), (0, 0), (9, 1), (6, 0))),
+    ], ids=["7x7", "3x3-l1", "ragged-l1"])
+    @pytest.mark.parametrize("renormalize", [True, False])
+    def test_spade(self, model015, space, renormalize):
+        entries, curvature, _ = _spade_probs(np.zeros(1), space, model015, renormalize, 2)
+        np.testing.assert_array_equal(entries[0], bp.prob_matrix(0.0, space, model015,
+                                                                 renormalize).entries)
+        numeric = _second_difference(
+            lambda x: bp.prob_matrix(x, space, model015, renormalize).entries)
+        np.testing.assert_allclose(curvature[0], numeric, rtol=0.0, atol=1e-6)
+        assert np.abs(curvature[0]).max() > 0.1
+
+    @pytest.mark.parametrize("kind", ["gaussian", "spdc"])
+    # on the wide grid the spdc masses sum above one by rounding and are renormalized
+    @pytest.mark.parametrize("grid", [bp.PixelGrid(), bp.PixelGrid(7, (-1.0, 2.5)),
+                                      bp.PixelGrid(9, (-20.0, 20.0))],
+                             ids=["default", "off-centre", "wide"])
+    def test_pixels(self, model015, kind, grid):
+        probs, curvature = _pixel_probs(np.zeros(1), grid, model015, kind, 2)
+        np.testing.assert_array_equal(probs[0], bp.pixel_probs(0.0, grid, model015, kind))
+        numeric = _second_difference(lambda x: bp.pixel_probs(x, grid, model015, kind))
+        np.testing.assert_allclose(curvature[0], numeric, rtol=0.0, atol=1e-6)
+        assert abs(curvature[0].sum()) < 1e-12
+        assert np.abs(curvature[0]).max() > 1e-3
+
+    def test_calibrated(self, model015, space7):
+        rng = np.random.default_rng(3)
+        alpha = rng.uniform(0.5, 1.2, space7.shape)
+        beta = rng.uniform(0.0, 0.02, space7.shape)
+        alpha[0, 3] = beta[0, 3] = alpha[4, 1] = beta[4, 1] = 0.0  # outcomes mapped to zero
+        cal = bp.CalibrationModel(alpha=alpha, beta=beta)
+        forward = bp.spade_forward(model015, space7)
+        probs, curvature = _calibrated(_evaluate(forward, np.zeros(1), 2), cal)
+        np.testing.assert_array_equal(
+            probs[0], bp.apply_calibration(bp.prob_matrix(0.0, space7, model015), cal)
+            .entries.ravel())
+        numeric = _second_difference(
+            lambda x: bp.apply_calibration(bp.prob_matrix(x, space7, model015), cal).entries)
+        np.testing.assert_allclose(curvature[0], numeric.ravel(), rtol=0.0, atol=1e-6)
+        assert curvature[0, 3] == curvature[0, 29] == 0.0
+
+    def test_plain_callable_gets_a_second_difference(self, model015, space7):
+        exact = _evaluate(bp.spade_forward(model015, space7), np.zeros(1), 2)[1]
+        plain = _evaluate(lambda d: bp.prob_matrix(d, space7, model015).entries,
+                          np.zeros(1), 2)[1]
+        np.testing.assert_allclose(plain, exact, rtol=0.0, atol=1e-6)
+        assert np.abs(exact).max() > 0.1
+
+
 def _brute_force_mle(counts, forward, calibration=None):
     # dense grid over the whole bounds, then two dense zooms around the best point
     obs = counts.counts.ravel().astype(float)
@@ -293,6 +356,62 @@ def _brute_force_mle(counts, forward, calibration=None):
         if half_width is None:
             return best
         ds = np.clip(np.linspace(best - half_width, best + half_width, 2001), 0.0, 2.0)
+
+
+class TestStopAtZero:
+    @staticmethod
+    def _counting_passes(monkeypatch):
+        # _fit evaluates the first derivative once per lockstep refinement pass
+        passes = []
+        evaluate = inference._evaluate
+
+        def counting(forward, d, derivative):
+            if derivative == 1:
+                passes.append(len(d))
+            return evaluate(forward, d, derivative)
+
+        monkeypatch.setattr(inference, "_evaluate", counting)
+        return passes
+
+    @pytest.mark.parametrize("kind", ["gaussian", "spdc"])
+    def test_rows_peaked_at_zero_stop_and_match_the_oracle(self, model015, kind, monkeypatch):
+        forward = bp.direct_forward(model015, bp.PixelGrid(), kind)
+        truth = forward(0.0465)
+        rows = [bp.sample_counts(truth, 37_000, bp.trial_seed(0, t)) for t in range(48)]
+        obs = np.array([cm.counts for cm in rows], dtype=float)
+        table = _GridTable.build(forward, None)
+        passes = self._counting_passes(monkeypatch)
+        fits = _fit(obs, forward, table)
+        stopped = fits.iterations == 0
+        assert 0 < stopped.sum() < len(obs)
+        assert np.all(fits.d_hat[stopped] == 0.0) and np.all(fits.converged[stopped])
+        np.testing.assert_array_equal(fits.log_likelihood[stopped],
+                                      (obs @ table.log_probs.T)[stopped, 0])
+        # a pass refines only the rows still active: never a stopped one
+        assert max(passes) == (~stopped).sum()
+        for row in np.flatnonzero(stopped)[:2]:
+            assert _brute_force_mle(rows[row], forward) == pytest.approx(0.0, abs=1e-6)
+
+    def test_calibrated_spade_row_peaked_at_zero(self, model015, space7):
+        forward = bp.spade_forward(model015, space7)
+        cal = bp.CalibrationModel(alpha=np.full(space7.shape, 0.8),
+                                  beta=np.full(space7.shape, 0.01))
+        truth = bp.apply_calibration(bp.prob_matrix(0.0, space7, model015), cal)
+        diagonal = np.diag(np.diag(truth.entries))
+        counts = bp.CountMatrix.from_counts(np.round(diagonal * 37_000).astype(np.int64))
+        result = bp.mle_estimate(counts, forward, calibration=cal)
+        assert result.refine_iterations == 0 and result.converged
+        assert result.d_hat == 0.0
+        assert _brute_force_mle(counts, forward, calibration=cal) == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("method", ["direct_gaussian", "direct_spdc"])
+    def test_direct_cell_near_zero_takes_few_passes(self, model015, method, seed, monkeypatch):
+        # a direct-imaging cell at the first sweep separation: without the stop,
+        # rows peaked at 0 bisect about 20 passes toward it
+        passes = self._counting_passes(monkeypatch)
+        bp.mc_standard_error(method, 0.15, 37_000, 0.0465, 48, seed, model=model015)
+        assert len(passes) <= 8
 
 
 class TestMleEstimate:
