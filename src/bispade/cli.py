@@ -177,8 +177,12 @@ _PARSERS = {name: _text_parser(hint) for name, hint in typing.get_type_hints(Run
 
 def load_config_file(path: str | Path) -> dict:
     """Parse a flat key = value config file; '#' starts a comment."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"config {path}: cannot read file ({exc})") from exc
     out: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -225,7 +229,10 @@ def _write_table(cfg: RunConfig, command: str, name: str, extra: dict, columns: 
         *(f"# {key} = {value}" for key, value in extra.items()),
     ]
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"out-dir {out_dir}: not a usable directory ({exc})") from exc
     path = out_dir / name
     path.write_text("\n".join(header + [columns] + rows) + "\n", newline="\n")
     return path
@@ -483,8 +490,7 @@ def main(argv: list[str] | None = None) -> int:
         _, compute = _COMMANDS[args.command]
         for table in compute(cfg, args):
             print(_write_table(cfg, args.command, *table))
-    except (ValueError, OSError) as exc:
-        # an OSError is an unusable path setting, such as an --out-dir that names a file
+    except ValueError as exc:
         print(f"bispade: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataFormatError as exc:

@@ -71,8 +71,8 @@ _DIFF_STEP = 1e-6
 _CURVE_STEP = 1e-4
 # refinement must beat the best grid point's log-likelihood by more than this
 # relative amount, a few ulps of the sum of count * log p terms; a point within
-# rounding of the grid optimum (as near d = 0, where the model is even in d)
-# does not displace it
+# rounding of the grid optimum (a maximum within about 1e-7 of a grid point,
+# as in one row of the default compare) does not displace it
 _TIE = 1e-15
 
 
@@ -372,9 +372,9 @@ def _fit(obs: np.ndarray, forward, table: _GridTable) -> _Fits:
     information vanish) is replaced by bisection. A row stops once its step
     is below 1e-3 * _REFINE_TOL. Refinement that does not beat the best grid
     point by more than rounding keeps the grid point. A row whose best grid
-    point is d = 0 and whose log-likelihood curves down there,
-    sum_i n_i p_i''(0) / p_i(0) < 0, has its maximum at 0 and stops before
-    the first pass.
+    point is d = 0, whose log-likelihood curves down there,
+    sum_i n_i p_i''(0) / p_i(0) < 0, and that has no count on an outcome
+    dead at 0 has its maximum at 0 and stops before the first pass.
     """
     if table.log_probs.shape[1] != obs.shape[1]:
         raise ValueError("forward model size does not match the counts")
@@ -398,9 +398,11 @@ def _fit(obs: np.ndarray, forward, table: _GridTable) -> _Fits:
     peaked = best == 0
     if np.any(peaked):
         probs, curvature = _calibrated(_evaluate(forward, _GRID[:1], 2), table.calibration)
-        live = probs > LIKELIHOOD_FLOOR
-        ratio = np.divide(curvature, probs, out=np.zeros_like(probs), where=live)
-        peaked &= obs @ ratio[0] < 0.0
+        live = probs[0] > LIKELIHOOD_FLOOR
+        ratio = np.divide(curvature[0], probs[0], out=np.zeros_like(probs[0]), where=live)
+        # a count on an outcome dead at 0 (such as an off-diagonal spade cell)
+        # puts the maximum off 0 however the live outcomes curve
+        peaked &= (obs @ ratio < 0.0) & (obs[:, ~live].sum(axis=1) == 0.0)
     converged[peaked] = True
     active = rows[~peaked]
     for _ in range(_MAX_REFINE_STEPS):

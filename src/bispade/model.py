@@ -184,6 +184,8 @@ def _spade_probs(d: np.ndarray, space: ModeSpace, model: SchmidtModel, renormali
     d<m|n',d>/dd = sqrt(n'/2) <m|n'-1,d> - sqrt((n'+1)/2) <m|n'+1,d>,
     which needs one table column past the largest index of the space.
     """
+    if derivative == 2 and np.any(d != 0.0):
+        raise ValueError("the second derivative is exact only at d = 0")
     k, l = np.array(space.idler).T
     kp, lp = np.array(space.signal).T
     size = int(max(k.max(), kp.max())) + (1 if derivative == 1 else 0)
@@ -307,10 +309,12 @@ def _pixel_probs(d: np.ndarray, grid: PixelGrid, model: SchmidtModel, kind: str,
 
     Returns (probs, slopes), each of shape (len(d), grid.count + 1). slopes
     is None for derivative 0, the first d-derivative for 1, and the second
-    d-derivative at d = 0 for 2. The slope of a component's
-    pixel mass is a difference of Gaussian values at the pixel edges, its
+    d-derivative at d = 0 for 2 (every d must be 0). The slope of a
+    component's pixel mass is a difference of Gaussian values at the pixel edges, its
     second derivative a difference of u exp(-u^2).
     """
+    if derivative == 2 and np.any(d != 0.0):
+        raise ValueError("the second derivative is exact only at d = 0")
     s = _psf_scale(model, kind)
     return _in_blocks(
         lambda block: _pixel_block(block, grid, s, derivative), d, 2 * (grid.count + 1)

@@ -612,10 +612,19 @@ def test_out_dir_naming_a_file_is_a_config_error(tmp_path, capsys, tail):
     out = taken / tail if tail else taken
     assert main(["crlb-curves", "--out-dir", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("bispade: config error: ")
+    assert err.startswith("bispade: config error: out-dir ")
     assert str(out) in err
     assert err.count("\n") == 1
     assert taken.read_text() == "not a directory\n"
+
+
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    argv = ["crlb-curves", "--config", str(missing), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"bispade: config error: config {missing}: cannot read file")
+    assert err.count("\n") == 1
 
 
 def test_failed_run_creates_no_output_directory(tmp_path):

@@ -331,6 +331,12 @@ class TestCurvatureAtZero:
         np.testing.assert_allclose(curvature[0], numeric.ravel(), rtol=0.0, atol=1e-6)
         assert curvature[0, 3] == curvature[0, 29] == 0.0
 
+    def test_is_refused_away_from_zero(self, model015, space7):
+        with pytest.raises(ValueError, match="only at d = 0"):
+            _spade_probs(np.array([0.0, 0.1]), space7, model015, True, 2)
+        with pytest.raises(ValueError, match="only at d = 0"):
+            _pixel_probs(np.array([0.1]), bp.PixelGrid(), model015, "gaussian", 2)
+
     def test_plain_callable_gets_a_second_difference(self, model015, space7):
         exact = _evaluate(bp.spade_forward(model015, space7), np.zeros(1), 2)[1]
         plain = _evaluate(lambda d: bp.prob_matrix(d, space7, model015).entries,
@@ -391,6 +397,23 @@ class TestStopAtZero:
         assert max(passes) == (~stopped).sum()
         for row in np.flatnonzero(stopped)[:2]:
             assert _brute_force_mle(rows[row], forward) == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("renormalize", [True, False])
+    def test_counts_on_cells_dead_at_zero_keep_the_row_refining(
+            self, model015, space7, renormalize):
+        # every off-diagonal cell is 0 at d = 0; at N = 1e7 and d = 0.002 about 60
+        # counts land there, the floored log-likelihood puts the best grid point at
+        # 0 and the diagonal curves down, yet the maximum lies inside the first bracket
+        forward = bp.spade_forward(model015, space7, renormalize)
+        truth = forward(0.002)
+        counts = bp.sample_counts(truth / truth.sum(), 10_000_000, seed=0)
+        obs = counts.counts.ravel()[None, :].astype(float)
+        table = _GridTable.build(forward, None)
+        assert np.argmax(obs @ table.log_probs.T) == 0
+        fits = _fit(obs, forward, table)
+        assert fits.iterations[0] > 0 and fits.converged[0]
+        assert fits.d_hat[0] > 1e-3
+        assert fits.d_hat[0] == pytest.approx(_brute_force_mle(counts, forward), abs=1e-6)
 
     def test_calibrated_spade_row_peaked_at_zero(self, model015, space7):
         forward = bp.spade_forward(model015, space7)

@@ -1,5 +1,6 @@
 """Smoke tests of the experiment scripts, run in-process on a temporary directory."""
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -42,3 +43,23 @@ def test_output_digest_lines(capsys):
                  "matrices/matrix_04.csv", "crlb-curves/crlb_curves.csv", "estimate-help/stdout",
                  "compare-sweep_k51-seed3/compare.csv", "error-negative-seed/stderr"):
         assert name in names
+
+
+def test_bench_runs_every_item_once(tmp_path, monkeypatch, capsys):
+    # one call per timed item and one sweep job: the timings mean nothing, but
+    # every layer entry point the harness calls runs with its current signature
+    bench = _load("bench")
+    def once(fn, samples, calls, unit="us"):
+        fn()
+        return bench._summary([0.0], unit)
+
+    monkeypatch.setattr(bench, "_time", once)
+    monkeypatch.setattr(bench, "SWEEP_JOBS", range(1, 2))
+    out = tmp_path / "bench.json"
+    assert bench.run(["--label", "smoke", "--out", str(out)]) == 0
+    (result,) = json.loads(out.read_text())["runs"]["smoke"]
+    assert len(result["layers"]) == 21 and len(result["end_to_end"]) == 2
+    assert result["environment"]["cpu_count"] >= 1
+    counts = result["counts"]
+    assert counts["direct_passes_per_sweep_k12_job"] > 0
+    assert counts["spade_passes_per_sweep_k12_job"] > 0
