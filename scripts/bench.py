@@ -3,11 +3,11 @@
 
 The layers, bottom up: the overlap table (``overlap._overlap_amplitudes``), the
 forward maps (``model._spade_probs``, ``model._pixel_probs``), the grid table
-(``inference._GridTable.build``), the batched fit (``inference._fit``), the
-multinomial draw (``inference._draw``) and the Monte-Carlo cells
-(``inference._mc_cells``). End to end it times ``bispade.cli.main`` on the
-full default ``compare`` and on an ``estimate --calibrate`` of 29 labeled
-counts files. It also counts the lockstep refinement passes of the
+of a fresh map (``inference._ForwardMap.log_probs``), the batched fit
+(``inference._fit``), the multinomial draw (``inference._draw``) and the
+Monte-Carlo cells (``inference._mc_cells``). End to end it times
+``bispade.cli.main`` on the full default ``compare`` and on an
+``estimate --calibrate`` of 29 labeled counts files. It also counts the lockstep refinement passes of the
 direct-imaging fits in 30 ``compare`` jobs at the benchmark's sweep_k12
 setting.
 
@@ -104,17 +104,17 @@ def layers() -> dict:
                 lambda d=d, kind=kind: model._pixel_probs(d, grid, m, kind, True), 100, calls)
     forwards = {method: inference._method_forward(method, m, space, grid)
                 for method in bp.METHODS}
+    for method in forwards:
+        items[f"inference._ForwardMap.log_probs[{method}]"] = _time(
+            lambda method=method: inference._method_forward(method, m, space, grid).log_probs,
+            40, 2, "ms")
     for method, forward in forwards.items():
-        items[f"inference._GridTable.build[{method}]"] = _time(
-            lambda f=forward: inference._GridTable.build(f, None), 40, 2, "ms")
-    for method, forward in forwards.items():
-        table = inference._GridTable.build(forward, None)
         cell = _draws(forward, [STEP], 48, seed=5)
         sweep = _draws(forward, STEP * np.arange(1, 30, 4), 50, seed=6)
         items[f"inference._fit[{method},48 rows,d=0.0465]"] = _time(
-            lambda f=forward, t=table, o=cell: inference._fit(o, f, t), 40, 1, "ms")
+            lambda f=forward, o=cell: inference._fit(o, f), 40, 1, "ms")
         items[f"inference._fit[{method},400 rows]"] = _time(
-            lambda f=forward, t=table, o=sweep: inference._fit(o, f, t), 20, 1, "ms")
+            lambda f=forward, o=sweep: inference._fit(o, f), 20, 1, "ms")
     weights = forwards["spade"](0.3).ravel()
     weights = weights / weights.sum()
     items["inference._draw[49 outcomes]"] = _time(
@@ -165,22 +165,23 @@ def end_to_end(root: Path) -> dict:
 
 
 def direct_passes(root: Path) -> dict:
-    # lockstep passes: calls of _evaluate for a first derivative, made by _fit
-    # once per pass; a pixel map has 1-D outcomes, a mode-space map 2-D ones
+    # lockstep passes of each _fit call: every pass adds one iteration to each row
+    # still refining, so the passes are the most iterations of any row; a pixel
+    # map has 1-D outcomes, a mode-space map 2-D ones
     passes = {"direct": 0, "spade": 0}
-    evaluate = inference._evaluate
+    fit = inference._fit
 
-    def counting(forward, d, derivative):
-        if derivative == 1:
-            passes["direct" if len(forward.shape) == 1 else "spade"] += 1
-        return evaluate(forward, d, derivative)
+    def counting(obs, forward):
+        fits = fit(obs, forward)
+        passes["direct" if len(forward.shape) == 1 else "spade"] += int(fits.iterations.max())
+        return fits
 
-    inference._evaluate = counting
+    inference._fit = counting
     try:
         for seed in SWEEP_JOBS:
             _run([*SWEEP, "--seed", str(seed), "--out-dir", str(root / "sweep")])
     finally:
-        inference._evaluate = evaluate
+        inference._fit = fit
     jobs = len(SWEEP_JOBS)
     return {f"{name}_passes_per_sweep_k12_job": count / jobs for name, count in passes.items()}
 

@@ -20,6 +20,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -54,7 +55,7 @@ def _write_inputs(directory: Path) -> list[Path]:
     return files
 
 
-def _runs(paths: list[Path]) -> dict[str, list[str]]:
+def _runs(paths: list[Path], nan_label: Path) -> dict[str, list[str]]:
     # run name -> argv; every run but --help and --version gets its own --out-dir
     files = list(map(str, paths))
     runs = {"help": ["--help"], "version": ["--version"]}
@@ -84,6 +85,7 @@ def _runs(paths: list[Path]) -> dict[str, list[str]]:
         "negative-seed": ["compare", "--seed", "-1"],
         "infinite-pump-waist": ["crlb-curves", "--pump-waist-um", "inf",
                                 "--crystal-length-mm", "2", "--pump-wavelength-nm", "405"],
+        "nan-separation-label": ["estimate", str(nan_label), "--calibrate"],
     }
     runs.update({f"error-{name}": argv for name, argv in errors.items()})
     return runs
@@ -105,9 +107,13 @@ def digest_lines() -> list[str]:
         inputs = _write_inputs(root / "inputs")
         for path in inputs:
             lines.append(f"inputs/{path.name} {_sha(clean(path.read_text()))}")
+        # the first input labelled nan; derived from a listed input, it gets no line
+        nan_label = root / "nan_label.csv"
+        nan_label.write_text(re.sub(r"^# separation = .*$", "# separation = nan",
+                                    inputs[0].read_text(), flags=re.MULTILINE))
         # argparse wraps help to the terminal width it reads from COLUMNS
         with mock.patch.dict(os.environ, COLUMNS="80"):
-            for name, argv in _runs(inputs).items():
+            for name, argv in _runs(inputs, nan_label).items():
                 out_dir = root / name
                 stdout, stderr = io.StringIO(), io.StringIO()
                 if argv[-1] not in ("--help", "--version"):

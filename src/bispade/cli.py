@@ -25,7 +25,6 @@ from .inference import (
     PARAMETERIZATION,
     CountMatrix,
     _fit,
-    _GridTable,
     _mc_cells,
     _method_forward,
     crlb,
@@ -267,7 +266,7 @@ def read_counts_file(path: str | Path, space: ModeSpace) -> CountMatrix:
     """Parse a long-format counts file into a CountMatrix over the given mode space.
 
     Rows may come in any order, but every (idler, signal) pair of the space
-    needs exactly one. '#' lines are skipped, except '# separation = <d>'.
+    needs exactly one. '#' lines are skipped, except '# separation = <d>', d finite.
     """
     path = Path(path)
     try:
@@ -289,10 +288,12 @@ def read_counts_file(path: str | Path, space: ModeSpace) -> CountMatrix:
             if equals and name.strip() == "separation":
                 try:
                     separation = float(value)
-                except ValueError as exc:
+                except ValueError:
+                    separation = math.nan
+                if not math.isfinite(separation):
                     raise DataFormatError(
                         f"{path}:{lineno}: bad separation value {value.strip()!r}"
-                    ) from exc
+                    )
             continue
         tokens = [tok.strip() for tok in line.split(",")]
         if not line or tokens[0] == "k_idler":
@@ -380,7 +381,7 @@ def cmd_estimate(cfg: RunConfig, args: argparse.Namespace) -> list[tuple]:
     crlbs = [crlb(model.schmidt_number, cm.total) for _, cm in datasets]
     obs = np.stack([cm.counts.ravel() for _, cm in datasets]).astype(float)
     try:
-        fits = _fit(obs, forward, _GridTable.build(forward, calibration))
+        fits = _fit(obs, forward.calibrated(calibration))
     except NumericalError as exc:
         rows = [f"{label},nan,nan,nan,nan,error:{exc}" for label in labels]
     else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -87,8 +88,8 @@ class CountMatrix:
     def __post_init__(self):
         counts = np.asarray(self.counts)
         if not np.issubdtype(counts.dtype, np.integer):
-            if not np.all(counts == np.floor(counts)):
-                raise ValueError("counts must be integers")
+            if not np.all(np.isfinite(counts) & (counts == np.floor(counts))):
+                raise ValueError("counts must be finite integers")
             counts = counts.astype(np.int64)
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
@@ -102,7 +103,7 @@ class CountMatrix:
     @classmethod
     def from_counts(cls, counts, separation: float | None = None) -> "CountMatrix":
         counts = np.asarray(counts)
-        return cls(counts=counts, total=int(counts.sum()), separation=separation)
+        return cls(counts=counts, total=counts.sum(), separation=separation)
 
 
 @dataclass(frozen=True)
@@ -292,7 +293,7 @@ def mle_estimate(
     independent and dropped.
     """
     obs = counts.counts.ravel()[None, :].astype(float)
-    fits = _fit(obs, forward, _GridTable.build(forward, calibration))
+    fits = _fit(obs, _as_map(forward).calibrated(calibration))
     d_hat = float(fits.d_hat[0])
     return EstimationResult(
         d_hat=d_hat,
@@ -302,47 +303,6 @@ def mle_estimate(
         converged=bool(fits.converged[0]),
         flags=fits.flags(0),
     )
-
-
-class _GridTable(NamedTuple):
-    """Log-probabilities of one forward map (with its calibration) on the search grid."""
-
-    log_probs: np.ndarray  # (grid points, outcomes)
-    calibration: CalibrationModel | None
-
-    @classmethod
-    def build(cls, forward, calibration) -> "_GridTable":
-        probs, _ = _calibrated(_evaluate(forward, _GRID, derivative=False), calibration)
-        return cls(np.log(np.maximum(probs, LIKELIHOOD_FLOOR)), calibration)
-
-
-def _evaluate(forward, d: np.ndarray, derivative: int):
-    # (probabilities, d-derivatives or None) at each separation of d, outcomes flattened;
-    # derivative 0 (False) gives none, 1 (True) the first, 2 the second at d = 0
-    if isinstance(forward, _ForwardMap):
-        probs, slopes = forward.batch(d, derivative)
-        return probs.reshape(len(d), -1), None if slopes is None else slopes.reshape(len(d), -1)
-
-    def at(shift):
-        return np.stack([np.asarray(forward(float(x)), dtype=float).ravel() for x in d + shift])
-
-    probs = at(0.0)
-    if not derivative:
-        return probs, None
-    if derivative == 2:
-        return probs, (at(_CURVE_STEP) - 2.0 * probs + at(-_CURVE_STEP)) / _CURVE_STEP**2
-    return probs, (at(_DIFF_STEP) - at(-_DIFF_STEP)) / (2.0 * _DIFF_STEP)
-
-
-def _calibrated(evaluated, calibration: CalibrationModel | None):
-    # apply_calibration's map on (probabilities, derivatives) rows; the quotient rule of
-    # the first derivative also maps a second derivative where the first vanishes
-    probs, slopes = evaluated
-    if calibration is None:
-        return probs, slopes
-    if calibration.alpha.size != probs.shape[1]:
-        raise ValueError("calibration shape does not match the counts")
-    return _calibrate_rows(probs, slopes, calibration)[:2]
 
 
 class _Fits(NamedTuple):
@@ -360,10 +320,10 @@ class _Fits(NamedTuple):
         return tuple(name for name, hit in named if hit)
 
 
-def _fit(obs: np.ndarray, forward, table: _GridTable) -> _Fits:
+def _fit(obs: np.ndarray, forward: _ForwardMap) -> _Fits:
     """Maximum-likelihood separations of every row of the (rows x outcomes) count matrix.
 
-    One matmul scores all rows on the grid table. Every row then refines in
+    One matmul scores all rows on the grid table of forward. Every row then refines in
     lockstep by Fisher scoring, d += score / information, started at its best
     grid point and kept inside the bracket of that point's grid neighbours;
     the bracket shrinks to the side the score points to. A step that would
@@ -376,9 +336,9 @@ def _fit(obs: np.ndarray, forward, table: _GridTable) -> _Fits:
     sum_i n_i p_i''(0) / p_i(0) < 0, and that has no count on an outcome
     dead at 0 has its maximum at 0 and stops before the first pass.
     """
-    if table.log_probs.shape[1] != obs.shape[1]:
+    if forward.log_probs.shape[1] != obs.shape[1]:
         raise ValueError("forward model size does not match the counts")
-    scores = obs @ table.log_probs.T
+    scores = obs @ forward.log_probs.T
     if not np.all(np.isfinite(scores)):
         raise NumericalError("non-finite log-likelihood on the search grid")
     rows = np.arange(len(obs))
@@ -397,7 +357,7 @@ def _fit(obs: np.ndarray, forward, table: _GridTable) -> _Fits:
     photons = obs.sum(axis=1)
     peaked = best == 0
     if np.any(peaked):
-        probs, curvature = _calibrated(_evaluate(forward, _GRID[:1], 2), table.calibration)
+        probs, curvature = forward.batch(_GRID[:1], 2)
         live = probs[0] > LIKELIHOOD_FLOOR
         ratio = np.divide(curvature[0], probs[0], out=np.zeros_like(probs[0]), where=live)
         # a count on an outcome dead at 0 (such as an off-diagonal spade cell)
@@ -409,7 +369,7 @@ def _fit(obs: np.ndarray, forward, table: _GridTable) -> _Fits:
         if not active.size:
             break
         at = x[active]
-        probs, slopes = _calibrated(_evaluate(forward, at, derivative=True), table.calibration)
+        probs, slopes = forward.batch(at, True)
         counts = obs[active]
         live = probs > LIKELIHOOD_FLOOR
         ratio = np.divide(slopes, probs, out=np.zeros_like(probs), where=live)
@@ -462,7 +422,7 @@ def fit_calibration(
     shape = datasets[0][1].counts.shape
     if any(cm.counts.shape != shape for _, cm in datasets):
         raise ValueError("datasets must share a counts shape")
-    x, _ = _evaluate(forward, np.array(seps), derivative=False)
+    x, _ = _as_map(forward).batch(np.array(seps), False)
     y = np.stack([cm.counts.ravel() / cm.total for _, cm in datasets])
     x_mean = x.mean(axis=0)
     y_mean = y.mean(axis=0)
@@ -482,11 +442,12 @@ def fit_calibration(
 class _ForwardMap:
     """d -> outcome probabilities, at one separation or at an array of them.
 
-    Called with separations of any shape, it returns the stacked arrays of one
-    vectorized pass, of shape np.shape(d) + shape. batch(d, derivative) takes
-    a 1-D array of separations and returns (probabilities, exact d-derivatives
-    or None), stacked alike: none for derivative 0, the first for 1, and the
-    second at d = 0 for 2.
+    The one model object a fit reads. Called with separations of any shape, it
+    returns the stacked arrays of one vectorized pass, of shape
+    np.shape(d) + shape. batch(d, derivative) takes a 1-D array of separations
+    and returns (probabilities, d-derivatives or None) as (separations x
+    outcomes) rows: none for derivative 0, the first for 1, and the second at
+    d = 0 for 2.
     """
 
     batch: Callable
@@ -497,15 +458,61 @@ class _ForwardMap:
         probs, _ = self.batch(d.ravel(), False)
         return probs.reshape(d.shape + self.shape)
 
+    @cached_property
+    def log_probs(self) -> np.ndarray:
+        """(grid points, outcomes) log-probabilities on the search grid, floored."""
+        probs, _ = self.batch(_GRID, False)
+        return np.log(np.maximum(probs, LIKELIHOOD_FLOOR))
+
+    def calibrated(self, calibration: CalibrationModel | None) -> _ForwardMap:
+        """This map followed by apply_calibration's map (this map itself for None).
+
+        The quotient rule of the first derivative also maps a second
+        derivative where the first vanishes.
+        """
+        if calibration is None:
+            return self
+
+        def batch(d, derivative):
+            probs, slopes = self.batch(d, derivative)
+            if calibration.alpha.size != probs.shape[1]:
+                raise ValueError("calibration shape does not match the counts")
+            return _calibrate_rows(probs, slopes, calibration)[:2]
+
+        return _ForwardMap(batch, self.shape)
+
+
+def _as_map(forward) -> _ForwardMap:
+    # forward itself if it is a map; a plain callable becomes a map of one scalar call
+    # per separation, its outcomes flattened (shape (-1,)), with central-difference
+    # derivatives
+    if isinstance(forward, _ForwardMap):
+        return forward
+
+    def at(d):
+        return np.stack([np.asarray(forward(float(x)), dtype=float).ravel() for x in d])
+
+    def batch(d, derivative):
+        probs = at(d)
+        if not derivative:
+            return probs, None
+        if derivative == 2:
+            return probs, (at(d + _CURVE_STEP) - 2.0 * probs + at(d - _CURVE_STEP)) / _CURVE_STEP**2
+        return probs, (at(d + _DIFF_STEP) - at(d - _DIFF_STEP)) / (2.0 * _DIFF_STEP)
+
+    return _ForwardMap(batch, (-1,))
+
 
 def spade_forward(
     model: SchmidtModel, space: ModeSpace, renormalize: bool = True
 ) -> Callable[[float], np.ndarray]:
     """Forward map d -> coincidence probability matrix entries (d scalar or array)."""
-    return _ForwardMap(
-        lambda d, derivative: _spade_probs(d, space, model, renormalize, derivative)[:2],
-        space.shape,
-    )
+
+    def batch(d, derivative):
+        entries, slopes, _ = _spade_probs(d, space, model, renormalize, derivative)
+        return entries.reshape(len(d), -1), None if slopes is None else slopes.reshape(len(d), -1)
+
+    return _ForwardMap(batch, space.shape)
 
 
 def direct_forward(
@@ -558,7 +565,7 @@ def mc_standard_error(
         model = SchmidtModel.from_gamma(gamma)
     if forward is None:
         forward = _method_forward(method, model, ModeSpace.grid(), PixelGrid())
-    return _mc_cells(method, n_photons, [d], trials, [seed], forward)[0]
+    return _mc_cells(method, n_photons, [d], trials, [seed], _as_map(forward))[0]
 
 
 def _mc_cells(method, n_photons, seps, trials, cell_seeds, forward) -> list[MonteCarloResult]:
@@ -574,9 +581,8 @@ def _mc_cells(method, n_photons, seps, trials, cell_seeds, forward) -> list[Mont
     """
     if n_photons < 0:
         raise ValueError("n_photons must be non-negative")
-    table = _GridTable.build(forward, None)
     seps = np.asarray(seps, dtype=float)
-    truths, _ = _evaluate(forward, seps, derivative=False)
+    truths, _ = forward.batch(seps, False)
     weights = [_normalized(truth) for truth in truths]
     cells_per_fit = max(1, _FIT_ROWS // trials)
     results = []
@@ -589,7 +595,7 @@ def _mc_cells(method, n_photons, seps, trials, cell_seeds, forward) -> list[Mont
         )
         if np.any(obs < 0.0) or np.any(obs.sum(axis=1) != n_photons):
             raise NumericalError(f"multinomial draw does not hold {n_photons} non-negative counts")
-        fits = _fit(obs, forward, table)
+        fits = _fit(obs, forward)
         for i, c in enumerate(cells):
             trial_rows = slice(i * trials, (i + 1) * trials)
             estimates = 2.0 * fits.d_hat[trial_rows]

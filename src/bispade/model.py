@@ -143,24 +143,14 @@ def coincidence_prob(k: int, l: int, kp: int, lp: int, d: float, model: SchmidtM
 
 
 def small_sep_prob(k: int, l: int, kp: int, lp: int, d: float, model: SchmidtModel) -> float:
-    """Quadratic-in-d approximation of coincidence_prob.
+    """Quadratic-in-d approximation of coincidence_prob: p(0) + d^2 p''(0) / 2.
 
     Only the diagonal and first-neighbour k terms survive at this order; the
     absolute error against the exact probability is O(d^4).
     """
-    if min(k, l, kp, lp) < 0:
-        raise ValueError("mode indices must be non-negative")
-    if l != lp:
-        return 0.0
-    c = schmidt_coeff(kp, l, model.gamma)
-    c2 = c * c
-    if k == kp:
-        return c2 * (1.0 - 0.5 * d * d * (2 * kp + 1))
-    if k == kp - 1:
-        return c2 * 0.5 * d * d * kp
-    if k == kp + 1:
-        return c2 * 0.5 * d * d * (kp + 1)
-    return 0.0
+    space = ModeSpace(idler=((k, l),), signal=((kp, lp),))
+    entries, curvature, _ = _spade_probs(np.zeros(1), space, model, False, 2)
+    return float(entries[0, 0, 0] + 0.5 * d * d * curvature[0, 0, 0])
 
 
 def _in_blocks(evaluate, d: np.ndarray, row_cells: int):
@@ -214,8 +204,9 @@ def _spade_block(d, k, l, kp, lp, size, model, renormalize, derivative):
         up = np.sqrt(0.5 * (kp + 1.0)) * cells(kp + 1)
         slopes = 2.0 * weight * a * (down - up)
     elif derivative == 2:
-        # the d^2 coefficients of small_sep_prob, doubled; with zero first
-        # derivatives the renormalization below keeps the slope's quotient rule
+        # p''(0) of |<k|k',d>|^2: -(2k'+1) on the diagonal, k' for k = k'-1 and
+        # k'+1 for k = k'+1; with zero first derivatives the renormalization
+        # below keeps the slope's quotient rule
         gap = k[:, None] - kp[None, :]
         curvature = weight * np.select([gap == 0, gap == -1, gap == 1],
                                        [-2.0 * kp - 1.0, kp, kp + 1.0])

@@ -278,6 +278,14 @@ class TestCountsIo:
         with pytest.raises(DataFormatError, match="neg.csv:1: negative count"):
             read_counts_file(path, space7)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_separation_rejected(self, tmp_path, space7, value):
+        rows, _ = self._rows(space7)
+        path = tmp_path / "label.csv"
+        path.write_text("\n".join([f"# separation = {value}"] + rows) + "\n")
+        with pytest.raises(DataFormatError, match=f"label.csv:1: bad separation value '{value}'"):
+            read_counts_file(path, space7)
+
     def _rows(self, space):
         # the data rows of a counts file over space with distinct counts, and its matrix
         counts = np.arange(space.shape[0] * space.shape[1]).reshape(space.shape) + 10
@@ -393,6 +401,19 @@ class TestEstimate:
         ])
         assert code == EXIT_DATA
         assert "u.csv" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_label_is_a_data_error(self, tmp_path, capsys, value):
+        # a calibration fed the label would fail numerically instead
+        space = bp.ModeSpace.grid()
+        counts = np.ones(space.shape, dtype=np.int64)
+        files = [write_counts_file(tmp_path / f"{name}.csv", space, counts, separation=d)
+                 for name, d in (("a", 0.1), ("b", 0.2), ("bad", float(value)))]
+        code = main(["estimate", *map(str, files), "--calibrate",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert f"bad.csv:1: bad separation value '{value}'" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import bispade as bp
-from bispade import inference
-from bispade.inference import _calibrated, _evaluate, _fit, _GridTable
+from bispade.inference import _as_map, _fit, _ForwardMap
 from bispade.model import _pixel_probs, _spade_probs
 
 gammas = st.floats(0.05, 3.0)
@@ -26,6 +25,11 @@ class TestCountMatrix:
     def test_rejects_fractional(self):
         with pytest.raises(ValueError):
             bp.CountMatrix.from_counts(np.array([1.5, 2.0]))
+
+    @pytest.mark.parametrize("count", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, count):
+        with pytest.raises(ValueError, match="finite integers"):
+            bp.CountMatrix.from_counts(np.array([count, 1.0]))
 
     def test_rejects_total_mismatch(self):
         with pytest.raises(ValueError):
@@ -237,13 +241,15 @@ class TestForwardMaps:
                              signal=((1, 0), (3, 1), (0, 0), (9, 1), (6, 0)))
         forward = bp.spade_forward(model015, space, renormalize=renormalize)
         probs, slopes = forward.batch(_SEPARATIONS, derivative=True)
+        # one row of outcomes per separation
+        assert probs.shape == slopes.shape == (len(_SEPARATIONS), 20)
         for d, p, slope in zip(_SEPARATIONS, probs, slopes):
             single = bp.prob_matrix(d, space, model015, renormalize).entries
-            np.testing.assert_array_equal(p, single)
+            np.testing.assert_array_equal(p, single.ravel())
             numeric = _central_difference(
                 lambda x: bp.prob_matrix(x, space, model015, renormalize).entries, d
             )
-            np.testing.assert_allclose(slope, numeric, rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(slope, numeric.ravel(), rtol=0.0, atol=1e-9)
         # the model is even in d, so the slope vanishes at d = 0
         assert np.all(slopes[0] == 0.0)
 
@@ -252,6 +258,7 @@ class TestForwardMaps:
         grid = bp.PixelGrid()
         forward = bp.direct_forward(model015, grid, kind)
         probs, slopes = forward.batch(_SEPARATIONS, derivative=True)
+        assert probs.shape == slopes.shape == (len(_SEPARATIONS), grid.count + 1)
         for d, p, slope in zip(_SEPARATIONS, probs, slopes):
             np.testing.assert_array_equal(p, bp.pixel_probs(d, grid, model015, kind))
             numeric = _central_difference(lambda x: bp.pixel_probs(x, grid, model015, kind), d)
@@ -322,7 +329,7 @@ class TestCurvatureAtZero:
         alpha[0, 3] = beta[0, 3] = alpha[4, 1] = beta[4, 1] = 0.0  # outcomes mapped to zero
         cal = bp.CalibrationModel(alpha=alpha, beta=beta)
         forward = bp.spade_forward(model015, space7)
-        probs, curvature = _calibrated(_evaluate(forward, np.zeros(1), 2), cal)
+        probs, curvature = forward.calibrated(cal).batch(np.zeros(1), 2)
         np.testing.assert_array_equal(
             probs[0], bp.apply_calibration(bp.prob_matrix(0.0, space7, model015), cal)
             .entries.ravel())
@@ -338,9 +345,9 @@ class TestCurvatureAtZero:
             _pixel_probs(np.array([0.1]), bp.PixelGrid(), model015, "gaussian", 2)
 
     def test_plain_callable_gets_a_second_difference(self, model015, space7):
-        exact = _evaluate(bp.spade_forward(model015, space7), np.zeros(1), 2)[1]
-        plain = _evaluate(lambda d: bp.prob_matrix(d, space7, model015).entries,
-                          np.zeros(1), 2)[1]
+        exact = bp.spade_forward(model015, space7).batch(np.zeros(1), 2)[1]
+        plain = _as_map(lambda d: bp.prob_matrix(d, space7, model015).entries).batch(
+            np.zeros(1), 2)[1]
         np.testing.assert_allclose(plain, exact, rtol=0.0, atol=1e-6)
         assert np.abs(exact).max() > 0.1
 
@@ -366,33 +373,30 @@ def _brute_force_mle(counts, forward, calibration=None):
 
 class TestStopAtZero:
     @staticmethod
-    def _counting_passes(monkeypatch):
-        # _fit evaluates the first derivative once per lockstep refinement pass
+    def _counting_passes(forward):
+        # forward, counting its first-derivative evaluations: _fit makes one per
+        # lockstep refinement pass, over the rows still active
         passes = []
-        evaluate = inference._evaluate
 
-        def counting(forward, d, derivative):
+        def batch(d, derivative):
             if derivative == 1:
                 passes.append(len(d))
-            return evaluate(forward, d, derivative)
+            return forward.batch(d, derivative)
 
-        monkeypatch.setattr(inference, "_evaluate", counting)
-        return passes
+        return _ForwardMap(batch, forward.shape), passes
 
     @pytest.mark.parametrize("kind", ["gaussian", "spdc"])
-    def test_rows_peaked_at_zero_stop_and_match_the_oracle(self, model015, kind, monkeypatch):
-        forward = bp.direct_forward(model015, bp.PixelGrid(), kind)
+    def test_rows_peaked_at_zero_stop_and_match_the_oracle(self, model015, kind):
+        forward, passes = self._counting_passes(bp.direct_forward(model015, bp.PixelGrid(), kind))
         truth = forward(0.0465)
         rows = [bp.sample_counts(truth, 37_000, bp.trial_seed(0, t)) for t in range(48)]
         obs = np.array([cm.counts for cm in rows], dtype=float)
-        table = _GridTable.build(forward, None)
-        passes = self._counting_passes(monkeypatch)
-        fits = _fit(obs, forward, table)
+        fits = _fit(obs, forward)
         stopped = fits.iterations == 0
         assert 0 < stopped.sum() < len(obs)
         assert np.all(fits.d_hat[stopped] == 0.0) and np.all(fits.converged[stopped])
         np.testing.assert_array_equal(fits.log_likelihood[stopped],
-                                      (obs @ table.log_probs.T)[stopped, 0])
+                                      (obs @ forward.log_probs.T)[stopped, 0])
         # a pass refines only the rows still active: never a stopped one
         assert max(passes) == (~stopped).sum()
         for row in np.flatnonzero(stopped)[:2]:
@@ -408,9 +412,8 @@ class TestStopAtZero:
         truth = forward(0.002)
         counts = bp.sample_counts(truth / truth.sum(), 10_000_000, seed=0)
         obs = counts.counts.ravel()[None, :].astype(float)
-        table = _GridTable.build(forward, None)
-        assert np.argmax(obs @ table.log_probs.T) == 0
-        fits = _fit(obs, forward, table)
+        assert np.argmax(obs @ forward.log_probs.T) == 0
+        fits = _fit(obs, forward)
         assert fits.iterations[0] > 0 and fits.converged[0]
         assert fits.d_hat[0] > 1e-3
         assert fits.d_hat[0] == pytest.approx(_brute_force_mle(counts, forward), abs=1e-6)
@@ -429,11 +432,13 @@ class TestStopAtZero:
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("method", ["direct_gaussian", "direct_spdc"])
-    def test_direct_cell_near_zero_takes_few_passes(self, model015, method, seed, monkeypatch):
+    def test_direct_cell_near_zero_takes_few_passes(self, model015, method, seed):
         # a direct-imaging cell at the first sweep separation: without the stop,
         # rows peaked at 0 bisect about 20 passes toward it
-        passes = self._counting_passes(monkeypatch)
-        bp.mc_standard_error(method, 0.15, 37_000, 0.0465, 48, seed, model=model015)
+        forward, passes = self._counting_passes(
+            bp.direct_forward(model015, bp.PixelGrid(), method.removeprefix("direct_")))
+        bp.mc_standard_error(method, 0.15, 37_000, 0.0465, 48, seed, forward=forward,
+                             model=model015)
         assert len(passes) <= 8
 
 
@@ -493,6 +498,14 @@ class TestMleEstimate:
         exact = bp.mle_estimate(counts, forward)
         plain = bp.mle_estimate(counts, lambda d: bp.prob_matrix(d, space7, model015).entries)
         assert plain.d_hat == pytest.approx(exact.d_hat, abs=1e-8)
+
+    def test_grid_table_is_built_once_per_map(self, model015, space7):
+        forward = bp.spade_forward(model015, space7)
+        counts = bp.sample_counts(forward(0.4), 37_000, seed=29)
+        first = bp.mle_estimate(counts, forward)
+        table = forward.log_probs
+        assert bp.mle_estimate(counts, forward) == first
+        assert forward.log_probs is table
 
     @pytest.mark.parametrize("method", bp.METHODS)
     def test_batched_cell_equals_single_fits(self, model015, space7, method):

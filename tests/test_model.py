@@ -159,6 +159,18 @@ class TestSmallSepProb:
         slope = np.polyfit(np.log(ds), np.log(rel), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 
+    def test_azimuthal_mismatch_is_zero(self, model015):
+        # only the x axis is displaced, so l != l' is forbidden at every order
+        for k, kp in ((0, 0), (1, 0), (2, 3)):
+            assert small_sep_prob(k, 0, kp, 1, 0.3, model015) == 0.0
+            assert small_sep_prob(k, 2, kp, 1, 0.3, model015) == 0.0
+
+    @pytest.mark.parametrize("indices", [(-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0),
+                                         (0, 0, 0, -1)])
+    def test_negative_index_rejected(self, model015, indices):
+        with pytest.raises(ValueError, match="non-negative"):
+            small_sep_prob(*indices, 0.1, model015)
+
 
 class TestProbMatrix:
     def test_zero_separation_diagonal(self, model015, space7):

@@ -1,4 +1,5 @@
 """Smoke tests of the experiment scripts, run in-process on a temporary directory."""
+import hashlib
 import importlib.util
 import json
 import re
@@ -43,6 +44,9 @@ def test_output_digest_lines(capsys):
                  "matrices/matrix_04.csv", "crlb-curves/crlb_curves.csv", "estimate-help/stdout",
                  "compare-sweep_k51-seed3/compare.csv", "error-negative-seed/stderr"):
         assert name in names
+    # a nan separation label is a data error: exit code 2
+    exit_two = hashlib.sha256(b"2").hexdigest()
+    assert f"error-nan-separation-label/exit {exit_two}" in lines
 
 
 def test_bench_runs_every_item_once(tmp_path, monkeypatch, capsys):
