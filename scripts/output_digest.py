@@ -86,6 +86,7 @@ def _runs(paths: list[Path], nan_label: Path) -> dict[str, list[str]]:
         "infinite-pump-waist": ["crlb-curves", "--pump-waist-um", "inf",
                                 "--crystal-length-mm", "2", "--pump-wavelength-nm", "405"],
         "nan-separation-label": ["estimate", str(nan_label), "--calibrate"],
+        "estimate-numerical": ["estimate", files[0], "--gamma", "1e-7"],
     }
     runs.update({f"error-{name}": argv for name, argv in errors.items()})
     return runs

@@ -27,6 +27,7 @@ from .inference import (
     _fit,
     _mc_cells,
     _method_forward,
+    _sub_seed,
     crlb,
     fit_calibration,
     spade_forward,
@@ -319,7 +320,7 @@ def read_counts_file(path: str | Path, space: ModeSpace) -> CountMatrix:
             f"{path}: {len(missing)} mode tuples of the {configured} have no row, the first "
             f"{space.idler[i] + space.signal[j]}"
         )
-    return CountMatrix.from_counts(counts, separation)
+    return CountMatrix(counts, separation)
 
 
 def cmd_crlb_curves(cfg: RunConfig, args: argparse.Namespace) -> list[tuple]:
@@ -377,21 +378,14 @@ def cmd_estimate(cfg: RunConfig, args: argparse.Namespace) -> list[tuple]:
                 f"missing in: {', '.join(missing)}"
             )
         calibration = fit_calibration(labeled, forward)
-    labels = ["" if cm.separation is None else _fmt(cm.separation) for _, cm in datasets]
-    crlbs = [crlb(model.schmidt_number, cm.total) for _, cm in datasets]
     obs = np.stack([cm.counts.ravel() for _, cm in datasets]).astype(float)
-    try:
-        fits = _fit(obs, forward.calibrated(calibration))
-    except NumericalError as exc:
-        rows = [f"{label},nan,nan,nan,nan,error:{exc}" for label in labels]
-    else:
-        rows = [
-            f"{label},{_fmt(d_hat)},{_fmt(2.0 * d_hat)},{_fmt(loglik)},{_fmt(bound)},"
-            + (";".join(fits.flags(i)) or "ok")
-            for i, (label, d_hat, loglik, bound) in enumerate(
-                zip(labels, fits.d_hat, fits.log_likelihood, crlbs)
-            )
-        ]
+    fits = _fit(obs, forward.calibrated(calibration))
+    rows = []
+    for i, (_, cm) in enumerate(datasets):
+        label = "" if cm.separation is None else _fmt(cm.separation)
+        d_hat, bound = fits.d_hat[i], crlb(model.schmidt_number, cm.total)
+        rows.append(f"{label},{_fmt(d_hat)},{_fmt(2.0 * d_hat)},{_fmt(fits.log_likelihood[i])},"
+                    f"{_fmt(bound)},{';'.join(fits.flags(i)) or 'ok'}")
     extra = {
         "calibrate": cfg.calibrate,
         "files": len(datasets),
@@ -401,21 +395,17 @@ def cmd_estimate(cfg: RunConfig, args: argparse.Namespace) -> list[tuple]:
     return [("estimates.csv", extra, "label,d_hat,delta_hat,log_likelihood,crlb,flags", rows)]
 
 
-def _cell_seed(seed: int, method_index: int, sep_index: int) -> int:
-    # master seed of one compare cell; its trials take trial_seed sub-seeds of it
-    return int(np.random.SeedSequence((seed, method_index, sep_index)).generate_state(1)[0])
-
-
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> list[tuple]:
     """Monte-Carlo standard errors for spade vs direct imaging over the grid."""
     seps = cfg.separations(0.0, 1.35, 0.0465)
     model = SchmidtModel.from_gamma(cfg.resolved_gamma())
     space = cfg.mode_space()
     grid = PixelGrid()
+    # each cell's master seed; its trials take trial_seed sub-seeds of it
     by_method = [
         _mc_cells(
             method, cfg.photons, seps, cfg.trials,
-            [_cell_seed(cfg.seed, method_index, sep_index) for sep_index in range(len(seps))],
+            [_sub_seed(cfg.seed, method_index, sep_index) for sep_index in range(len(seps))],
             _method_forward(method, model, space, grid),
         )
         for method_index, method in enumerate(METHODS)

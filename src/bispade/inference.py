@@ -11,7 +11,7 @@ to rule out silent factor-of-4 mistakes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
@@ -27,7 +27,7 @@ from .model import (
     _pixel_probs,
     _spade_probs,
 )
-from .source import SchmidtModel, coefficient_ratio, schmidt_coeff
+from .source import SchmidtModel, _is_integer, coefficient_ratio, schmidt_coeff
 
 __all__ = [
     "PARAMETERIZATION",
@@ -79,11 +79,11 @@ _TIE = 1e-15
 
 @dataclass(frozen=True)
 class CountMatrix:
-    """Observed or simulated photon counts over a mode space or pixel grid."""
+    """Observed or simulated photon counts over a mode space or pixel grid; total is their sum."""
 
     counts: np.ndarray
-    total: int
     separation: float | None = None
+    total: int = field(init=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
@@ -93,17 +93,8 @@ class CountMatrix:
             counts = counts.astype(np.int64)
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
-        if int(counts.sum()) != int(self.total):
-            raise ValueError(
-                f"counts sum {int(counts.sum())} does not match declared total {self.total}"
-            )
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", int(self.total))
-
-    @classmethod
-    def from_counts(cls, counts, separation: float | None = None) -> "CountMatrix":
-        counts = np.asarray(counts)
-        return cls(counts=counts, total=counts.sum(), separation=separation)
+        object.__setattr__(self, "total", int(counts.sum()))
 
 
 @dataclass(frozen=True)
@@ -112,8 +103,6 @@ class FisherReport:
 
     contributions: np.ndarray
     total: float
-    d: float
-    step: float
     skipped: tuple[int, ...] = ()
     parameterization: str = PARAMETERIZATION
 
@@ -173,8 +162,6 @@ def fisher_numeric(
     return FisherReport(
         contributions=contributions,
         total=float(contributions.sum()),
-        d=float(d),
-        step=float(step),
         skipped=tuple(int(i) for i in np.flatnonzero(~keep)),
     )
 
@@ -242,18 +229,16 @@ def sample_counts(probabilities, n_photons: int, seed) -> CountMatrix:
     Bit-reproducible for a given seed; the input must already be normalized
     (sum within 1e-9 of one).
     """
-    if isinstance(probabilities, ProbabilityMatrix):
-        p = probabilities.entries
-        separation = probabilities.d
-    else:
-        p = np.asarray(probabilities, dtype=float)
-        separation = None
-    if n_photons < 0:
-        raise ValueError("n_photons must be non-negative")
-    draw = _draw(_normalized(p.ravel()), n_photons, seed)
-    return CountMatrix(
-        counts=draw.reshape(p.shape), total=int(n_photons), separation=separation
-    )
+    matrix = isinstance(probabilities, ProbabilityMatrix)
+    p = probabilities.entries if matrix else np.asarray(probabilities, dtype=float)
+    _check_photons(n_photons)
+    draw = _checked_draws(_draw(_normalized(p.ravel()), n_photons, seed), n_photons)
+    return CountMatrix(draw.reshape(p.shape), probabilities.d if matrix else None)
+
+
+def _check_photons(n_photons) -> None:
+    if not (_is_integer(n_photons) and n_photons >= 0):
+        raise ValueError(f"n_photons must be a non-negative integer, got {n_photons!r}")
 
 
 def _normalized(flat: np.ndarray) -> np.ndarray:
@@ -269,6 +254,13 @@ def _normalized(flat: np.ndarray) -> np.ndarray:
 def _draw(weights: np.ndarray, n_photons: int, seed) -> np.ndarray:
     # the one multinomial draw behind sample_counts and the Monte-Carlo cells
     return np.random.default_rng(seed).multinomial(int(n_photons), weights)
+
+
+def _checked_draws(draws: np.ndarray, n_photons: int) -> np.ndarray:
+    # draws itself, once every row holds n_photons non-negative counts
+    if np.any(draws < 0) or np.any(draws.sum(axis=-1) != n_photons):
+        raise NumericalError(f"multinomial draw does not hold {n_photons} non-negative counts")
+    return draws
 
 
 def mle_estimate(
@@ -535,7 +527,12 @@ def _method_forward(method: str, model: SchmidtModel, space: ModeSpace, grid: Pi
 
 def trial_seed(master_seed: int, trial: int) -> int:
     """Deterministic per-trial sub-seed derived from the master seed and trial index."""
-    return int(np.random.SeedSequence((master_seed, trial)).generate_state(1)[0])
+    return _sub_seed(master_seed, trial)
+
+
+def _sub_seed(*entropy: int) -> int:
+    # the one sub-seed rule: the first 32-bit word of numpy's SeedSequence of entropy
+    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
 def mc_standard_error(
@@ -563,6 +560,8 @@ def mc_standard_error(
         raise ValueError("need at least 2 trials")
     if model is None:
         model = SchmidtModel.from_gamma(gamma)
+    elif model.gamma != gamma:
+        raise ValueError(f"model gamma {model.gamma!r} differs from gamma {gamma!r}")
     if forward is None:
         forward = _method_forward(method, model, ModeSpace.grid(), PixelGrid())
     return _mc_cells(method, n_photons, [d], trials, [seed], _as_map(forward))[0]
@@ -579,8 +578,7 @@ def _mc_cells(method, n_photons, seps, trials, cell_seeds, forward) -> list[Mont
     trials is fitted alone); rows fit independently, so the grouping changes
     no result.
     """
-    if n_photons < 0:
-        raise ValueError("n_photons must be non-negative")
+    _check_photons(n_photons)
     seps = np.asarray(seps, dtype=float)
     truths, _ = forward.batch(seps, False)
     weights = [_normalized(truth) for truth in truths]
@@ -588,13 +586,11 @@ def _mc_cells(method, n_photons, seps, trials, cell_seeds, forward) -> list[Mont
     results = []
     for first in range(0, len(seps), cells_per_fit):
         cells = range(first, min(first + cells_per_fit, len(seps)))
-        obs = np.array(
+        obs = _checked_draws(np.array(
             [_draw(weights[c], n_photons, trial_seed(cell_seeds[c], t))
              for c in cells for t in range(trials)],
             dtype=float,
-        )
-        if np.any(obs < 0.0) or np.any(obs.sum(axis=1) != n_photons):
-            raise NumericalError(f"multinomial draw does not hold {n_photons} non-negative counts")
+        ), n_photons)
         fits = _fit(obs, forward)
         for i, c in enumerate(cells):
             trial_rows = slice(i * trials, (i + 1) * trials)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .overlap import _overlap_amplitudes
-from .source import SchmidtModel, schmidt_coeff
+from .source import SchmidtModel, _is_integer, schmidt_coeff
 
 __all__ = [
     "ModeSpace",
@@ -33,6 +33,10 @@ _BLOCK_CELLS = 1 << 14
 
 
 def _check_pairs(pairs, label):
+    pairs = tuple(pairs)
+    for pair in pairs:
+        if not all(map(_is_integer, pair)):
+            raise ValueError(f"{label} mode indices must be integers, got {pair!r}")
     clean = tuple((int(k), int(l)) for k, l in pairs)
     if not clean:
         raise ValueError(f"{label} mode list is empty")
@@ -74,7 +78,6 @@ class ProbabilityMatrix:
     space: ModeSpace
     entries: np.ndarray
     d: float
-    renormalized: bool
     in_space_mass: float
 
     def __post_init__(self):
@@ -105,10 +108,6 @@ class CalibrationModel:
             raise ValueError("beta entries must lie in [0, 1]")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-
-    @classmethod
-    def identity(cls, shape) -> "CalibrationModel":
-        return cls(alpha=np.ones(shape), beta=np.zeros(shape))
 
 
 @dataclass(frozen=True)
@@ -241,7 +240,6 @@ def prob_matrix(
         space=space,
         entries=entries[0],
         d=float(d),
-        renormalized=renormalize,
         in_space_mass=float(totals[0]),
     )
 
@@ -254,7 +252,6 @@ def apply_calibration(matrix: ProbabilityMatrix, cal: CalibrationModel) -> Proba
     return replace(
         matrix,
         entries=entries.reshape(matrix.entries.shape),
-        renormalized=True,
         in_space_mass=float(totals[0]),
     )
 

@@ -50,6 +50,11 @@ def _finite_positive(value) -> bool:
             and math.isfinite(value) and value > 0)
 
 
+def _is_integer(value) -> bool:
+    # a Python or numpy integer, but not a bool
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _checked_gamma(gamma) -> float:
     # gamma as a Python float, so that a numpy float32 argument computes in float64
     if not _finite_positive(gamma):

@@ -56,9 +56,8 @@ PUBLIC = [
 # parameter names of every public callable, '*' before the keyword-only ones; a
 # parameter removed from the package must not come back unnoticed
 SIGNATURES = {
-    "CountMatrix": "counts, total, separation",
-    "CountMatrix.from_counts": "counts, separation",
-    "FisherReport": "contributions, total, d, step, skipped, parameterization",
+    "CountMatrix": "counts, separation",
+    "FisherReport": "contributions, total, skipped, parameterization",
     "EstimationResult": "d_hat, delta_hat, log_likelihood, refine_iterations, converged, flags, "
                         "parameterization",
     "MonteCarloResult": "method, d, n_photons, trials, mean, std_err, boundary_fraction, "
@@ -79,9 +78,8 @@ SIGNATURES = {
     "trial_seed": "master_seed, trial",
     "ModeSpace": "idler, signal",
     "ModeSpace.grid": "max_k, max_l",
-    "ProbabilityMatrix": "space, entries, d, renormalized, in_space_mass",
+    "ProbabilityMatrix": "space, entries, d, in_space_mass",
     "CalibrationModel": "alpha, beta, degenerate",
-    "CalibrationModel.identity": "shape",
     "PixelGrid": "count, span",
     "coincidence_prob": "k, l, kp, lp, d, model",
     "small_sep_prob": "k, l, kp, lp, d, model",

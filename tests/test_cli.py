@@ -575,6 +575,17 @@ class TestExitCodes:
         code = main(["matrices", "--gamma", "1e-06", "--out-dir", str(tmp_path)])
         assert code == EXIT_NUMERIC
 
+    def test_estimate_numerical_failure_is_three(self, tmp_path, capsys):
+        # at gamma 1e-7 the 7x7 space holds too little probability mass; estimate
+        # fails like every other command, with no output directory and no error rows
+        (path,) = _make_synthetic_files(tmp_path, [0.3], photons=1000)
+        out = tmp_path / "out"
+        code = main(["estimate", path, "--gamma", "1e-7", "--out-dir", str(out)])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith(
+            "bispade: numerical failure: in-space probability mass ")
+        assert not out.exists()
+
     def test_overflowing_mode_orders_are_three(self, tmp_path, capsys):
         from bispade.cli import EXIT_NUMERIC
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import bispade as bp
-from bispade.inference import _as_map, _fit, _ForwardMap
+from bispade.inference import _as_map, _checked_draws, _fit, _ForwardMap
 from bispade.model import _pixel_probs, _spade_probs
 
 gammas = st.floats(0.05, 3.0)
@@ -14,26 +14,34 @@ gammas = st.floats(0.05, 3.0)
 
 class TestCountMatrix:
     def test_from_counts(self):
-        cm = bp.CountMatrix.from_counts(np.array([[1, 2], [3, 4]]), separation=0.2)
+        cm = bp.CountMatrix(np.array([[1, 2], [3, 4]]), separation=0.2)
         assert cm.total == 10
         assert cm.separation == 0.2
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            bp.CountMatrix.from_counts(np.array([1, -2]))
+            bp.CountMatrix(np.array([1, -2]))
 
     def test_rejects_fractional(self):
         with pytest.raises(ValueError):
-            bp.CountMatrix.from_counts(np.array([1.5, 2.0]))
+            bp.CountMatrix(np.array([1.5, 2.0]))
 
     @pytest.mark.parametrize("count", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite(self, count):
         with pytest.raises(ValueError, match="finite integers"):
-            bp.CountMatrix.from_counts(np.array([count, 1.0]))
+            bp.CountMatrix(np.array([count, 1.0]))
 
-    def test_rejects_total_mismatch(self):
-        with pytest.raises(ValueError):
-            bp.CountMatrix(counts=np.array([1, 2]), total=4)
+    def test_integer_valued_floats_become_int64(self):
+        cm = bp.CountMatrix(np.array([[1.0, 0.0], [2.0, 4.0]]))
+        assert cm.counts.dtype == np.int64
+        np.testing.assert_array_equal(cm.counts, [[1, 0], [2, 4]])
+        assert cm.total == 7
+
+    @pytest.mark.parametrize("counts,total", [([3, 0, 5], 8), ([[1, 2], [3, 4]], 10),
+                                              ([0, 0], 0), ([[0]], 0)])
+    def test_total_is_the_sum(self, counts, total):
+        cm = bp.CountMatrix(np.array(counts))
+        assert cm.total == total and isinstance(cm.total, int)
 
 
 class TestFisherNumeric:
@@ -225,6 +233,19 @@ class TestSampleCounts:
         pm = bp.prob_matrix(0.3, space7, model015, renormalize=False)
         with pytest.raises(ValueError):
             bp.sample_counts(pm, 1000, seed=3)
+
+    @pytest.mark.parametrize("photons", [2.5, True, -1, 100.0])
+    def test_rejects_photons_that_are_not_a_count(self, model015, space7, photons):
+        # a fractional or bool photon number is named, not truncated to a count
+        pm = bp.prob_matrix(0.3, space7, model015)
+        with pytest.raises(ValueError, match=f"non-negative integer, got {photons!r}$"):
+            bp.sample_counts(pm, photons, seed=1)
+
+    def test_draws_that_miss_the_photon_number_are_numerical_failures(self):
+        _checked_draws(np.array([[1, 2], [3, 0]]), 3)
+        for draws in ([[1, 2], [3, 1]], [[4, -1], [3, 0]]):
+            with pytest.raises(bp.NumericalError, match="does not hold 3 non-negative counts"):
+                _checked_draws(np.array(draws), 3)
 
 
 def _central_difference(fn, d, step=1e-6):
@@ -424,7 +445,7 @@ class TestStopAtZero:
                                   beta=np.full(space7.shape, 0.01))
         truth = bp.apply_calibration(bp.prob_matrix(0.0, space7, model015), cal)
         diagonal = np.diag(np.diag(truth.entries))
-        counts = bp.CountMatrix.from_counts(np.round(diagonal * 37_000).astype(np.int64))
+        counts = bp.CountMatrix(np.round(diagonal * 37_000).astype(np.int64))
         result = bp.mle_estimate(counts, forward, calibration=cal)
         assert result.refine_iterations == 0 and result.converged
         assert result.d_hat == 0.0
@@ -447,7 +468,7 @@ class TestMleEstimate:
     def test_fixed_point_on_expected_counts(self, model015, space7, d_true):
         forward = bp.spade_forward(model015, space7)
         counts = np.round(forward(d_true) * 1_000_000).astype(np.int64)
-        result = bp.mle_estimate(bp.CountMatrix.from_counts(counts), forward)
+        result = bp.mle_estimate(bp.CountMatrix(counts), forward)
         assert result.d_hat == pytest.approx(d_true, abs=2e-3)
         assert result.delta_hat == pytest.approx(2.0 * result.d_hat, rel=1e-14)
         assert math.isfinite(result.log_likelihood)
@@ -456,7 +477,7 @@ class TestMleEstimate:
         forward = bp.spade_forward(model015, space7)
         diag = np.diag(np.diag(forward(0.0)))
         counts = np.round(diag * 100_000).astype(np.int64)
-        result = bp.mle_estimate(bp.CountMatrix.from_counts(counts), forward)
+        result = bp.mle_estimate(bp.CountMatrix(counts), forward)
         assert result.d_hat == 0.0
         assert "boundary" in result.flags
 
@@ -523,19 +544,20 @@ class TestMleEstimate:
 
     def test_flat_likelihood_flagged(self):
         constant = lambda d: np.full(4, 0.25)
-        counts = bp.CountMatrix.from_counts(np.array([25, 25, 25, 25]))
+        counts = bp.CountMatrix(np.array([25, 25, 25, 25]))
         result = bp.mle_estimate(counts, constant)
         assert "flat-likelihood" in result.flags
 
     def test_validation(self, model015, space7):
         # counts and calibration must match the outcomes of the forward map
         forward = bp.spade_forward(model015, space7)
-        counts = bp.CountMatrix.from_counts(np.ones(space7.shape, dtype=np.int64))
-        short = bp.CountMatrix.from_counts(np.ones(48, dtype=np.int64))
+        counts = bp.CountMatrix(np.ones(space7.shape, dtype=np.int64))
+        short = bp.CountMatrix(np.ones(48, dtype=np.int64))
         with pytest.raises(ValueError, match="does not match the counts"):
             bp.mle_estimate(short, forward)
         with pytest.raises(ValueError, match="calibration shape"):
-            bp.mle_estimate(counts, forward, bp.CalibrationModel.identity((6, 6)))
+            bp.mle_estimate(counts, forward,
+                            bp.CalibrationModel(alpha=np.ones((6, 6)), beta=np.zeros((6, 6))))
 
 
 class TestFitCalibration:
@@ -546,7 +568,7 @@ class TestFitCalibration:
         datasets = []
         for d in (0.2, 0.6, 1.0, 1.35):
             counts = np.round(forward(d) * 1e12).astype(np.int64)
-            datasets.append((d, bp.CountMatrix.from_counts(counts)))
+            datasets.append((d, bp.CountMatrix(counts)))
         cal = bp.fit_calibration(datasets, forward)
         np.testing.assert_allclose(cal.alpha, 1.0, atol=1e-6)
         np.testing.assert_allclose(cal.beta, 0.0, atol=1e-6)
@@ -584,7 +606,7 @@ class TestFitCalibration:
         datasets = []
         for d in (0.1, 0.5):
             counts = np.array([[900], [100]], dtype=np.int64)
-            datasets.append((d, bp.CountMatrix.from_counts(counts)))
+            datasets.append((d, bp.CountMatrix(counts)))
         cal = bp.fit_calibration(datasets, forward)
         assert cal.degenerate[1, 0]
         assert cal.alpha[1, 0] == 1.0
@@ -592,7 +614,7 @@ class TestFitCalibration:
 
     def test_needs_two_distinct_separations(self, model015, space7):
         forward = bp.spade_forward(model015, space7)
-        counts = bp.CountMatrix.from_counts(np.ones(space7.shape, dtype=np.int64))
+        counts = bp.CountMatrix(np.ones(space7.shape, dtype=np.int64))
         with pytest.raises(ValueError):
             bp.fit_calibration([(0.1, counts)], forward)
         with pytest.raises(ValueError):
@@ -640,3 +662,12 @@ class TestMonteCarlo:
             bp.mc_standard_error("telescope", 0.15, 1000, 0.1, 10, seed=0)
         with pytest.raises(ValueError):
             bp.mc_standard_error("spade", 0.15, 1000, 0.1, 1, seed=0)
+
+    def test_rejects_fractional_photons(self):
+        # a caller's error, not a numerical failure of the draw
+        with pytest.raises(ValueError, match="non-negative integer, got 100.5$"):
+            bp.mc_standard_error("spade", 0.15, 100.5, 0.3, 4, seed=1)
+
+    def test_rejects_a_model_of_another_gamma(self, model015):
+        with pytest.raises(ValueError, match="model gamma 0.15 differs from gamma 0.3"):
+            bp.mc_standard_error("spade", 0.3, 1000, 0.3, 4, seed=1, model=model015)

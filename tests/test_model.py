@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,17 @@ class TestModeSpace:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ModeSpace(idler=(), signal=((0, 0),))
+
+    @pytest.mark.parametrize("pair", [(1.5, 0), (0, 2.0), (True, 0)])
+    def test_rejects_non_integer_indices(self, pair):
+        # named, not truncated to an integer mode
+        with pytest.raises(ValueError, match=f"idler mode indices must be integers, got "
+                                             f"{re.escape(repr(pair))}"):
+            ModeSpace(idler=(pair,), signal=((0, 0),))
+
+    def test_accepts_numpy_integers(self):
+        space = ModeSpace(idler=((np.int64(1), np.int32(0)),), signal=((0, 0),))
+        assert space.idler == ((1, 0),) and type(space.idler[0][0]) is int
 
 
 class TestCoincidenceProb:
@@ -256,7 +269,7 @@ class TestProbMatrix:
 class TestCalibration:
     def test_identity_is_noop(self, model015, space7):
         pm = prob_matrix(0.4, space7, model015, renormalize=True)
-        cal = CalibrationModel.identity(space7.shape)
+        cal = CalibrationModel(alpha=np.ones(space7.shape), beta=np.zeros(space7.shape))
         out = apply_calibration(pm, cal)
         np.testing.assert_allclose(out.entries, pm.entries, rtol=1e-14)
 
@@ -293,7 +306,7 @@ class TestCalibration:
                 prob_matrix(d, space7, model015, renormalize=True), true_cal
             )
             counts = np.round(generated.entries * 1e9).astype(np.int64)
-            datasets.append((d, CountMatrix.from_counts(counts)))
+            datasets.append((d, CountMatrix(counts)))
         fitted = fit_calibration(datasets, forward)
         for d in (0.2, 0.8):
             target = apply_calibration(

@@ -47,6 +47,9 @@ def test_output_digest_lines(capsys):
     # a nan separation label is a data error: exit code 2
     exit_two = hashlib.sha256(b"2").hexdigest()
     assert f"error-nan-separation-label/exit {exit_two}" in lines
+    # estimate at a gamma with too little in-space mass is a numerical failure: exit code 3
+    exit_three = hashlib.sha256(b"3").hexdigest()
+    assert f"error-estimate-numerical/exit {exit_three}" in lines
 
 
 def test_bench_runs_every_item_once(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,12 @@
-"""The special functions of the test oracles, checked against exact series.
+"""The special functions of the test oracles in `tests/oracles.py`.
 
 `oracles.laguerre` is the recurrence behind `oracles.scalar_overlap`, the
 reference for the overlap table; `oracles.hg1d_batch` is the mode basis of
 `oracles.mode_sum_intensity`, the reference for the direct-imaging model.
+Both are checked against their exact series, and the mode basis is also
+orthonormal under `bispade.quad_overlap`. The package has no special-function
+module of its own (`specfun.py` was folded into the overlap kernel); the
+file keeps its name so that its test ids stay stable.
 """
 import math
 
