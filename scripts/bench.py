@@ -4,10 +4,11 @@
 The layers, bottom up: the overlap table (``overlap._overlap_amplitudes``), the
 forward maps (``model._spade_probs``, ``model._pixel_probs``), the grid table
 of a fresh map (``inference._ForwardMap.log_probs``), the batched fit
-(``inference._fit``), the multinomial draw (``inference._draw``) and the
-Monte-Carlo cells (``inference._mc_cells``). End to end it times
+(``inference._fit``), the multinomial draw (``inference._draw``), the
+Monte-Carlo cells (``inference._mc_cells``) and the counts-file reader
+(``cli.read_counts_file``, on 29 labeled counts files). End to end it times
 ``bispade.cli.main`` on the full default ``compare`` and on an
-``estimate --calibrate`` of 29 labeled counts files. It also counts the lockstep refinement passes of the
+``estimate --calibrate`` of the same 29 files. It also counts the lockstep refinement passes of the
 direct-imaging fits in 30 ``compare`` jobs at the benchmark's sweep_k12
 setting.
 
@@ -43,7 +44,7 @@ import numpy as np
 
 import bispade as bp
 from bispade import inference, model, overlap
-from bispade.cli import main as cli_main, write_counts_file
+from bispade.cli import main as cli_main, read_counts_file, write_counts_file
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -86,7 +87,7 @@ def _draws(forward, seps, trials: int, seed: int) -> np.ndarray:
     ], dtype=float)
 
 
-def layers() -> dict:
+def layers(files: list[Path]) -> dict:
     m = bp.SchmidtModel.from_gamma(GAMMA)
     space = bp.ModeSpace.grid()
     grid = bp.PixelGrid()
@@ -125,6 +126,8 @@ def layers() -> dict:
             lambda method=method, f=forward: inference._mc_cells(
                 method, PHOTONS, seps, 8, list(range(len(seps))), f),
             40, 1, "ms")
+    items["cli.read_counts_file[29 files]"] = _time(
+        lambda: [read_counts_file(path, space) for path in files], 100, 1, "ms")
     return items
 
 
@@ -152,8 +155,8 @@ def _run(argv: list[str]) -> None:
         raise SystemExit(f"bench: {' '.join(argv[:1])} exited with {code}")
 
 
-def end_to_end(root: Path) -> dict:
-    files = list(map(str, _counts_files(root / "inputs")))
+def end_to_end(root: Path, files: list[Path]) -> dict:
+    files = list(map(str, files))
     out = str(root / "out")
     return {
         "cli.main[compare default]": _time(lambda: _run(["compare", "--out-dir", out]),
@@ -212,8 +215,9 @@ def run(argv=None):
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        result = {"environment": environment(), "layers": layers(),
-                  "end_to_end": end_to_end(root), "counts": direct_passes(root)}
+        files = _counts_files(root / "inputs")
+        result = {"environment": environment(), "layers": layers(files),
+                  "end_to_end": end_to_end(root, files), "counts": direct_passes(root)}
     path = Path(args.out)
     data = json.loads(path.read_text()) if path.exists() else {}
     data.setdefault("harness", "scripts/bench.py")

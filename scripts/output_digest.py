@@ -35,6 +35,9 @@ from bispade.cli import main as cli_main, write_counts_file
 _SWEEP = ["--modes-k", "6", "--modes-l", "0", "--photons", "37000", "--trials", "8",
           "--sep-start", "0.0465", "--sep-stop", "1.209", "--sep-step", "0.2325"]
 _SEEDS = (1, 2, 3)
+# derived files the reader rejects, each an error-counts-<name> run
+READER_ERRORS = ("duplicate", "negative", "outside", "missing", "non_integer", "four_columns",
+                 "count_2_63", "sum_past_2_53")
 
 
 def _write_inputs(directory: Path) -> list[Path]:
@@ -55,7 +58,35 @@ def _write_inputs(directory: Path) -> list[Path]:
     return files
 
 
-def _runs(paths: list[Path], nan_label: Path) -> dict[str, list[str]]:
+def _derived(text: str) -> dict[str, str]:
+    # counts files made from the text of an input: one hand-edited file that the
+    # reader accepts, and one file per reader error
+    label, columns, *rows = text.splitlines()
+
+    def with_count(row: str, count) -> str:
+        return f"{row.rsplit(',', 1)[0]},{count}"
+
+    edited = [" " + " , ".join(row.split(",")) + " " for row in rows]
+    edited[0] = with_count(rows[0], "+" + rows[0].rsplit(",", 1)[1])
+    edited[10:10] = ["", "# a note between rows", ""]
+    bodies = {
+        "hand_edited": edited,
+        "duplicate": rows[:1] + rows[:1] + rows[2:],
+        "negative": [with_count(rows[0], -5)] + rows[1:],
+        "outside": rows[:-1] + ["7,0,0,0,3"],
+        "missing": rows[:17] + rows[18:],
+        "non_integer": [with_count(rows[0], "x")] + rows[1:],
+        "four_columns": [rows[0].rsplit(",", 1)[0]] + rows[1:],
+        "count_2_63": [with_count(rows[0], 2**63)] + rows[1:],
+        "sum_past_2_53": [with_count(row, 2**62) for row in rows],
+    }
+    derived = {name: "\n".join([label, columns, *body]) + "\n" for name, body in bodies.items()}
+    derived["nan_label"] = re.sub(r"^# separation = .*$", "# separation = nan", text,
+                                  flags=re.MULTILINE)
+    return derived
+
+
+def _runs(paths: list[Path], derived: dict[str, Path]) -> dict[str, list[str]]:
     # run name -> argv; every run but --help and --version gets its own --out-dir
     files = list(map(str, paths))
     runs = {"help": ["--help"], "version": ["--version"]}
@@ -68,6 +99,8 @@ def _runs(paths: list[Path], nan_label: Path) -> dict[str, list[str]]:
     runs["estimate"] = ["estimate", *files, "--gamma", "0.15"]
     runs["estimate-calibrate"] = ["estimate", *files, "--calibrate", "--gamma", "0.15"]
     runs["estimate-space-mismatch"] = ["estimate", files[0], "--modes-l", "1"]
+    runs["estimate-hand-edited"] = ["estimate", *files, str(derived["hand_edited"]),
+                                    "--gamma", "0.15"]
     for name, gamma in (("sweep_k12", "0.15"), ("sweep_k51", "0.07")):
         for seed in _SEEDS:
             runs[f"compare-{name}-seed{seed}"] = ["compare", "--gamma", gamma, *_SWEEP,
@@ -85,8 +118,10 @@ def _runs(paths: list[Path], nan_label: Path) -> dict[str, list[str]]:
         "negative-seed": ["compare", "--seed", "-1"],
         "infinite-pump-waist": ["crlb-curves", "--pump-waist-um", "inf",
                                 "--crystal-length-mm", "2", "--pump-wavelength-nm", "405"],
-        "nan-separation-label": ["estimate", str(nan_label), "--calibrate"],
+        "nan-separation-label": ["estimate", str(derived["nan_label"]), "--calibrate"],
         "estimate-numerical": ["estimate", files[0], "--gamma", "1e-7"],
+        **{f"counts-{name.replace('_', '-')}": ["estimate", str(derived[name])]
+           for name in READER_ERRORS},
     }
     runs.update({f"error-{name}": argv for name, argv in errors.items()})
     return runs
@@ -108,13 +143,14 @@ def digest_lines() -> list[str]:
         inputs = _write_inputs(root / "inputs")
         for path in inputs:
             lines.append(f"inputs/{path.name} {_sha(clean(path.read_text()))}")
-        # the first input labelled nan; derived from a listed input, it gets no line
-        nan_label = root / "nan_label.csv"
-        nan_label.write_text(re.sub(r"^# separation = .*$", "# separation = nan",
-                                    inputs[0].read_text(), flags=re.MULTILINE))
+        # files made from the first input; derived from a listed input, they get no line
+        derived = {}
+        for name, text in _derived(inputs[0].read_text()).items():
+            derived[name] = root / f"{name}.csv"
+            derived[name].write_text(text)
         # argparse wraps help to the terminal width it reads from COLUMNS
         with mock.patch.dict(os.environ, COLUMNS="80"):
-            for name, argv in _runs(inputs, nan_label).items():
+            for name, argv in _runs(inputs, derived).items():
                 out_dir = root / name
                 stdout, stderr = io.StringIO(), io.StringIO()
                 if argv[-1] not in ("--help", "--version"):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 import types
 import typing
@@ -46,6 +47,8 @@ CONVENTION = "per-arm shift d; delta = 2*d is the total separation; FI/CRLB abou
 _PHYSICAL_KEYS = ("pump_waist_um", "crystal_length_mm", "pump_wavelength_nm")
 # float64 sums of counts are exact up to here
 _MAX_PHOTONS = 2**53
+# largest count an int64 matrix holds
+_MAX_COUNT = 2**63 - 1
 # most separations one run may sweep; each costs a fit per trial and method or a matrix file
 _MAX_SEPARATIONS = 10_000
 
@@ -263,17 +266,90 @@ def write_counts_file(
     return path
 
 
+def _separation_label(line: str) -> float | None:
+    # d of a stripped '# separation = <d>' line, nan if <d> is no number; None for other '#' lines
+    name, equals, value = line.lstrip("#").partition("=")
+    if not (equals and name.strip() == "separation"):
+        return None
+    try:
+        return float(value)
+    except ValueError:
+        return math.nan
+
+
+# the layout write_counts_file writes: '#' lines, the column line, rows of five
+# unsigned ASCII integers of at most 18 digits (so below 2**63), each ending in
+# '\n'; a '#' line holds none of the line breaks of str.splitlines
+_EXACT_LAYOUT = re.compile(
+    r"((?:#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*\n)*)"
+    r"k_idler,l_idler,k_signal,l_signal,count\n"
+    r"((?:(?:[0-9]{1,18},){4}[0-9]{1,18}\n)*)"
+)
+
+
+@functools.lru_cache(maxsize=16)
+def _cell_index(space: ModeSpace) -> tuple[np.ndarray, np.ndarray] | None:
+    # dense (k, l, k', l') -> flat index of the cell in space.shape, with one
+    # slot more per axis: a tuple clipped to `top` stays in the array, and every
+    # tuple outside the space reads the cell count. None for a sparse space,
+    # whose dense lookup would be far larger than its counts (a grid's is at
+    # most 16 times as large)
+    tuples = np.array([idler + signal for idler in space.idler for signal in space.signal])
+    top = tuples.max(axis=0) + 1
+    if math.prod((top + 1).tolist()) > 16 * len(tuples):
+        return None
+    lookup = np.full(top + 1, len(tuples))
+    lookup[tuple(tuples.T)] = np.arange(len(tuples))
+    lookup.flags.writeable = False
+    top.flags.writeable = False
+    return lookup, top
+
+
+def _read_exact(text: str, space: ModeSpace) -> CountMatrix | None:
+    # the file in the layout write_counts_file writes, in one pass; None for any
+    # file this cannot place exactly, which the line loop then reads or rejects
+    match = _EXACT_LAYOUT.fullmatch(text)
+    if match is None:
+        return None
+    head, body = match.groups()
+    cells = len(space.idler) * len(space.signal)
+    index = _cell_index(space)
+    if index is None or body.count("\n") != cells:
+        return None
+    separation = None
+    for line in head.splitlines():
+        label = _separation_label(line.strip())
+        if label is not None:
+            if not math.isfinite(label):
+                return None
+            separation = label
+    rows = np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",").reshape(cells, 5)
+    lookup, top = index
+    flat = lookup[tuple(np.minimum(rows[:, :4], top).T)]
+    # as many rows as cells, so a hit on every cell means each is hit exactly once
+    if not np.bincount(flat, minlength=cells + 1)[:cells].all():
+        return None
+    counts = np.empty(cells, dtype=np.int64)
+    counts[flat] = rows[:, 4]
+    exact = CountMatrix(counts.reshape(space.shape), separation)
+    return exact if exact.total <= _MAX_PHOTONS else None
+
+
 def read_counts_file(path: str | Path, space: ModeSpace) -> CountMatrix:
     """Parse a long-format counts file into a CountMatrix over the given mode space.
 
     Rows may come in any order, but every (idler, signal) pair of the space
     needs exactly one. '#' lines are skipped, except '# separation = <d>', d finite.
+    Counts must fit in int64 and sum to at most 2**53.
     """
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot read file ({exc})") from exc
+    exact = _read_exact(text, space)
+    if exact is not None:
+        return exact
     configured = f"configured {len(space.idler)}x{len(space.signal)} space"
     cells = {
         idler + signal: (i, j)
@@ -285,16 +361,13 @@ def read_counts_file(path: str | Path, space: ModeSpace) -> CountMatrix:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("#"):
-            name, equals, value = line.lstrip("#").partition("=")
-            if equals and name.strip() == "separation":
-                try:
-                    separation = float(value)
-                except ValueError:
-                    separation = math.nan
-                if not math.isfinite(separation):
+            label = _separation_label(line)
+            if label is not None:
+                if not math.isfinite(label):
                     raise DataFormatError(
-                        f"{path}:{lineno}: bad separation value {value.strip()!r}"
+                        f"{path}:{lineno}: bad separation value {line.partition('=')[2].strip()!r}"
                     )
+                separation = label
             continue
         tokens = [tok.strip() for tok in line.split(",")]
         if not line or tokens[0] == "k_idler":
@@ -307,6 +380,8 @@ def read_counts_file(path: str | Path, space: ModeSpace) -> CountMatrix:
             raise DataFormatError(f"{path}:{lineno}: non-integer field in {line!r}") from exc
         if count < 0:
             raise DataFormatError(f"{path}:{lineno}: negative count")
+        if count > _MAX_COUNT:
+            raise DataFormatError(f"{path}:{lineno}: count above 2**63 - 1, the int64 limit")
         key = (k, l, kp, lp)
         if key not in cells:
             raise DataFormatError(f"{path}:{lineno}: mode tuple {key} is outside the {configured}")
@@ -320,7 +395,13 @@ def read_counts_file(path: str | Path, space: ModeSpace) -> CountMatrix:
             f"{path}: {len(missing)} mode tuples of the {configured} have no row, the first "
             f"{space.idler[i] + space.signal[j]}"
         )
-    return CountMatrix(counts, separation)
+    matrix = CountMatrix(counts, separation)
+    if matrix.total > _MAX_PHOTONS:
+        raise DataFormatError(
+            f"{path}: counts sum to {matrix.total}, above 2**53 = {_MAX_PHOTONS}, "
+            "where float64 counts stay exact"
+        )
+    return matrix
 
 
 def cmd_crlb_curves(cfg: RunConfig, args: argparse.Namespace) -> list[tuple]:

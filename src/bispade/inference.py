@@ -94,7 +94,8 @@ class CountMatrix:
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", int(counts.sum()))
+        # a Python sum: an int64 sum wraps past 2**63
+        object.__setattr__(self, "total", sum(counts.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -171,10 +172,13 @@ def fi_closed_form(k, l, gamma: float, branch: str):
 
     branch 'diag' is the vanishing k = k' limit; 'up' pairs idler k with
     signal k+1 and contributes (k+1)/2 * C_{k+1,l}^2; 'down' pairs idler k
-    with signal k-1 and contributes k/2 * C_{k-1,l}^2. Accepts array indices.
+    with signal k-1 and contributes k/2 * C_{k-1,l}^2. Accepts array indices of
+    integer dtype.
     """
     ka = np.asarray(k)
     la = np.asarray(l)
+    if not (np.issubdtype(ka.dtype, np.integer) and np.issubdtype(la.dtype, np.integer)):
+        raise ValueError(f"mode indices must be integers, got k={k!r}, l={l!r}")
     if np.any(ka < 0) or np.any(la < 0):
         raise ValueError("mode indices must be non-negative")
     scalar = ka.ndim == 0 and la.ndim == 0

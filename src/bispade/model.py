@@ -61,6 +61,8 @@ class ModeSpace:
     @classmethod
     def grid(cls, max_k: int = 6, max_l: int = 0) -> "ModeSpace":
         """Rectangular k=0..max_k, l=0..max_l set on both arms (default 7x7, l=0)."""
+        if not (_is_integer(max_k) and _is_integer(max_l)):
+            raise ValueError(f"max indices must be integers, got {max_k!r}, {max_l!r}")
         if max_k < 0 or max_l < 0:
             raise ValueError("max indices must be non-negative")
         pairs = tuple((k, l) for l in range(max_l + 1) for k in range(max_k + 1))

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalError
+from .source import _is_integer
 
 __all__ = ["displaced_overlap", "quad_overlap"]
 
@@ -92,6 +93,8 @@ def displaced_overlap(m: int, n: int, d: float, sign: int = 1) -> float:
     swaps the modes and flips the sign. Raises NumericalError where the table
     overflows (mode orders above about 1000).
     """
+    if not (_is_integer(m) and _is_integer(n)):
+        raise ValueError(f"mode indices must be integers, got m={m!r}, n={n!r}")
     if m < 0 or n < 0:
         raise ValueError("mode indices must be non-negative")
     if sign not in (1, -1):

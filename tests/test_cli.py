@@ -1,11 +1,14 @@
 import argparse
 from dataclasses import fields
+from unittest import mock
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import bispade as bp
-from bispade import inference
+from bispade import cli, inference
 from bispade.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -325,6 +328,191 @@ class TestCountsIo:
         path.write_text("\n".join(rows[:17] + rows[18:]) + "\n")
         with pytest.raises(DataFormatError, match=r"missing.csv: 1 mode tuples .* \(2, 0, 3, 0\)"):
             read_counts_file(path, space7)
+
+    # files in the layout write_counts_file writes but for one edit of the 49
+    # rows or of the label, and the reader's whole message for each; {path} is
+    # the file and line 1 the label, so row r of the list is on line r + 3
+    REJECTED = {
+        "empty": (lambda rows: [], "0.3",
+                  "{path}: 49 mode tuples of the configured 7x7 space have no row, "
+                  "the first (0, 0, 0, 0)"),
+        "duplicate": (lambda rows: rows[:1] + rows[:1] + rows[2:], "0.3",
+                      "{path}:4: duplicate mode tuple (0, 0, 0, 0)"),
+        "negative": (lambda rows: ["0,0,0,0,-5"] + rows[1:], "0.3",
+                     "{path}:3: negative count"),
+        "outside": (lambda rows: rows[:-1] + ["7,0,0,0,3"], "0.3",
+                    "{path}:51: mode tuple (7, 0, 0, 0) is outside the configured 7x7 space"),
+        "far-outside": (lambda rows: rows[:-1] + ["0,0,0,70,3"], "0.3",
+                        "{path}:51: mode tuple (0, 0, 0, 70) is outside the configured 7x7 space"),
+        "missing": (lambda rows: rows[:17] + rows[18:], "0.3",
+                    "{path}: 1 mode tuples of the configured 7x7 space have no row, "
+                    "the first (2, 0, 3, 0)"),
+        "non-integer": (lambda rows: ["0,0,0,0,x"] + rows[1:], "0.3",
+                        "{path}:3: non-integer field in '0,0,0,0,x'"),
+        "four-columns": (lambda rows: ["0,0,0,0"] + rows[1:], "0.3",
+                         "{path}:3: expected 5 columns, got 4"),
+        "nan-label": (lambda rows: rows, "nan", "{path}:1: bad separation value 'nan'"),
+        "inf-label": (lambda rows: rows, "inf", "{path}:1: bad separation value 'inf'"),
+    }
+    # the same for the limits of a count and of their sum
+    OUT_OF_RANGE = {
+        "count-2**63": (lambda rows: [f"0,0,0,0,{2**63}"] + rows[1:], "0.3",
+                        "{path}:3: count above 2**63 - 1, the int64 limit"),
+        # np.fromstring would read this as 2**63 - 1, without a warning
+        "count-20-digits": (lambda rows: ["0,0,0,0,99999999999999999999"] + rows[1:], "0.3",
+                            "{path}:3: count above 2**63 - 1, the int64 limit"),
+        "sum-past-2**53": (lambda rows: [row.rsplit(",", 1)[0] + f",{2**62}" for row in rows],
+                           "0.3", f"{{path}}: counts sum to {49 * 2**62}, above 2**53 = {2**53}, "
+                           "where float64 counts stay exact"),
+        "sum-2**53+1": (lambda rows: [row.rsplit(",", 1)[0] + (",0" if i else f",{2**53 + 1}")
+                                      for i, row in enumerate(rows)],
+                        "0.3", f"{{path}}: counts sum to {2**53 + 1}, above 2**53 = {2**53}, "
+                        "where float64 counts stay exact"),
+    }
+
+    def _edited(self, tmp_path, space, case):
+        edit, label, message = case
+        rows, _ = self._rows(space)
+        path = tmp_path / "edited.csv"
+        lines = [f"# separation = {label}", "k_idler,l_idler,k_signal,l_signal,count"]
+        path.write_text("\n".join(lines + edit(rows)) + "\n")
+        return path, message.format(path=path)
+
+    @pytest.mark.parametrize("case", REJECTED.values(), ids=REJECTED.keys())
+    def test_every_message_is_unchanged(self, tmp_path, space7, case):
+        path, message = self._edited(tmp_path, space7, case)
+        with pytest.raises(DataFormatError) as caught:
+            read_counts_file(path, space7)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("case", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+    def test_counts_out_of_range_are_data_errors(self, tmp_path, capsys, space7, case):
+        path, message = self._edited(tmp_path, space7, case)
+        with pytest.raises(DataFormatError) as caught:
+            read_counts_file(path, space7)
+        assert str(caught.value) == message
+        assert main(["estimate", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"bispade: data error: {message}\n"
+
+    def test_a_sum_of_two_to_the_53_is_read(self, tmp_path, space7):
+        rows, _ = self._rows(space7)
+        rows = [row.rsplit(",", 1)[0] + (",0" if i else f",{2**53}") for i, row in enumerate(rows)]
+        path = tmp_path / "limit.csv"
+        path.write_text("\n".join(["k_idler,l_idler,k_signal,l_signal,count"] + rows) + "\n")
+        assert read_counts_file(path, space7).total == 2**53
+
+    def test_written_files_take_the_one_pass_read(self, tmp_path):
+        # the loop would read them the same; this pins that they skip it
+        space = bp.ModeSpace.grid(max_k=3, max_l=2)
+        counts = np.arange(144).reshape(space.shape) * 1000
+        path = write_counts_file(tmp_path / "c.csv", space, counts, separation=0.25,
+                                 meta={"lab": "B"})
+        fast = cli._read_exact(path.read_text(), space)
+        assert fast is not None and fast.separation == 0.25
+        np.testing.assert_array_equal(fast.counts, counts)
+
+    def test_a_sparse_space_with_large_indices_is_read(self, tmp_path):
+        # a dense lookup of this space would hold about 10**16 cells
+        space = bp.ModeSpace(idler=((10**4, 10**4),), signal=((0, 0), (10**4, 1)))
+        path = write_counts_file(tmp_path / "sparse.csv", space, np.array([[3, 4]]))
+        assert cli._cell_index(space) is None
+        assert read_counts_file(path, space).counts.tolist() == [[3, 4]]
+
+    @pytest.mark.parametrize("case", {**REJECTED, **OUT_OF_RANGE}.values(),
+                             ids={**REJECTED, **OUT_OF_RANGE}.keys())
+    def test_the_one_pass_read_declines_every_rejected_file(self, tmp_path, space7, case):
+        path, _ = self._edited(tmp_path, space7, case)
+        assert cli._read_exact(path.read_text(), space7) is None
+
+    EDITS = ("spaces", "zeros", "plus", "blank", "comment", "no-columns", "crlf", "wide-digits")
+
+    @staticmethod
+    def _oracle_text(cells, order, separation, edits):
+        # a counts file of the {(k, l, k', l'): count} dict, rows in the given
+        # order, by hand: the layout of write_counts_file, or edited by hand
+        def field(value, sign=""):
+            text = sign + ("00" if "zeros" in edits else "") + str(value)
+            if "wide-digits" in edits:
+                text = text.translate(str.maketrans("0123456789", "０１２３４５６７８９"))
+            return f" {text} " if "spaces" in edits else text
+
+        lines = [] if separation is None else [f"# separation = {separation!r}"]
+        if "no-columns" not in edits:
+            lines.append("k_idler,l_idler,k_signal,l_signal,count")
+        keys = list(cells)
+        for index in order:
+            key = keys[index]
+            count = field(cells[key], "+" if "plus" in edits else "")
+            lines.append(",".join([*map(field, key), count]))
+            if "blank" in edits:
+                lines.append("")
+            if "comment" in edits:
+                lines.append("# between rows")
+        end = "\r\n" if "crlf" in edits else "\n"
+        return end.join(lines) + end
+
+    @pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_a_comment_holding_a_line_break_is_two_lines(self, tmp_path, space7, brk):
+        # str.splitlines ends a line at each of these, so the row after it counts
+        rows, _ = self._rows(space7)
+        path = tmp_path / "breaks.csv"
+        head = [f"# note{brk}0,0,0,0,5", "k_idler,l_idler,k_signal,l_signal,count"]
+        path.write_text("\n".join(head + rows) + "\n")
+        with pytest.raises(DataFormatError) as caught:
+            read_counts_file(path, space7)
+        assert str(caught.value) == f"{path}:4: duplicate mode tuple (0, 0, 0, 0)"
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_each_hand_edit_reads_like_the_written_file(self, tmp_path, edit):
+        space = bp.ModeSpace.grid(max_k=2, max_l=1)
+        keys = [idler + signal for idler in space.idler for signal in space.signal]
+        cells = {key: 1000 + index for index, key in enumerate(keys)}
+        path = tmp_path / "edited.csv"
+        path.write_text(self._oracle_text(cells, range(len(keys))[::-1], 0.25, {edit}),
+                        newline="")
+        cm = read_counts_file(path, space)
+        assert cm.counts.tolist() == [[cells[idler + signal] for signal in space.signal]
+                                      for idler in space.idler]
+        assert cm.separation == 0.25
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_reads_like_an_independent_oracle(self, tmp_path_factory, data):
+        max_k, max_l = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
+        space = bp.ModeSpace.grid(max_k, max_l)
+        keys = [idler + signal for idler in space.idler for signal in space.signal]
+        cells = {key: data.draw(st.integers(0, 10**6)) for key in keys}
+        big = data.draw(st.sampled_from([None, 10**18 - 1, 10**18, 2**63 - 1, 2**63]))
+        if big is not None:
+            cells[data.draw(st.sampled_from(keys))] = big
+        order = data.draw(st.permutations(range(len(keys))))
+        separation = data.draw(st.none() | st.floats(-10.0, 10.0))
+        edits = data.draw(st.sets(st.sampled_from(self.EDITS)))
+        path = tmp_path_factory.getbasetemp() / "oracle.csv"
+        path.write_text(self._oracle_text(cells, order, separation, edits), newline="")
+        expected = [[cells[idler + signal] for signal in space.signal] for idler in space.idler]
+        total = sum(cells.values())
+
+        def loop_read(path, space):
+            with mock.patch.object(cli, "_read_exact", lambda text, space: None):
+                return read_counts_file(path, space)
+
+        for read in (read_counts_file, loop_read):
+            if max(cells.values()) > 2**63 - 1:
+                with pytest.raises(DataFormatError, match=r"csv:\d+: count above 2\*\*63 - 1"):
+                    read(path, space)
+            elif total > 2**53:
+                with pytest.raises(DataFormatError, match=f"counts sum to {total}, above"):
+                    read(path, space)
+            else:
+                cm = read(path, space)
+                assert cm.counts.dtype == np.int64 and cm.counts.tolist() == expected
+                assert cm.separation == separation and cm.total == total
+        fast = cli._read_exact(path.read_text(), space)
+        if max(cells.values()) > 2**63 - 1 or total > 2**53:
+            assert fast is None
+        elif not edits - {"zeros"}:
+            assert fast.counts.tolist() == expected and fast.separation == separation
 
 
 class TestEstimate:

@@ -43,6 +43,11 @@ class TestCountMatrix:
         cm = bp.CountMatrix(np.array(counts))
         assert cm.total == total and isinstance(cm.total, int)
 
+    def test_total_does_not_wrap_past_int64(self):
+        # an int64 sum of these reads 2**62
+        cm = bp.CountMatrix(np.full((7, 7), 2**62, dtype=np.int64))
+        assert cm.total == 49 * 2**62
+
 
 class TestFisherNumeric:
     def test_gaussian_first_mode_limit(self):
@@ -117,6 +122,16 @@ class TestClosedFormFi:
     def test_rejects_unknown_branch(self):
         with pytest.raises(ValueError):
             bp.fi_closed_form(0, 0, 0.15, "sideways")
+
+    @pytest.mark.parametrize("k, l", [(1.5, 0), (1, 0.0), (True, 0), (np.array([0.0, 1.0]), 0)])
+    def test_rejects_modes_that_do_not_exist(self, k, l):
+        with pytest.raises(ValueError, match="integers"):
+            bp.fi_closed_form(k, l, 0.15, "up")
+
+    def test_accepts_integer_dtype_arrays(self):
+        ks = np.arange(3, dtype=np.int32)
+        np.testing.assert_array_equal(bp.fi_closed_form(ks, 0, 0.15, "up"),
+                                      [bp.fi_closed_form(int(k), 0, 0.15, "up") for k in ks])
 
 
 class TestFiTotals:

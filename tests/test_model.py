@@ -69,6 +69,11 @@ class TestModeSpace:
         space = ModeSpace(idler=((np.int64(1), np.int32(0)),), signal=((0, 0),))
         assert space.idler == ((1, 0),) and type(space.idler[0][0]) is int
 
+    @pytest.mark.parametrize("max_k, max_l", [(2.5, 0), (2, 1.0), (True, 0)])
+    def test_grid_rejects_non_integer_bounds_by_value(self, max_k, max_l):
+        with pytest.raises(ValueError, match=f"integers, got {max_k!r}, {max_l!r}"):
+            ModeSpace.grid(max_k, max_l)
+
 
 class TestCoincidenceProb:
     def test_zero_separation_off_diagonal_vanishes(self, model015):

@@ -76,6 +76,14 @@ class TestDisplacedOverlap:
         with pytest.raises(ValueError):
             displaced_overlap(-1, 0, 0.5, 1)
 
+    @pytest.mark.parametrize("m, n", [(1.5, 0), (True, 1), (2, 2.0)])
+    def test_rejects_non_integer_modes_by_value(self, m, n):
+        with pytest.raises(ValueError, match=f"integers, got m={m!r}, n={n!r}"):
+            displaced_overlap(m, n, 0.3)
+
+    def test_accepts_numpy_integers(self):
+        assert displaced_overlap(np.int64(2), np.int32(1), 0.3) == displaced_overlap(2, 1, 0.3)
+
     @pytest.mark.parametrize("m, n, d", [(550, 1100, 1.0), (1100, 550, 1.0)])
     def test_overflow_signals(self, m, n, d):
         # Laguerre values of order ~1000 overflow float64; the failure must

@@ -50,6 +50,11 @@ def test_output_digest_lines(capsys):
     # estimate at a gamma with too little in-space mass is a numerical failure: exit code 3
     exit_three = hashlib.sha256(b"3").hexdigest()
     assert f"error-estimate-numerical/exit {exit_three}" in lines
+    # every reader error is a data error, and a hand-edited file is read
+    digest = _load("output_digest")
+    for name in digest.READER_ERRORS:
+        assert f"error-counts-{name.replace('_', '-')}/exit {exit_two}" in lines
+    assert f"estimate-hand-edited/exit {hashlib.sha256(b'0').hexdigest()}" in lines
 
 
 def test_bench_runs_every_item_once(tmp_path, monkeypatch, capsys):
@@ -65,7 +70,7 @@ def test_bench_runs_every_item_once(tmp_path, monkeypatch, capsys):
     out = tmp_path / "bench.json"
     assert bench.run(["--label", "smoke", "--out", str(out)]) == 0
     (result,) = json.loads(out.read_text())["runs"]["smoke"]
-    assert len(result["layers"]) == 21 and len(result["end_to_end"]) == 2
+    assert len(result["layers"]) == 22 and len(result["end_to_end"]) == 2
     assert result["environment"]["cpu_count"] >= 1
     counts = result["counts"]
     assert counts["direct_passes_per_sweep_k12_job"] > 0
