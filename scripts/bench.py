@@ -3,7 +3,9 @@
 
 The layers, bottom up: the overlap table (``overlap._overlap_amplitudes``), the
 forward maps (``model._spade_probs``, ``model._pixel_probs``), the grid table
-of a fresh map (``inference._ForwardMap.log_probs``), the batched fit
+of a fresh map (``inference._ForwardMap.log_probs``, built cold on a new
+``_ForwardMap(f.batch, f.shape)`` per call, because the constructors return
+one shared map per measurement whose table is built once), the batched fit
 (``inference._fit``), the multinomial draw (``inference._draw``), the
 Monte-Carlo cells (``inference._mc_cells``) and the counts-file reader
 (``cli.read_counts_file``, on 29 labeled counts files). End to end it times
@@ -105,10 +107,9 @@ def layers(files: list[Path]) -> dict:
                 lambda d=d, kind=kind: model._pixel_probs(d, grid, m, kind, True), 100, calls)
     forwards = {method: inference._method_forward(method, m, space, grid)
                 for method in bp.METHODS}
-    for method in forwards:
+    for method, f in forwards.items():
         items[f"inference._ForwardMap.log_probs[{method}]"] = _time(
-            lambda method=method: inference._method_forward(method, m, space, grid).log_probs,
-            40, 2, "ms")
+            lambda f=f: inference._ForwardMap(f.batch, f.shape).log_probs, 40, 2, "ms")
     for method, forward in forwards.items():
         cell = _draws(forward, [STEP], 48, seed=5)
         sweep = _draws(forward, STEP * np.arange(1, 30, 4), 50, seed=6)

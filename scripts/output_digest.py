@@ -105,6 +105,8 @@ def _runs(paths: list[Path], derived: dict[str, Path]) -> dict[str, list[str]]:
         for seed in _SEEDS:
             runs[f"compare-{name}-seed{seed}"] = ["compare", "--gamma", gamma, *_SWEEP,
                                                   "--seed", str(seed)]
+    # the first sweep again, on the forward maps the runs above left in the process
+    runs["compare-sweep_k12-seed1-again"] = runs["compare-sweep_k12-seed1"]
     runs["compare-default"] = ["compare"]
     errors = {
         "bad-gamma": ["compare", "--gamma", "-1"],

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -443,11 +443,13 @@ class _ForwardMap:
     np.shape(d) + shape. batch(d, derivative) takes a 1-D array of separations
     and returns (probabilities, d-derivatives or None) as (separations x
     outcomes) rows: none for derivative 0, the first for 1, and the second at
-    d = 0 for 2.
+    d = 0 for 2. grid_rows, when given, returns the rows on the search grid
+    from a table another map already holds; without it they are one batch pass.
     """
 
     batch: Callable
     shape: tuple
+    grid_rows: Callable | None = None
 
     def __call__(self, d):
         d = np.asarray(d, dtype=float)
@@ -455,27 +457,38 @@ class _ForwardMap:
         return probs.reshape(d.shape + self.shape)
 
     @cached_property
+    def grid_probs(self) -> np.ndarray:
+        """(grid points, outcomes) probabilities on the search grid, read-only."""
+        probs = self.batch(_GRID, False)[0] if self.grid_rows is None else self.grid_rows()
+        probs.flags.writeable = False
+        return probs
+
+    @cached_property
     def log_probs(self) -> np.ndarray:
-        """(grid points, outcomes) log-probabilities on the search grid, floored."""
-        probs, _ = self.batch(_GRID, False)
-        return np.log(np.maximum(probs, LIKELIHOOD_FLOOR))
+        """(grid points, outcomes) log-probabilities on the search grid, floored, read-only."""
+        table = np.log(np.maximum(self.grid_probs, LIKELIHOOD_FLOOR))
+        table.flags.writeable = False
+        return table
 
     def calibrated(self, calibration: CalibrationModel | None) -> _ForwardMap:
         """This map followed by apply_calibration's map (this map itself for None).
 
         The quotient rule of the first derivative also maps a second
-        derivative where the first vanishes.
+        derivative where the first vanishes. The grid rows are this map's, calibrated.
         """
         if calibration is None:
             return self
 
-        def batch(d, derivative):
-            probs, slopes = self.batch(d, derivative)
+        def calibrate(probs, slopes):
             if calibration.alpha.size != probs.shape[1]:
                 raise ValueError("calibration shape does not match the counts")
             return _calibrate_rows(probs, slopes, calibration)[:2]
 
-        return _ForwardMap(batch, self.shape)
+        return _ForwardMap(
+            lambda d, derivative: calibrate(*self.batch(d, derivative)),
+            self.shape,
+            lambda: calibrate(self.grid_probs, None)[0],
+        )
 
 
 def _as_map(forward) -> _ForwardMap:
@@ -499,10 +512,18 @@ def _as_map(forward) -> _ForwardMap:
     return _ForwardMap(batch, (-1,))
 
 
+# One map per measurement and process, so its grid tables are built once: equal
+# arguments, passed the same way, return the same map. Once a fit has read them,
+# a map holds two read-only tables of 200 x outcomes floats, 4.4 MB for a 37x37
+# space; a full cache of eight such maps holds 35 MB.
+@lru_cache(maxsize=8)
 def spade_forward(
     model: SchmidtModel, space: ModeSpace, renormalize: bool = True
 ) -> Callable[[float], np.ndarray]:
-    """Forward map d -> coincidence probability matrix entries (d scalar or array)."""
+    """Forward map d -> coincidence probability matrix entries (d scalar or array).
+
+    Equal arguments return the same map, shared by every caller in the process.
+    """
 
     def batch(d, derivative):
         entries, slopes, _ = _spade_probs(d, space, model, renormalize, derivative)
@@ -511,10 +532,14 @@ def spade_forward(
     return _ForwardMap(batch, space.shape)
 
 
+@lru_cache(maxsize=8)
 def direct_forward(
     model: SchmidtModel, grid: PixelGrid, kind: str
 ) -> Callable[[float], np.ndarray]:
-    """Forward map d -> pixel probability vector with residual bucket (d scalar or array)."""
+    """Forward map d -> pixel probability vector with residual bucket (d scalar or array).
+
+    Equal arguments return the same map, shared by every caller in the process.
+    """
     return _ForwardMap(
         lambda d, derivative: _pixel_probs(d, grid, model, kind, derivative),
         (grid.count + 1,),

@@ -134,10 +134,14 @@ def quad_overlap(m: int, n: int, shift: float, order: int | None = None) -> floa
     Sign bookkeeping: the mode n at x - shift is centered at +shift, so this
     integral equals displaced_overlap(m, n, shift, sign=-1).
     """
+    if not (_is_integer(m) and _is_integer(n)):
+        raise ValueError(f"mode indices must be integers, got m={m!r}, n={n!r}")
     if m < 0 or n < 0:
         raise ValueError("mode indices must be non-negative")
     if order is None:
         order = 2 * (m + n) + 20
+    if not _is_integer(order):
+        raise ValueError(f"quadrature order must be an integer, got {order!r}")
     if order < m + n + 10:
         raise ValueError(
             f"quadrature order {order} too low for modes ({m}, {n}); need >= {m + n + 10}"

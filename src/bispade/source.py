@@ -72,11 +72,14 @@ def schmidt_coeff(m, n, gamma):
     """Mode coefficient C_mn = (4 gamma / (1+gamma)^2) * r^(m+n).
 
     Evaluated in log space so large m+n underflows gracefully. Accepts scalar
-    or array indices; with gamma = 1 only C_00 survives.
+    indices or arrays of integer dtype; with gamma = 1 only C_00 survives.
     """
     gamma = _checked_gamma(gamma)
     ma = np.asarray(m)
     na = np.asarray(n)
+    # a dtype check, so an index array costs nothing per element
+    if not (np.issubdtype(ma.dtype, np.integer) and np.issubdtype(na.dtype, np.integer)):
+        raise ValueError(f"mode indices must be integers, got m={m!r}, n={n!r}")
     if np.any(ma < 0) or np.any(na < 0):
         raise ValueError("mode indices must be non-negative")
     scalar = ma.ndim == 0 and na.ndim == 0

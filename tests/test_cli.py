@@ -696,6 +696,34 @@ class TestCompare:
             outputs[budget] = (out / "compare.csv").read_bytes()
         assert outputs[3] == outputs[25]
 
+    def test_shared_maps_leak_nothing_between_jobs(self, tmp_path):
+        # jobs in one process share their forward maps; each output must equal
+        # that of the same job run on emptied caches
+        cal = bp.CalibrationModel(alpha=np.full((7, 7), 0.8), beta=np.full((7, 7), 0.01))
+        files = _make_synthetic_files(tmp_path, np.linspace(0.1, 1.2, 6), photons=20_000,
+                                      cal=cal)
+        sweep = ["--photons", "3000", "--trials", "4", "--sep-start", "0.05",
+                 "--sep-stop", "0.65", "--sep-step", "0.3", "--seed", "5"]
+        jobs = [
+            ("compare.csv", ["compare", "--gamma", "0.15", *sweep]),
+            ("compare.csv", ["compare", "--gamma", "0.07", *sweep]),
+            ("estimates.csv", ["estimate", *files, "--calibrate", "--gamma", "0.15"]),
+            ("compare.csv", ["compare", "--gamma", "0.15", *sweep]),
+        ]
+
+        def run(out, name, argv):
+            assert main([*argv, "--out-dir", str(tmp_path / out)]) == EXIT_OK
+            return (tmp_path / out / name).read_bytes()
+
+        in_sequence = [run(f"warm{i}", *job) for i, job in enumerate(jobs)]
+        alone = []
+        for i, job in enumerate(jobs):
+            inference.spade_forward.cache_clear()
+            inference.direct_forward.cache_clear()
+            alone.append(run(f"cold{i}", *job))
+        assert in_sequence == alone
+        assert in_sequence[0] == in_sequence[3] != in_sequence[1]
+
 
 class TestHeaders:
     RUN_KEYS = ("photons", "trials", "seed")

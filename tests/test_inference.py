@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import bispade as bp
+from bispade import inference
 from bispade.inference import _as_map, _checked_draws, _fit, _ForwardMap
 from bispade.model import _pixel_probs, _spade_probs
 
@@ -320,6 +321,75 @@ class TestForwardMaps:
             for d, row in zip(ds, stacked):
                 expected = scalar(float(d))
                 np.testing.assert_array_equal(row, getattr(expected, "entries", expected))
+
+
+class TestSharedMaps:
+    def test_equal_measurements_share_one_map(self):
+        space = bp.ModeSpace(idler=tuple((k, 0) for k in range(7)),
+                             signal=tuple((k, 0) for k in range(7)))
+        assert (bp.spade_forward(bp.SchmidtModel(0.15), bp.ModeSpace.grid())
+                is bp.spade_forward(bp.SchmidtModel.from_gamma(0.15), space))
+        assert (bp.direct_forward(bp.SchmidtModel(0.15), bp.PixelGrid(), "spdc")
+                is bp.direct_forward(bp.SchmidtModel.from_gamma(0.15),
+                                     bp.PixelGrid(50, (-4, 4)), "spdc"))
+
+    def test_other_measurements_get_other_maps(self, model015, space7):
+        spade = [bp.spade_forward(model015, space7),
+                 bp.spade_forward(bp.SchmidtModel(0.07), space7),
+                 bp.spade_forward(model015, bp.ModeSpace.grid(5)),
+                 bp.spade_forward(model015, space7, False)]
+        direct = [bp.direct_forward(model015, bp.PixelGrid(), "spdc"),
+                  bp.direct_forward(bp.SchmidtModel(0.07), bp.PixelGrid(), "spdc"),
+                  bp.direct_forward(model015, bp.PixelGrid(40), "spdc"),
+                  bp.direct_forward(model015, bp.PixelGrid(), "gaussian")]
+        maps = spade + direct
+        assert len({id(forward) for forward in maps}) == len(maps)
+        tables = [forward.log_probs for forward in maps]
+        for i, j in ((0, 1), (0, 3), (4, 5), (4, 7)):
+            assert not np.array_equal(tables[i], tables[j])
+
+    @pytest.mark.parametrize("method", bp.METHODS)
+    def test_shared_tables_are_read_only(self, model015, space7, method):
+        forward = inference._method_forward(method, model015, space7, bp.PixelGrid())
+        for table in (forward.grid_probs, forward.log_probs):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
+
+    def test_scalar_call_builds_no_table(self, model015, space7):
+        bp.spade_forward.cache_clear()
+        forward = bp.spade_forward(model015, space7)
+        forward(0.3)
+        assert not {"grid_probs", "log_probs"} & set(vars(forward))
+
+    @pytest.mark.parametrize("method", bp.METHODS)
+    def test_table_equals_scalar_oracle(self, model015, space7, method):
+        grid = bp.PixelGrid()
+        if method == "spade":
+            def scalar(d):
+                return bp.prob_matrix(d, space7, model015).entries.ravel()
+        else:
+            def scalar(d):
+                return bp.pixel_probs(d, grid, model015, method.removeprefix("direct_"))
+        rows = np.stack([scalar(float(d)) for d in np.linspace(0.0, 2.0, 200)])
+        oracle = np.log(np.maximum(rows, bp.LIKELIHOOD_FLOOR))
+        forward = inference._method_forward(method, model015, space7, grid)
+        np.testing.assert_array_equal(forward.log_probs, oracle)
+
+    def test_calibrated_table_equals_calibration_of_fresh_rows(self, model015, space7):
+        rng = np.random.default_rng(8)
+        cal = bp.CalibrationModel(alpha=rng.uniform(0.5, 1.2, space7.shape),
+                                  beta=rng.uniform(0.0, 0.02, space7.shape))
+        rows = np.stack([
+            bp.apply_calibration(bp.prob_matrix(float(d), space7, model015), cal).entries.ravel()
+            for d in np.linspace(0.0, 2.0, 200)
+        ])
+        forward = bp.spade_forward(model015, space7)
+        calibrated = forward.calibrated(cal)
+        np.testing.assert_array_equal(calibrated.grid_probs, rows)
+        np.testing.assert_array_equal(calibrated.log_probs,
+                                      np.log(np.maximum(rows, bp.LIKELIHOOD_FLOOR)))
+        # the base map's table is the uncalibrated one
+        assert not np.array_equal(forward.grid_probs, rows)
 
 
 def _second_difference(fn, h=3e-4):

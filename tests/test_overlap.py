@@ -142,3 +142,12 @@ class TestQuadOverlap:
     def test_rejects_negative_modes(self):
         with pytest.raises(ValueError):
             quad_overlap(-1, 0, 0.5)
+
+    @pytest.mark.parametrize("m, n", [(1.5, 0), (True, 1), (2, 2.0)])
+    def test_rejects_non_integer_modes_by_value(self, m, n):
+        with pytest.raises(ValueError, match=f"integers, got m={m!r}, n={n!r}"):
+            quad_overlap(m, n, 0.3)
+
+    def test_rejects_non_integer_order_by_value(self):
+        with pytest.raises(ValueError, match="order must be an integer, got 30.0"):
+            quad_overlap(1, 0, 0.3, order=30.0)

@@ -55,6 +55,10 @@ def test_output_digest_lines(capsys):
     for name in digest.READER_ERRORS:
         assert f"error-counts-{name.replace('_', '-')}/exit {exit_two}" in lines
     assert f"estimate-hand-edited/exit {hashlib.sha256(b'0').hexdigest()}" in lines
+    # a measurement revisited in the same process writes the same table
+    digests = dict(line.split() for line in lines)
+    assert (digests["compare-sweep_k12-seed1-again/compare.csv"]
+            == digests["compare-sweep_k12-seed1/compare.csv"])
 
 
 def test_bench_runs_every_item_once(tmp_path, monkeypatch, capsys):

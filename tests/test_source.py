@@ -82,6 +82,17 @@ class TestSchmidtCoeff:
         with pytest.raises(ValueError):
             schmidt_coeff(-1, 0, 0.15)
 
+    @pytest.mark.parametrize("m, n", [(1.5, 0), (True, 0), (0, 2.0), (np.array([1.0, 2.0]), 0),
+                                      (np.arange(3), np.zeros(3))])
+    def test_rejects_non_integer_indices(self, m, n):
+        with pytest.raises(ValueError, match="mode indices must be integers, got m="):
+            schmidt_coeff(m, n, 0.15)
+
+    def test_accepts_integer_dtype_arrays(self):
+        m = np.arange(5, dtype=np.int32)
+        expected = [schmidt_coeff(k, 1, 0.15) for k in range(5)]
+        assert schmidt_coeff(m, np.uint8(1), 0.15).tolist() == expected
+
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             schmidt_coeff(0, 0, 0.0)
