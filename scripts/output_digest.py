@@ -59,8 +59,9 @@ def _write_inputs(directory: Path) -> list[Path]:
 
 
 def _derived(text: str) -> dict[str, str]:
-    # counts files made from the text of an input: one hand-edited file that the
-    # reader accepts, and one file per reader error
+    # counts files made from the text of an input: a hand-edited file and a
+    # copy with its rows reversed, both of which the reader accepts, and one
+    # file per reader error
     label, columns, *rows = text.splitlines()
 
     def with_count(row: str, count) -> str:
@@ -71,6 +72,7 @@ def _derived(text: str) -> dict[str, str]:
     edited[10:10] = ["", "# a note between rows", ""]
     bodies = {
         "hand_edited": edited,
+        "reordered": rows[::-1],
         "duplicate": rows[:1] + rows[:1] + rows[2:],
         "negative": [with_count(rows[0], -5)] + rows[1:],
         "outside": rows[:-1] + ["7,0,0,0,3"],
@@ -101,6 +103,8 @@ def _runs(paths: list[Path], derived: dict[str, Path]) -> dict[str, list[str]]:
     runs["estimate-space-mismatch"] = ["estimate", files[0], "--modes-l", "1"]
     runs["estimate-hand-edited"] = ["estimate", *files, str(derived["hand_edited"]),
                                     "--gamma", "0.15"]
+    runs["estimate-reordered"] = ["estimate", *files, str(derived["reordered"]),
+                                  "--gamma", "0.15"]
     for name, gamma in (("sweep_k12", "0.15"), ("sweep_k51", "0.07")):
         for seed in _SEEDS:
             runs[f"compare-{name}-seed{seed}"] = ["compare", "--gamma", gamma, *_SWEEP,

@@ -241,6 +241,18 @@ def _write_table(cfg: RunConfig, command: str, name: str, extra: dict, columns: 
     return path
 
 
+_COLUMNS = "k_idler,l_idler,k_signal,l_signal,count"
+
+
+@functools.lru_cache(maxsize=16)
+def _row_keys(space: ModeSpace) -> np.ndarray:
+    # the (k, l, k', l') of every row of a counts file, in the C order of the
+    # count matrix: the order write_counts_file writes, read-only
+    keys = np.array([idler + signal for idler in space.idler for signal in space.signal])
+    keys.flags.writeable = False
+    return keys
+
+
 def write_counts_file(
     path: str | Path,
     space: ModeSpace,
@@ -258,10 +270,9 @@ def write_counts_file(
         lines.append(f"# separation = {_fmt(separation)}")
     for key, value in (meta or {}).items():
         lines.append(f"# {key} = {value}")
-    lines.append("k_idler,l_idler,k_signal,l_signal,count")
-    for i, (k, l) in enumerate(space.idler):
-        for j, (kp, lp) in enumerate(space.signal):
-            lines.append(f"{k},{l},{kp},{lp},{int(counts[i, j])}")
+    lines.append(_COLUMNS)
+    for (k, l, kp, lp), count in zip(_row_keys(space).tolist(), counts.ravel().tolist()):
+        lines.append(f"{k},{l},{kp},{lp},{int(count)}")
     path.write_text("\n".join(lines) + "\n", newline="\n")
     return path
 
@@ -282,39 +293,23 @@ def _separation_label(line: str) -> float | None:
 # '\n'; a '#' line holds none of the line breaks of str.splitlines
 _EXACT_LAYOUT = re.compile(
     r"((?:#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*\n)*)"
-    r"k_idler,l_idler,k_signal,l_signal,count\n"
+    + re.escape(_COLUMNS) + r"\n"
     r"((?:(?:[0-9]{1,18},){4}[0-9]{1,18}\n)*)"
 )
 
 
-@functools.lru_cache(maxsize=16)
-def _cell_index(space: ModeSpace) -> tuple[np.ndarray, np.ndarray] | None:
-    # dense (k, l, k', l') -> flat index of the cell in space.shape, with one
-    # slot more per axis: a tuple clipped to `top` stays in the array, and every
-    # tuple outside the space reads the cell count. None for a sparse space,
-    # whose dense lookup would be far larger than its counts (a grid's is at
-    # most 16 times as large)
-    tuples = np.array([idler + signal for idler in space.idler for signal in space.signal])
-    top = tuples.max(axis=0) + 1
-    if math.prod((top + 1).tolist()) > 16 * len(tuples):
-        return None
-    lookup = np.full(top + 1, len(tuples))
-    lookup[tuple(tuples.T)] = np.arange(len(tuples))
-    lookup.flags.writeable = False
-    top.flags.writeable = False
-    return lookup, top
-
-
 def _read_exact(text: str, space: ModeSpace) -> CountMatrix | None:
-    # the file in the layout write_counts_file writes, in one pass; None for any
-    # file this cannot place exactly, which the line loop then reads or rejects
+    # the file in the layout and row order write_counts_file writes, in one
+    # pass; None for any other file, which the line loop then reads or rejects
     match = _EXACT_LAYOUT.fullmatch(text)
     if match is None:
         return None
     head, body = match.groups()
-    cells = len(space.idler) * len(space.signal)
-    index = _cell_index(space)
-    if index is None or body.count("\n") != cells:
+    keys = _row_keys(space)
+    if body.count("\n") != len(keys):
+        return None
+    rows = np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",").reshape(len(keys), 5)
+    if not np.array_equal(rows[:, :4], keys):
         return None
     separation = None
     for line in head.splitlines():
@@ -323,15 +318,7 @@ def _read_exact(text: str, space: ModeSpace) -> CountMatrix | None:
             if not math.isfinite(label):
                 return None
             separation = label
-    rows = np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",").reshape(cells, 5)
-    lookup, top = index
-    flat = lookup[tuple(np.minimum(rows[:, :4], top).T)]
-    # as many rows as cells, so a hit on every cell means each is hit exactly once
-    if not np.bincount(flat, minlength=cells + 1)[:cells].all():
-        return None
-    counts = np.empty(cells, dtype=np.int64)
-    counts[flat] = rows[:, 4]
-    exact = CountMatrix(counts.reshape(space.shape), separation)
+    exact = CountMatrix(rows[:, 4].reshape(space.shape), separation)
     return exact if exact.total <= _MAX_PHOTONS else None
 
 
@@ -339,7 +326,8 @@ def read_counts_file(path: str | Path, space: ModeSpace) -> CountMatrix:
     """Parse a long-format counts file into a CountMatrix over the given mode space.
 
     Rows may come in any order, but every (idler, signal) pair of the space
-    needs exactly one. '#' lines are skipped, except '# separation = <d>', d finite.
+    needs exactly one; a file in the layout and row order of write_counts_file
+    is read in one pass. '#' lines are skipped, except '# separation = <d>', d finite.
     Counts must fit in int64 and sum to at most 2**53.
     """
     path = Path(path)
@@ -351,12 +339,9 @@ def read_counts_file(path: str | Path, space: ModeSpace) -> CountMatrix:
     if exact is not None:
         return exact
     configured = f"configured {len(space.idler)}x{len(space.signal)} space"
-    cells = {
-        idler + signal: (i, j)
-        for i, idler in enumerate(space.idler)
-        for j, signal in enumerate(space.signal)
-    }
-    counts = np.full(space.shape, -1, dtype=np.int64)  # -1: no row yet
+    keys = _row_keys(space).tolist()
+    cells = {tuple(key): cell for cell, key in enumerate(keys)}
+    counts = np.full(len(keys), -1, dtype=np.int64)  # -1: no row yet
     separation: float | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -388,14 +373,13 @@ def read_counts_file(path: str | Path, space: ModeSpace) -> CountMatrix:
         if counts[cells[key]] >= 0:
             raise DataFormatError(f"{path}:{lineno}: duplicate mode tuple {key}")
         counts[cells[key]] = count
-    missing = np.argwhere(counts < 0)
+    missing = np.flatnonzero(counts < 0)
     if len(missing):
-        i, j = missing[0]
         raise DataFormatError(
             f"{path}: {len(missing)} mode tuples of the {configured} have no row, the first "
-            f"{space.idler[i] + space.signal[j]}"
+            f"{tuple(keys[missing[0]])}"
         )
-    matrix = CountMatrix(counts, separation)
+    matrix = CountMatrix(counts.reshape(space.shape), separation)
     if matrix.total > _MAX_PHOTONS:
         raise DataFormatError(
             f"{path}: counts sum to {matrix.total}, above 2**53 = {_MAX_PHOTONS}, "
@@ -422,10 +406,8 @@ def cmd_matrices(cfg: RunConfig, args: argparse.Namespace) -> list[tuple]:
     tables = []
     for index, d in enumerate(seps):
         pm = prob_matrix(float(d), space, model, renormalize=True)
-        rows = []
-        for i, (k, l) in enumerate(space.idler):
-            for j, (kp, lp) in enumerate(space.signal):
-                rows.append(f"{k},{l},{kp},{lp},{_fmt(pm.entries[i, j])}")
+        rows = [f"{k},{l},{kp},{lp},{_fmt(p)}"
+                for (k, l, kp, lp), p in zip(_row_keys(space).tolist(), pm.entries.ravel())]
         extra = {
             "separation_d": _fmt(d),
             "separation_delta": _fmt(2.0 * d),

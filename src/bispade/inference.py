@@ -179,6 +179,7 @@ def fi_closed_form(k, l, gamma: float, branch: str):
     la = np.asarray(l)
     if not (np.issubdtype(ka.dtype, np.integer) and np.issubdtype(la.dtype, np.integer)):
         raise ValueError(f"mode indices must be integers, got k={k!r}, l={l!r}")
+    ka = ka.astype(np.int64)  # so that k + 1 cannot wrap in a small integer dtype
     if np.any(ka < 0) or np.any(la < 0):
         raise ValueError("mode indices must be non-negative")
     scalar = ka.ndim == 0 and la.ndim == 0
@@ -419,6 +420,8 @@ def fit_calibration(
     if any(cm.counts.shape != shape for _, cm in datasets):
         raise ValueError("datasets must share a counts shape")
     x, _ = _as_map(forward).batch(np.array(seps), False)
+    if x.shape[1] != math.prod(shape):
+        raise ValueError("forward model size does not match the counts")
     y = np.stack([cm.counts.ravel() / cm.total for _, cm in datasets])
     x_mean = x.mean(axis=0)
     y_mean = y.mean(axis=0)
@@ -585,8 +588,8 @@ def mc_standard_error(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
+    if not (_is_integer(trials) and trials >= 2):
+        raise ValueError(f"need an integer number of at least 2 trials, got {trials!r}")
     if model is None:
         model = SchmidtModel.from_gamma(gamma)
     elif model.gamma != gamma:

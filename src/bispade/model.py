@@ -120,11 +120,14 @@ class PixelGrid:
     span: tuple[float, float] = (-4.0, 4.0)
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("pixel count must be at least 1")
-        if not self.span[1] > self.span[0]:
-            raise ValueError("span must be increasing")
-        object.__setattr__(self, "span", (float(self.span[0]), float(self.span[1])))
+        if not (_is_integer(self.count) and self.count >= 1):
+            raise ValueError(f"pixel count must be an integer of at least 1, got {self.count!r}")
+        lo, hi = map(float, self.span)
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"span ends and width must be finite, got {self.span!r}")
+        if not hi > lo:
+            raise ValueError(f"span must be increasing, got {self.span!r}")
+        object.__setattr__(self, "span", (lo, hi))
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -164,6 +167,16 @@ def _in_blocks(evaluate, d: np.ndarray, row_cells: int):
     return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
 
 
+def _check_separations(d: np.ndarray, derivative: int) -> None:
+    # the separations every forward map takes: finite, and 0 for the second derivative
+    infinite = d[~np.isfinite(d)]
+    if len(infinite):
+        raise ValueError(f"separations must be finite, got {float(infinite[0])!r}")
+    moved = d[d != 0.0] if derivative == 2 else ()
+    if len(moved):
+        raise ValueError(f"the second derivative is exact only at d = 0, got {float(moved[0])!r}")
+
+
 def _spade_probs(d: np.ndarray, space: ModeSpace, model: SchmidtModel, renormalize: bool,
                  derivative: int):
     """Probability matrices (and their d-derivatives) at each separation of the 1-D array d.
@@ -175,8 +188,7 @@ def _spade_probs(d: np.ndarray, space: ModeSpace, model: SchmidtModel, renormali
     d<m|n',d>/dd = sqrt(n'/2) <m|n'-1,d> - sqrt((n'+1)/2) <m|n'+1,d>,
     which needs one table column past the largest index of the space.
     """
-    if derivative == 2 and np.any(d != 0.0):
-        raise ValueError("the second derivative is exact only at d = 0")
+    _check_separations(d, derivative)
     k, l = np.array(space.idler).T
     kp, lp = np.array(space.signal).T
     size = int(max(k.max(), kp.max())) + (1 if derivative == 1 else 0)
@@ -303,8 +315,7 @@ def _pixel_probs(d: np.ndarray, grid: PixelGrid, model: SchmidtModel, kind: str,
     component's pixel mass is a difference of Gaussian values at the pixel edges, its
     second derivative a difference of u exp(-u^2).
     """
-    if derivative == 2 and np.any(d != 0.0):
-        raise ValueError("the second derivative is exact only at d = 0")
+    _check_separations(d, derivative)
     s = _psf_scale(model, kind)
     return _in_blocks(
         lambda block: _pixel_block(block, grid, s, derivative), d, 2 * (grid.count + 1)

@@ -88,7 +88,8 @@ def schmidt_coeff(m, n, gamma):
         out = np.where((ma == 0) & (na == 0), 1.0, 0.0)
     else:
         log_c00 = math.log(4.0 * gamma) - 2.0 * math.log1p(gamma)
-        out = np.exp(log_c00 + (ma + na) * math.log(r))
+        # m + n in float64, which no integer dtype of the indices can wrap
+        out = np.exp(log_c00 + np.add(ma, na, dtype=float) * math.log(r))
     return float(out) if scalar else out
 
 

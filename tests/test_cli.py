@@ -412,11 +412,24 @@ class TestCountsIo:
         np.testing.assert_array_equal(fast.counts, counts)
 
     def test_a_sparse_space_with_large_indices_is_read(self, tmp_path):
-        # a dense lookup of this space would hold about 10**16 cells
+        # a dense lookup of this space would hold about 10**16 cells; the row
+        # keys hold two
         space = bp.ModeSpace(idler=((10**4, 10**4),), signal=((0, 0), (10**4, 1)))
         path = write_counts_file(tmp_path / "sparse.csv", space, np.array([[3, 4]]))
-        assert cli._cell_index(space) is None
+        assert cli._read_exact(path.read_text(), space).counts.tolist() == [[3, 4]]
         assert read_counts_file(path, space).counts.tolist() == [[3, 4]]
+
+    def test_reversed_rows_take_the_line_loop(self, tmp_path, space7):
+        # the one-pass read places rows by their written order only
+        written = write_counts_file(tmp_path / "written.csv", space7,
+                                    np.arange(49).reshape(7, 7), separation=0.3)
+        label, columns, *rows = written.read_text().splitlines()
+        reversed_path = tmp_path / "reversed.csv"
+        reversed_path.write_text("\n".join([label, columns, *rows[::-1]]) + "\n")
+        assert cli._read_exact(reversed_path.read_text(), space7) is None
+        loop, fast = read_counts_file(reversed_path, space7), read_counts_file(written, space7)
+        np.testing.assert_array_equal(loop.counts, fast.counts)
+        assert loop.separation == fast.separation == 0.3
 
     @pytest.mark.parametrize("case", {**REJECTED, **OUT_OF_RANGE}.values(),
                              ids={**REJECTED, **OUT_OF_RANGE}.keys())
@@ -485,7 +498,8 @@ class TestCountsIo:
         big = data.draw(st.sampled_from([None, 10**18 - 1, 10**18, 2**63 - 1, 2**63]))
         if big is not None:
             cells[data.draw(st.sampled_from(keys))] = big
-        order = data.draw(st.permutations(range(len(keys))))
+        written = list(range(len(keys)))
+        order = data.draw(st.just(written) | st.permutations(written))
         separation = data.draw(st.none() | st.floats(-10.0, 10.0))
         edits = data.draw(st.sets(st.sampled_from(self.EDITS)))
         path = tmp_path_factory.getbasetemp() / "oracle.csv"
@@ -509,7 +523,7 @@ class TestCountsIo:
                 assert cm.counts.dtype == np.int64 and cm.counts.tolist() == expected
                 assert cm.separation == separation and cm.total == total
         fast = cli._read_exact(path.read_text(), space)
-        if max(cells.values()) > 2**63 - 1 or total > 2**53:
+        if max(cells.values()) > 2**63 - 1 or total > 2**53 or order != written:
             assert fast is None
         elif not edits - {"zeros"}:
             assert fast.counts.tolist() == expected and fast.separation == separation

@@ -129,6 +129,14 @@ class TestClosedFormFi:
         with pytest.raises(ValueError, match="integers"):
             bp.fi_closed_form(k, l, 0.15, "up")
 
+    def test_small_dtypes_do_not_wrap(self):
+        # 255 + 1 in uint8 is 0
+        k, l = np.array([255], np.uint8), np.array([0], np.uint8)
+        assert bp.fi_closed_form(k, l, 0.15, "up").tolist() == [
+            bp.fi_closed_form(255, 0, 0.15, "up")]
+        assert bp.fi_closed_form(255, 0, 0.15, "up") == pytest.approx(1.6066334831693046e-66,
+                                                                       rel=1e-12)
+
     def test_accepts_integer_dtype_arrays(self):
         ks = np.arange(3, dtype=np.int32)
         np.testing.assert_array_equal(bp.fi_closed_form(ks, 0, 0.15, "up"),
@@ -697,6 +705,13 @@ class TestFitCalibration:
         assert cal.alpha[1, 0] == 1.0
         assert cal.beta[1, 0] == pytest.approx(0.1, abs=1e-12)
 
+    def test_rejects_a_forward_map_of_another_size(self, model015, space7):
+        forward = bp.direct_forward(model015, bp.PixelGrid(count=2), "gaussian")
+        datasets = [(d, bp.CountMatrix(np.ones(space7.shape, dtype=np.int64)))
+                    for d in (0.1, 0.5)]
+        with pytest.raises(ValueError, match="^forward model size does not match the counts$"):
+            bp.fit_calibration(datasets, forward)
+
     def test_needs_two_distinct_separations(self, model015, space7):
         forward = bp.spade_forward(model015, space7)
         counts = bp.CountMatrix(np.ones(space7.shape, dtype=np.int64))
@@ -747,6 +762,15 @@ class TestMonteCarlo:
             bp.mc_standard_error("telescope", 0.15, 1000, 0.1, 10, seed=0)
         with pytest.raises(ValueError):
             bp.mc_standard_error("spade", 0.15, 1000, 0.1, 1, seed=0)
+
+    @pytest.mark.parametrize("trials", [2.5, True])
+    def test_rejects_non_integer_trials(self, trials):
+        with pytest.raises(ValueError, match=f"at least 2 trials, got {trials}$"):
+            bp.mc_standard_error("spade", 0.15, 100, 0.3, trials, seed=1)
+
+    def test_rejects_a_non_finite_separation(self):
+        with pytest.raises(ValueError, match="^separations must be finite, got nan$"):
+            bp.mc_standard_error("direct_gaussian", 0.15, 100, math.nan, 4, seed=1)
 
     def test_rejects_fractional_photons(self):
         # a caller's error, not a numerical failure of the draw

@@ -23,6 +23,7 @@ from bispade import (
     spade_forward,
     CountMatrix,
 )
+from bispade.model import _pixel_probs, _spade_probs
 from oracles import riemann_pixel_probs, scalar_overlap
 
 
@@ -399,6 +400,32 @@ class TestPixelProbs:
             PixelGrid(count=0)
         with pytest.raises(ValueError):
             PixelGrid(span=(2.0, -2.0))
+
+    @pytest.mark.parametrize("count", [2.5, True, 0])
+    def test_grid_rejects_a_count_that_is_no_pixel_number(self, count):
+        with pytest.raises(ValueError, match=f"^pixel count must be an integer of at least 1, "
+                                             f"got {count}$"):
+            PixelGrid(count=count)
+
+    @pytest.mark.parametrize("span", [(-np.inf, np.inf), (np.nan, 1.0), (-1e308, 1e308)])
+    def test_grid_rejects_a_span_that_is_not_finite(self, span):
+        with pytest.raises(ValueError, match="^span ends and width must be finite, got"):
+            PixelGrid(span=span)
+
+    @pytest.mark.parametrize("d", [np.nan, np.inf, -np.inf])
+    def test_non_finite_separations_are_rejected_by_value(self, model015, space7, d):
+        message = f"^separations must be finite, got {d!r}$"
+        with pytest.raises(ValueError, match=message):
+            prob_matrix(d, space7, model015)
+        with pytest.raises(ValueError, match=message):
+            pixel_probs(d, PixelGrid(), model015)
+
+    def test_a_second_derivative_off_zero_is_rejected_by_value(self, model015, space7):
+        message = "^the second derivative is exact only at d = 0, got 0.25$"
+        with pytest.raises(ValueError, match=message):
+            _spade_probs(np.array([0.0, 0.25]), space7, model015, True, 2)
+        with pytest.raises(ValueError, match=message):
+            _pixel_probs(np.array([0.0, 0.25]), PixelGrid(), model015, "spdc", 2)
 
     def test_default_span_leakage_is_small(self, model015):
         # the default span keeps the Gaussian residual below 1e-4 even at the

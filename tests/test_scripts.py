@@ -50,11 +50,13 @@ def test_output_digest_lines(capsys):
     # estimate at a gamma with too little in-space mass is a numerical failure: exit code 3
     exit_three = hashlib.sha256(b"3").hexdigest()
     assert f"error-estimate-numerical/exit {exit_three}" in lines
-    # every reader error is a data error, and a hand-edited file is read
+    # every reader error is a data error, and a hand-edited or reordered file is read
     digest = _load("output_digest")
     for name in digest.READER_ERRORS:
         assert f"error-counts-{name.replace('_', '-')}/exit {exit_two}" in lines
-    assert f"estimate-hand-edited/exit {hashlib.sha256(b'0').hexdigest()}" in lines
+    exit_zero = hashlib.sha256(b"0").hexdigest()
+    assert f"estimate-hand-edited/exit {exit_zero}" in lines
+    assert f"estimate-reordered/exit {exit_zero}" in lines
     # a measurement revisited in the same process writes the same table
     digests = dict(line.split() for line in lines)
     assert (digests["compare-sweep_k12-seed1-again/compare.csv"]

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,18 @@ class TestSchmidtCoeff:
         m = np.arange(5, dtype=np.int32)
         expected = [schmidt_coeff(k, 1, 0.15) for k in range(5)]
         assert schmidt_coeff(m, np.uint8(1), 0.15).tolist() == expected
+
+    def test_small_dtypes_do_not_wrap(self):
+        # 200 + 100 in uint8 is 44
+        wide = schmidt_coeff(np.array([200], np.uint8), np.array([100], np.uint8), 0.15)
+        assert wide.tolist() == [schmidt_coeff(200, 100, 0.15)]
+        assert schmidt_coeff(200, 100, 0.15) == pytest.approx(1.8753450128817697e-40, rel=1e-12)
+
+    def test_huge_indices_underflow_without_overflow(self):
+        # 2**62 + 2**62 is past int64; a coefficient is at most 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert schmidt_coeff(2**62, 2**62, 0.15) == 0.0
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
