@@ -101,10 +101,11 @@ def layers(files: list[Path]) -> dict:
         items[f"overlap._overlap_amplitudes[{label}]"] = _time(
             lambda d=d: overlap._overlap_amplitudes(7, d), 100, calls)
         items[f"model._spade_probs[{label}]"] = _time(
-            lambda d=d: model._spade_probs(d, space, m, True, True), 100, calls)
+            lambda d=d: model._spade_probs(d, space, m, True, derivative=True), 100, calls)
         for kind in ("gaussian", "spdc"):
             items[f"model._pixel_probs[{kind},{label}]"] = _time(
-                lambda d=d, kind=kind: model._pixel_probs(d, grid, m, kind, True), 100, calls)
+                lambda d=d, kind=kind: model._pixel_probs(d, grid, m, kind, derivative=True),
+                100, calls)
     forwards = {method: inference._method_forward(method, m, space, grid)
                 for method in bp.METHODS}
     for method, f in forwards.items():

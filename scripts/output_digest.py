@@ -40,22 +40,24 @@ READER_ERRORS = ("duplicate", "negative", "outside", "missing", "non_integer", "
                  "count_2_63", "sum_past_2_53")
 
 
-def _write_inputs(directory: Path) -> list[Path]:
+def _write_inputs(directory: Path) -> tuple[list[Path], list[Path]]:
     # labeled counts files like the benchmark's estimate inputs: d = 0.0465 k for
-    # k = 1..29, an attenuation of 0.8 and a background of 0.01 baked in
+    # k = 1..29, an attenuation of 0.8 and a background of 0.01 baked in; and eight
+    # more drawn the same way at d = 0, some of whose calibrated fits stop at 0
     model = bp.SchmidtModel.from_gamma(0.15)
     space = bp.ModeSpace.grid()
     imperfection = bp.CalibrationModel(alpha=np.full(space.shape, 0.8),
                                        beta=np.full(space.shape, 0.01))
     directory.mkdir(parents=True)
-    files = []
-    for k in range(1, 30):
-        d = 0.0465 * k
+
+    def draw(name: str, d: float, seed: int) -> Path:
         matrix = bp.apply_calibration(bp.prob_matrix(d, space, model), imperfection)
-        counts = bp.sample_counts(matrix, 37_000, seed=bp.trial_seed(2024, k))
-        files.append(write_counts_file(directory / f"counts_{k:02d}.csv", space,
-                                       counts.counts, separation=d))
-    return files
+        counts = bp.sample_counts(matrix, 37_000, seed=seed)
+        return write_counts_file(directory / name, space, counts.counts, separation=d)
+
+    files = [draw(f"counts_{k:02d}.csv", 0.0465 * k, bp.trial_seed(2024, k)) for k in range(1, 30)]
+    zeros = [draw(f"zero_{j}.csv", 0.0, bp.trial_seed(2025, j)) for j in range(8)]
+    return files, zeros
 
 
 def _derived(text: str) -> dict[str, str]:
@@ -88,7 +90,8 @@ def _derived(text: str) -> dict[str, str]:
     return derived
 
 
-def _runs(paths: list[Path], derived: dict[str, Path]) -> dict[str, list[str]]:
+def _runs(paths: list[Path], zeros: list[Path],
+          derived: dict[str, Path]) -> dict[str, list[str]]:
     # run name -> argv; every run but --help and --version gets its own --out-dir
     files = list(map(str, paths))
     runs = {"help": ["--help"], "version": ["--version"]}
@@ -100,6 +103,8 @@ def _runs(paths: list[Path], derived: dict[str, Path]) -> dict[str, list[str]]:
     runs["matrices-l1"] = ["matrices", "--modes-k", "2", "--modes-l", "1", "--gamma", "0.3"]
     runs["estimate"] = ["estimate", *files, "--gamma", "0.15"]
     runs["estimate-calibrate"] = ["estimate", *files, "--calibrate", "--gamma", "0.15"]
+    runs["estimate-calibrate-zero"] = ["estimate", *files, *map(str, zeros), "--calibrate",
+                                       "--gamma", "0.15"]
     runs["estimate-space-mismatch"] = ["estimate", files[0], "--modes-l", "1"]
     runs["estimate-hand-edited"] = ["estimate", *files, str(derived["hand_edited"]),
                                     "--gamma", "0.15"]
@@ -146,8 +151,8 @@ def digest_lines() -> list[str]:
         def clean(text: str) -> str:
             return text.replace(str(root), "<tmp>")
 
-        inputs = _write_inputs(root / "inputs")
-        for path in inputs:
+        inputs, zeros = _write_inputs(root / "inputs")
+        for path in inputs + zeros:
             lines.append(f"inputs/{path.name} {_sha(clean(path.read_text()))}")
         # files made from the first input; derived from a listed input, they get no line
         derived = {}
@@ -156,7 +161,7 @@ def digest_lines() -> list[str]:
             derived[name].write_text(text)
         # argparse wraps help to the terminal width it reads from COLUMNS
         with mock.patch.dict(os.environ, COLUMNS="80"):
-            for name, argv in _runs(inputs, derived).items():
+            for name, argv in _runs(inputs, zeros, derived).items():
                 out_dir = root / name
                 stdout, stderr = io.StringIO(), io.StringIO()
                 if argv[-1] not in ("--help", "--version"):

@@ -23,11 +23,12 @@ from .model import (
     ModeSpace,
     PixelGrid,
     ProbabilityMatrix,
+    _CURVE_STEP,
     _calibrate_rows,
     _pixel_probs,
     _spade_probs,
 )
-from .source import SchmidtModel, _is_integer, coefficient_ratio, schmidt_coeff
+from .source import SchmidtModel, _coefficient, _is_integer, _mode_indices, coefficient_ratio
 
 __all__ = [
     "PARAMETERIZATION",
@@ -66,10 +67,8 @@ _MAX_REFINE_STEPS = 100
 # row budget of one _fit call in a Monte-Carlo sweep: consecutive whole cells
 # are fitted together up to this many trials
 _FIT_ROWS = 512
-# central-difference steps for the first and second derivative of a forward map
-# that has no exact ones
+# central-difference step for the derivative of a forward map that has no exact one
 _DIFF_STEP = 1e-6
-_CURVE_STEP = 1e-4
 # refinement must beat the best grid point's log-likelihood by more than this
 # relative amount, a few ulps of the sum of count * log p terms; a point within
 # rounding of the grid optimum (a maximum within about 1e-7 of a grid point,
@@ -175,21 +174,15 @@ def fi_closed_form(k, l, gamma: float, branch: str):
     with signal k-1 and contributes k/2 * C_{k-1,l}^2. Accepts array indices of
     integer dtype.
     """
-    ka = np.asarray(k)
-    la = np.asarray(l)
-    if not (np.issubdtype(ka.dtype, np.integer) and np.issubdtype(la.dtype, np.integer)):
-        raise ValueError(f"mode indices must be integers, got k={k!r}, l={l!r}")
-    ka = ka.astype(np.int64)  # so that k + 1 cannot wrap in a small integer dtype
-    if np.any(ka < 0) or np.any(la < 0):
-        raise ValueError("mode indices must be non-negative")
+    ka, la = _mode_indices(k=k, l=l)
     scalar = ka.ndim == 0 and la.ndim == 0
     if branch == "diag":
         out = np.zeros(np.broadcast(ka, la).shape)
     elif branch == "up":
-        c = schmidt_coeff(ka + 1, la, gamma)
-        out = 0.5 * (ka + 1) * c * c
+        c = _coefficient(ka + 1.0 + la, gamma)
+        out = 0.5 * (ka + 1.0) * c * c
     elif branch == "down":
-        c = schmidt_coeff(np.maximum(ka - 1, 0), la, gamma)
+        c = _coefficient(np.maximum(ka - 1.0, 0.0) + la, gamma)
         out = np.where(ka > 0, 0.5 * ka * c * c, 0.0)
     else:
         raise ValueError(f"unknown branch {branch!r}; expected 'diag', 'up' or 'down'")
@@ -285,9 +278,8 @@ def mle_estimate(
     grid point is 0 stops there when the log-likelihood curves down at 0, and
     otherwise falls back to bisection, the grid point kept unless refinement
     beats it. The maps of spade_forward and direct_forward supply the exact
-    d-derivative and second derivative at 0; for any other callable they are
-    central differences. The multinomial coefficient is separation
-    independent and dropped.
+    d-derivative; for any other callable it is a central difference. The
+    multinomial coefficient is separation independent and dropped.
     """
     obs = counts.counts.ravel()[None, :].astype(float)
     fits = _fit(obs, _as_map(forward).calibrated(calibration))
@@ -331,7 +323,8 @@ def _fit(obs: np.ndarray, forward: _ForwardMap) -> _Fits:
     point by more than rounding keeps the grid point. A row whose best grid
     point is d = 0, whose log-likelihood curves down there,
     sum_i n_i p_i''(0) / p_i(0) < 0, and that has no count on an outcome
-    dead at 0 has its maximum at 0 and stops before the first pass.
+    dead at 0 has its maximum at 0 and stops before the first pass. The map
+    is even in d, so p_i''(0) is read as p_i'(h) / h at h = _CURVE_STEP.
     """
     if forward.log_probs.shape[1] != obs.shape[1]:
         raise ValueError("forward model size does not match the counts")
@@ -354,9 +347,10 @@ def _fit(obs: np.ndarray, forward: _ForwardMap) -> _Fits:
     photons = obs.sum(axis=1)
     peaked = best == 0
     if np.any(peaked):
-        probs, curvature = forward.batch(_GRID[:1], 2)
+        probs, slopes = forward.batch(np.array([0.0, _CURVE_STEP]), True)
         live = probs[0] > LIKELIHOOD_FLOOR
-        ratio = np.divide(curvature[0], probs[0], out=np.zeros_like(probs[0]), where=live)
+        ratio = np.divide(slopes[1] / _CURVE_STEP, probs[0], out=np.zeros_like(probs[0]),
+                          where=live)
         # a count on an outcome dead at 0 (such as an off-diagonal spade cell)
         # puts the maximum off 0 however the live outcomes curve
         peaked &= (obs @ ratio < 0.0) & (obs[:, ~live].sum(axis=1) == 0.0)
@@ -444,10 +438,10 @@ class _ForwardMap:
     The one model object a fit reads. Called with separations of any shape, it
     returns the stacked arrays of one vectorized pass, of shape
     np.shape(d) + shape. batch(d, derivative) takes a 1-D array of separations
-    and returns (probabilities, d-derivatives or None) as (separations x
-    outcomes) rows: none for derivative 0, the first for 1, and the second at
-    d = 0 for 2. grid_rows, when given, returns the rows on the search grid
-    from a table another map already holds; without it they are one batch pass.
+    and returns (probabilities, d-derivatives) as (separations x outcomes)
+    rows, the d-derivatives None unless derivative is true. grid_rows, when
+    given, returns the rows on the search grid from a table another map
+    already holds; without it they are one batch pass.
     """
 
     batch: Callable
@@ -476,8 +470,7 @@ class _ForwardMap:
     def calibrated(self, calibration: CalibrationModel | None) -> _ForwardMap:
         """This map followed by apply_calibration's map (this map itself for None).
 
-        The quotient rule of the first derivative also maps a second
-        derivative where the first vanishes. The grid rows are this map's, calibrated.
+        The grid rows are this map's, calibrated.
         """
         if calibration is None:
             return self
@@ -508,8 +501,6 @@ def _as_map(forward) -> _ForwardMap:
         probs = at(d)
         if not derivative:
             return probs, None
-        if derivative == 2:
-            return probs, (at(d + _CURVE_STEP) - 2.0 * probs + at(d - _CURVE_STEP)) / _CURVE_STEP**2
         return probs, (at(d + _DIFF_STEP) - at(d - _DIFF_STEP)) / (2.0 * _DIFF_STEP)
 
     return _ForwardMap(batch, (-1,))

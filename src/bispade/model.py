@@ -30,6 +30,8 @@ __all__ = [
 
 _MIN_IN_SPACE_MASS = 1e-9
 _BLOCK_CELLS = 1 << 14
+# the step h at which p'(h) / h of a map even in d stands for p''(0)
+_CURVE_STEP = 1e-5
 
 
 def _check_pairs(pairs, label):
@@ -150,11 +152,12 @@ def small_sep_prob(k: int, l: int, kp: int, lp: int, d: float, model: SchmidtMod
     """Quadratic-in-d approximation of coincidence_prob: p(0) + d^2 p''(0) / 2.
 
     Only the diagonal and first-neighbour k terms survive at this order; the
-    absolute error against the exact probability is O(d^4).
+    absolute error against the exact probability is O(d^4). The map is even in
+    d, so p''(0) is read as p'(h) / h at h = _CURVE_STEP, good to O(h^2).
     """
     space = ModeSpace(idler=((k, l),), signal=((kp, lp),))
-    entries, curvature, _ = _spade_probs(np.zeros(1), space, model, False, 2)
-    return float(entries[0, 0, 0] + 0.5 * d * d * curvature[0, 0, 0])
+    entries, slopes, _ = _spade_probs(np.array([0.0, _CURVE_STEP]), space, model, False, True)
+    return float(entries[0, 0, 0] + 0.5 * d * d * slopes[1, 0, 0] / _CURVE_STEP)
 
 
 def _in_blocks(evaluate, d: np.ndarray, row_cells: int):
@@ -167,31 +170,27 @@ def _in_blocks(evaluate, d: np.ndarray, row_cells: int):
     return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
 
 
-def _check_separations(d: np.ndarray, derivative: int) -> None:
-    # the separations every forward map takes: finite, and 0 for the second derivative
+def _check_separations(d: np.ndarray) -> None:
+    # the separations every forward map takes: finite ones
     infinite = d[~np.isfinite(d)]
     if len(infinite):
         raise ValueError(f"separations must be finite, got {float(infinite[0])!r}")
-    moved = d[d != 0.0] if derivative == 2 else ()
-    if len(moved):
-        raise ValueError(f"the second derivative is exact only at d = 0, got {float(moved[0])!r}")
 
 
 def _spade_probs(d: np.ndarray, space: ModeSpace, model: SchmidtModel, renormalize: bool,
-                 derivative: int):
+                 derivative: bool):
     """Probability matrices (and their d-derivatives) at each separation of the 1-D array d.
 
     Returns (entries, slopes, totals): entries and slopes of shape
     (len(d),) + space.shape, and the in-space mass per separation. slopes is
-    None for derivative 0, the first d-derivative for 1, and the second
-    d-derivative at d = 0 for 2 (every d must be 0). The slope of an amplitude is
-    d<m|n',d>/dd = sqrt(n'/2) <m|n'-1,d> - sqrt((n'+1)/2) <m|n'+1,d>,
+    the first d-derivative when derivative is true, else None. The slope of an
+    amplitude is d<m|n',d>/dd = sqrt(n'/2) <m|n'-1,d> - sqrt((n'+1)/2) <m|n'+1,d>,
     which needs one table column past the largest index of the space.
     """
-    _check_separations(d, derivative)
+    _check_separations(d)
     k, l = np.array(space.idler).T
     kp, lp = np.array(space.signal).T
-    size = int(max(k.max(), kp.max())) + (1 if derivative == 1 else 0)
+    size = int(max(k.max(), kp.max())) + int(derivative)
     return _in_blocks(
         lambda block: _spade_block(block, k, l, kp, lp, size, model, renormalize, derivative),
         d,
@@ -212,18 +211,10 @@ def _spade_block(d, k, l, kp, lp, size, model, renormalize, derivative):
     entries = weight * (a * a)
     totals = entries.reshape(len(d), -1).sum(axis=1)
     slopes = None
-    if derivative == 1:
+    if derivative:
         down = np.sqrt(0.5 * kp) * cells(np.maximum(kp - 1, 0))
         up = np.sqrt(0.5 * (kp + 1.0)) * cells(kp + 1)
         slopes = 2.0 * weight * a * (down - up)
-    elif derivative == 2:
-        # p''(0) of |<k|k',d>|^2: -(2k'+1) on the diagonal, k' for k = k'-1 and
-        # k'+1 for k = k'+1; with zero first derivatives the renormalization
-        # below keeps the slope's quotient rule
-        gap = k[:, None] - kp[None, :]
-        curvature = weight * np.select([gap == 0, gap == -1, gap == 1],
-                                       [-2.0 * kp - 1.0, kp, kp + 1.0])
-        slopes = np.broadcast_to(curvature, entries.shape)
     if renormalize:
         if np.any(totals < _MIN_IN_SPACE_MASS):
             raise NumericalError(
@@ -306,16 +297,15 @@ def _psf_scale(model: SchmidtModel, kind: str) -> float:
 
 
 def _pixel_probs(d: np.ndarray, grid: PixelGrid, model: SchmidtModel, kind: str,
-                 derivative: int):
+                 derivative: bool):
     """Pixel vectors (and their d-derivatives) at each separation in d.
 
     Returns (probs, slopes), each of shape (len(d), grid.count + 1). slopes
-    is None for derivative 0, the first d-derivative for 1, and the second
-    d-derivative at d = 0 for 2 (every d must be 0). The slope of a
-    component's pixel mass is a difference of Gaussian values at the pixel edges, its
-    second derivative a difference of u exp(-u^2).
+    is the first d-derivative when derivative is true, else None. The slope
+    of a component's pixel mass is a difference of Gaussian values at the
+    pixel edges.
     """
-    _check_separations(d, derivative)
+    _check_separations(d)
     s = _psf_scale(model, kind)
     return _in_blocks(
         lambda block: _pixel_block(block, grid, s, derivative), d, 2 * (grid.count + 1)
@@ -341,14 +331,9 @@ def _pixel_block(d, grid, s, derivative):
     slopes = None
     if derivative:
         edge = np.exp(-u * u)
-        if derivative == 2:
-            # a component's mass curves by s^2/sqrt(pi) times the fall of u exp(-u^2);
-            # with zero first derivatives (d = 0) the quotient rule below keeps its form
-            edge = 2.0 * s * u * edge
         falls = edge[..., :-1] - edge[..., 1:]
-        # the -d component moves against the +d one but curves with it
-        mirrored = falls[:, 1] if derivative == 2 else -falls[:, 1]
-        raw = 0.5 * s / math.sqrt(math.pi) * (falls[:, 0] + mirrored)
+        # the -d component moves against the +d one
+        raw = 0.5 * s / math.sqrt(math.pi) * (falls[:, 0] - falls[:, 1])
         raw_totals = raw.sum(axis=1)
         slopes = np.where(over[:, None], raw - probs * raw_totals[:, None], raw) / scale
         slopes = np.concatenate((slopes, np.where(over, 0.0, -raw_totals)[:, None]), axis=1)

@@ -68,29 +68,40 @@ def coefficient_ratio(gamma: float) -> float:
     return abs(1.0 - gamma) / (1.0 + gamma)
 
 
+def _mode_indices(**indices) -> tuple[np.ndarray, ...]:
+    # the named mode indices (scalars or arrays) as float64 arrays, once each is of
+    # integer dtype, non-negative and at most 2**63 - 1; float64 sums of them cannot wrap
+    arrays = {name: np.asarray(value) for name, value in indices.items()}
+    if not all(np.issubdtype(a.dtype, np.integer) for a in arrays.values()):
+        named = ", ".join(f"{name}={value!r}" for name, value in indices.items())
+        raise ValueError(f"mode indices must be integers, got {named}")
+    for name, a in arrays.items():
+        for bad, rule in ((a < 0, "non-negative"), (a > 2**63 - 1, "at most 2**63 - 1")):
+            if bad.any():
+                value = a[bad].flat[0].item()
+                raise ValueError(f"mode indices must be {rule}, got {name}={value!r}")
+    return tuple(a.astype(float) for a in arrays.values())
+
+
 def schmidt_coeff(m, n, gamma):
     """Mode coefficient C_mn = (4 gamma / (1+gamma)^2) * r^(m+n).
 
     Evaluated in log space so large m+n underflows gracefully. Accepts scalar
     indices or arrays of integer dtype; with gamma = 1 only C_00 survives.
     """
+    ma, na = _mode_indices(m=m, n=n)
+    out = _coefficient(ma + na, gamma)
+    return float(out) if ma.ndim == 0 and na.ndim == 0 else out
+
+
+def _coefficient(order: np.ndarray, gamma) -> np.ndarray:
+    # C_mn of total order m + n (a float64 array)
     gamma = _checked_gamma(gamma)
-    ma = np.asarray(m)
-    na = np.asarray(n)
-    # a dtype check, so an index array costs nothing per element
-    if not (np.issubdtype(ma.dtype, np.integer) and np.issubdtype(na.dtype, np.integer)):
-        raise ValueError(f"mode indices must be integers, got m={m!r}, n={n!r}")
-    if np.any(ma < 0) or np.any(na < 0):
-        raise ValueError("mode indices must be non-negative")
-    scalar = ma.ndim == 0 and na.ndim == 0
     r = coefficient_ratio(gamma)
     if r == 0.0:
-        out = np.where((ma == 0) & (na == 0), 1.0, 0.0)
-    else:
-        log_c00 = math.log(4.0 * gamma) - 2.0 * math.log1p(gamma)
-        # m + n in float64, which no integer dtype of the indices can wrap
-        out = np.exp(log_c00 + np.add(ma, na, dtype=float) * math.log(r))
-    return float(out) if scalar else out
+        return np.where(order == 0.0, 1.0, 0.0)
+    log_c00 = math.log(4.0 * gamma) - 2.0 * math.log1p(gamma)
+    return np.exp(log_c00 + order * math.log(r))
 
 
 def schmidt_number(gamma: float) -> float:

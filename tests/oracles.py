@@ -127,3 +127,32 @@ def riemann_pixel_probs(d, grid, model, kind, points: int = 10_000) -> np.ndarra
     per_pixel = points // grid.count
     probs = intensity.reshape(grid.count, per_pixel).sum(axis=1) * step
     return np.append(probs, 1.0 - probs.sum())
+
+
+def spade_curvature_at_zero(space, gamma: float, renormalize: bool = True) -> np.ndarray:
+    """p''(0) of every prob_matrix entry, from the small-d expansion of the overlaps.
+
+    To order d^2, |<k|k',d>|^2 is 1 - (2k'+1) d^2/2 on the diagonal, k' d^2/2
+    for k = k'-1 and (k'+1) d^2/2 for k = k'+1, and 0 elsewhere; entry (i, j)
+    carries the weight C_{k',l}^2 delta_{l,l'}. Renormalized entries
+    p = q / sum(q) have p''(0) = (q'' - p sum(q'')) / sum(q), since q'(0) = 0.
+    """
+    r = abs(1.0 - gamma) / (1.0 + gamma)
+    c00 = 4.0 * gamma / (1.0 + gamma) ** 2
+    q = np.zeros((len(space.idler), len(space.signal)))
+    curvature = np.zeros_like(q)
+    for i, (k, l) in enumerate(space.idler):
+        for j, (kp, lp) in enumerate(space.signal):
+            if l == lp:
+                weight = (c00 * r ** (kp + l)) ** 2
+                q[i, j] = weight * (k == kp)
+                curvature[i, j] = weight * {0: -2 * kp - 1, -1: kp, 1: kp + 1}.get(k - kp, 0)
+    if not renormalize:
+        return curvature
+    total = q.sum()
+    return (curvature - q / total * curvature.sum()) / total
+
+
+def second_difference_at_zero(fn, h: float) -> np.ndarray:
+    """(fn(h) - 2 fn(0) + fn(-h)) / h^2: the second derivative of fn at 0 to O(h^2)."""
+    return (np.asarray(fn(h)) - 2.0 * np.asarray(fn(0.0)) + np.asarray(fn(-h))) / (h * h)

@@ -8,7 +8,8 @@ import hypothesis.strategies as st
 import bispade as bp
 from bispade import inference
 from bispade.inference import _as_map, _checked_draws, _fit, _ForwardMap
-from bispade.model import _pixel_probs, _spade_probs
+from bispade.model import _CURVE_STEP
+from oracles import second_difference_at_zero, spade_curvature_at_zero
 
 gammas = st.floats(0.05, 3.0)
 
@@ -141,6 +142,23 @@ class TestClosedFormFi:
         ks = np.arange(3, dtype=np.int32)
         np.testing.assert_array_equal(bp.fi_closed_form(ks, 0, 0.15, "up"),
                                       [bp.fi_closed_form(int(k), 0, 0.15, "up") for k in ks])
+
+    @pytest.mark.parametrize("k, l, named", [
+        (np.array([2**64 - 1], np.uint64), 0, "at most 2\\*\\*63 - 1, got k=18446744073709551615"),
+        (np.uint64(2**63), 0, "at most 2\\*\\*63 - 1, got k=9223372036854775808"),
+        (np.array([3, -2]), 0, "non-negative, got k=-2"),
+        (0, np.int8(-1), "non-negative, got l=-1"),
+    ], ids=["uint64-max", "2**63", "negative-k", "negative-l"])
+    def test_rejects_indices_out_of_range_by_value(self, k, l, named):
+        # a uint64 index past 2**63 - 1 once wrapped negative in an int64 cast
+        with pytest.raises(ValueError, match=f"^mode indices must be {named}$"):
+            bp.fi_closed_form(k, l, 0.15, "up")
+
+    def test_largest_index_does_not_wrap(self):
+        # k + 1 of k = 2**63 - 1 is past int64; the coefficient underflows to 0
+        assert bp.fi_closed_form(2**63 - 1, 0, 0.15, "up") == 0.0
+        largest = np.array([2**63 - 1], np.uint64)
+        assert bp.fi_closed_form(largest, 0, 0.15, "down").tolist() == [0.0]
 
 
 class TestFiTotals:
@@ -400,13 +418,44 @@ class TestSharedMaps:
         assert not np.array_equal(forward.grid_probs, rows)
 
 
-def _second_difference(fn, h=3e-4):
-    return (fn(h) - 2.0 * fn(0.0) + fn(-h)) / (h * h)
+def _rows_near_zero(truth_at):
+    # 48 rows of 1e9 photons drawn at d = 0, 0.001 and 0.002: at this N some rows
+    # whose best grid point is 0 curve up there, and spade rows catch counts on
+    # cells dead at 0
+    return np.array([bp.sample_counts(truth_at(d), 10**9, bp.trial_seed(7, t)).counts.ravel()
+                     for d in (0.0, 0.001, 0.002) for t in range(16)], dtype=float)
+
+
+def _assert_stops_where_curving_down(forward, obs, p0, *curvatures):
+    # _fit stops exactly the rows whose best grid point is 0, whose log-likelihood
+    # curves down there, l''(0) = sum_i n_i p_i''(0) / p_i(0) < 0 over the outcomes
+    # live at 0, and that hold no count on an outcome dead at 0; every oracle
+    # estimate of p''(0) in curvatures picks the same rows, and each matches the
+    # p'(h) / h that the fit reads
+    _, slopes = forward.batch(np.array([0.0, _CURVE_STEP]), True)
+    for curvature in curvatures:
+        np.testing.assert_allclose(slopes[1] / _CURVE_STEP, curvature, rtol=0.0, atol=1e-6)
+    live = p0 > bp.LIKELIHOOD_FLOOR
+    peaked = np.argmax(obs @ forward.log_probs.T, axis=1) == 0
+    clean = obs[:, ~live].sum(axis=1) == 0.0
+    expected = [peaked & clean & (obs[:, live] @ (c[live] / p0[live]) < 0.0) for c in curvatures]
+    for other in expected[1:]:
+        np.testing.assert_array_equal(other, expected[0])
+    fits = _fit(obs, forward)
+    stopped = fits.iterations == 0
+    np.testing.assert_array_equal(stopped, expected[0])
+    assert stopped.any() and (peaked & ~stopped).any()
+    assert np.all(fits.d_hat[stopped] == 0.0) and np.all(fits.converged[stopped])
+    return stopped
+
+
+def _second_differences(fn):
+    # p''(0) by second differences at two steps, good to about 1e-7 at the larger
+    return [second_difference_at_zero(fn, h) for h in (3e-4, 1.5e-4)]
 
 
 class TestCurvatureAtZero:
-    # p''(0) checked against a central second difference of the public maps,
-    # good to about 1e-7 at this step
+    # the d = 0 stop of _fit against p''(0) from the oracles
     @pytest.mark.parametrize("space", [
         bp.ModeSpace.grid(),
         bp.ModeSpace.grid(2, 1),
@@ -415,13 +464,18 @@ class TestCurvatureAtZero:
     ], ids=["7x7", "3x3-l1", "ragged-l1"])
     @pytest.mark.parametrize("renormalize", [True, False])
     def test_spade(self, model015, space, renormalize):
-        entries, curvature, _ = _spade_probs(np.zeros(1), space, model015, renormalize, 2)
-        np.testing.assert_array_equal(entries[0], bp.prob_matrix(0.0, space, model015,
-                                                                 renormalize).entries)
-        numeric = _second_difference(
-            lambda x: bp.prob_matrix(x, space, model015, renormalize).entries)
-        np.testing.assert_allclose(curvature[0], numeric, rtol=0.0, atol=1e-6)
-        assert np.abs(curvature[0]).max() > 0.1
+        def public(x):
+            return bp.prob_matrix(x, space, model015, renormalize).entries
+
+        curvature = spade_curvature_at_zero(space, 0.15, renormalize)
+        for numeric in _second_differences(public):
+            np.testing.assert_allclose(curvature, numeric, rtol=0.0, atol=1e-6)
+        forward = bp.spade_forward(model015, space, renormalize)
+        obs = _rows_near_zero(lambda d: public(d) / public(d).sum())
+        stopped = _assert_stops_where_curving_down(forward, obs, public(0.0).ravel(),
+                                                   curvature.ravel())
+        # the rows that refine instead hold counts on cells dead at 0
+        assert np.all(obs[~stopped][:, public(0.0).ravel() == 0.0].sum(axis=1) > 0)
 
     @pytest.mark.parametrize("kind", ["gaussian", "spdc"])
     # on the wide grid the spdc masses sum above one by rounding and are renormalized
@@ -429,12 +483,12 @@ class TestCurvatureAtZero:
                                       bp.PixelGrid(9, (-20.0, 20.0))],
                              ids=["default", "off-centre", "wide"])
     def test_pixels(self, model015, kind, grid):
-        probs, curvature = _pixel_probs(np.zeros(1), grid, model015, kind, 2)
-        np.testing.assert_array_equal(probs[0], bp.pixel_probs(0.0, grid, model015, kind))
-        numeric = _second_difference(lambda x: bp.pixel_probs(x, grid, model015, kind))
-        np.testing.assert_allclose(curvature[0], numeric, rtol=0.0, atol=1e-6)
-        assert abs(curvature[0].sum()) < 1e-12
-        assert np.abs(curvature[0]).max() > 1e-3
+        def public(x):
+            return bp.pixel_probs(x, grid, model015, kind)
+
+        _assert_stops_where_curving_down(bp.direct_forward(model015, grid, kind),
+                                         _rows_near_zero(public), public(0.0),
+                                         *_second_differences(public))
 
     def test_calibrated(self, model015, space7):
         rng = np.random.default_rng(3)
@@ -442,28 +496,23 @@ class TestCurvatureAtZero:
         beta = rng.uniform(0.0, 0.02, space7.shape)
         alpha[0, 3] = beta[0, 3] = alpha[4, 1] = beta[4, 1] = 0.0  # outcomes mapped to zero
         cal = bp.CalibrationModel(alpha=alpha, beta=beta)
+
+        def public(x):
+            return bp.apply_calibration(bp.prob_matrix(x, space7, model015), cal).entries.ravel()
+
+        _assert_stops_where_curving_down(bp.spade_forward(model015, space7).calibrated(cal),
+                                         _rows_near_zero(public), public(0.0),
+                                         *_second_differences(public))
+
+    def test_plain_callable_stops_the_rows_the_exact_map_stops(self, model015, space7):
         forward = bp.spade_forward(model015, space7)
-        probs, curvature = forward.calibrated(cal).batch(np.zeros(1), 2)
-        np.testing.assert_array_equal(
-            probs[0], bp.apply_calibration(bp.prob_matrix(0.0, space7, model015), cal)
-            .entries.ravel())
-        numeric = _second_difference(
-            lambda x: bp.apply_calibration(bp.prob_matrix(x, space7, model015), cal).entries)
-        np.testing.assert_allclose(curvature[0], numeric.ravel(), rtol=0.0, atol=1e-6)
-        assert curvature[0, 3] == curvature[0, 29] == 0.0
-
-    def test_is_refused_away_from_zero(self, model015, space7):
-        with pytest.raises(ValueError, match="only at d = 0"):
-            _spade_probs(np.array([0.0, 0.1]), space7, model015, True, 2)
-        with pytest.raises(ValueError, match="only at d = 0"):
-            _pixel_probs(np.array([0.1]), bp.PixelGrid(), model015, "gaussian", 2)
-
-    def test_plain_callable_gets_a_second_difference(self, model015, space7):
-        exact = bp.spade_forward(model015, space7).batch(np.zeros(1), 2)[1]
-        plain = _as_map(lambda d: bp.prob_matrix(d, space7, model015).entries).batch(
-            np.zeros(1), 2)[1]
-        np.testing.assert_allclose(plain, exact, rtol=0.0, atol=1e-6)
-        assert np.abs(exact).max() > 0.1
+        obs = _rows_near_zero(forward)
+        exact = _fit(obs, forward)
+        plain = _fit(obs, _as_map(lambda d: bp.prob_matrix(d, space7, model015).entries))
+        stopped = exact.iterations == 0
+        assert stopped.any() and not stopped.all()
+        np.testing.assert_array_equal(plain.iterations == 0, stopped)
+        np.testing.assert_array_equal(plain.d_hat[stopped], exact.d_hat[stopped])
 
 
 def _brute_force_mle(counts, forward, calibration=None):

@@ -23,7 +23,6 @@ from bispade import (
     spade_forward,
     CountMatrix,
 )
-from bispade.model import _pixel_probs, _spade_probs
 from oracles import riemann_pixel_probs, scalar_overlap
 
 
@@ -419,13 +418,6 @@ class TestPixelProbs:
             prob_matrix(d, space7, model015)
         with pytest.raises(ValueError, match=message):
             pixel_probs(d, PixelGrid(), model015)
-
-    def test_a_second_derivative_off_zero_is_rejected_by_value(self, model015, space7):
-        message = "^the second derivative is exact only at d = 0, got 0.25$"
-        with pytest.raises(ValueError, match=message):
-            _spade_probs(np.array([0.0, 0.25]), space7, model015, True, 2)
-        with pytest.raises(ValueError, match=message):
-            _pixel_probs(np.array([0.0, 0.25]), PixelGrid(), model015, "spdc", 2)
 
     def test_default_span_leakage_is_small(self, model015):
         # the default span keeps the Gaussian residual below 1e-4 even at the

@@ -100,6 +100,14 @@ class TestSchmidtCoeff:
         assert wide.tolist() == [schmidt_coeff(200, 100, 0.15)]
         assert schmidt_coeff(200, 100, 0.15) == pytest.approx(1.8753450128817697e-40, rel=1e-12)
 
+    @pytest.mark.parametrize("m, n, named", [
+        (np.array([2**64 - 1], np.uint64), 0, "at most 2\\*\\*63 - 1, got m=18446744073709551615"),
+        (0, np.array([[1, 2], [-4, 0]]), "non-negative, got n=-4"),
+    ], ids=["uint64-max", "negative-n"])
+    def test_rejects_indices_out_of_range_by_value(self, m, n, named):
+        with pytest.raises(ValueError, match=f"^mode indices must be {named}$"):
+            schmidt_coeff(m, n, 0.15)
+
     def test_huge_indices_underflow_without_overflow(self):
         # 2**62 + 2**62 is past int64; a coefficient is at most 1
         with warnings.catch_warnings():
