@@ -67,8 +67,10 @@ _MAX_REFINE_STEPS = 100
 # row budget of one _fit call in a Monte-Carlo sweep: consecutive whole cells
 # are fitted together up to this many trials
 _FIT_ROWS = 512
-# central-difference step for the derivative of a forward map that has no exact one
-_DIFF_STEP = 1e-6
+# step of the fourth-order central difference that gives the derivative of a
+# forward map that has no exact one; at d = _CURVE_STEP, where the d = 0 stop
+# reads p'(h) / h, it keeps p''(0) within about 2e-7 of the largest |p''(0)|
+_DIFF_STEP = 1e-3
 # refinement must beat the best grid point's log-likelihood by more than this
 # relative amount, a few ulps of the sum of count * log p terms; a point within
 # rounding of the grid optimum (a maximum within about 1e-7 of a grid point,
@@ -489,8 +491,8 @@ class _ForwardMap:
 
 def _as_map(forward) -> _ForwardMap:
     # forward itself if it is a map; a plain callable becomes a map of one scalar call
-    # per separation, its outcomes flattened (shape (-1,)), with central-difference
-    # derivatives
+    # per separation, its outcomes flattened (shape (-1,)), with fourth-order
+    # central-difference derivatives
     if isinstance(forward, _ForwardMap):
         return forward
 
@@ -501,7 +503,11 @@ def _as_map(forward) -> _ForwardMap:
         probs = at(d)
         if not derivative:
             return probs, None
-        return probs, (at(d + _DIFF_STEP) - at(d - _DIFF_STEP)) / (2.0 * _DIFF_STEP)
+
+        def rise(step):
+            return at(d + step) - at(d - step)
+
+        return probs, (8.0 * rise(_DIFF_STEP) - rise(2.0 * _DIFF_STEP)) / (12.0 * _DIFF_STEP)
 
     return _ForwardMap(batch, (-1,))
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .overlap import _overlap_amplitudes
-from .source import SchmidtModel, _is_integer, schmidt_coeff
+from .source import SchmidtModel, _coefficient, _is_integer
 
 __all__ = [
     "ModeSpace",
@@ -200,7 +200,7 @@ def _spade_probs(d: np.ndarray, space: ModeSpace, model: SchmidtModel, renormali
 
 def _spade_block(d, k, l, kp, lp, size, model, renormalize, derivative):
     amps = _overlap_amplitudes(size, d)
-    c = schmidt_coeff(kp, lp, model.gamma)
+    c = _coefficient(kp + lp.astype(float), model.gamma)
     weight = np.where(l[:, None] == lp[None, :], (c * c)[None, :], 0.0)
 
     def cells(columns):
