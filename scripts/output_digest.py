@@ -38,6 +38,8 @@ _SEEDS = (1, 2, 3)
 # derived files the reader rejects, each an error-counts-<name> run
 READER_ERRORS = ("duplicate", "negative", "outside", "missing", "non_integer", "four_columns",
                  "count_2_63", "sum_past_2_53")
+# config files, each written as <name>.cfg for a --config run
+CONFIGS = {"calibrate_no": "calibrate = no\n", "no_equals": "gamma = 0.15\nphotons 500\n"}
 
 
 def _write_inputs(directory: Path) -> tuple[list[Path], list[Path]]:
@@ -85,8 +87,9 @@ def _derived(text: str) -> dict[str, str]:
         "sum_past_2_53": [with_count(row, 2**62) for row in rows],
     }
     derived = {name: "\n".join([label, columns, *body]) + "\n" for name, body in bodies.items()}
-    derived["nan_label"] = re.sub(r"^# separation = .*$", "# separation = nan", text,
-                                  flags=re.MULTILINE)
+    for name, label in (("nan_label", "nan"), ("abc_label", "abc")):
+        derived[name] = re.sub(r"^# separation = .*$", f"# separation = {label}", text,
+                               flags=re.MULTILINE)
     return derived
 
 
@@ -110,6 +113,8 @@ def _runs(paths: list[Path], zeros: list[Path],
                                     "--gamma", "0.15"]
     runs["estimate-reordered"] = ["estimate", *files, str(derived["reordered"]),
                                   "--gamma", "0.15"]
+    runs["estimate-config-calibrate-no"] = ["estimate", *files[:3], "--config",
+                                            str(derived["calibrate_no"])]
     for name, gamma in (("sweep_k12", "0.15"), ("sweep_k51", "0.07")):
         for seed in _SEEDS:
             runs[f"compare-{name}-seed{seed}"] = ["compare", "--gamma", gamma, *_SWEEP,
@@ -130,6 +135,13 @@ def _runs(paths: list[Path], zeros: list[Path],
         "infinite-pump-waist": ["crlb-curves", "--pump-waist-um", "inf",
                                 "--crystal-length-mm", "2", "--pump-wavelength-nm", "405"],
         "nan-separation-label": ["estimate", str(derived["nan_label"]), "--calibrate"],
+        "abc-separation-label": ["estimate", str(derived["abc_label"])],
+        "unreadable-counts": ["estimate", str(derived["unreadable"])],
+        "negative-modes-k": ["matrices", "--modes-k", "-1"],
+        "zero-sep-step": ["matrices", "--sep-step", "0"],
+        "one-trial": ["compare", "--trials", "1"],
+        "sep-stop-below-start": ["matrices", "--sep-start", "0.5", "--sep-stop", "0.1"],
+        "config-line-without-equals": ["matrices", "--config", str(derived["no_equals"])],
         "estimate-numerical": ["estimate", files[0], "--gamma", "1e-7"],
         **{f"counts-{name.replace('_', '-')}": ["estimate", str(derived[name])]
            for name in READER_ERRORS},
@@ -154,10 +166,14 @@ def digest_lines() -> list[str]:
         inputs, zeros = _write_inputs(root / "inputs")
         for path in inputs + zeros:
             lines.append(f"inputs/{path.name} {_sha(clean(path.read_text()))}")
-        # files made from the first input; derived from a listed input, they get no line
-        derived = {}
+        # files made from the first input, and the config files; made from listed
+        # text, they get no line. The unreadable counts file is never written.
+        derived = {"unreadable": root / "unreadable.csv"}
         for name, text in _derived(inputs[0].read_text()).items():
             derived[name] = root / f"{name}.csv"
+            derived[name].write_text(text)
+        for name, text in CONFIGS.items():
+            derived[name] = root / f"{name}.cfg"
             derived[name].write_text(text)
         # argparse wraps help to the terminal width it reads from COLUMNS
         with mock.patch.dict(os.environ, COLUMNS="80"):

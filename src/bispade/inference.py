@@ -28,7 +28,8 @@ from .model import (
     _pixel_probs,
     _spade_probs,
 )
-from .source import SchmidtModel, _coefficient, _is_integer, _mode_indices, coefficient_ratio
+from .source import (SchmidtModel, _checked_gamma, _coefficient, _is_integer, _mode_indices,
+                     coefficient_ratio)
 
 __all__ = [
     "PARAMETERIZATION",
@@ -177,7 +178,7 @@ def fi_closed_form(k, l, gamma: float, branch: str):
     integer dtype.
     """
     ka, la = _mode_indices(k=k, l=l)
-    scalar = ka.ndim == 0 and la.ndim == 0
+    gamma = _checked_gamma(gamma)
     if branch == "diag":
         out = np.zeros(np.broadcast(ka, la).shape)
     elif branch == "up":
@@ -188,7 +189,7 @@ def fi_closed_form(k, l, gamma: float, branch: str):
         out = np.where(ka > 0, 0.5 * ka * c * c, 0.0)
     else:
         raise ValueError(f"unknown branch {branch!r}; expected 'diag', 'up' or 'down'")
-    return float(out) if scalar else out
+    return float(out) if ka.ndim == 0 and la.ndim == 0 else out
 
 
 def fi_total_1d(gamma: float) -> float:
@@ -199,13 +200,13 @@ def fi_total_1d(gamma: float) -> float:
 
 def fi_branch_totals_2d(gamma: float) -> tuple[float, float]:
     """(up, down) subtotals over all modes: (1-g)^2/(8g) and (1+g)^2/(8g)."""
-    coefficient_ratio(gamma)
+    gamma = _checked_gamma(gamma)
     return (1.0 - gamma) ** 2 / (8.0 * gamma), (1.0 + gamma) ** 2 / (8.0 * gamma)
 
 
 def fi_total_2d(gamma: float) -> float:
     """Total small-separation FI over all modes: (gamma + 1/gamma)/4 = sqrt(K)/2."""
-    coefficient_ratio(gamma)
+    gamma = _checked_gamma(gamma)
     return 0.25 * (gamma + 1.0 / gamma)
 
 
@@ -213,7 +214,8 @@ def crlb(schmidt_k: float, n_photons: int) -> float:
     """Variance bound 2 / (n sqrt(K)) on separation estimates from n photon pairs."""
     if not schmidt_k >= 1.0:
         raise ValueError(f"Schmidt number must be >= 1, got {schmidt_k!r}")
-    if not n_photons >= 1:
+    _check_photons(n_photons)
+    if n_photons < 1:
         raise ValueError(f"photon count must be >= 1, got {n_photons!r}")
     return 2.0 / (n_photons * math.sqrt(schmidt_k))
 

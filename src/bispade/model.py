@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .overlap import _overlap_amplitudes
-from .source import SchmidtModel, _coefficient, _is_integer
+from .source import _MAX_MODE_ORDER, SchmidtModel, _coefficient, _is_integer, _mode_indices
 
 __all__ = [
     "ModeSpace",
@@ -37,13 +37,14 @@ _CURVE_STEP = 1e-5
 def _check_pairs(pairs, label):
     pairs = tuple(pairs)
     for pair in pairs:
+        # source._mode_indices's rule in plain Python: numpy reads (True, 0) as integers
         if not all(map(_is_integer, pair)):
             raise ValueError(f"{label} mode indices must be integers, got {pair!r}")
+        if not 0 <= min(pair) <= max(pair) <= _MAX_MODE_ORDER:
+            raise ValueError(f"{label} mode indices must be in [0, 2**63 - 1], got {pair!r}")
     clean = tuple((int(k), int(l)) for k, l in pairs)
     if not clean:
         raise ValueError(f"{label} mode list is empty")
-    if any(k < 0 or l < 0 for k, l in clean):
-        raise ValueError(f"{label} mode indices must be non-negative")
     if len(set(clean)) != len(clean):
         raise ValueError(f"duplicate {label} mode pairs")
     return clean
@@ -63,10 +64,7 @@ class ModeSpace:
     @classmethod
     def grid(cls, max_k: int = 6, max_l: int = 0) -> "ModeSpace":
         """Rectangular k=0..max_k, l=0..max_l set on both arms (default 7x7, l=0)."""
-        if not (_is_integer(max_k) and _is_integer(max_l)):
-            raise ValueError(f"max indices must be integers, got {max_k!r}, {max_l!r}")
-        if max_k < 0 or max_l < 0:
-            raise ValueError("max indices must be non-negative")
+        _mode_indices(max_k=max_k, max_l=max_l)
         pairs = tuple((k, l) for l in range(max_l + 1) for k in range(max_k + 1))
         return cls(idler=pairs, signal=pairs)
 

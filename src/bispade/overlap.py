@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalError
-from .source import _is_integer
+from .source import _is_integer, _mode_indices
 
 __all__ = ["displaced_overlap", "quad_overlap"]
 
@@ -93,10 +93,7 @@ def displaced_overlap(m: int, n: int, d: float, sign: int = 1) -> float:
     swaps the modes and flips the sign. Raises NumericalError where the table
     overflows (mode orders above about 1000).
     """
-    if not (_is_integer(m) and _is_integer(n)):
-        raise ValueError(f"mode indices must be integers, got m={m!r}, n={n!r}")
-    if m < 0 or n < 0:
-        raise ValueError("mode indices must be non-negative")
+    _mode_indices(m=m, n=n)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     return float(_overlap_amplitudes(max(m, n), np.array([sign * d], dtype=float))[0, m, n])
@@ -134,10 +131,7 @@ def quad_overlap(m: int, n: int, shift: float, order: int | None = None) -> floa
     Sign bookkeeping: the mode n at x - shift is centered at +shift, so this
     integral equals displaced_overlap(m, n, shift, sign=-1).
     """
-    if not (_is_integer(m) and _is_integer(n)):
-        raise ValueError(f"mode indices must be integers, got m={m!r}, n={n!r}")
-    if m < 0 or n < 0:
-        raise ValueError("mode indices must be non-negative")
+    _mode_indices(m=m, n=n)
     if order is None:
         order = 2 * (m + n) + 20
     if not _is_integer(order):

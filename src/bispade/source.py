@@ -21,6 +21,8 @@ __all__ = [
     "schmidt_number",
 ]
 
+_MAX_MODE_ORDER = 2**63 - 1  # an int64 holds it, and a float64 sum of two cannot wrap
+
 
 @dataclass(frozen=True)
 class SourceParams:
@@ -69,18 +71,21 @@ def coefficient_ratio(gamma: float) -> float:
 
 
 def _mode_indices(**indices) -> tuple[np.ndarray, ...]:
-    # the named mode indices (scalars or arrays) as float64 arrays, once each is of
-    # integer dtype, non-negative and at most 2**63 - 1; float64 sums of them cannot wrap
-    arrays = {name: np.asarray(value) for name, value in indices.items()}
+    # the one mode-order rule: each named index is a Python or numpy integer, not a bool,
+    # or an array of integer dtype, from 0 to _MAX_MODE_ORDER; returned as float64 arrays
+    arrays = {name: np.asarray(value) for name, value in indices.items() if not _is_integer(value)}
     if not all(np.issubdtype(a.dtype, np.integer) for a in arrays.values()):
         named = ", ".join(f"{name}={value!r}" for name, value in indices.items())
         raise ValueError(f"mode indices must be integers, got {named}")
-    for name, a in arrays.items():
-        for bad, rule in ((a < 0, "non-negative"), (a > 2**63 - 1, "at most 2**63 - 1")):
-            if bad.any():
-                value = a[bad].flat[0].item()
-                raise ValueError(f"mode indices must be {rule}, got {name}={value!r}")
-    return tuple(a.astype(float) for a in arrays.values())
+    for name, value in indices.items():
+        # a scalar as a Python int, so that one past 2**64 compares by value
+        a = arrays.get(name)
+        low, high = (int(value),) * 2 if a is None else (a.min(initial=0), a.max(initial=0))
+        if low < 0:
+            raise ValueError(f"mode indices must be non-negative, got {name}={int(low)!r}")
+        if high > _MAX_MODE_ORDER:
+            raise ValueError(f"mode indices must be at most 2**63 - 1, got {name}={int(high)!r}")
+    return tuple(np.asarray(value).astype(float) for value in indices.values())
 
 
 def schmidt_coeff(m, n, gamma):

@@ -128,6 +128,21 @@ class TestConfig:
         assert main(["matrices", "--config", str(cfg_file), "--out-dir", str(tmp_path)]) == EXIT_USAGE
         assert f"run.cfg:2: bad value for {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, value", [("true", True), ("On", True), ("1", True),
+                                             ("yes", True), ("no", False), ("FALSE", False),
+                                             ("0", False), ("off", False)])
+    def test_boolean_spellings(self, tmp_path, text, value):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"calibrate = {text}\n")
+        assert load_config_file(cfg_file) == {"calibrate": value}
+
+    def test_line_without_equals_names_file_and_line(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("gamma = 0.2\nphotons 500\n")
+        with pytest.raises(ValueError, match="run.cfg:2: expected 'key = value', "
+                                             "got 'photons 500'$"):
+            load_config_file(cfg_file)
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("wavelength = 405\n")
@@ -281,7 +296,12 @@ class TestCountsIo:
         with pytest.raises(DataFormatError, match="neg.csv:1: negative count"):
             read_counts_file(path, space7)
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_write_rejects_counts_of_another_shape(self, tmp_path, space7):
+        with pytest.raises(ValueError, match="^counts shape does not match the mode space$"):
+            write_counts_file(tmp_path / "c.csv", space7, np.ones((7, 6), dtype=np.int64))
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "abc"])
     def test_non_finite_separation_rejected(self, tmp_path, space7, value):
         rows, _ = self._rows(space7)
         path = tmp_path / "label.csv"
@@ -573,6 +593,14 @@ class TestEstimate:
         assert code == EXIT_DATA
         assert "zero.csv" in capsys.readouterr().err
 
+    def test_unreadable_file_exit_code(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        out = tmp_path / "out"
+        assert main(["estimate", str(missing), "--out-dir", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(
+            f"bispade: data error: {missing}: cannot read file (")
+        assert not out.exists()
+
     def test_malformed_file_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("0,0,0,0\n")
@@ -836,7 +864,14 @@ class TestNonFiniteSettings:
         (["compare", "--seed", "-1"], "seed must be non-negative, got -1"),
         (["crlb-curves", "--pump-waist-um", "inf", "--crystal-length-mm", "2",
           "--pump-wavelength-nm", "405"], "pump_waist must be a finite positive number"),
-    ], ids=["k-values", "sep-stop", "sep-start", "sep-step", "seed", "pump-waist"])
+        # crlb-curves builds no mode space, so only the setting check can refuse it
+        (["crlb-curves", "--modes-k", "-1"], "mode indices must be non-negative"),
+        (["matrices", "--sep-step", "0"], "sep-step must be positive"),
+        (["compare", "--trials", "1"], "trials must be at least 2"),
+        (["matrices", "--sep-start", "0.5", "--sep-stop", "0.1"],
+         "sep-stop must be >= sep-start"),
+    ], ids=["k-values", "sep-stop", "sep-start", "sep-step", "seed", "pump-waist",
+            "modes-k", "sep-step-zero", "trials", "sep-stop-below-start"])
     def test_is_a_config_error_naming_the_setting(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         assert main([*argv, "--out-dir", str(out)]) == EXIT_USAGE

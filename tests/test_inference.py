@@ -121,6 +121,18 @@ class TestClosedFormFi:
             expected = 0.5 * bp.schmidt_coeff(0, 0, gamma) ** 2
             assert bp.fi_closed_form(1, 0, gamma, "down") == pytest.approx(expected, rel=1e-12)
 
+    def test_diag_branch_vanishes(self):
+        # the k = k' limit carries no information at small separation
+        assert bp.fi_closed_form(3, 1, 0.15, "diag") == 0.0
+        out = bp.fi_closed_form(np.arange(3), np.zeros((2, 1), int), 0.15, "diag")
+        assert out.shape == (2, 3) and not out.any()
+
+    @pytest.mark.parametrize("branch", ["diag", "up", "down"])
+    def test_rejects_gamma_by_value_on_every_branch(self, branch):
+        with pytest.raises(ValueError, match="^gamma must be a finite positive number, "
+                                             "got -1.0$"):
+            bp.fi_closed_form(1, 0, -1.0, branch)
+
     def test_rejects_unknown_branch(self):
         with pytest.raises(ValueError):
             bp.fi_closed_form(0, 0, 0.15, "sideways")
@@ -148,7 +160,8 @@ class TestClosedFormFi:
         (np.uint64(2**63), 0, "at most 2\\*\\*63 - 1, got k=9223372036854775808"),
         (np.array([3, -2]), 0, "non-negative, got k=-2"),
         (0, np.int8(-1), "non-negative, got l=-1"),
-    ], ids=["uint64-max", "2**63", "negative-k", "negative-l"])
+        (2**70, 0, "at most 2\\*\\*63 - 1, got k=1180591620717411303424"),
+    ], ids=["uint64-max", "2**63", "negative-k", "negative-l", "past-2**64"])
     def test_rejects_indices_out_of_range_by_value(self, k, l, named):
         # a uint64 index past 2**63 - 1 once wrapped negative in an int64 cast
         with pytest.raises(ValueError, match=f"^mode indices must be {named}$"):
@@ -206,6 +219,13 @@ class TestFiTotals:
     def test_inversion_symmetry(self, gamma):
         assert bp.fi_total_2d(gamma) == pytest.approx(bp.fi_total_2d(1.0 / gamma), rel=1e-12)
 
+    @pytest.mark.parametrize("total", [bp.fi_total_1d, bp.fi_total_2d, bp.fi_branch_totals_2d])
+    @pytest.mark.parametrize("gamma", [0.0, -0.5, math.nan, math.inf, True])
+    def test_rejects_gamma_by_value(self, total, gamma):
+        with pytest.raises(ValueError, match=f"^gamma must be a finite positive number, "
+                                             f"got {gamma!r}$"):
+            total(gamma)
+
     def test_lower_bound_half_only_at_one(self):
         for gamma in (0.05, 0.3, 0.7, 0.999, 1.001, 2.0, 10.0):
             assert bp.fi_total_2d(gamma) > 0.5
@@ -227,6 +247,13 @@ class TestCrlb:
             bp.crlb(0.5, 10)
         with pytest.raises(ValueError):
             bp.crlb(2.0, 0)
+
+    @pytest.mark.parametrize("photons", [1.5, True, 100.0, -1])
+    def test_rejects_photons_that_are_not_a_count(self, photons):
+        # the photon rule of sample_counts: not truncated, not read as 1
+        with pytest.raises(ValueError, match=f"^n_photons must be a non-negative integer, "
+                                             f"got {photons!r}$"):
+            bp.crlb(11.6, photons)
 
 
 class TestGaussianFirstModeProb:
@@ -264,6 +291,11 @@ class TestSampleCounts:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             bp.sample_counts(np.array([0.2, 0.2]), 100, seed=0)
+
+    def test_rejects_a_negative_probability(self):
+        # the vector sums to one; clipping it would draw from weights that do not
+        with pytest.raises(ValueError, match="^probabilities must be non-negative$"):
+            bp.sample_counts(np.array([1.5, -0.5]), 100, seed=0)
 
     def test_matrix_input_keeps_separation(self, model015, space7):
         pm = bp.prob_matrix(0.3, space7, model015)
@@ -702,6 +734,12 @@ class TestMleEstimate:
         result = bp.mle_estimate(counts, constant)
         assert "flat-likelihood" in result.flags
 
+    def test_a_map_that_is_not_finite_on_the_grid_is_a_numerical_failure(self):
+        counts = bp.CountMatrix(np.array([3, 4]))
+        with pytest.raises(bp.NumericalError,
+                           match="^non-finite log-likelihood on the search grid$"):
+            bp.mle_estimate(counts, lambda d: np.array([np.nan, 1.0]))
+
     def test_validation(self, model015, space7):
         # counts and calibration must match the outcomes of the forward map
         forward = bp.spade_forward(model015, space7)
@@ -771,6 +809,17 @@ class TestFitCalibration:
         datasets = [(d, bp.CountMatrix(np.ones(space7.shape, dtype=np.int64)))
                     for d in (0.1, 0.5)]
         with pytest.raises(ValueError, match="^forward model size does not match the counts$"):
+            bp.fit_calibration(datasets, forward)
+
+    @pytest.mark.parametrize("second, message", [
+        (np.zeros((7, 7), dtype=np.int64), "every dataset needs at least one count"),
+        (np.ones(49, dtype=np.int64), "datasets must share a counts shape"),
+    ], ids=["all-zero", "other-shape"])
+    def test_rejects_datasets_it_cannot_fit(self, model015, space7, second, message):
+        forward = bp.spade_forward(model015, space7)
+        datasets = [(0.1, bp.CountMatrix(np.ones(space7.shape, dtype=np.int64))),
+                    (0.5, bp.CountMatrix(second))]
+        with pytest.raises(ValueError, match=f"^{message}$"):
             bp.fit_calibration(datasets, forward)
 
     def test_needs_two_distinct_separations(self, model015, space7):

@@ -10,6 +10,7 @@ from bispade import (
     ModeSpace,
     NumericalError,
     PixelGrid,
+    ProbabilityMatrix,
     SchmidtModel,
     apply_calibration,
     coincidence_prob,
@@ -69,9 +70,31 @@ class TestModeSpace:
         space = ModeSpace(idler=((np.int64(1), np.int32(0)),), signal=((0, 0),))
         assert space.idler == ((1, 0),) and type(space.idler[0][0]) is int
 
+    @pytest.mark.parametrize("pair", [(0, -1), (-1, 0), (2**63, 0), (0, 2**70)])
+    def test_rejects_indices_out_of_range_by_value(self, pair):
+        with pytest.raises(ValueError, match=re.escape(
+                f"idler mode indices must be in [0, 2**63 - 1], got {pair!r}")):
+            ModeSpace(idler=(pair,), signal=((0, 0),))
+
     @pytest.mark.parametrize("max_k, max_l", [(2.5, 0), (2, 1.0), (True, 0)])
     def test_grid_rejects_non_integer_bounds_by_value(self, max_k, max_l):
-        with pytest.raises(ValueError, match=f"integers, got {max_k!r}, {max_l!r}"):
+        with pytest.raises(ValueError, match=f"^mode indices must be integers, "
+                                             f"got max_k={max_k!r}, max_l={max_l!r}$"):
+            ModeSpace.grid(max_k, max_l)
+
+    @pytest.mark.parametrize("max_k, max_l, named", [
+        (-1, 0, "non-negative, got max_k=-1"),
+        (0, -1, "non-negative, got max_l=-1"),
+        (2**63, 0, "at most 2\\*\\*63 - 1, got max_k=9223372036854775808"),
+    ], ids=["negative-k", "negative-l", "2**63"])
+    def test_grid_rejects_bounds_out_of_range_by_value(self, monkeypatch, max_k, max_l, named):
+        # the bounds are checked before the pairs are listed: 2**63 + 1 of them
+        # would fill the memory
+        def refuse(*args):
+            raise AssertionError("the grid listed its pairs")
+
+        monkeypatch.setattr("bispade.model.range", refuse, raising=False)
+        with pytest.raises(ValueError, match=f"^mode indices must be {named}$"):
             ModeSpace.grid(max_k, max_l)
 
 
@@ -186,7 +209,7 @@ class TestSmallSepProb:
     @pytest.mark.parametrize("indices", [(-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0),
                                          (0, 0, 0, -1)])
     def test_negative_index_rejected(self, model015, indices):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match=re.escape("must be in [0, 2**63 - 1], got")):
             small_sep_prob(*indices, 0.1, model015)
 
 
@@ -262,6 +285,20 @@ class TestProbMatrix:
         with pytest.raises(NumericalError):
             prob_matrix(0.0, space, model015, renormalize=True)
 
+    @pytest.mark.parametrize("call, named", [
+        (lambda m: prob_matrix(0.1, ModeSpace(((2**63, 0),), ((0, 0),)), m), "idler"),
+        (lambda m: coincidence_prob(0, 0, 2**63, 0, 0.1, m), "signal"),
+        (lambda m: small_sep_prob(0, 2**63, 0, 0, 0.1, m), "idler"),
+    ], ids=["prob_matrix", "coincidence_prob", "small_sep_prob"])
+    def test_orders_past_int64_fail_before_any_table(self, model015, no_overlap_table, call,
+                                                     named):
+        with pytest.raises(ValueError, match=re.escape(f"{named} mode indices must be in ")):
+            call(model015)
+
+    def test_entries_must_fill_the_space(self, space7):
+        with pytest.raises(ValueError, match="^entries shape does not match the mode space$"):
+            ProbabilityMatrix(space7, np.zeros((7, 6)), 0.1, 1.0)
+
     @pytest.mark.parametrize("renormalize", [True, False])
     def test_overflowing_table_signals(self, model015, renormalize):
         # Laguerre values of order ~1000 overflow float64; the failure must be
@@ -288,6 +325,19 @@ class TestCalibration:
         pm = prob_matrix(0.4, space7, model015, renormalize=True)
         cal = CalibrationModel(alpha=np.zeros(space7.shape), beta=np.zeros(space7.shape))
         with pytest.raises(NumericalError):
+            apply_calibration(pm, cal)
+
+    @pytest.mark.parametrize("alpha, beta", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan),
+                                             (-np.inf, 0.0)])
+    def test_rejects_entries_that_are_not_finite(self, alpha, beta):
+        with pytest.raises(ValueError, match="^calibration entries must be finite$"):
+            CalibrationModel(alpha=np.full((2, 2), alpha), beta=np.full((2, 2), beta))
+
+    def test_shape_must_match_the_matrix(self, model015, space7):
+        pm = prob_matrix(0.4, space7, model015)
+        cal = CalibrationModel(alpha=np.ones((6, 6)), beta=np.zeros((6, 6)))
+        with pytest.raises(ValueError, match="^calibration shape does not match the probability "
+                                             "matrix$"):
             apply_calibration(pm, cal)
 
     def test_validation(self):

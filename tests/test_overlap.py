@@ -84,6 +84,15 @@ class TestDisplacedOverlap:
     def test_accepts_numpy_integers(self):
         assert displaced_overlap(np.int64(2), np.int32(1), 0.3) == displaced_overlap(2, 1, 0.3)
 
+    @pytest.mark.parametrize("m, n, named", [
+        (2**63, 0, "at most 2\\*\\*63 - 1, got m=9223372036854775808"),
+        (0, 2**70, "at most 2\\*\\*63 - 1, got n=1180591620717411303424"),
+        (0, -1, "non-negative, got n=-1"),
+    ], ids=["2**63", "2**70", "negative"])
+    def test_rejects_orders_out_of_range_before_any_table(self, no_overlap_table, m, n, named):
+        with pytest.raises(ValueError, match=f"^mode indices must be {named}$"):
+            displaced_overlap(m, n, 0.1)
+
     @pytest.mark.parametrize("m, n, d", [(550, 1100, 1.0), (1100, 550, 1.0)])
     def test_overflow_signals(self, m, n, d):
         # Laguerre values of order ~1000 overflow float64; the failure must
@@ -146,6 +155,14 @@ class TestQuadOverlap:
     @pytest.mark.parametrize("m, n", [(1.5, 0), (True, 1), (2, 2.0)])
     def test_rejects_non_integer_modes_by_value(self, m, n):
         with pytest.raises(ValueError, match=f"integers, got m={m!r}, n={n!r}"):
+            quad_overlap(m, n, 0.3)
+
+    @pytest.mark.parametrize("m, n, named", [
+        (2**63, 0, "at most 2\\*\\*63 - 1, got m=9223372036854775808"),
+        (0, -1, "non-negative, got n=-1"),
+    ], ids=["2**63", "negative"])
+    def test_rejects_orders_out_of_range_by_value(self, m, n, named):
+        with pytest.raises(ValueError, match=f"^mode indices must be {named}$"):
             quad_overlap(m, n, 0.3)
 
     def test_rejects_non_integer_order_by_value(self):

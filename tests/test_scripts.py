@@ -54,9 +54,17 @@ def test_output_digest_lines(capsys):
     digest = _load("output_digest")
     for name in digest.READER_ERRORS:
         assert f"error-counts-{name.replace('_', '-')}/exit {exit_two}" in lines
+    for name in ("abc-separation-label", "unreadable-counts"):
+        assert f"error-{name}/exit {exit_two}" in lines
+    # a setting out of range, in a flag or a config file, is a config error: exit code 1
+    exit_one = hashlib.sha256(b"1").hexdigest()
+    for name in ("negative-modes-k", "zero-sep-step", "one-trial", "sep-stop-below-start",
+                 "config-line-without-equals"):
+        assert f"error-{name}/exit {exit_one}" in lines
     exit_zero = hashlib.sha256(b"0").hexdigest()
     assert f"estimate-hand-edited/exit {exit_zero}" in lines
     assert f"estimate-reordered/exit {exit_zero}" in lines
+    assert f"estimate-config-calibrate-no/exit {exit_zero}" in lines
     # a measurement revisited in the same process writes the same table
     digests = dict(line.split() for line in lines)
     assert (digests["compare-sweep_k12-seed1-again/compare.csv"]

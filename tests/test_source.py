@@ -103,7 +103,9 @@ class TestSchmidtCoeff:
     @pytest.mark.parametrize("m, n, named", [
         (np.array([2**64 - 1], np.uint64), 0, "at most 2\\*\\*63 - 1, got m=18446744073709551615"),
         (0, np.array([[1, 2], [-4, 0]]), "non-negative, got n=-4"),
-    ], ids=["uint64-max", "negative-n"])
+        (2**70, 0, "at most 2\\*\\*63 - 1, got m=1180591620717411303424"),
+        (0, -2**70, "non-negative, got n=-1180591620717411303424"),
+    ], ids=["uint64-max", "negative-n", "past-2**64", "below-minus-2**64"])
     def test_rejects_indices_out_of_range_by_value(self, m, n, named):
         with pytest.raises(ValueError, match=f"^mode indices must be {named}$"):
             schmidt_coeff(m, n, 0.15)
