@@ -34,7 +34,8 @@ from .inference import (
     spade_forward,
 )
 from .model import ModeSpace, PixelGrid, prob_matrix
-from .source import SchmidtModel, SourceParams, gamma_from_physical, schmidt_number
+from .source import (SchmidtModel, SourceParams, _checked_gamma, _mode_indices,
+                     gamma_from_physical, schmidt_number)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -94,10 +95,8 @@ class RunConfig:
             )
         if self.gamma is not None and any(given):
             raise ValueError("give either gamma or the physical source parameters, not both")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if self.modes_k < 0 or self.modes_l < 0:
-            raise ValueError("mode indices must be non-negative")
+        _checked_gamma(self.resolved_gamma())
+        _mode_indices(modes_k=self.modes_k, modes_l=self.modes_l)
         for name in ("sep_start", "sep_stop", "sep_step"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -110,16 +109,10 @@ class RunConfig:
             raise ValueError(
                 f"photons must be at most 2**53 = {_MAX_PHOTONS}, where float64 counts stay exact"
             )
-        if self.trials < 2:
-            raise ValueError("trials must be at least 2")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.k_values is not None and not self.k_values:
             raise ValueError("k_values must name at least one Schmidt number")
-        if self.k_values is not None and not all(map(math.isfinite, self.k_values)):
-            raise ValueError("k_values must all be finite")
-        if self.k_values is not None and any(k < 1.0 for k in self.k_values):
-            raise ValueError("k_values must all be >= 1")
 
     def resolved_gamma(self) -> float:
         if self.gamma is not None:

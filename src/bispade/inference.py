@@ -144,19 +144,19 @@ def fisher_numeric(
     step: float = 1e-4,
     floor: float = LIKELIHOOD_FLOOR,
 ) -> FisherReport:
-    """Central-difference Fisher information of the outcome vector prob_fn(d).
+    """Fisher information of the outcome vector prob_fn(d).
 
     prob_fn maps a per-arm shift to outcome probabilities; derivatives are
-    taken with respect to delta = 2*d (delta moves twice as fast as d).
-    Outcomes below `floor` are skipped and reported instead of dividing by
-    nearly zero.
+    taken with respect to delta = 2*d (delta moves twice as fast as d). The
+    maps of spade_forward and direct_forward, calibrated or not, supply the
+    exact derivative; for any other callable it is a fourth-order central
+    difference at `step`. Outcomes below `floor` are skipped and reported
+    instead of dividing by nearly zero.
     """
     if not step > 0:
         raise ValueError("step must be positive")
-    p0 = np.asarray(prob_fn(d), dtype=float).ravel()
-    p_hi = np.asarray(prob_fn(d + step), dtype=float).ravel()
-    p_lo = np.asarray(prob_fn(d - step), dtype=float).ravel()
-    deriv = (p_hi - p_lo) / (4.0 * step)
+    probs, slopes = _as_map(prob_fn, step).batch(np.array([float(d)]), True)
+    p0, deriv = probs[0], 0.5 * slopes[0]
     if not (np.all(np.isfinite(deriv)) and np.all(np.isfinite(p0))):
         raise NumericalError("non-finite probability or derivative in Fisher evaluation")
     keep = p0 >= floor
@@ -212,8 +212,8 @@ def fi_total_2d(gamma: float) -> float:
 
 def crlb(schmidt_k: float, n_photons: int) -> float:
     """Variance bound 2 / (n sqrt(K)) on separation estimates from n photon pairs."""
-    if not schmidt_k >= 1.0:
-        raise ValueError(f"Schmidt number must be >= 1, got {schmidt_k!r}")
+    if not (math.isfinite(schmidt_k) and schmidt_k >= 1.0):
+        raise ValueError(f"Schmidt number must be finite and >= 1, got {schmidt_k!r}")
     _check_photons(n_photons)
     if n_photons < 1:
         raise ValueError(f"photon count must be >= 1, got {n_photons!r}")
@@ -482,7 +482,7 @@ class _ForwardMap:
         def calibrate(probs, slopes):
             if calibration.alpha.size != probs.shape[1]:
                 raise ValueError("calibration shape does not match the counts")
-            return _calibrate_rows(probs, slopes, calibration)[:2]
+            return _calibrate_rows(probs, slopes, calibration)
 
         return _ForwardMap(
             lambda d, derivative: calibrate(*self.batch(d, derivative)),
@@ -491,10 +491,10 @@ class _ForwardMap:
         )
 
 
-def _as_map(forward) -> _ForwardMap:
+def _as_map(forward, step: float = _DIFF_STEP) -> _ForwardMap:
     # forward itself if it is a map; a plain callable becomes a map of one scalar call
     # per separation, its outcomes flattened (shape (-1,)), with fourth-order
-    # central-difference derivatives
+    # central-difference derivatives at this step
     if isinstance(forward, _ForwardMap):
         return forward
 
@@ -506,10 +506,10 @@ def _as_map(forward) -> _ForwardMap:
         if not derivative:
             return probs, None
 
-        def rise(step):
-            return at(d + step) - at(d - step)
+        def rise(h):
+            return at(d + h) - at(d - h)
 
-        return probs, (8.0 * rise(_DIFF_STEP) - rise(2.0 * _DIFF_STEP)) / (12.0 * _DIFF_STEP)
+        return probs, (8.0 * rise(step) - rise(2.0 * step)) / (12.0 * step)
 
     return _ForwardMap(batch, (-1,))
 
@@ -587,8 +587,6 @@ def mc_standard_error(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if not (_is_integer(trials) and trials >= 2):
-        raise ValueError(f"need an integer number of at least 2 trials, got {trials!r}")
     if model is None:
         model = SchmidtModel.from_gamma(gamma)
     elif model.gamma != gamma:
@@ -610,6 +608,8 @@ def _mc_cells(method, n_photons, seps, trials, cell_seeds, forward) -> list[Mont
     no result.
     """
     _check_photons(n_photons)
+    if not (_is_integer(trials) and trials >= 2):
+        raise ValueError(f"need an integer number of at least 2 trials, got {trials!r}")
     seps = np.asarray(seps, dtype=float)
     truths, _ = forward.batch(seps, False)
     weights = [_normalized(truth) for truth in truths]

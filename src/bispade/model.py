@@ -248,24 +248,19 @@ def prob_matrix(
 
 
 def apply_calibration(matrix: ProbabilityMatrix, cal: CalibrationModel) -> ProbabilityMatrix:
-    """Entrywise alpha*P + beta, floored at zero, then renormalized."""
+    """Entrywise alpha*P + beta, floored at zero, then renormalized; in_space_mass is kept."""
     if cal.alpha.shape != matrix.entries.shape:
         raise ValueError("calibration shape does not match the probability matrix")
-    entries, _, totals = _calibrate_rows(matrix.entries.reshape(1, -1), None, cal)
-    return replace(
-        matrix,
-        entries=entries.reshape(matrix.entries.shape),
-        in_space_mass=float(totals[0]),
-    )
+    entries, _ = _calibrate_rows(matrix.entries.reshape(1, -1), None, cal)
+    return replace(matrix, entries=entries.reshape(matrix.entries.shape))
 
 
 def _calibrate_rows(probs: np.ndarray, slopes: np.ndarray | None, cal: CalibrationModel):
     """The affine detector map on (rows x outcomes) probabilities and their d-derivatives.
 
     Each row becomes alpha*p + beta, floored at zero and divided by its total.
-    Returns (probs, slopes, totals): slopes by the quotient rule (None when
-    slopes is None), totals before the division. Raises NumericalError when
-    a row maps to zero everywhere.
+    Returns (probs, slopes), slopes by the quotient rule (None when slopes is
+    None). Raises NumericalError when a row maps to zero everywhere.
     """
     alpha = cal.alpha.ravel()
     raw = alpha * probs + cal.beta.ravel()
@@ -278,7 +273,7 @@ def _calibrate_rows(probs: np.ndarray, slopes: np.ndarray | None, cal: Calibrati
     if slopes is not None:
         raw_slopes = np.where(live, alpha * slopes, 0.0)
         slopes = (raw_slopes - probs * raw_slopes.sum(axis=1)[:, None]) / totals[:, None]
-    return probs, slopes, totals
+    return probs, slopes
 
 
 def _psf_scale(model: SchmidtModel, kind: str) -> float:

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalError
-from .source import _is_integer, _mode_indices
+from .source import _mode_indices
 
 __all__ = ["displaced_overlap", "quad_overlap"]
 
@@ -59,12 +59,17 @@ def _overlap_amplitudes(n: int, d: np.ndarray) -> np.ndarray:
     separation at once. The displaced-number-state recurrence in n' is not used:
     its rounding errors grow with n'*d (1e-2 in the square at n' = 100, d = 3).
     Returns shape (len(d), n+1, n+1); raises NumericalError where the table
-    overflows (mode orders above about 1000).
+    overflows (mode orders above about 1000) or cannot be allocated.
     """
     x = 0.5 * d * d
+    # the table before its layout: an order within rounding of 2**63 has an empty
+    # float64 order range, and its layout would loop over range(1, n)
+    try:
+        lag = np.zeros((len(d), n + 1, n + 1))
+    except (ValueError, MemoryError) as exc:
+        raise NumericalError(f"overlap table for mode orders up to {n} is too large") from exc
     layout = _overlap_layout if n <= _MAX_CACHED_ORDER else _overlap_layout.__wrapped__
     order, steps, lo, gap, half_log_ratio, odd, below = layout(n)
-    lag = np.zeros((len(d), n + 1, n + 1))
     lag[:, 0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         if n:
@@ -120,29 +125,24 @@ def _hermite_rows(max_m: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def quad_overlap(m: int, n: int, shift: float, order: int | None = None) -> float:
+def quad_overlap(m: int, n: int, shift: float) -> float:
     """Brute-force overlap integral of Hermite-Gauss modes m at x and n at x - shift.
 
     The centered substitution u = x - shift/2 factors the joint Gaussian
     envelope into exp(-u^2) exp(-shift^2/4) exactly, leaving a polynomial of
-    degree m+n that Gauss-Hermite quadrature integrates without truncation
-    error. It shares no code with displaced_overlap and serves as its check.
+    degree m+n that Gauss-Hermite quadrature of 2(m+n)+20 nodes integrates
+    without truncation error. It shares no code with displaced_overlap and
+    serves as its check.
 
     Sign bookkeeping: the mode n at x - shift is centered at +shift, so this
     integral equals displaced_overlap(m, n, shift, sign=-1).
     """
     _mode_indices(m=m, n=n)
-    if order is None:
-        order = 2 * (m + n) + 20
-    if not _is_integer(order):
-        raise ValueError(f"quadrature order must be an integer, got {order!r}")
-    if order < m + n + 10:
-        raise ValueError(
-            f"quadrature order {order} too low for modes ({m}, {n}); need >= {m + n + 10}"
-        )
+    order = 2 * (int(m) + int(n)) + 20  # Python ints: an int64 sum can wrap
     if order > _MAX_QUADRATURE_ORDER:
         raise ValueError(
-            f"quadrature order {order} unavailable (supported up to {_MAX_QUADRATURE_ORDER})"
+            f"modes ({m}, {n}) need quadrature order {order}, "
+            f"above the supported {_MAX_QUADRATURE_ORDER}"
         )
     nodes, weights = _gauss_hermite(order)
     left = _hermite_rows(m, nodes + 0.5 * shift)[m]

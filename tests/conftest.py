@@ -29,3 +29,16 @@ def no_overlap_table(monkeypatch):
 
     monkeypatch.setattr(overlap, "_overlap_amplitudes", refuse)
     monkeypatch.setattr(model, "_overlap_amplitudes", refuse)
+
+
+@pytest.fixture
+def no_overlap_layout(monkeypatch):
+    # building an overlap table's layout fails at once: for an order within
+    # rounding of 2**63 it would loop over range(1, 2**63 - 1)
+    from bispade import overlap
+
+    def refuse(n):
+        raise AssertionError(f"an overlap layout of order {n} was built")
+
+    refuse.__wrapped__ = refuse  # the uncached layout of an order above 1000
+    monkeypatch.setattr(overlap, "_overlap_layout", refuse)

@@ -87,7 +87,7 @@ SIGNATURES = {
     "apply_calibration": "matrix, cal",
     "pixel_probs": "d, grid, model, kind",
     "displaced_overlap": "m, n, d, sign",
-    "quad_overlap": "m, n, shift, order",
+    "quad_overlap": "m, n, shift",
     "SourceParams": "pump_waist, crystal_length, pump_wavelength",
     "SchmidtModel": "gamma",
     "SchmidtModel.from_gamma": "gamma",

@@ -857,7 +857,7 @@ class TestExitCodes:
 
 class TestNonFiniteSettings:
     @pytest.mark.parametrize("argv,message", [
-        (["crlb-curves", "--k-values", "1,inf"], "k_values must all be finite"),
+        (["crlb-curves", "--k-values", "1,inf"], "Schmidt number must be finite and >= 1, got inf"),
         (["compare", "--sep-stop", "inf"], "sep-stop must be finite, got inf"),
         (["compare", "--sep-start", "nan"], "sep-start must be finite, got nan"),
         (["matrices", "--sep-step", "inf"], "sep-step must be finite, got inf"),
@@ -865,18 +865,44 @@ class TestNonFiniteSettings:
         (["crlb-curves", "--pump-waist-um", "inf", "--crystal-length-mm", "2",
           "--pump-wavelength-nm", "405"], "pump_waist must be a finite positive number"),
         # crlb-curves builds no mode space, so only the setting check can refuse it
-        (["crlb-curves", "--modes-k", "-1"], "mode indices must be non-negative"),
+        (["crlb-curves", "--modes-k", "-1"], "mode indices must be non-negative, got modes_k=-1"),
         (["matrices", "--sep-step", "0"], "sep-step must be positive"),
-        (["compare", "--trials", "1"], "trials must be at least 2"),
+        (["compare", "--trials", "1"], "need an integer number of at least 2 trials, got 1"),
         (["matrices", "--sep-start", "0.5", "--sep-stop", "0.1"],
          "sep-stop must be >= sep-start"),
+        # settings a library function owns, checked by its rule
+        (["compare", "--gamma", "-1"], "gamma must be a finite positive number, got -1.0"),
+        (["crlb-curves", "--gamma", "inf"], "gamma must be a finite positive number, got inf"),
+        (["estimate", "unread.csv", "--modes-l", "-2"],
+         "mode indices must be non-negative, got modes_l=-2"),
+        (["crlb-curves", "--modes-k", str(2**63)],
+         f"mode indices must be at most 2**63 - 1, got modes_k={2**63}"),
+        (["matrices", "--modes-k", str(2**63)],
+         f"mode indices must be at most 2**63 - 1, got modes_k={2**63}"),
+        (["crlb-curves", "--k-values", "2,nan"], "Schmidt number must be finite and >= 1, got nan"),
     ], ids=["k-values", "sep-stop", "sep-start", "sep-step", "seed", "pump-waist",
-            "modes-k", "sep-step-zero", "trials", "sep-stop-below-start"])
+            "modes-k", "sep-step-zero", "trials", "sep-stop-below-start", "gamma-negative",
+            "gamma-inf", "modes-l-negative", "crlb-curves-modes-k-2**63",
+            "matrices-modes-k-2**63", "k-values-nan"])
     def test_is_a_config_error_naming_the_setting(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         assert main([*argv, "--out-dir", str(out)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["crlb-curves", "--k-values", "2"],
+    ["matrices", "--sep-start", "0.3", "--sep-stop", "0.3"],
+], ids=["crlb-curves", "matrices"])
+def test_commands_that_run_no_trials_accept_one(tmp_path, argv):
+    assert main([*argv, "--trials", "1", "--out-dir", str(tmp_path)]) == EXIT_OK
+
+
+def test_estimate_accepts_one_trial(tmp_path):
+    (path,) = _make_synthetic_files(tmp_path, [0.3], photons=1000)
+    out = tmp_path / "out"
+    assert main(["estimate", path, "--trials", "1", "--out-dir", str(out)]) == EXIT_OK
 
 
 class TestSeparationCount:

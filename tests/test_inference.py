@@ -100,6 +100,51 @@ class TestFisherNumeric:
         with pytest.raises(ValueError):
             bp.fisher_numeric(lambda d: np.array([0.5]), 0.1, step=0.0)
 
+    def test_measurement_value(self, model015, space7):
+        report = bp.fisher_numeric(bp.spade_forward(model015, space7), 0.3)
+        assert round(report.total, 11) == 1.56425858563
+
+    @pytest.mark.parametrize("method", ["spade", "direct_gaussian", "direct_spdc",
+                                        "spade_calibrated"])
+    @pytest.mark.parametrize("d", [0.01, 0.3, 1.35])
+    def test_built_in_maps_match_a_central_difference_of_the_public_functions(
+            self, model015, space7, method, d):
+        # the maps supply their exact derivative; the oracle differentiates the
+        # public prob_matrix, pixel_probs and apply_calibration by a fourth-order
+        # central difference, since a second-order one at d = 0.01 loses 1e-7 of
+        # direct imaging's FI of 2e-5 to rounding
+        grid = bp.PixelGrid()
+        cal = bp.CalibrationModel(alpha=np.full(space7.shape, 0.8),
+                                  beta=np.full(space7.shape, 0.01))
+        forward, public = {
+            "spade": (bp.spade_forward(model015, space7),
+                      lambda x: bp.prob_matrix(x, space7, model015).entries.ravel()),
+            "direct_gaussian": (bp.direct_forward(model015, grid, "gaussian"),
+                                lambda x: bp.pixel_probs(x, grid, model015, "gaussian")),
+            "direct_spdc": (bp.direct_forward(model015, grid, "spdc"),
+                            lambda x: bp.pixel_probs(x, grid, model015, "spdc")),
+            "spade_calibrated": (
+                bp.spade_forward(model015, space7).calibrated(cal),
+                lambda x: bp.apply_calibration(bp.prob_matrix(x, space7, model015),
+                                               cal).entries.ravel()),
+        }[method]
+        p0 = public(d)
+        keep = p0 >= bp.LIKELIHOOD_FLOOR
+        h = 3e-4
+        slope = 0.5 * (4.0 * _central_difference(public, d, h)
+                       - _central_difference(public, d, 2.0 * h)) / 3.0
+        expected = float((slope[keep] ** 2 / p0[keep]).sum())
+        assert bp.fisher_numeric(forward, d).total == pytest.approx(expected, rel=1e-8)
+
+    def test_a_plain_callable_gets_a_fourth_order_difference_at_step(self):
+        # exact for a cubic, where a second-order difference at step 0.1 is 1.3% off
+        def cubic(d):
+            return np.array([0.5 + 0.1 * d**3, 0.5 - 0.1 * d**3])
+
+        slope = 0.5 * 0.3 * 0.5**2
+        expected = slope**2 * (1.0 / cubic(0.5)).sum()
+        assert bp.fisher_numeric(cubic, 0.5, step=0.1).total == pytest.approx(expected, rel=1e-12)
+
     def test_signals_non_finite(self):
         with pytest.raises(bp.NumericalError):
             bp.fisher_numeric(lambda d: np.array([np.nan]), 0.1, step=1e-4)
@@ -247,6 +292,12 @@ class TestCrlb:
             bp.crlb(0.5, 10)
         with pytest.raises(ValueError):
             bp.crlb(2.0, 0)
+
+    @pytest.mark.parametrize("schmidt_k", [math.inf, math.nan])
+    def test_rejects_a_schmidt_number_that_is_not_finite(self, schmidt_k):
+        with pytest.raises(ValueError, match=f"^Schmidt number must be finite and >= 1, "
+                                             f"got {schmidt_k!r}$"):
+            bp.crlb(schmidt_k, 1)
 
     @pytest.mark.parametrize("photons", [1.5, True, 100.0, -1])
     def test_rejects_photons_that_are_not_a_count(self, photons):

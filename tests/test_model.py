@@ -295,6 +295,12 @@ class TestProbMatrix:
         with pytest.raises(ValueError, match=re.escape(f"{named} mode indices must be in ")):
             call(model015)
 
+    def test_order_within_rounding_of_2_63_is_a_numerical_error(self, model015,
+                                                                no_overlap_layout):
+        space = ModeSpace(((2**63 - 1, 0),), ((0, 0),))
+        with pytest.raises(NumericalError, match="is too large"):
+            prob_matrix(0.1, space, model015)
+
     def test_entries_must_fill_the_space(self, space7):
         with pytest.raises(ValueError, match="^entries shape does not match the mode space$"):
             ProbabilityMatrix(space7, np.zeros((7, 6)), 0.1, 1.0)
@@ -320,6 +326,15 @@ class TestCalibration:
         cal = CalibrationModel(alpha=np.full(space7.shape, 0.5), beta=np.zeros(space7.shape))
         out = apply_calibration(pm, cal)
         np.testing.assert_allclose(out.entries, pm.entries, rtol=1e-14)
+
+    def test_keeps_the_in_space_mass(self, model015, space7):
+        # a detector correction does not move the model's mass inside the space;
+        # the sum of alpha*p + beta (1.29 here) is no mass
+        pm = prob_matrix(0.3, space7, model015)
+        cal = CalibrationModel(alpha=np.full(space7.shape, 0.8), beta=np.full(space7.shape, 0.01))
+        out = apply_calibration(pm, cal)
+        assert pm.in_space_mass == pytest.approx(0.4455, abs=1e-4)
+        assert out.in_space_mass == pm.in_space_mass
 
     def test_all_zero_signals(self, model015, space7):
         pm = prob_matrix(0.4, space7, model015, renormalize=True)

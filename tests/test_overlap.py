@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 
 from bispade import NumericalError, displaced_overlap, quad_overlap
 from bispade import overlap
-from bispade.overlap import _MAX_QUADRATURE_ORDER
 
 modes = st.integers(0, 12)
 shifts = st.floats(0.0, 3.0)
@@ -93,6 +92,11 @@ class TestDisplacedOverlap:
         with pytest.raises(ValueError, match=f"^mode indices must be {named}$"):
             displaced_overlap(m, n, 0.1)
 
+    def test_order_within_rounding_of_2_63_fails_before_any_layout(self, no_overlap_layout):
+        # 2**63 - 1 passes the order bound, but its float64 order range is empty
+        with pytest.raises(NumericalError, match=f"mode orders up to {2**63 - 1} is too large"):
+            displaced_overlap(2**63 - 1, 0, 0.1)
+
     @pytest.mark.parametrize("m, n, d", [(550, 1100, 1.0), (1100, 550, 1.0)])
     def test_overflow_signals(self, m, n, d):
         # Laguerre values of order ~1000 overflow float64; the failure must
@@ -140,13 +144,13 @@ class TestQuadOverlap:
             displaced_overlap(1, 0, 0.6, -1), abs=1e-10
         )
 
-    def test_rejects_too_low_order(self):
-        with pytest.raises(ValueError):
-            quad_overlap(4, 4, 0.5, order=10)
-
     def test_rejects_unavailable_order(self):
-        with pytest.raises(ValueError):
-            quad_overlap(0, 0, 0.5, order=_MAX_QUADRATURE_ORDER + 1)
+        # 2(m+n)+20 nodes: m+n = 247 needs 514, past the supported 512
+        with pytest.raises(ValueError, match=r"^modes \(200, 47\) need quadrature order 514"):
+            quad_overlap(200, 47, 0.5)
+        # an int64 sum of these wraps negative
+        with pytest.raises(ValueError, match=f"need quadrature order {2**64 + 20}"):
+            quad_overlap(np.int64(2**62), np.int64(2**62), 0.5)
 
     def test_rejects_negative_modes(self):
         with pytest.raises(ValueError):
@@ -164,7 +168,3 @@ class TestQuadOverlap:
     def test_rejects_orders_out_of_range_by_value(self, m, n, named):
         with pytest.raises(ValueError, match=f"^mode indices must be {named}$"):
             quad_overlap(m, n, 0.3)
-
-    def test_rejects_non_integer_order_by_value(self):
-        with pytest.raises(ValueError, match="order must be an integer, got 30.0"):
-            quad_overlap(1, 0, 0.3, order=30.0)
