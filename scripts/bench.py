@@ -84,7 +84,8 @@ def _draws(forward, seps, trials: int, seed: int) -> np.ndarray:
     # count rows of `trials` draws at each separation of seps
     truths = forward(np.asarray(seps))
     return np.array([
-        inference._draw(truth.ravel() / truth.sum(), PHOTONS, bp.trial_seed(seed, t))
+        inference._draw(truth.ravel() / truth.sum(), PHOTONS,
+                        np.random.default_rng(bp.trial_seed(seed, t)))
         for truth in truths for t in range(trials)
     ], dtype=float)
 
@@ -121,7 +122,7 @@ def layers(files: list[Path]) -> dict:
     weights = forwards["spade"](0.3).ravel()
     weights = weights / weights.sum()
     items["inference._draw[49 outcomes]"] = _time(
-        lambda: inference._draw(weights, PHOTONS, 12345), 100, 50)
+        lambda: inference._draw(weights, PHOTONS, np.random.default_rng(12345)), 100, 50)
     seps = STEP * np.arange(1, 27, 5)
     for method, forward in forwards.items():
         items[f"inference._mc_cells[{method},6x8 trials]"] = _time(

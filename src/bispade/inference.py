@@ -11,6 +11,7 @@ to rule out silent factor-of-4 mistakes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -234,7 +235,8 @@ def sample_counts(probabilities, n_photons: int, seed) -> CountMatrix:
     matrix = isinstance(probabilities, ProbabilityMatrix)
     p = probabilities.entries if matrix else np.asarray(probabilities, dtype=float)
     _check_photons(n_photons)
-    draw = _checked_draws(_draw(_normalized(p.ravel()), n_photons, seed), n_photons)
+    rng = np.random.default_rng(seed)
+    draw = _checked_draws(_draw(_normalized(p.ravel()), n_photons, rng), n_photons)
     return CountMatrix(draw.reshape(p.shape), probabilities.d if matrix else None)
 
 
@@ -253,9 +255,9 @@ def _normalized(flat: np.ndarray) -> np.ndarray:
     return np.clip(flat, 0.0, None) / total
 
 
-def _draw(weights: np.ndarray, n_photons: int, seed) -> np.ndarray:
-    # the one multinomial draw behind sample_counts and the Monte-Carlo cells
-    return np.random.default_rng(seed).multinomial(int(n_photons), weights)
+def _draw(weights: np.ndarray, n_photons: int, rng) -> np.ndarray:
+    # the one multinomial draw behind sample_counts and the Monte-Carlo cells, on Generator rng
+    return rng.multinomial(int(n_photons), weights)
 
 
 def _checked_draws(draws: np.ndarray, n_photons: int) -> np.ndarray:
@@ -566,6 +568,112 @@ def _sub_seed(*entropy: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
+# numpy's SeedSequence hash and PCG64 seeding, fixed by NEP 19: the hash constants,
+# the 4-word pool and the 128-bit PCG64 multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+@lru_cache(maxsize=16)
+def _hash_steps(init: int, mult: int, rows: tuple[tuple[int, ...], ...]) -> tuple:
+    # the (xor, multiplier) constants of successive hashmix calls, one (2 x height x 1)
+    # uint32 array per vectorized step: step i hashes into the rows that rows[i] lists, in
+    # that order; the other rows of a step get constants 0 and their result is not read
+    const = init
+    steps = []
+    for hashed in rows:
+        step = np.zeros((2, max(map(len, rows)), 1), dtype=np.uint32)
+        for row in hashed:
+            after = const * mult & 0xFFFFFFFF
+            step[:, row, 0] = const, after
+            const = after
+        step.flags.writeable = False
+        steps.append(step)
+    return tuple(steps)
+
+
+def _mix_steps(words: int) -> tuple:
+    # the steps of SeedSequence's mix_entropy over `words` entropy words: hash the pool's
+    # 4 words, hash each pool word s into the other three (word s kept), then hash each
+    # entropy word past the 4th into all four
+    whole = tuple(range(_POOL))
+    into_others = tuple(tuple(row for row in whole if row != src) for src in whole)
+    return _hash_steps(_INIT_A, _MULT_A, (whole, *into_others) + (whole,) * (words - _POOL))
+
+
+def _hashmix(values: np.ndarray, step: np.ndarray) -> np.ndarray:
+    # hashmix of values (one row, or one row per constant) under each constant of a step
+    v = (values ^ step[0]) * step[1]
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+def _seed_pools(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's mixed pool, (4 x seeds), of each column of a (words x seeds) uint32 array."""
+    words = len(entropy)
+    steps = _mix_steps(words)
+    pool = np.zeros((_POOL, entropy.shape[1]), dtype=np.uint32)
+    pool[:words] = entropy[:_POOL]
+    pool = _hashmix(pool, steps[0])
+    for src in range(_POOL):
+        mixed = _mix(pool, _hashmix(pool[src], steps[1 + src]))
+        mixed[src] = pool[src]
+        pool = mixed
+    for src in range(_POOL, words):
+        pool = _mix(pool, _hashmix(entropy[src], steps[1 + src]))
+    return pool
+
+
+def _generate_state(pools: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence.generate_state(n_words) of each column of pools, as (n_words x seeds) uint32."""
+    step = _hash_steps(_INIT_B, _MULT_B, (tuple(range(n_words)),))[0]
+    return _hashmix(pools[np.arange(n_words) % _POOL], step)
+
+
+def _seed_words(seed) -> list[int]:
+    # the 32-bit words, least significant first, that SeedSequence reads from an integer
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"expected non-negative integer seed, got {seed!r}")
+    words = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        words.append(seed & 0xFFFFFFFF)
+    return words
+
+
+def _trial_states(masters: Sequence[int], trials: int) -> list[list[tuple[int, int]]]:
+    """PCG64 (state, inc) of default_rng(trial_seed(m, t)) for each master m and t < trials.
+
+    Cells whose masters have the same number of words hash in one vectorized pass;
+    every trial index is one word (a call of 2**32 trials could not hold its counts).
+    """
+    states = [[] for _ in masters]
+    words = [_seed_words(m) for m in masters]
+    t = np.arange(trials, dtype=np.uint32)
+    for size in sorted({len(w) for w in words}):
+        cells = [c for c, w in enumerate(words) if len(w) == size]
+        entropy = np.empty((size + 1, len(cells), trials), dtype=np.uint32)
+        entropy[:size] = np.array([words[c] for c in cells], dtype=np.uint32).T[:, :, None]
+        entropy[size] = t
+        seeds = _generate_state(_seed_pools(entropy.reshape(size + 1, -1)), 1)
+        # default_rng hashes each sub-seed again, and PCG64 reads 8 words of it as 4
+        # little-endian uint64: initstate = q0 << 64 | q1, initseq = q2 << 64 | q3
+        halves = _generate_state(_seed_pools(seeds), 8).astype(np.uint64)
+        q0, q1, q2, q3 = (halves[0::2] | halves[1::2] << 32).tolist()
+        for row, (a, b, c, e) in enumerate(zip(q0, q1, q2, q3)):
+            inc = ((c << 64 | e) << 1 | 1) & _MASK128
+            state = (((a << 64 | b) + inc) * _PCG_MULT + inc) & _MASK128
+            states[cells[row // trials]].append((state, inc))
+    return states
+
+
 def mc_standard_error(
     method: str,
     gamma: float,
@@ -601,11 +709,13 @@ def _mc_cells(method, n_photons, seps, trials, cell_seeds, forward) -> list[Mont
 
     The cells share one grid table of forward. Every cell's truth vector comes
     from one batched forward evaluation and is checked once, as sample_counts
-    checks it. Trial t of the cell at seps[i] draws its counts with sub-seed
-    trial_seed(cell_seeds[i], t), the draw of sample_counts. Consecutive whole
-    cells share one _fit call of at most _FIT_ROWS rows (a cell with more
-    trials is fitted alone); rows fit independently, so the grouping changes
-    no result.
+    checks it. Trial t of the cell at seps[i] draws exactly
+    sample_counts(truth, n_photons, trial_seed(cell_seeds[i], t)): the PCG64
+    state that default_rng of that sub-seed starts from is computed for every
+    trial of the call in one vectorized pass (_trial_states), and each trial
+    draws on one Generator set to its state. Consecutive whole cells share one
+    _fit call of at most _FIT_ROWS rows (a cell with more trials is fitted
+    alone); rows fit independently, so the grouping changes no result.
     """
     _check_photons(n_photons)
     if not (_is_integer(trials) and trials >= 2):
@@ -613,14 +723,22 @@ def _mc_cells(method, n_photons, seps, trials, cell_seeds, forward) -> list[Mont
     seps = np.asarray(seps, dtype=float)
     truths, _ = forward.batch(seps, False)
     weights = [_normalized(truth) for truth in truths]
+    states = _trial_states(cell_seeds, trials)
+    # made here, not at import: numpy.random loads on first use
+    rng = np.random.default_rng(0)
+    bit_generator = rng.bit_generator
+
+    def draw(c, state, inc):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        return _draw(weights[c], n_photons, rng)
+
     cells_per_fit = max(1, _FIT_ROWS // trials)
     results = []
     for first in range(0, len(seps), cells_per_fit):
         cells = range(first, min(first + cells_per_fit, len(seps)))
         obs = _checked_draws(np.array(
-            [_draw(weights[c], n_photons, trial_seed(cell_seeds[c], t))
-             for c in cells for t in range(trials)],
-            dtype=float,
+            [draw(c, *state) for c in cells for state in states[c]], dtype=float
         ), n_photons)
         fits = _fit(obs, forward)
         for i, c in enumerate(cells):

@@ -135,6 +135,13 @@ class PixelGrid:
         edges.flags.writeable = False
         return edges
 
+    @cached_property
+    def mirrored(self) -> np.ndarray:
+        """Read-only mask of the edges whose mirror image is exactly an edge: e_j == -e_(count-j)."""
+        mask = self.edges == -self.edges[::-1]
+        mask.flags.writeable = False
+        return mask
+
 
 def coincidence_prob(k: int, l: int, kp: int, lp: int, d: float, model: SchmidtModel) -> float:
     """Joint projection probability: idler on (k, l), signal on (kp, lp).
@@ -305,10 +312,21 @@ def _pixel_probs(d: np.ndarray, grid: PixelGrid, model: SchmidtModel, kind: str,
     )
 
 
+def _erfc(x: np.ndarray) -> np.ndarray:
+    # math.erfc of every entry of x
+    flat = x.ravel()
+    return np.fromiter(map(math.erfc, memoryview(flat)), float, flat.size).reshape(x.shape)
+
+
 def _pixel_block(d, grid, s, derivative):
     u = s * (grid.edges[None, None, :] - np.stack([d, -d], axis=1)[:, :, None])
-    flat = np.abs(u).ravel()
-    tails = np.fromiter(map(math.erfc, memoryview(flat)), float, flat.size).reshape(u.shape)
+    # at a mirrored edge, |u| of the -d component is bit for bit the +d component's |u|
+    # at the mirror image (IEEE rounding is symmetric), and so is its tail
+    tails = np.empty_like(u)
+    tails[:, 0] = _erfc(np.abs(u[:, 0]))
+    tails[:, 1] = tails[:, 0, ::-1]
+    own = ~grid.mirrored
+    tails[:, 1, own] = _erfc(np.abs(u[:, 1, own]))
     lo, hi = u[..., :-1], u[..., 1:]
     t_lo, t_hi = tails[..., :-1], tails[..., 1:]
     masses = np.where(

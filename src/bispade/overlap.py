@@ -19,7 +19,9 @@ from .source import _mode_indices
 
 __all__ = ["displaced_overlap", "quad_overlap"]
 
-_MAX_QUADRATURE_ORDER = 512
+# largest Gauss-Hermite rule whose numpy weights are all finite and nonzero: from 371
+# nodes on, the smallest weights underflow to 0, and from 372 on they are nan
+_MAX_QUADRATURE_ORDER = 370
 # largest table whose layout is cached: a larger layout costs tens of megabytes,
 # and its table overflows near this order anyway
 _MAX_CACHED_ORDER = 1000

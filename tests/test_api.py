@@ -5,6 +5,9 @@ to `bispade.__all__` must be added here too, on purpose.
 """
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import bispade
@@ -146,3 +149,13 @@ def test_package_imports_no_test_code():
     for path in sources:
         roots = {name.split(".")[0] for name in _imported_modules(path)}
         assert not roots & {"oracles", "tests", "conftest"}, path.name
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random loads on the first draw, not at import: it would add to every
+    # command's start-up time and memory
+    code = "import sys, bispade; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(bispade.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout == "False\n"

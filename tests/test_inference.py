@@ -941,3 +941,61 @@ class TestMonteCarlo:
     def test_rejects_a_model_of_another_gamma(self, model015):
         with pytest.raises(ValueError, match="model gamma 0.15 differs from gamma 0.3"):
             bp.mc_standard_error("spade", 0.3, 1000, 0.3, 4, seed=1, model=model015)
+
+
+class TestTrialDraws:
+    """The Monte-Carlo draws against numpy's own seeding, never against the vectorized hash."""
+
+    MASTERS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 1)
+
+    @staticmethod
+    def _drawn_rows(monkeypatch):
+        # every count row the Monte-Carlo cells hand to _fit, in order
+        rows = []
+        fit = inference._fit
+
+        def spy(obs, forward):
+            rows.append(obs.copy())
+            return fit(obs, forward)
+
+        monkeypatch.setattr(inference, "_fit", spy)
+        return rows
+
+    def test_trial_states_match_numpy(self):
+        states = inference._trial_states(list(self.MASTERS), 301)
+        assert [len(cell) for cell in states] == [301] * len(self.MASTERS)
+        for master, cell in zip(self.MASTERS, states):
+            for t, (state, inc) in enumerate(cell):
+                sub_seed = int(np.random.SeedSequence((master, t)).generate_state(1)[0])
+                expected = np.random.default_rng(sub_seed).bit_generator.state["state"]
+                assert (state, inc) == (expected["state"], expected["inc"]), (master, t)
+
+    def test_a_cell_past_the_fit_budget_draws_sample_counts(self, monkeypatch, model015,
+                                                            space7):
+        forward = bp.spade_forward(model015, space7)
+        trials = inference._FIT_ROWS + 3
+        rows = self._drawn_rows(monkeypatch)
+        bp.mc_standard_error("spade", 0.15, 300, 0.4, trials, seed=2**64 - 1,
+                             forward=forward, model=model015)
+        truth = forward(0.4)
+        expected = [bp.sample_counts(truth, 300, bp.trial_seed(2**64 - 1, t)).counts.ravel()
+                    for t in range(trials)]
+        np.testing.assert_array_equal(np.concatenate(rows), expected)
+
+    def test_masters_of_every_word_count_in_one_call(self, monkeypatch, model015):
+        # the cells hash in groups of equal word count; each keeps its own trials
+        forward = bp.direct_forward(model015, bp.PixelGrid(), "gaussian")
+        masters = [2**96 + 1, 3, 2**32, 0, 2**64 - 1, 2**32 - 1]
+        seps = np.linspace(0.1, 0.6, len(masters))
+        rows = self._drawn_rows(monkeypatch)
+        inference._mc_cells("direct_gaussian", 500, seps, 4, masters, forward)
+        expected = [bp.sample_counts(forward(d), 500, bp.trial_seed(m, t)).counts
+                    for d, m in zip(seps, masters) for t in range(4)]
+        np.testing.assert_array_equal(np.concatenate(rows), expected)
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+    def test_rejects_what_seed_sequence_rejects(self, seed, error):
+        with pytest.raises(error):
+            bp.trial_seed(seed, 0)
+        with pytest.raises(error):
+            bp.mc_standard_error("direct_gaussian", 0.15, 100, 0.3, 4, seed=seed)

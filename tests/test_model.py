@@ -24,6 +24,7 @@ from bispade import (
     spade_forward,
     CountMatrix,
 )
+from bispade.model import _pixel_probs
 from oracles import riemann_pixel_probs, scalar_overlap
 
 
@@ -483,6 +484,23 @@ class TestPixelProbs:
             prob_matrix(d, space7, model015)
         with pytest.raises(ValueError, match=message):
             pixel_probs(d, PixelGrid(), model015)
+
+    def test_default_grid_mirrors_29_of_its_51_edges(self):
+        grid = PixelGrid()
+        assert grid.mirrored.sum() == 29
+        assert not grid.mirrored.flags.writeable
+
+    @pytest.mark.parametrize("count, span",
+                             [(50, (-4.0, 4.0)), (7, (-1.0, 3.0)), (9, (-3.3, 3.3))])
+    def test_mirrored_tails_are_bitwise_the_direct_ones(self, model015, count, span):
+        # the same grid with no edge marked mirrored takes math.erfc at every edge
+        grid, direct = PixelGrid(count, span), PixelGrid(count, span)
+        direct.__dict__["mirrored"] = np.zeros(count + 1, dtype=bool)
+        d = np.concatenate(([0.0, 1e-300, 0.0465], np.random.default_rng(5).uniform(0, 2, 40)))
+        for kind in ("gaussian", "spdc"):
+            for ours, theirs in zip(_pixel_probs(d, grid, model015, kind, True),
+                                    _pixel_probs(d, direct, model015, kind, True)):
+                np.testing.assert_array_equal(ours, theirs)
 
     def test_default_span_leakage_is_small(self, model015):
         # the default span keeps the Gaussian residual below 1e-4 even at the

@@ -144,10 +144,18 @@ class TestQuadOverlap:
             displaced_overlap(1, 0, 0.6, -1), abs=1e-10
         )
 
+    def test_highest_supported_order_is_finite(self):
+        # m+n = 175 takes 370 nodes, the largest rule whose weights are all finite
+        value = quad_overlap(87, 88, 0.0)
+        assert math.isfinite(value)
+        assert abs(value) < 1e-12
+
     def test_rejects_unavailable_order(self):
-        # 2(m+n)+20 nodes: m+n = 247 needs 514, past the supported 512
-        with pytest.raises(ValueError, match=r"^modes \(200, 47\) need quadrature order 514"):
-            quad_overlap(200, 47, 0.5)
+        # 2(m+n)+20 nodes: m+n = 176 needs 372, past the supported 370, where the
+        # quadrature weights are nan
+        with pytest.raises(ValueError, match=r"^modes \(100, 76\) need quadrature order 372, "
+                                             r"above the supported 370$"):
+            quad_overlap(100, 76, 0.5)
         # an int64 sum of these wraps negative
         with pytest.raises(ValueError, match=f"need quadrature order {2**64 + 20}"):
             quad_overlap(np.int64(2**62), np.int64(2**62), 0.5)
