@@ -10,9 +10,11 @@ one shared map per measurement whose table is built once), the batched fit
 Monte-Carlo cells (``inference._mc_cells``) and the counts-file reader
 (``cli.read_counts_file``, on 29 labeled counts files). End to end it times
 ``bispade.cli.main`` on the full default ``compare`` and on an
-``estimate --calibrate`` of the same 29 files. It also counts the lockstep refinement passes of the
-direct-imaging fits in 30 ``compare`` jobs at the benchmark's sweep_k12
-setting.
+``estimate --calibrate`` of the same 29 files. It also counts, per map kind
+(spade, direct imaging), the lockstep refinement passes of the fits and the
+forward evaluations (``model._spade_probs`` and ``model._pixel_probs`` calls,
+and the separations they evaluate) in 30 ``compare`` jobs at the benchmark's
+sweep_k12 setting, run in one process on emptied map caches.
 
 Every timing uses ``time.perf_counter`` on inputs fixed in this file, after
 one untimed call. A sample is the mean of a fixed number of calls. Each item
@@ -170,26 +172,44 @@ def end_to_end(root: Path, files: list[Path]) -> dict:
     }
 
 
-def direct_passes(root: Path) -> dict:
+def sweep_counts(root: Path) -> dict:
     # lockstep passes of each _fit call: every pass adds one iteration to each row
     # still refining, so the passes are the most iterations of any row; a pixel
-    # map has 1-D outcomes, a mode-space map 2-D ones
-    passes = {"direct": 0, "spade": 0}
+    # map has 1-D outcomes, a mode-space map 2-D ones. The maps start cold, as in a
+    # fresh process, so that the layer timings above do not warm them.
+    counts = {f"{kind}_{item}": 0 for kind in ("direct", "spade")
+              for item in ("passes", "forward_calls", "forward_rows")}
     fit = inference._fit
 
-    def counting(obs, forward):
+    def counting_fit(obs, forward):
         fits = fit(obs, forward)
-        passes["direct" if len(forward.shape) == 1 else "spade"] += int(fits.iterations.max())
+        counts["direct_passes" if len(forward.shape) == 1 else "spade_passes"] += int(
+            fits.iterations.max())
         return fits
 
-    inference._fit = counting
+    def counting(kind, core):
+        def evaluate(d, *args):
+            counts[f"{kind}_forward_calls"] += 1
+            counts[f"{kind}_forward_rows"] += len(d)
+            return core(d, *args)
+        return evaluate
+
+    cores = {"_spade_probs": "spade", "_pixel_probs": "direct"}
+    saved = {name: getattr(inference, name) for name in cores}
+    bp.spade_forward.cache_clear()
+    bp.direct_forward.cache_clear()
+    inference._fit = counting_fit
+    for name, kind in cores.items():
+        setattr(inference, name, counting(kind, saved[name]))
     try:
         for seed in SWEEP_JOBS:
             _run([*SWEEP, "--seed", str(seed), "--out-dir", str(root / "sweep")])
     finally:
         inference._fit = fit
+        for name, core in saved.items():
+            setattr(inference, name, core)
     jobs = len(SWEEP_JOBS)
-    return {f"{name}_passes_per_sweep_k12_job": count / jobs for name, count in passes.items()}
+    return {f"{name}_per_sweep_k12_job": count / jobs for name, count in counts.items()}
 
 
 def environment() -> dict:
@@ -220,7 +240,7 @@ def run(argv=None):
         root = Path(tmp)
         files = _counts_files(root / "inputs")
         result = {"environment": environment(), "layers": layers(files),
-                  "end_to_end": end_to_end(root, files), "counts": direct_passes(root)}
+                  "end_to_end": end_to_end(root, files), "counts": sweep_counts(root)}
     path = Path(args.out)
     data = json.loads(path.read_text()) if path.exists() else {}
     data.setdefault("harness", "scripts/bench.py")

@@ -331,6 +331,9 @@ def _fit(obs: np.ndarray, forward: _ForwardMap) -> _Fits:
     sum_i n_i p_i''(0) / p_i(0) < 0, and that has no count on an outcome
     dead at 0 has its maximum at 0 and stops before the first pass. The map
     is even in d, so p_i''(0) is read as p_i'(h) / h at h = _CURVE_STEP.
+    The first pass and the d = 0 stop read rows the map keeps (grid_probs,
+    grid_slopes, curve_rows): a forward row does not depend on the batch it is
+    evaluated in, so they are the rows a batch pass would give.
     """
     if forward.log_probs.shape[1] != obs.shape[1]:
         raise ValueError("forward model size does not match the counts")
@@ -353,7 +356,7 @@ def _fit(obs: np.ndarray, forward: _ForwardMap) -> _Fits:
     photons = obs.sum(axis=1)
     peaked = best == 0
     if np.any(peaked):
-        probs, slopes = forward.batch(np.array([0.0, _CURVE_STEP]), True)
+        probs, slopes = forward.curve_rows
         live = probs[0] > LIKELIHOOD_FLOOR
         ratio = np.divide(slopes[1] / _CURVE_STEP, probs[0], out=np.zeros_like(probs[0]),
                           where=live)
@@ -362,11 +365,15 @@ def _fit(obs: np.ndarray, forward: _ForwardMap) -> _Fits:
         peaked &= (obs @ ratio < 0.0) & (obs[:, ~live].sum(axis=1) == 0.0)
     converged[peaked] = True
     active = rows[~peaked]
-    for _ in range(_MAX_REFINE_STEPS):
+    for pass_no in range(_MAX_REFINE_STEPS):
         if not active.size:
             break
         at = x[active]
-        probs, slopes = forward.batch(at, True)
+        if pass_no == 0:
+            # every row starts at its best grid point, whose rows the map keeps
+            probs, slopes = forward.grid_probs[best[active]], forward.grid_slopes(best[active])
+        else:
+            probs, slopes = forward.batch(at, True)
         counts = obs[active]
         live = probs > LIKELIHOOD_FLOOR
         ratio = np.divide(slopes, probs, out=np.zeros_like(probs), where=live)
@@ -447,7 +454,9 @@ class _ForwardMap:
     and returns (probabilities, d-derivatives) as (separations x outcomes)
     rows, the d-derivatives None unless derivative is true. grid_rows, when
     given, returns the rows on the search grid from a table another map
-    already holds; without it they are one batch pass.
+    already holds; without it they are one batch pass. The map keeps, for its
+    lifetime, the grid rows, the d-derivatives at the grid points a fit has
+    asked for, and the rows at 0 and _CURVE_STEP; calling it builds none of them.
     """
 
     batch: Callable
@@ -472,6 +481,34 @@ class _ForwardMap:
         table = np.log(np.maximum(self.grid_probs, LIKELIHOOD_FLOOR))
         table.flags.writeable = False
         return table
+
+    @cached_property
+    def _slope_table(self) -> tuple[np.ndarray, np.ndarray]:
+        # (grid points, outcomes) d-derivatives and the mask of the points filled in
+        return np.empty_like(self.grid_probs), np.zeros(len(_GRID), dtype=bool)
+
+    def grid_slopes(self, index: np.ndarray) -> np.ndarray:
+        """d-derivatives at the grid points _GRID[index], one row per index.
+
+        Only the points no earlier call asked for are evaluated, in one batch pass.
+        """
+        table, known = self._slope_table
+        # a mask, not np.unique: that would import numpy.ma
+        want = np.zeros(len(_GRID), dtype=bool)
+        want[index] = True
+        new = np.flatnonzero(want & ~known)
+        if new.size:
+            table[new] = self.batch(_GRID[new], True)[1]
+            known[new] = True
+        return table[index]
+
+    @cached_property
+    def curve_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(probabilities, d-derivatives) at d = 0 and _CURVE_STEP, read-only."""
+        rows = self.batch(np.array([0.0, _CURVE_STEP]), True)
+        for table in rows:
+            table.flags.writeable = False
+        return rows
 
     def calibrated(self, calibration: CalibrationModel | None) -> _ForwardMap:
         """This map followed by apply_calibration's map (this map itself for None).
@@ -517,9 +554,10 @@ def _as_map(forward, step: float = _DIFF_STEP) -> _ForwardMap:
 
 
 # One map per measurement and process, so its grid tables are built once: equal
-# arguments, passed the same way, return the same map. Once a fit has read them,
-# a map holds two read-only tables of 200 x outcomes floats, 4.4 MB for a 37x37
-# space; a full cache of eight such maps holds 35 MB.
+# arguments, passed the same way, return the same map. Once fits have read them,
+# a map holds up to three tables of 200 x outcomes floats (probabilities, their
+# logs, the slopes filled so far), 6.6 MB for a 37x37 space; a full cache of
+# eight such maps holds up to 53 MB.
 @lru_cache(maxsize=8)
 def spade_forward(
     model: SchmidtModel, space: ModeSpace, renormalize: bool = True

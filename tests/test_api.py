@@ -151,11 +151,42 @@ def test_package_imports_no_test_code():
         assert not roots & {"oracles", "tests", "conftest"}, path.name
 
 
+def _fresh_stdout(code, *args):
+    # standard output of code run with args in a fresh interpreter on this package
+    env = dict(os.environ, PYTHONPATH=str(Path(bispade.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, check=True)
+    return run.stdout
+
+
 def test_import_leaves_numpy_random_unloaded():
     # numpy.random loads on the first draw, not at import: it would add to every
     # command's start-up time and memory
-    code = "import sys, bispade; print('numpy.random' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(Path(bispade.__file__).parent.parent))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert run.stdout == "False\n"
+    assert _fresh_stdout("import sys, bispade; print('numpy.random' in sys.modules)") == "False\n"
+
+
+_JOBS = """
+import sys
+from pathlib import Path
+import numpy as np
+import bispade as bp
+from bispade.cli import main, write_counts_file
+
+out = Path(sys.argv[1])
+space, model = bp.ModeSpace.grid(), bp.SchmidtModel.from_gamma(0.15)
+files = [str(write_counts_file(out / f"counts_{i}.csv", space,
+                               np.round(bp.prob_matrix(d, space, model).entries * 20_000), d))
+         for i, d in enumerate((0.2, 0.5, 0.8))]
+codes = [
+    main(["compare", "--photons", "2000", "--trials", "4", "--sep-start", "0.05",
+          "--sep-stop", "0.65", "--sep-step", "0.3", "--out-dir", str(out / "compare")]),
+    main(["estimate", *files, "--calibrate", "--out-dir", str(out / "estimate")]),
+]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_jobs_leave_numpy_ma_unloaded(tmp_path):
+    # numpy.ma, which np.unique and np.isin import, adds about 1 MB to the peak
+    # memory of a process that runs jobs
+    assert _fresh_stdout(_JOBS, str(tmp_path)).splitlines()[-1] == "[0, 0] False"

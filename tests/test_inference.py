@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import bispade as bp
-from bispade import inference
+from bispade import inference, model
 from bispade.inference import _as_map, _checked_draws, _fit, _ForwardMap
 from bispade.model import _CURVE_STEP
 from oracles import second_difference_at_zero, spade_curvature_at_zero
@@ -460,7 +461,7 @@ class TestSharedMaps:
     @pytest.mark.parametrize("method", bp.METHODS)
     def test_shared_tables_are_read_only(self, model015, space7, method):
         forward = inference._method_forward(method, model015, space7, bp.PixelGrid())
-        for table in (forward.grid_probs, forward.log_probs):
+        for table in (forward.grid_probs, forward.log_probs, *forward.curve_rows):
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0.0
 
@@ -468,7 +469,7 @@ class TestSharedMaps:
         bp.spade_forward.cache_clear()
         forward = bp.spade_forward(model015, space7)
         forward(0.3)
-        assert not {"grid_probs", "log_probs"} & set(vars(forward))
+        assert not {"grid_probs", "log_probs", "_slope_table", "curve_rows"} & set(vars(forward))
 
     @pytest.mark.parametrize("method", bp.METHODS)
     def test_table_equals_scalar_oracle(self, model015, space7, method):
@@ -632,8 +633,10 @@ def _brute_force_mle(counts, forward, calibration=None):
 class TestStopAtZero:
     @staticmethod
     def _counting_passes(forward):
-        # forward, counting its first-derivative evaluations: _fit makes one per
-        # lockstep refinement pass, over the rows still active
+        # forward as a new map, counting the rows of its first-derivative evaluations:
+        # the d = 0 stop evaluates its two rows once per map, the first lockstep pass
+        # only the best grid points the map has not kept yet, and every later pass
+        # the rows still active
         passes = []
 
         def batch(d, derivative):
@@ -698,6 +701,137 @@ class TestStopAtZero:
         bp.mc_standard_error(method, 0.15, 37_000, 0.0465, 48, seed, forward=forward,
                              model=model015)
         assert len(passes) <= 8
+
+
+_KEPT_ROW_MAPS = ("spade", "spade_20x2", "direct_gaussian", "direct_spdc", "calibrated",
+                  "plain")
+
+
+@functools.cache
+def _kept_row_case(name):
+    # a map whose kept rows a fit reads, with its rows from one batch pass over the
+    # whole grid: spade 7x7, a space whose grid rows _in_blocks splits into several
+    # blocks, both pixel kinds, a calibrated map and a plain callable
+    schmidt = bp.SchmidtModel.from_gamma(0.15)
+    space7 = bp.ModeSpace.grid()
+    if name == "spade_20x2":
+        forward = bp.spade_forward(schmidt, bp.ModeSpace.grid(20, 2))
+    elif name == "calibrated":
+        rng = np.random.default_rng(8)
+        forward = bp.spade_forward(schmidt, space7).calibrated(bp.CalibrationModel(
+            alpha=rng.uniform(0.5, 1.2, space7.shape), beta=rng.uniform(0.0, 0.02, space7.shape)))
+    elif name == "plain":
+        few = bp.PixelGrid(7)
+        forward = _as_map(lambda d: bp.pixel_probs(d, few, schmidt, "spdc"))
+    else:
+        forward = inference._method_forward(name, schmidt, space7, bp.PixelGrid())
+    return forward, forward.batch(inference._GRID, True)
+
+
+def _bits(rows):
+    # the float64 rows as integers, so that equality is bit for bit
+    return np.ascontiguousarray(rows).view(np.int64)
+
+
+_GRID_INDEX = st.lists(st.integers(0, len(inference._GRID) - 1), min_size=1, max_size=300)
+
+
+class TestKeptRows:
+    def test_wide_space_splits_the_grid_into_blocks(self, monkeypatch):
+        forward, _ = _kept_row_case("spade_20x2")
+        blocks = []
+        block = model._spade_block
+
+        def counting(d, *args):
+            blocks.append(len(d))
+            return block(d, *args)
+
+        monkeypatch.setattr(model, "_spade_block", counting)
+        forward.batch(inference._GRID, True)
+        assert len(blocks) > 1 and sum(blocks) == len(inference._GRID)
+
+    @pytest.mark.parametrize("name", _KEPT_ROW_MAPS)
+    @settings(max_examples=15, deadline=None)
+    @given(index=_GRID_INDEX)
+    def test_rows_do_not_depend_on_the_batch(self, name, index):
+        # a row evaluated among any other rows, repeats included, is bit for bit the
+        # row of the whole grid's batch, and its probabilities are the grid table's
+        forward, (probs, slopes) = _kept_row_case(name)
+        part_probs, part_slopes = forward.batch(inference._GRID[index], True)
+        np.testing.assert_array_equal(_bits(part_probs), _bits(probs[index]))
+        np.testing.assert_array_equal(_bits(part_probs), _bits(forward.grid_probs[index]))
+        np.testing.assert_array_equal(_bits(part_slopes), _bits(slopes[index]))
+
+    @pytest.mark.parametrize("name", _KEPT_ROW_MAPS)
+    @settings(max_examples=10, deadline=None)
+    @given(first=_GRID_INDEX, second=_GRID_INDEX)
+    def test_kept_slopes_are_the_batch_rows(self, name, first, second):
+        forward, (_, slopes) = _kept_row_case(name)
+        fresh = _ForwardMap(forward.batch, forward.shape, forward.grid_rows)
+        for index in (first, second):
+            np.testing.assert_array_equal(_bits(fresh.grid_slopes(np.array(index))),
+                                          _bits(slopes[index]))
+
+    @staticmethod
+    def _counting_rows(monkeypatch):
+        # (rows, derivative) of every evaluation of the model's two forward cores
+        evaluated = []
+        for name in ("_spade_probs", "_pixel_probs"):
+            def counting(d, *args, core=getattr(inference, name)):
+                evaluated.append((len(d), args[-1]))
+                return core(d, *args)
+
+            monkeypatch.setattr(inference, name, counting)
+        return evaluated
+
+    @pytest.mark.parametrize("method", bp.METHODS)
+    def test_warm_map_evaluates_only_the_later_passes(self, monkeypatch, model015, space7,
+                                                      method):
+        evaluated = self._counting_rows(monkeypatch)
+        shared = inference._method_forward(method, model015, space7, bp.PixelGrid())
+        forward = _ForwardMap(shared.batch, shared.shape)
+        obs = _rows_near_zero(forward)
+        evaluated.clear()
+        cold = _fit(obs, forward)
+        best = np.argmax(obs @ forward.log_probs.T, axis=1)
+        refined = cold.iterations > 0
+        assert (best == 0).any() and refined.any()
+        # a cold map evaluates its grid table, the d = 0 stop's two rows, the best grid
+        # points of the rows that refine, then in passes 2, 3, ... the rows still active
+        later = int(np.maximum(cold.iterations - 1, 0).sum())
+        first = np.zeros(len(inference._GRID), dtype=bool)
+        first[best[refined]] = True
+        assert evaluated[0] == (len(inference._GRID), False)
+        assert sum(rows for rows, _ in evaluated) == (
+            len(inference._GRID) + 2 + first.sum() + later)
+        evaluated.clear()
+        warm = _fit(obs, forward)
+        for a, b in zip(cold, warm):
+            np.testing.assert_array_equal(a, b)
+        # neither the first pass nor the d = 0 stop evaluates anything
+        assert len(evaluated) == max(int(cold.iterations.max()) - 1, 0)
+        assert all(derivative for _, derivative in evaluated)
+        assert sum(rows for rows, _ in evaluated) == later
+
+    def test_cold_plain_callable_makes_no_more_scalar_calls(self, model015):
+        # a plain callable's map is new per call: 200 grid rows, then 5 scalar calls
+        # (the row and its difference quotient) per row of the d = 0 stop and of each pass
+        grid = bp.PixelGrid()
+        calls = []
+
+        def public(d):
+            calls.append(d)
+            return bp.pixel_probs(d, grid, model015, "spdc")
+
+        truth = public(0.0465)
+        # trial 2 stops at d = 0, trial 0 refines in 4 passes
+        at_zero, off_zero = (bp.sample_counts(truth, 37_000, bp.trial_seed(0, t)) for t in (2, 0))
+        calls.clear()
+        stopped = bp.mle_estimate(at_zero, public)
+        assert stopped.refine_iterations == 0 and len(calls) == 200 + 2 * 5
+        calls.clear()
+        refined = bp.mle_estimate(off_zero, public)
+        assert refined.refine_iterations == 4 and len(calls) == 200 + 4 * 5
 
 
 class TestMleEstimate:

@@ -87,5 +87,6 @@ def test_bench_runs_every_item_once(tmp_path, monkeypatch, capsys):
     assert len(result["layers"]) == 22 and len(result["end_to_end"]) == 2
     assert result["environment"]["cpu_count"] >= 1
     counts = result["counts"]
-    assert counts["direct_passes_per_sweep_k12_job"] > 0
-    assert counts["spade_passes_per_sweep_k12_job"] > 0
+    for kind in ("direct", "spade"):
+        for item in ("passes", "forward_calls", "forward_rows"):
+            assert counts[f"{kind}_{item}_per_sweep_k12_job"] > 0
