@@ -14,7 +14,9 @@ Monte-Carlo cells (``inference._mc_cells``) and the counts-file reader
 (spade, direct imaging), the lockstep refinement passes of the fits and the
 forward evaluations (``model._spade_probs`` and ``model._pixel_probs`` calls,
 and the separations they evaluate) in 30 ``compare`` jobs at the benchmark's
-sweep_k12 setting, run in one process on emptied map caches.
+sweep_k12 setting, run in one process on emptied map caches, and the spade
+forward evaluations of an ``estimate --calibrate`` job over the 29 files: the
+first job on emptied map caches, then the mean of 10 more in the same process.
 
 Every timing uses ``time.perf_counter`` on inputs fixed in this file, after
 one untimed call. A sample is the mean of a fixed number of calls. Each item
@@ -60,6 +62,8 @@ SWEEP = ["compare", "--gamma", "0.15", "--modes-k", "6", "--modes-l", "0", "--ph
          "37000", "--trials", "8", "--sep-start", "0.0465", "--sep-stop", "1.209",
          "--sep-step", "0.2325"]
 SWEEP_JOBS = range(1, 31)
+# warm estimate --calibrate jobs counted after the cold one
+ESTIMATE_JOBS = 10
 
 
 def _summary(samples: list[float], unit: str) -> dict:
@@ -172,6 +176,29 @@ def end_to_end(root: Path, files: list[Path]) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _counting_forward(counts: dict):
+    # counts[f"{kind}_forward_calls"] and [f"{kind}_forward_rows"] grow with every
+    # evaluation of the forward cores, kind spade or direct, while the block runs
+    cores = {"_spade_probs": "spade", "_pixel_probs": "direct"}
+    saved = {name: getattr(inference, name) for name in cores}
+
+    def counting(kind, core):
+        def evaluate(d, *args):
+            counts[f"{kind}_forward_calls"] += 1
+            counts[f"{kind}_forward_rows"] += len(d)
+            return core(d, *args)
+        return evaluate
+
+    for name, kind in cores.items():
+        setattr(inference, name, counting(kind, saved[name]))
+    try:
+        yield
+    finally:
+        for name, core in saved.items():
+            setattr(inference, name, core)
+
+
 def sweep_counts(root: Path) -> dict:
     # lockstep passes of each _fit call: every pass adds one iteration to each row
     # still refining, so the passes are the most iterations of any row; a pixel
@@ -187,29 +214,35 @@ def sweep_counts(root: Path) -> dict:
             fits.iterations.max())
         return fits
 
-    def counting(kind, core):
-        def evaluate(d, *args):
-            counts[f"{kind}_forward_calls"] += 1
-            counts[f"{kind}_forward_rows"] += len(d)
-            return core(d, *args)
-        return evaluate
-
-    cores = {"_spade_probs": "spade", "_pixel_probs": "direct"}
-    saved = {name: getattr(inference, name) for name in cores}
     bp.spade_forward.cache_clear()
     bp.direct_forward.cache_clear()
     inference._fit = counting_fit
-    for name, kind in cores.items():
-        setattr(inference, name, counting(kind, saved[name]))
     try:
-        for seed in SWEEP_JOBS:
-            _run([*SWEEP, "--seed", str(seed), "--out-dir", str(root / "sweep")])
+        with _counting_forward(counts):
+            for seed in SWEEP_JOBS:
+                _run([*SWEEP, "--seed", str(seed), "--out-dir", str(root / "sweep")])
     finally:
         inference._fit = fit
-        for name, core in saved.items():
-            setattr(inference, name, core)
     jobs = len(SWEEP_JOBS)
     return {f"{name}_per_sweep_k12_job": count / jobs for name, count in counts.items()}
+
+
+def estimate_counts(root: Path, files: list[Path]) -> dict:
+    # spade forward calls and rows of one estimate --calibrate job over the counts
+    # files on emptied map caches, then per job of ESTIMATE_JOBS more in the same process
+    argv = ["estimate", *map(str, files), "--calibrate", "--gamma", "0.15",
+            "--out-dir", str(root / "estimate")]
+    bp.spade_forward.cache_clear()
+    bp.direct_forward.cache_clear()
+    out = {}
+    for label, jobs in (("cold_job", 1), ("warm_job", ESTIMATE_JOBS)):
+        counts = {"spade_forward_calls": 0, "spade_forward_rows": 0}
+        with _counting_forward(counts):
+            for _ in range(jobs):
+                _run(argv)
+        out.update({f"{name}_per_estimate_{label}": count / jobs
+                    for name, count in counts.items()})
+    return out
 
 
 def environment() -> dict:
@@ -240,7 +273,8 @@ def run(argv=None):
         root = Path(tmp)
         files = _counts_files(root / "inputs")
         result = {"environment": environment(), "layers": layers(files),
-                  "end_to_end": end_to_end(root, files), "counts": sweep_counts(root)}
+                  "end_to_end": end_to_end(root, files),
+                  "counts": {**sweep_counts(root), **estimate_counts(root, files)}}
     path = Path(args.out)
     data = json.loads(path.read_text()) if path.exists() else {}
     data.setdefault("harness", "scripts/bench.py")

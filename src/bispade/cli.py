@@ -302,7 +302,8 @@ def _read_exact(text: str, space: ModeSpace) -> CountMatrix | None:
     if body.count("\n") != len(keys):
         return None
     rows = np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",").reshape(len(keys), 5)
-    if not np.array_equal(rows[:, :4], keys):
+    # the shapes match after the reshape
+    if not (rows[:, :4] == keys).all():
         return None
     separation = None
     for line in head.splitlines():
@@ -323,14 +324,15 @@ def read_counts_file(path: str | Path, space: ModeSpace) -> CountMatrix:
     is read in one pass. '#' lines are skipped, except '# separation = <d>', d finite.
     Counts must fit in int64 and sum to at most 2**53.
     """
-    path = Path(path)
     try:
-        text = path.read_text()
+        with open(path) as handle:
+            text = handle.read()
     except OSError as exc:
-        raise DataFormatError(f"{path}: cannot read file ({exc})") from exc
+        raise DataFormatError(f"{Path(path)}: cannot read file ({exc})") from exc
     exact = _read_exact(text, space)
     if exact is not None:
         return exact
+    path = Path(path)  # as the messages name it
     configured = f"configured {len(space.idler)}x{len(space.signal)} space"
     keys = _row_keys(space).tolist()
     cells = {tuple(key): cell for cell, key in enumerate(keys)}

@@ -452,16 +452,20 @@ class _ForwardMap:
     returns the stacked arrays of one vectorized pass, of shape
     np.shape(d) + shape. batch(d, derivative) takes a 1-D array of separations
     and returns (probabilities, d-derivatives) as (separations x outcomes)
-    rows, the d-derivatives None unless derivative is true. grid_rows, when
-    given, returns the rows on the search grid from a table another map
-    already holds; without it they are one batch pass. The map keeps, for its
-    lifetime, the grid rows, the d-derivatives at the grid points a fit has
+    rows, the d-derivatives None unless derivative is true. The map keeps, for
+    its lifetime, the grid rows, the d-derivatives at the grid points a fit has
     asked for, and the rows at 0 and _CURVE_STEP; calling it builds none of them.
+    A calibrated map (calibrated) is a view of its base map: its rows, of a batch
+    pass or kept, are the base map's rows passed through _calibrate_rows. Its kept
+    rows are calibrated from the base map's, which the base map builds only once,
+    and its derivatives at grid points stay in the base map's table.
     """
 
     batch: Callable
     shape: tuple
-    grid_rows: Callable | None = None
+    base: _ForwardMap | None = None
+    # not compared: a map stays hashable, and a view's batch already differs per calibration
+    calibration: CalibrationModel | None = field(default=None, compare=False)
 
     def __call__(self, d):
         d = np.asarray(d, dtype=float)
@@ -471,7 +475,10 @@ class _ForwardMap:
     @cached_property
     def grid_probs(self) -> np.ndarray:
         """(grid points, outcomes) probabilities on the search grid, read-only."""
-        probs = self.batch(_GRID, False)[0] if self.grid_rows is None else self.grid_rows()
+        if self.base is None:
+            probs = self.batch(_GRID, False)[0]
+        else:
+            probs = _calibrate_map_rows(self.calibration, self.base.grid_probs, None)[0]
         probs.flags.writeable = False
         return probs
 
@@ -492,6 +499,9 @@ class _ForwardMap:
 
         Only the points no earlier call asked for are evaluated, in one batch pass.
         """
+        if self.base is not None:
+            probs, slopes = self.base.grid_probs[index], self.base.grid_slopes(index)
+            return _calibrate_map_rows(self.calibration, probs, slopes)[1]
         table, known = self._slope_table
         # a mask, not np.unique: that would import numpy.ma
         want = np.zeros(len(_GRID), dtype=bool)
@@ -505,29 +515,31 @@ class _ForwardMap:
     @cached_property
     def curve_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(probabilities, d-derivatives) at d = 0 and _CURVE_STEP, read-only."""
-        rows = self.batch(np.array([0.0, _CURVE_STEP]), True)
+        if self.base is None:
+            rows = self.batch(np.array([0.0, _CURVE_STEP]), True)
+        else:
+            rows = _calibrate_map_rows(self.calibration, *self.base.curve_rows)
         for table in rows:
             table.flags.writeable = False
         return rows
 
     def calibrated(self, calibration: CalibrationModel | None) -> _ForwardMap:
-        """This map followed by apply_calibration's map (this map itself for None).
-
-        The grid rows are this map's, calibrated.
-        """
+        """This map followed by apply_calibration's map (this map itself for None)."""
         if calibration is None:
             return self
-
-        def calibrate(probs, slopes):
-            if calibration.alpha.size != probs.shape[1]:
-                raise ValueError("calibration shape does not match the counts")
-            return _calibrate_rows(probs, slopes, calibration)
-
         return _ForwardMap(
-            lambda d, derivative: calibrate(*self.batch(d, derivative)),
+            lambda d, derivative: _calibrate_map_rows(calibration, *self.batch(d, derivative)),
             self.shape,
-            lambda: calibrate(self.grid_probs, None)[0],
+            self,
+            calibration,
         )
+
+
+def _calibrate_map_rows(calibration: CalibrationModel, probs: np.ndarray, slopes):
+    # _calibrate_rows on a map's rows, whose outcomes must be the calibration's
+    if calibration.alpha.size != probs.shape[1]:
+        raise ValueError("calibration shape does not match the counts")
+    return _calibrate_rows(probs, slopes, calibration)
 
 
 def _as_map(forward, step: float = _DIFF_STEP) -> _ForwardMap:

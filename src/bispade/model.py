@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,11 @@ _MIN_IN_SPACE_MASS = 1e-9
 _BLOCK_CELLS = 1 << 14
 # the step h at which p'(h) / h of a map even in d stands for p''(0)
 _CURVE_STEP = 1e-5
+# the spade plan cache: at most this many plans, each of a space of at most this
+# many outcomes; a plan with derivative holds 56 bytes per outcome, so a full
+# cache holds at most 16 x 0.92 MB
+_MAX_CACHED_PLANS = 16
+_MAX_CACHED_PLAN_OUTCOMES = 1 << 14
 
 
 def _check_pairs(pairs, label):
@@ -177,9 +183,56 @@ def _in_blocks(evaluate, d: np.ndarray, row_cells: int):
 
 def _check_separations(d: np.ndarray) -> None:
     # the separations every forward map takes: finite ones
-    infinite = d[~np.isfinite(d)]
-    if len(infinite):
-        raise ValueError(f"separations must be finite, got {float(infinite[0])!r}")
+    finite = np.isfinite(d)
+    if not finite.all():
+        raise ValueError(f"separations must be finite, got {float(d[~finite][0])!r}")
+
+
+class _SpadePlan(NamedTuple):
+    """Everything in _spade_block that depends on the space, gamma and derivative alone.
+
+    Arrays are flat over the space's outcomes, read-only. The slope entries are
+    None for a plan without derivative.
+    """
+
+    shape: tuple                      # the space's shape
+    size: int                         # the largest mode order of the overlap table
+    cells: np.ndarray                 # flat table index of each outcome's <k|k',d>
+    weight: np.ndarray                # C_{k',l}^2 delta_{l,l'}
+    slope_weight: np.ndarray | None   # 2 * weight
+    down_cells: np.ndarray | None     # the cell of <k|k'-1,d> (of <k|0,d> at k' = 0)
+    up_cells: np.ndarray | None       # the cell of <k|k'+1,d>
+    down_scale: np.ndarray | None     # sqrt(k'/2)
+    up_scale: np.ndarray | None       # sqrt((k'+1)/2)
+
+
+@lru_cache(maxsize=_MAX_CACHED_PLANS)
+def _spade_plan(space: ModeSpace, gamma: float, derivative: bool) -> _SpadePlan:
+    k, l = np.array(space.idler).T
+    kp, lp = np.array(space.signal).T
+    size = int(max(k.max(), kp.max())) + int(derivative)
+    side = size + 1
+    if side * side > np.iinfo(np.intp).max:
+        # the table cannot be allocated, and its flat indices overflow
+        raise NumericalError(f"overlap table for mode orders up to {size} is too large")
+
+    def flat(columns):
+        return (k[:, None] * side + columns[None, :]).ravel()
+
+    def per_outcome(column_values):
+        return np.tile(column_values, len(k))
+
+    c = _coefficient(kp + lp.astype(float), gamma)
+    weight = np.where(l[:, None] == lp[None, :], (c * c)[None, :], 0.0).ravel()
+    slope_parts = (None,) * 5
+    if derivative:
+        slope_parts = (2.0 * weight, flat(np.maximum(kp - 1, 0)), flat(kp + 1),
+                       per_outcome(np.sqrt(0.5 * kp)), per_outcome(np.sqrt(0.5 * (kp + 1.0))))
+    plan = _SpadePlan(space.shape, size, flat(kp), weight, *slope_parts)
+    for array in plan[2:]:
+        if array is not None:
+            array.flags.writeable = False
+    return plan
 
 
 def _spade_probs(d: np.ndarray, space: ModeSpace, model: SchmidtModel, renormalize: bool,
@@ -193,43 +246,35 @@ def _spade_probs(d: np.ndarray, space: ModeSpace, model: SchmidtModel, renormali
     which needs one table column past the largest index of the space.
     """
     _check_separations(d)
-    k, l = np.array(space.idler).T
-    kp, lp = np.array(space.signal).T
-    size = int(max(k.max(), kp.max())) + int(derivative)
-    return _in_blocks(
-        lambda block: _spade_block(block, k, l, kp, lp, size, model, renormalize, derivative),
-        d,
-        (size + 1) ** 2,
-    )
+    outcomes = len(space.idler) * len(space.signal)
+    build = _spade_plan if outcomes <= _MAX_CACHED_PLAN_OUTCOMES else _spade_plan.__wrapped__
+    plan = build(space, model.gamma, derivative)
+    return _in_blocks(lambda block: _spade_block(block, plan, renormalize), d,
+                      (plan.size + 1) ** 2)
 
 
-def _spade_block(d, k, l, kp, lp, size, model, renormalize, derivative):
-    amps = _overlap_amplitudes(size, d)
-    c = _coefficient(kp + lp.astype(float), model.gamma)
-    weight = np.where(l[:, None] == lp[None, :], (c * c)[None, :], 0.0)
-
-    def cells(columns):
-        # contiguous, so that each row sums in the same order whatever len(d) is
-        return np.ascontiguousarray(amps[:, k[:, None], columns[None, :]])
-
-    a = cells(kp)
-    entries = weight * (a * a)
-    totals = entries.reshape(len(d), -1).sum(axis=1)
+def _spade_block(d, plan, renormalize):
+    amps = _overlap_amplitudes(plan.size, d).reshape(len(d), (plan.size + 1) ** 2)
+    # take gives contiguous rows, so that each row sums in the same order whatever len(d) is
+    a = amps.take(plan.cells, axis=1)
+    entries = plan.weight * (a * a)
+    totals = entries.sum(axis=1)
     slopes = None
-    if derivative:
-        down = np.sqrt(0.5 * kp) * cells(np.maximum(kp - 1, 0))
-        up = np.sqrt(0.5 * (kp + 1.0)) * cells(kp + 1)
-        slopes = 2.0 * weight * a * (down - up)
+    if plan.slope_weight is not None:
+        down = plan.down_scale * amps.take(plan.down_cells, axis=1)
+        up = plan.up_scale * amps.take(plan.up_cells, axis=1)
+        slopes = plan.slope_weight * a * (down - up)
     if renormalize:
         if np.any(totals < _MIN_IN_SPACE_MASS):
             raise NumericalError(
                 f"in-space probability mass {totals.min():.3e} below {_MIN_IN_SPACE_MASS:.0e}"
             )
-        entries = entries / totals[:, None, None]
+        entries = entries / totals[:, None]
         if slopes is not None:
-            slope_totals = slopes.reshape(len(d), -1).sum(axis=1)
-            slopes = (slopes - entries * slope_totals[:, None, None]) / totals[:, None, None]
-    return entries, slopes, totals
+            slope_totals = slopes.sum(axis=1)
+            slopes = (slopes - entries * slope_totals[:, None]) / totals[:, None]
+    shape = (len(d),) + plan.shape
+    return entries.reshape(shape), None if slopes is None else slopes.reshape(shape), totals
 
 
 def prob_matrix(
@@ -334,11 +379,16 @@ def _pixel_block(d, grid, s, derivative):
     )
     probs = 0.25 * (masses[:, 0] + masses[:, 1])
     totals = probs.sum(axis=1)
-    # a total above one is rounding: renormalize and leave no residual
+    # a total above one is rounding: renormalize and leave no residual. Rows at or
+    # below one would be divided by 1.0, so a batch without such a total skips that
     over = totals > 1.0
-    scale = np.where(over, totals, 1.0)[:, None]
-    probs = probs / scale
-    residual = np.where(over, 0.0, 1.0 - totals)
+    rescale = over.any()
+    if rescale:
+        scale = np.where(over, totals, 1.0)[:, None]
+        probs = probs / scale
+        residual = np.where(over, 0.0, 1.0 - totals)
+    else:
+        residual = 1.0 - totals
     slopes = None
     if derivative:
         edge = np.exp(-u * u)
@@ -346,8 +396,12 @@ def _pixel_block(d, grid, s, derivative):
         # the -d component moves against the +d one
         raw = 0.5 * s / math.sqrt(math.pi) * (falls[:, 0] - falls[:, 1])
         raw_totals = raw.sum(axis=1)
-        slopes = np.where(over[:, None], raw - probs * raw_totals[:, None], raw) / scale
-        slopes = np.concatenate((slopes, np.where(over, 0.0, -raw_totals)[:, None]), axis=1)
+        if rescale:
+            slopes = np.where(over[:, None], raw - probs * raw_totals[:, None], raw) / scale
+            tail = np.where(over, 0.0, -raw_totals)
+        else:
+            slopes, tail = raw, -raw_totals
+        slopes = np.concatenate((slopes, tail[:, None]), axis=1)
     return np.concatenate((probs, residual[:, None]), axis=1), slopes
 
 

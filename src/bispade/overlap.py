@@ -29,26 +29,32 @@ _MAX_CACHED_ORDER = 1000
 
 @lru_cache(maxsize=32)
 def _overlap_layout(n: int):
-    # everything in _overlap_amplitudes that depends on the table size alone:
-    # Laguerre recurrence coefficients per degree, the (min, |difference|)
-    # index of each table cell, 0.5*log(min!/max!) per cell, and the cells with
-    # an odd difference and with the row index above the column index (the sign
-    # pattern of the amplitudes)
+    # everything in _overlap_amplitudes that depends on the table size alone: the
+    # Laguerre recurrence coefficients of each degree m = 1 .. n-1 over the orders
+    # 0 .. n-m-1 (the slopes zero-padded to n orders, the weights one array per
+    # degree), the flat (min, |difference|) index of each table cell and its
+    # |difference| as a float, 0.5*log(min!/max!) per cell, and the cells with an odd
+    # difference, with the row index above the column index, and with both (the sign
+    # pattern of the amplitudes; both at d >= 0)
     order = np.arange(n + 1.0)
-    steps = tuple(
-        ((2.0 * m + 1.0 + order[: n - m]) / (m + 1.0), (m + order[: n - m]) / (m + 1.0))
-        for m in range(1, n)
-    )
+    slopes = np.zeros((max(n - 1, 0), n, 1))
+    lag_weights = []
+    for m in range(1, n):
+        slopes[m - 1, : n - m, 0] = (2.0 * m + 1.0 + order[: n - m]) / (m + 1.0)
+        lag_weights.append(((m + order[: n - m]) / (m + 1.0))[:, None])
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(order[1:]))))
     index = np.arange(n + 1)
     lo = np.minimum.outer(index, index)
     gap = np.abs(np.subtract.outer(index, index))
+    cells = lo * (n + 1) + gap
     half_log_ratio = 0.5 * (log_fact[lo] - log_fact[lo + gap])
     odd = gap % 2 == 1
     below = np.greater.outer(index, index)
-    for array in (order, lo, gap, half_log_ratio, odd, below, *(c for st in steps for c in st)):
+    odd_below = odd & below
+    gap = gap.astype(float)
+    for array in (order, slopes, cells, gap, half_log_ratio, odd, below, odd_below, *lag_weights):
         array.flags.writeable = False
-    return order, steps, lo, gap, half_log_ratio, odd, below
+    return order, slopes, tuple(lag_weights), cells, gap, half_log_ratio, odd, below, odd_below
 
 
 def _overlap_amplitudes(n: int, d: np.ndarray) -> np.ndarray:
@@ -67,28 +73,37 @@ def _overlap_amplitudes(n: int, d: np.ndarray) -> np.ndarray:
     # the table before its layout: an order within rounding of 2**63 has an empty
     # float64 order range, and its layout would loop over range(1, n)
     try:
-        lag = np.zeros((len(d), n + 1, n + 1))
+        lag = np.zeros((n + 1, n + 1, len(d)))
     except (ValueError, MemoryError) as exc:
         raise NumericalError(f"overlap table for mode orders up to {n} is too large") from exc
     layout = _overlap_layout if n <= _MAX_CACHED_ORDER else _overlap_layout.__wrapped__
-    order, steps, lo, gap, half_log_ratio, odd, below = layout(n)
-    lag[:, 0] = 1.0
+    order, slopes, lag_weights, cells, gap, half_log_ratio, odd, below, odd_below = layout(n)
+    lag[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         if n:
-            lag[:, 1, :n] = 1.0 + order[:n] - x[:, None]
-        for m, (slope, lag_weight) in enumerate(steps, start=1):
+            lag[1, :n] = 1.0 + order[:n, None] - x
+        # L_(m+1) = (slope - x / (m + 1)) L_m - lag_weight L_(m-1), the first factor
+        # of every degree in one pass, each degree written into its slice of the table
+        factors = slopes - (x / order[2:, None])[:, None, :]
+        for m, lag_weight in enumerate(lag_weights, start=1):
             w = n - m
-            lag[:, m + 1, :w] = (
-                (slope - (x / (m + 1.0))[:, None]) * lag[:, m, :w] - lag_weight * lag[:, m - 1, :w]
-            )
+            out = lag[m + 1, :w]
+            np.multiply(factors[m - 1, :w], lag[m, :w], out=out)
+            out -= lag_weight * lag[m - 1, :w]
         # x^(gap/2) in log space; at x = 0 the table is the identity, set below
         half_log_x = 0.5 * np.log(np.where(x > 0.0, x, 1.0))
-        amp = np.exp(half_log_ratio + half_log_x[:, None, None] * gap - 0.5 * x[:, None, None])
-        amp *= lag[:, lo, gap]
-    amp[x == 0.0] = np.eye(n + 1)
-    if not np.all(np.isfinite(amp)):
+        amp = half_log_x[:, None, None] * gap
+        amp += half_log_ratio
+        amp -= 0.5 * x[:, None, None]
+        np.exp(amp, out=amp)
+        amp *= lag.reshape((n + 1) ** 2, len(d))[cells].transpose(2, 0, 1)
+    zero = x == 0.0
+    if zero.any():
+        amp[zero] = np.eye(n + 1)
+    if not np.isfinite(amp).all():
         raise NumericalError(f"overlap table overflows for mode orders up to {n}")
-    flip = odd & (below != (d < 0.0)[:, None, None])
+    negative = d < 0.0
+    flip = odd & (below != negative[:, None, None]) if negative.any() else odd_below
     return np.where(flip, -amp, amp)
 
 

@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -728,6 +729,11 @@ def _kept_row_case(name):
     return forward, forward.batch(inference._GRID, True)
 
 
+def _fresh(forward):
+    # a map equal to forward, down to the base map of a calibrated view, that keeps nothing yet
+    return replace(forward, base=None if forward.base is None else _fresh(forward.base))
+
+
 def _bits(rows):
     # the float64 rows as integers, so that equality is bit for bit
     return np.ascontiguousarray(rows).view(np.int64)
@@ -767,7 +773,7 @@ class TestKeptRows:
     @given(first=_GRID_INDEX, second=_GRID_INDEX)
     def test_kept_slopes_are_the_batch_rows(self, name, first, second):
         forward, (_, slopes) = _kept_row_case(name)
-        fresh = _ForwardMap(forward.batch, forward.shape, forward.grid_rows)
+        fresh = _fresh(forward)
         for index in (first, second):
             np.testing.assert_array_equal(_bits(fresh.grid_slopes(np.array(index))),
                                           _bits(slopes[index]))
@@ -812,6 +818,33 @@ class TestKeptRows:
         assert len(evaluated) == max(int(cold.iterations.max()) - 1, 0)
         assert all(derivative for _, derivative in evaluated)
         assert sum(rows for rows, _ in evaluated) == later
+
+    def test_calibrated_views_of_a_warm_map_evaluate_only_the_later_passes(
+            self, monkeypatch, model015, space7):
+        # a calibrated map reads its base map's kept rows: once the base map holds the
+        # grid rows, the d = 0 pair and the slopes at the best grid points, a fit through
+        # any calibration evaluates neither its first pass nor its d = 0 stop
+        evaluated = self._counting_rows(monkeypatch)
+        shared = bp.spade_forward(model015, space7)
+        forward = _ForwardMap(shared.batch, shared.shape)
+        rng = np.random.default_rng(19)
+        cals = [bp.CalibrationModel(alpha=rng.uniform(0.5, 1.2, space7.shape),
+                                    beta=rng.uniform(0.0, 0.02, space7.shape)) for _ in range(2)]
+        obs = np.vstack([_rows_near_zero(forward.calibrated(cal)) for cal in cals])
+        cold = [_fit(obs, forward.calibrated(cal)) for cal in cals]
+        for cal, first in zip(cals, cold):
+            view = forward.calibrated(cal)
+            best = np.argmax(obs @ view.log_probs.T, axis=1)
+            assert (first.iterations == 0).any() and ((best == 0) & (first.iterations > 0)).any()
+            evaluated.clear()
+            warm = _fit(obs, view)
+            for a, b in zip(first, warm):
+                np.testing.assert_array_equal(a, b)
+            later = int(np.maximum(warm.iterations - 1, 0).sum())
+            assert all(derivative for _, derivative in evaluated)
+            assert sum(rows for rows, _ in evaluated) == later
+        # the derivatives stay in the base map's table
+        assert "_slope_table" not in vars(view)
 
     def test_cold_plain_callable_makes_no_more_scalar_calls(self, model015):
         # a plain callable's map is new per call: 200 grid rows, then 5 scalar calls

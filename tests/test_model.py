@@ -502,6 +502,23 @@ class TestPixelProbs:
                                     _pixel_probs(d, direct, model015, kind, True)):
                 np.testing.assert_array_equal(ours, theirs)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "spdc"])
+    def test_rows_of_a_batch_that_rescales_are_their_one_row_evaluations(self, model015, kind):
+        # on this span the gaussian totals at d = 1.63 and 1.72 round above one, so a
+        # gaussian batch holding them rescales, while the ordinary rows alone skip it
+        grid = PixelGrid(50, (-8.0, 8.0))
+        d = np.array([0.3, 1.63, 1e-3, 0.0, 1.72, 1.35, 0.0465])
+        probs, slopes = _pixel_probs(d, grid, model015, kind, True)
+        if kind == "gaussian":
+            # a rescaled row leaves no residual and no residual slope
+            over = np.isin(d, (1.63, 1.72))
+            assert np.all(probs[over, -1] == 0.0) and np.all(slopes[over, -1] == 0.0)
+            assert np.all(slopes[~over & (d != 0.0), -1] != 0.0)
+        for row, x in enumerate(d):
+            alone = _pixel_probs(np.array([x]), grid, model015, kind, True)
+            np.testing.assert_array_equal(probs[row].view(np.int64), alone[0][0].view(np.int64))
+            np.testing.assert_array_equal(slopes[row].view(np.int64), alone[1][0].view(np.int64))
+
     def test_default_span_leakage_is_small(self, model015):
         # the default span keeps the Gaussian residual below 1e-4 even at the
         # largest experimental separation

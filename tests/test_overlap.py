@@ -128,6 +128,18 @@ class TestDisplacedOverlap:
         expected = math.exp(400 * math.log(alpha) - 0.5 * alpha * alpha - 0.5 * math.lgamma(401))
         assert displaced_overlap(0, 400, 40.0, 1) == pytest.approx(expected, rel=1e-12)
 
+    def test_mixed_signs_and_zero_rows_match_one_row_tables_and_quadrature(self):
+        # the batch takes the negative-d sign path and sets two zero rows (-0.0, 0.0) to
+        # the identity; each row alone at d >= 0 takes the layout's d >= 0 sign mask
+        d = np.array([-0.7, -0.0, 0.0, 1e-5, 0.3])
+        table = overlap._overlap_amplitudes(9, d)
+        for row, x in enumerate(d):
+            alone = overlap._overlap_amplitudes(9, np.array([x]))[0]
+            np.testing.assert_array_equal(table[row].view(np.int64), alone.view(np.int64))
+            # quad_overlap(m, n, s) is the amplitude at d = -s
+            quad = np.array([[quad_overlap(m, n, -x) for n in range(10)] for m in range(10)])
+            np.testing.assert_allclose(table[row], quad, rtol=0.0, atol=1e-12)
+
 
 class TestQuadOverlap:
     def test_normalization(self):

@@ -81,6 +81,7 @@ def test_bench_runs_every_item_once(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(bench, "_time", once)
     monkeypatch.setattr(bench, "SWEEP_JOBS", range(1, 2))
+    monkeypatch.setattr(bench, "ESTIMATE_JOBS", 2)
     out = tmp_path / "bench.json"
     assert bench.run(["--label", "smoke", "--out", str(out)]) == 0
     (result,) = json.loads(out.read_text())["runs"]["smoke"]
@@ -90,3 +91,10 @@ def test_bench_runs_every_item_once(tmp_path, monkeypatch, capsys):
     for kind in ("direct", "spade"):
         for item in ("passes", "forward_calls", "forward_rows"):
             assert counts[f"{kind}_{item}_per_sweep_k12_job"] > 0
+    # a warm estimate --calibrate job evaluates its calibration rows and later passes,
+    # not the grid table a cold job builds
+    for item in ("calls", "rows"):
+        cold = counts[f"spade_forward_{item}_per_estimate_cold_job"]
+        warm = counts[f"spade_forward_{item}_per_estimate_warm_job"]
+        assert cold > warm > 0
+    assert counts["spade_forward_rows_per_estimate_cold_job"] > 200
