@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -206,11 +206,17 @@ class _SpadePlan(NamedTuple):
     up_scale: np.ndarray | None       # sqrt((k'+1)/2)
 
 
+def _table_size(space: ModeSpace, derivative: bool) -> int:
+    # the largest mode order of a space's overlap table: its largest index, and one
+    # column past it for the slopes
+    return max(max(k for k, _ in space.idler), max(k for k, _ in space.signal)) + int(derivative)
+
+
 @lru_cache(maxsize=_MAX_CACHED_PLANS)
 def _spade_plan(space: ModeSpace, gamma: float, derivative: bool) -> _SpadePlan:
     k, l = np.array(space.idler).T
     kp, lp = np.array(space.signal).T
-    size = int(max(k.max(), kp.max())) + int(derivative)
+    size = _table_size(space, derivative)
     side = size + 1
     if side * side > np.iinfo(np.intp).max:
         # the table cannot be allocated, and its flat indices overflow
@@ -246,15 +252,25 @@ def _spade_probs(d: np.ndarray, space: ModeSpace, model: SchmidtModel, renormali
     which needs one table column past the largest index of the space.
     """
     _check_separations(d)
-    outcomes = len(space.idler) * len(space.signal)
-    build = _spade_plan if outcomes <= _MAX_CACHED_PLAN_OUTCOMES else _spade_plan.__wrapped__
-    plan = build(space, model.gamma, derivative)
-    return _in_blocks(lambda block: _spade_block(block, plan, renormalize), d,
-                      (plan.size + 1) ** 2)
+    if len(space.idler) * len(space.signal) <= _MAX_CACHED_PLAN_OUTCOMES:
+        plan = _spade_plan(space, model.gamma, derivative)
+        size, get_plan = plan.size, lambda: plan
+    else:
+        # a larger space builds its plan for this call alone, after its first overlap
+        # table: a table that cannot be allocated or overflows fails before the plan
+        # takes memory
+        size = _table_size(space, derivative)
+        get_plan = cache(partial(_spade_plan.__wrapped__, space, model.gamma, derivative))
+    return _in_blocks(
+        lambda block: _spade_block(_overlap_amplitudes(size, block), get_plan(), renormalize),
+        d,
+        (size + 1) ** 2,
+    )
 
 
-def _spade_block(d, plan, renormalize):
-    amps = _overlap_amplitudes(plan.size, d).reshape(len(d), (plan.size + 1) ** 2)
+def _spade_block(amps, plan, renormalize):
+    rows = len(amps)
+    amps = amps.reshape(rows, (plan.size + 1) ** 2)
     # take gives contiguous rows, so that each row sums in the same order whatever len(d) is
     a = amps.take(plan.cells, axis=1)
     entries = plan.weight * (a * a)
@@ -273,7 +289,7 @@ def _spade_block(d, plan, renormalize):
         if slopes is not None:
             slope_totals = slopes.sum(axis=1)
             slopes = (slopes - entries * slope_totals[:, None]) / totals[:, None]
-    shape = (len(d),) + plan.shape
+    shape = (rows,) + plan.shape
     return entries.reshape(shape), None if slopes is None else slopes.reshape(shape), totals
 
 
@@ -379,16 +395,11 @@ def _pixel_block(d, grid, s, derivative):
     )
     probs = 0.25 * (masses[:, 0] + masses[:, 1])
     totals = probs.sum(axis=1)
-    # a total above one is rounding: renormalize and leave no residual. Rows at or
-    # below one would be divided by 1.0, so a batch without such a total skips that
+    # a total above one is rounding: renormalize and leave no residual
     over = totals > 1.0
-    rescale = over.any()
-    if rescale:
-        scale = np.where(over, totals, 1.0)[:, None]
-        probs = probs / scale
-        residual = np.where(over, 0.0, 1.0 - totals)
-    else:
-        residual = 1.0 - totals
+    scale = np.where(over, totals, 1.0)[:, None]
+    probs = probs / scale
+    residual = np.where(over, 0.0, 1.0 - totals)
     slopes = None
     if derivative:
         edge = np.exp(-u * u)
@@ -396,12 +407,8 @@ def _pixel_block(d, grid, s, derivative):
         # the -d component moves against the +d one
         raw = 0.5 * s / math.sqrt(math.pi) * (falls[:, 0] - falls[:, 1])
         raw_totals = raw.sum(axis=1)
-        if rescale:
-            slopes = np.where(over[:, None], raw - probs * raw_totals[:, None], raw) / scale
-            tail = np.where(over, 0.0, -raw_totals)
-        else:
-            slopes, tail = raw, -raw_totals
-        slopes = np.concatenate((slopes, tail[:, None]), axis=1)
+        slopes = np.where(over[:, None], raw - probs * raw_totals[:, None], raw) / scale
+        slopes = np.concatenate((slopes, np.where(over, 0.0, -raw_totals)[:, None]), axis=1)
     return np.concatenate((probs, residual[:, None]), axis=1), slopes
 
 

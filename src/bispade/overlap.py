@@ -31,17 +31,16 @@ _MAX_CACHED_ORDER = 1000
 def _overlap_layout(n: int):
     # everything in _overlap_amplitudes that depends on the table size alone: the
     # Laguerre recurrence coefficients of each degree m = 1 .. n-1 over the orders
-    # 0 .. n-m-1 (the slopes zero-padded to n orders, the weights one array per
-    # degree), the flat (min, |difference|) index of each table cell and its
+    # 0 .. n-m-1, the flat (min, |difference|) index of each table cell and its
     # |difference| as a float, 0.5*log(min!/max!) per cell, and the cells with an odd
     # difference, with the row index above the column index, and with both (the sign
     # pattern of the amplitudes; both at d >= 0)
     order = np.arange(n + 1.0)
-    slopes = np.zeros((max(n - 1, 0), n, 1))
-    lag_weights = []
-    for m in range(1, n):
-        slopes[m - 1, : n - m, 0] = (2.0 * m + 1.0 + order[: n - m]) / (m + 1.0)
-        lag_weights.append(((m + order[: n - m]) / (m + 1.0))[:, None])
+    steps = tuple(
+        (((2.0 * m + 1.0 + order[: n - m]) / (m + 1.0))[:, None],
+         ((m + order[: n - m]) / (m + 1.0))[:, None])
+        for m in range(1, n)
+    )
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(order[1:]))))
     index = np.arange(n + 1)
     lo = np.minimum.outer(index, index)
@@ -52,9 +51,10 @@ def _overlap_layout(n: int):
     below = np.greater.outer(index, index)
     odd_below = odd & below
     gap = gap.astype(float)
-    for array in (order, slopes, cells, gap, half_log_ratio, odd, below, odd_below, *lag_weights):
+    for array in (order, cells, gap, half_log_ratio, odd, below, odd_below,
+                  *(c for step in steps for c in step)):
         array.flags.writeable = False
-    return order, slopes, tuple(lag_weights), cells, gap, half_log_ratio, odd, below, odd_below
+    return order, steps, cells, gap, half_log_ratio, odd, below, odd_below
 
 
 def _overlap_amplitudes(n: int, d: np.ndarray) -> np.ndarray:
@@ -77,18 +77,19 @@ def _overlap_amplitudes(n: int, d: np.ndarray) -> np.ndarray:
     except (ValueError, MemoryError) as exc:
         raise NumericalError(f"overlap table for mode orders up to {n} is too large") from exc
     layout = _overlap_layout if n <= _MAX_CACHED_ORDER else _overlap_layout.__wrapped__
-    order, slopes, lag_weights, cells, gap, half_log_ratio, odd, below, odd_below = layout(n)
+    order, steps, cells, gap, half_log_ratio, odd, below, odd_below = layout(n)
     lag[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         if n:
             lag[1, :n] = 1.0 + order[:n, None] - x
-        # L_(m+1) = (slope - x / (m + 1)) L_m - lag_weight L_(m-1), the first factor
-        # of every degree in one pass, each degree written into its slice of the table
-        factors = slopes - (x / order[2:, None])[:, None, :]
-        for m, lag_weight in enumerate(lag_weights, start=1):
+        # L_(m+1) = (slope - x / (m + 1)) L_m - lag_weight L_(m-1), each degree
+        # written into its slice of the table; x / (m + 1) of every degree in one division
+        shifts = x / order[2:, None]
+        for m, (slope, lag_weight) in enumerate(steps, start=1):
             w = n - m
             out = lag[m + 1, :w]
-            np.multiply(factors[m - 1, :w], lag[m, :w], out=out)
+            np.subtract(slope, shifts[m - 1], out=out)
+            out *= lag[m, :w]
             out -= lag_weight * lag[m - 1, :w]
         # x^(gap/2) in log space; at x = 0 the table is the identity, set below
         half_log_x = 0.5 * np.log(np.where(x > 0.0, x, 1.0))
