@@ -24,6 +24,7 @@ from bispade import (
     spade_forward,
     CountMatrix,
 )
+from bispade import model as model_module
 from bispade.model import _pixel_probs
 from oracles import riemann_pixel_probs, scalar_overlap
 
@@ -313,6 +314,28 @@ class TestProbMatrix:
         space = ModeSpace(idler=((0, 0), (1100, 0)), signal=((0, 0), (3, 0)))
         with pytest.raises(NumericalError, match="overflows"):
             prob_matrix(1.0, space, model015, renormalize=renormalize)
+
+    def test_plan_built_per_call_gives_the_cached_plan_rows(self, monkeypatch, model015):
+        # a space above the plan cache's bound builds its plan per call; 40 rows of the
+        # 63x63 space span two blocks, and every byte is the cached plan's
+        space = ModeSpace.grid(20, 2)
+        d = np.linspace(-1.5, 2.0, 40)
+        cached = model_module._spade_probs(d, space, model015, True, True)
+        monkeypatch.setattr(model_module, "_MAX_CACHED_PLAN_OUTCOMES", 0)
+        fresh = model_module._spade_probs(d, space, model015, True, True)
+        for kept, built in zip(cached, fresh):
+            assert kept.tobytes() == built.tobytes()
+
+    def test_table_that_overflows_fails_before_an_uncached_plan(self, monkeypatch, model015):
+        # the plan of a space too large to cache takes memory only after its table
+        built = []
+        monkeypatch.setattr(model_module._spade_plan, "__wrapped__",
+                            lambda *args: built.append(args))
+        monkeypatch.setattr(model_module, "_MAX_CACHED_PLAN_OUTCOMES", 0)
+        space = ModeSpace(idler=((0, 0), (1100, 0)), signal=((0, 0), (3, 0)))
+        with pytest.raises(NumericalError, match="overflows"):
+            model_module._spade_probs(np.array([1.0]), space, model015, True, False)
+        assert built == []
 
 
 class TestCalibration:
