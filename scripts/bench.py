@@ -7,7 +7,10 @@ of a fresh map (``inference._ForwardMap.log_probs``, built cold on a new
 ``_ForwardMap(f.batch, f.shape)`` per call, because the constructors return
 one shared map per measurement whose table is built once), the batched fit
 (``inference._fit``), the multinomial draw (``inference._draw``), the
-Monte-Carlo cells (``inference._mc_cells``) and the counts-file reader
+seeding pass of a compare job (``inference._cell_masters`` and
+``inference._trial_states``), the Monte-Carlo cells (``inference._mc_cells``,
+on trial states seeded beforehand), their summary (``inference._cell_results``)
+and the counts-file reader
 (``cli.read_counts_file``, on 29 labeled counts files). End to end it times
 ``bispade.cli.main`` on the full default ``compare`` and on an
 ``estimate --calibrate`` of the same 29 files. It also counts, per map kind
@@ -130,11 +133,22 @@ def layers(files: list[Path]) -> dict:
     items["inference._draw[49 outcomes]"] = _time(
         lambda: inference._draw(weights, PHOTONS, np.random.default_rng(12345)), 100, 50)
     seps = STEP * np.arange(1, 27, 5)
+    # the seeding pass of a sweep_k12 job: 3 methods x 6 cells of 8 trials
+    items["inference._trial_states[18x8 trials]"] = _time(
+        lambda: inference._trial_states(inference._cell_masters(7, len(forwards), len(seps)), 8),
+        100, 10)
+    states = inference._trial_states(list(range(len(seps))), 8)
     for method, forward in forwards.items():
         items[f"inference._mc_cells[{method},6x8 trials]"] = _time(
-            lambda method=method, f=forward: inference._mc_cells(
-                method, PHOTONS, seps, 8, list(range(len(seps))), f),
+            lambda method=method, f=forward: inference._mc_cells(method, PHOTONS, seps, states, f),
             40, 1, "ms")
+    estimates = 2.0 * np.array([inference._fit(_draws(forward, seps, 8, seed=8), forward).d_hat
+                                for forward in forwards.values()]).reshape(-1, 8)
+    flags = estimates > 0.5
+    all_seps = np.tile(seps, len(forwards))
+    items["inference._cell_results[18x8 trials]"] = _time(
+        lambda: inference._cell_results("spade", PHOTONS, all_seps, estimates, flags, ~flags),
+        100, 10)
     items["cli.read_counts_file[29 files]"] = _time(
         lambda: [read_counts_file(path, space) for path in files], 100, 1, "ms")
     return items

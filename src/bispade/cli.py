@@ -25,10 +25,12 @@ from .inference import (
     METHODS,
     PARAMETERIZATION,
     CountMatrix,
+    _cell_masters,
+    _check_trials,
     _fit,
     _mc_cells,
     _method_forward,
-    _sub_seed,
+    _trial_states,
     crlb,
     fit_calibration,
     spade_forward,
@@ -175,7 +177,7 @@ def load_config_file(path: str | Path) -> dict:
     """Parse a flat key = value config file; '#' starts a comment."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"config {path}: cannot read file ({exc})") from exc
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -327,7 +329,7 @@ def read_counts_file(path: str | Path, space: ModeSpace) -> CountMatrix:
     try:
         with open(path) as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{Path(path)}: cannot read file ({exc})") from exc
     exact = _read_exact(text, space)
     if exact is not None:
@@ -459,14 +461,14 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> list[tuple]:
     model = SchmidtModel.from_gamma(cfg.resolved_gamma())
     space = cfg.mode_space()
     grid = PixelGrid()
-    # each cell's master seed; its trials take trial_seed sub-seeds of it
+    _check_trials(cfg.trials)
+    # the cell of the method at METHODS[m] and separation seps[c] has master seed
+    # _sub_seed(seed, m, c); its trials take trial_seed sub-seeds of it
+    states = _trial_states(_cell_masters(cfg.seed, len(METHODS), len(seps)), cfg.trials)
     by_method = [
-        _mc_cells(
-            method, cfg.photons, seps, cfg.trials,
-            [_sub_seed(cfg.seed, method_index, sep_index) for sep_index in range(len(seps))],
-            _method_forward(method, model, space, grid),
-        )
-        for method_index, method in enumerate(METHODS)
+        _mc_cells(method, cfg.photons, seps, states[m * len(seps):(m + 1) * len(seps)],
+                  _method_forward(method, model, space, grid))
+        for m, method in enumerate(METHODS)
     ]
     # sep-major rows, methods in METHODS order within a separation
     rows = [

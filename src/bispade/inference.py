@@ -245,14 +245,18 @@ def _check_photons(n_photons) -> None:
         raise ValueError(f"n_photons must be a non-negative integer, got {n_photons!r}")
 
 
-def _normalized(flat: np.ndarray) -> np.ndarray:
-    # the multinomial weights of a flat probability vector, after the checks of sample_counts
-    if np.any(flat < -1e-12):
+def _normalized(p: np.ndarray) -> np.ndarray:
+    # the multinomial weights of a flat probability vector, or of each row of a matrix of
+    # them, after the checks of sample_counts (the message names the first row that fails)
+    if np.any(p < -1e-12):
         raise ValueError("probabilities must be non-negative")
-    total = float(flat.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1 (got {total!r}); renormalize first")
-    return np.clip(flat, 0.0, None) / total
+    totals = p.sum(axis=-1, keepdims=True)
+    off = np.abs(totals - 1.0) > 1e-9
+    if np.any(off):
+        raise ValueError(
+            f"probabilities must sum to 1 (got {float(totals[off][0])!r}); renormalize first"
+        )
+    return np.clip(p, 0.0, None) / totals
 
 
 def _draw(weights: np.ndarray, n_photons: int, rng) -> np.ndarray:
@@ -333,7 +337,10 @@ def _fit(obs: np.ndarray, forward: _ForwardMap) -> _Fits:
     is even in d, so p_i''(0) is read as p_i'(h) / h at h = _CURVE_STEP.
     The first pass and the d = 0 stop read rows the map keeps (grid_probs,
     grid_slopes, curve_rows): a forward row does not depend on the batch it is
-    evaluated in, so they are the rows a batch pass would give.
+    evaluated in, so they are the rows a batch pass would give. A pass carries
+    only the rows still refining, and a row's log-likelihood is taken at the
+    pass it ends in: the pass its step falls below the tolerance, or the last
+    of _MAX_REFINE_STEPS.
     """
     if forward.log_probs.shape[1] != obs.shape[1]:
         raise ValueError("forward model size does not match the counts")
@@ -345,15 +352,10 @@ def _fit(obs: np.ndarray, forward: _ForwardMap) -> _Fits:
     top = scores[rows, best]
     flat = top - scores.min(axis=1) < 1e-9 * (np.abs(top) + 1.0)
 
-    lower = _GRID[np.maximum(best - 1, 0)]
-    upper = _GRID[np.minimum(best + 1, len(_GRID) - 1)]
-    x = _GRID[best]
-    last_step = upper - lower
-    d_hat = x.copy()
+    d_hat = _GRID[best]
     loglik = top.copy()
     iterations = np.zeros(len(obs), dtype=int)
     converged = np.zeros(len(obs), dtype=bool)
-    photons = obs.sum(axis=1)
     peaked = best == 0
     if np.any(peaked):
         probs, slopes = forward.curve_rows
@@ -364,39 +366,52 @@ def _fit(obs: np.ndarray, forward: _ForwardMap) -> _Fits:
         # puts the maximum off 0 however the live outcomes curve
         peaked &= (obs @ ratio < 0.0) & (obs[:, ~live].sum(axis=1) == 0.0)
     converged[peaked] = True
+    # the rows still refining, and each one's point, bracket, last step, counts and photons
     active = rows[~peaked]
+    index = best[active]
+    at = _GRID[index]
+    lo = _GRID[np.maximum(index - 1, 0)]
+    hi = _GRID[np.minimum(index + 1, len(_GRID) - 1)]
+    last_step = hi - lo
+    counts = obs[active]
+    photons = counts.sum(axis=1)
     for pass_no in range(_MAX_REFINE_STEPS):
         if not active.size:
             break
-        at = x[active]
         if pass_no == 0:
             # every row starts at its best grid point, whose rows the map keeps
-            probs, slopes = forward.grid_probs[best[active]], forward.grid_slopes(best[active])
+            probs, slopes = forward.grid_probs[index], forward.grid_slopes(index)
         else:
             probs, slopes = forward.batch(at, True)
-        counts = obs[active]
         live = probs > LIKELIHOOD_FLOOR
         ratio = np.divide(slopes, probs, out=np.zeros_like(probs), where=live)
         score = (counts * ratio).sum(axis=1)
-        information = photons[active] * (slopes * ratio).sum(axis=1)
-        d_hat[active] = at
-        loglik[active] = (counts * np.log(np.maximum(probs, LIKELIHOOD_FLOOR))).sum(axis=1)
-        iterations[active] += 1
-        lo = lower[active] = np.where(score > 0.0, at, lower[active])
-        hi = upper[active] = np.where(score < 0.0, at, upper[active])
+        information = photons * (slopes * ratio).sum(axis=1)
+        lo = np.where(score > 0.0, at, lo)
+        hi = np.where(score < 0.0, at, hi)
         step = np.divide(score, information, out=np.zeros_like(score), where=information > 0.0)
         newton = (
             (information > 0.0)
             & (at + step > lo)
             & (at + step < hi)
-            & (np.abs(step) <= 0.5 * last_step[active])
+            & (np.abs(step) <= 0.5 * last_step)
         )
         step = np.where(newton, step, 0.5 * (lo + hi) - at)
         done = np.abs(step) < 1e-3 * _REFINE_TOL
-        converged[active[done]] = True
-        active, step = active[~done], step[~done]
-        x[active] += step
-        last_step[active] = np.abs(step)
+        # a row ends at this pass's point once it is done or out of passes
+        ends = done if pass_no < _MAX_REFINE_STEPS - 1 else np.ones_like(done)
+        if np.any(ends):
+            ended = active[ends]
+            d_hat[ended] = at[ends]
+            loglik[ended] = (counts[ends] * np.log(np.maximum(probs[ends], LIKELIHOOD_FLOOR))
+                             ).sum(axis=1)
+            iterations[ended] = pass_no + 1
+            converged[active[done]] = True
+            keep = ~ends
+            active, at, lo, hi, step = active[keep], at[keep], lo[keep], hi[keep], step[keep]
+            counts, photons = counts[keep], photons[keep]
+        at = at + step
+        last_step = np.abs(step)
 
     keep_grid = loglik - top <= _TIE * (np.abs(top) + 1.0)
     d_hat = np.where(keep_grid, _GRID[best], d_hat)
@@ -581,7 +596,8 @@ def spade_forward(
 
     def batch(d, derivative):
         entries, slopes, _ = _spade_probs(d, space, model, renormalize, derivative)
-        return entries.reshape(len(d), -1), None if slopes is None else slopes.reshape(len(d), -1)
+        rows = (len(d), math.prod(space.shape))
+        return entries.reshape(rows), None if slopes is None else slopes.reshape(rows)
 
     return _ForwardMap(batch, space.shape)
 
@@ -614,7 +630,8 @@ def trial_seed(master_seed: int, trial: int) -> int:
 
 
 def _sub_seed(*entropy: int) -> int:
-    # the one sub-seed rule: the first 32-bit word of numpy's SeedSequence of entropy
+    # the one sub-seed rule: the first 32-bit word of numpy's SeedSequence of entropy;
+    # _sub_seeds is the same rule over many entropy tuples at once
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
@@ -698,30 +715,58 @@ def _seed_words(seed) -> list[int]:
     return words
 
 
-def _trial_states(masters: Sequence[int], trials: int) -> list[list[tuple[int, int]]]:
-    """PCG64 (state, inc) of default_rng(trial_seed(m, t)) for each master m and t < trials.
+def _sub_seeds(prefixes: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+    """_sub_seed(*p, *i) of each column p of a (words x n) uint32 array and each index i < counts.
 
-    Cells whose masters have the same number of words hash in one vectorized pass;
-    every trial index is one word (a call of 2**32 trials could not hold its counts).
+    One vectorized pass; the result is an (n,) + counts uint32 array. Every index is
+    one word (an index of 2**32 or more would be two).
     """
-    states = [[] for _ in masters]
+    index = np.indices(counts, dtype=np.uint32).reshape(len(counts), 1, -1)
+    entropy = np.empty((len(prefixes) + len(counts), prefixes.shape[1], index.shape[2]),
+                       dtype=np.uint32)
+    entropy[:len(prefixes)] = prefixes[:, :, None]
+    entropy[len(prefixes):] = index
+    seeds = _generate_state(_seed_pools(entropy.reshape(len(entropy), -1)), 1)[0]
+    return seeds.reshape((prefixes.shape[1],) + counts)
+
+
+def _cell_masters(seed: int, methods: int, seps: int) -> list[int]:
+    """_sub_seed(seed, m, c), the master of the compare cell of method m at separation c.
+
+    Every m < methods and c < seps, method-major, in one vectorized pass.
+    """
+    words = np.array(_seed_words(seed), dtype=np.uint32)[:, None]
+    return _sub_seeds(words, (methods, seps)).ravel().tolist()
+
+
+def _check_trials(trials) -> None:
+    if not (_is_integer(trials) and trials >= 2):
+        raise ValueError(f"need an integer number of at least 2 trials, got {trials!r}")
+
+
+def _trial_states(masters: Sequence[int], trials: int) -> np.ndarray:
+    """PCG64 seed words of default_rng(trial_seed(m, t)) for each master m and t < trials.
+
+    A (masters x trials x 4) uint64 array: default_rng hashes each sub-seed again,
+    and PCG64 reads 8 words of it as 4 little-endian uint64 q0..q3, which _pcg64_state
+    turns into the generator's state. Cells whose masters have the same number of
+    words hash in one vectorized pass.
+    """
+    states = np.empty((len(masters), trials, 4), dtype=np.uint64)
     words = [_seed_words(m) for m in masters]
-    t = np.arange(trials, dtype=np.uint32)
     for size in sorted({len(w) for w in words}):
         cells = [c for c, w in enumerate(words) if len(w) == size]
-        entropy = np.empty((size + 1, len(cells), trials), dtype=np.uint32)
-        entropy[:size] = np.array([words[c] for c in cells], dtype=np.uint32).T[:, :, None]
-        entropy[size] = t
-        seeds = _generate_state(_seed_pools(entropy.reshape(size + 1, -1)), 1)
-        # default_rng hashes each sub-seed again, and PCG64 reads 8 words of it as 4
-        # little-endian uint64: initstate = q0 << 64 | q1, initseq = q2 << 64 | q3
+        prefixes = np.array([words[c] for c in cells], dtype=np.uint32).T
+        seeds = _sub_seeds(prefixes, (trials,)).reshape(1, -1)
         halves = _generate_state(_seed_pools(seeds), 8).astype(np.uint64)
-        q0, q1, q2, q3 = (halves[0::2] | halves[1::2] << 32).tolist()
-        for row, (a, b, c, e) in enumerate(zip(q0, q1, q2, q3)):
-            inc = ((c << 64 | e) << 1 | 1) & _MASK128
-            state = (((a << 64 | b) + inc) * _PCG_MULT + inc) & _MASK128
-            states[cells[row // trials]].append((state, inc))
+        states[cells] = (halves[0::2] | halves[1::2] << 32).T.reshape(len(cells), trials, 4)
     return states
+
+
+def _pcg64_state(q0: int, q1: int, q2: int, q3: int) -> tuple[int, int]:
+    # PCG64's (state, inc) after seeding with initstate = q0 << 64 | q1, initseq = q2 << 64 | q3
+    inc = ((q2 << 64 | q3) << 1 | 1) & _MASK128
+    return (((q0 << 64 | q1) + inc) * _PCG_MULT + inc) & _MASK128, inc
 
 
 def mc_standard_error(
@@ -751,58 +796,67 @@ def mc_standard_error(
         raise ValueError(f"model gamma {model.gamma!r} differs from gamma {gamma!r}")
     if forward is None:
         forward = _method_forward(method, model, ModeSpace.grid(), PixelGrid())
-    return _mc_cells(method, n_photons, [d], trials, [seed], _as_map(forward))[0]
+    _check_photons(n_photons)
+    _check_trials(trials)
+    return _mc_cells(method, n_photons, [d], _trial_states([seed], trials), _as_map(forward))[0]
 
 
-def _mc_cells(method, n_photons, seps, trials, cell_seeds, forward) -> list[MonteCarloResult]:
+def _mc_cells(method, n_photons, seps, states, forward) -> list[MonteCarloResult]:
     """Monte-Carlo cells of one method at each separation of seps, in order.
 
+    states holds, for the cell at seps[i], the _trial_states row of its master seed:
+    its trial t draws exactly sample_counts(truth, n_photons, trial_seed(master, t)),
+    on one Generator set to the PCG64 state default_rng of that sub-seed starts from.
     The cells share one grid table of forward. Every cell's truth vector comes
-    from one batched forward evaluation and is checked once, as sample_counts
-    checks it. Trial t of the cell at seps[i] draws exactly
-    sample_counts(truth, n_photons, trial_seed(cell_seeds[i], t)): the PCG64
-    state that default_rng of that sub-seed starts from is computed for every
-    trial of the call in one vectorized pass (_trial_states), and each trial
-    draws on one Generator set to its state. Consecutive whole cells share one
-    _fit call of at most _FIT_ROWS rows (a cell with more trials is fitted
-    alone); rows fit independently, so the grouping changes no result.
+    from one batched forward evaluation and all are checked at once, as
+    sample_counts checks one. Consecutive whole cells share one _fit call of at
+    most _FIT_ROWS rows (a cell with more trials is fitted alone); rows fit
+    independently, so the grouping changes no result. The cells' statistics
+    are reduced along the trials of one (cells x trials) array (_cell_results).
     """
-    _check_photons(n_photons)
-    if not (_is_integer(trials) and trials >= 2):
-        raise ValueError(f"need an integer number of at least 2 trials, got {trials!r}")
     seps = np.asarray(seps, dtype=float)
+    trials = states.shape[1]
     truths, _ = forward.batch(seps, False)
-    weights = [_normalized(truth) for truth in truths]
-    states = _trial_states(cell_seeds, trials)
+    weights = _normalized(truths)
     # made here, not at import: numpy.random loads on first use
     rng = np.random.default_rng(0)
     bit_generator = rng.bit_generator
+    pcg = {"state": 0, "inc": 0}
+    setting = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
 
-    def draw(c, state, inc):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        return _draw(weights[c], n_photons, rng)
+    def draw(cell, words):
+        pcg["state"], pcg["inc"] = _pcg64_state(*words)
+        bit_generator.state = setting
+        return _draw(weights[cell], n_photons, rng)
 
+    d_hat = np.empty((len(seps), trials))
+    boundary = np.empty((len(seps), trials), dtype=bool)
+    flat = np.empty((len(seps), trials), dtype=bool)
     cells_per_fit = max(1, _FIT_ROWS // trials)
-    results = []
     for first in range(0, len(seps), cells_per_fit):
         cells = range(first, min(first + cells_per_fit, len(seps)))
         obs = _checked_draws(np.array(
-            [draw(c, *state) for c in cells for state in states[c]], dtype=float
+            [draw(c, words) for c in cells for words in states[c].tolist()], dtype=float
         ), n_photons)
         fits = _fit(obs, forward)
-        for i, c in enumerate(cells):
-            trial_rows = slice(i * trials, (i + 1) * trials)
-            estimates = 2.0 * fits.d_hat[trial_rows]
-            results.append(MonteCarloResult(
-                method=method,
-                d=float(seps[c]),
-                n_photons=int(n_photons),
-                trials=int(trials),
-                mean=float(estimates.mean()),
-                std_err=float(estimates.std(ddof=1)),
-                boundary_fraction=int(fits.boundary[trial_rows].sum()) / trials,
-                flat_fraction=int(fits.flat[trial_rows].sum()) / trials,
-                estimates=estimates,
-            ))
-    return results
+        fitted = slice(first, cells.stop)
+        d_hat[fitted] = fits.d_hat.reshape(-1, trials)
+        boundary[fitted] = fits.boundary.reshape(-1, trials)
+        flat[fitted] = fits.flat.reshape(-1, trials)
+    return _cell_results(method, n_photons, seps, 2.0 * d_hat, boundary, flat)
+
+
+def _cell_results(method, n_photons, seps, estimates, boundary, flat) -> list[MonteCarloResult]:
+    # the cells at seps from their (cells x trials) delta_hat estimates and boundary and
+    # flat-likelihood flags, each statistic one reduction along the trials: per row, the
+    # same arithmetic as the reduction of that cell's 1-D array
+    trials = estimates.shape[1]
+    stats = zip(seps.tolist(), estimates, estimates.mean(axis=1).tolist(),
+                estimates.std(axis=1, ddof=1).tolist(), boundary.sum(axis=1).tolist(),
+                flat.sum(axis=1).tolist())
+    return [
+        MonteCarloResult(method=method, d=d, n_photons=int(n_photons), trials=trials,
+                         mean=mean, std_err=std_err, boundary_fraction=hits / trials,
+                         flat_fraction=flats / trials, estimates=cell_estimates)
+        for d, cell_estimates, mean, std_err, hits, flats in stats
+    ]

@@ -601,6 +601,16 @@ class TestEstimate:
             f"bispade: data error: {missing}: cannot read file (")
         assert not out.exists()
 
+    def test_non_utf8_file_is_a_data_error_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"# separation = 0.3\xff\n")
+        out = tmp_path / "out"
+        assert main(["estimate", str(path), "--out-dir", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"bispade: data error: {path}: cannot read file (")
+        assert "can't decode byte 0xff" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_malformed_file_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("0,0,0,0\n")
@@ -712,6 +722,26 @@ class TestCompare:
                     _fmt(d), _fmt(2.0 * d), method, _fmt(estimates.std(ddof=1)),
                     _fmt(estimates.mean()), _fmt(boundary),
                 ])
+        assert rows == expected
+
+    def test_rows_equal_the_cells_of_mc_standard_error(self, tmp_path):
+        # the job-wide seeding pass gives each cell the master a lone cell takes as its seed
+        photons, trials, seed = 4000, 3, 2**64 + 1
+        assert main([
+            "compare", "--out-dir", str(tmp_path), "--photons", str(photons),
+            "--trials", str(trials), "--sep-start", "0.1", "--sep-stop", "0.5",
+            "--sep-step", "0.2", "--seed", str(seed),
+        ]) == EXIT_OK
+        _, _, rows = _read_rows(tmp_path / "compare.csv")
+        expected = []
+        for sep_index, d in enumerate(np.arange(0.1, 0.6, 0.2)):
+            for method_index, method in enumerate(bp.METHODS):
+                master = int(
+                    np.random.SeedSequence((seed, method_index, sep_index)).generate_state(1)[0]
+                )
+                cell = bp.mc_standard_error(method, 0.15, photons, float(d), trials, master)
+                expected.append([_fmt(d), _fmt(2.0 * d), method, _fmt(cell.std_err),
+                                 _fmt(cell.mean), _fmt(cell.boundary_fraction)])
         assert rows == expected
 
     def test_row_budget_changes_no_byte(self, tmp_path, monkeypatch):
@@ -948,6 +978,16 @@ def test_unreadable_config_file_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"bispade: config error: config {missing}: cannot read file")
     assert err.count("\n") == 1
+
+
+def test_non_utf8_config_file_is_a_config_error_naming_it(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"seed = 3 # \xff\n")
+    argv = ["crlb-curves", "--config", str(path), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"bispade: config error: config {path}: cannot read file (")
+    assert "can't decode byte 0xff" in err and err.count("\n") == 1
 
 
 def test_failed_run_creates_no_output_directory(tmp_path):

@@ -433,6 +433,16 @@ class TestForwardMaps:
                 expected = scalar(float(d))
                 np.testing.assert_array_equal(row, getattr(expected, "entries", expected))
 
+    @pytest.mark.parametrize("method", bp.METHODS)
+    def test_an_empty_array_of_separations_gives_no_rows(self, model015, space7, method):
+        forward = inference._method_forward(method, model015, space7, bp.PixelGrid())
+        outcomes = math.prod(forward.shape)
+        assert forward(np.array([])).shape == (0,) + forward.shape
+        probs, slopes = forward.batch(np.array([]), False)
+        assert probs.shape == (0, outcomes) and slopes is None
+        probs, slopes = forward.batch(np.array([]), True)
+        assert probs.shape == slopes.shape == (0, outcomes)
+
 
 class TestSharedMaps:
     def test_equal_measurements_share_one_map(self):
@@ -946,6 +956,36 @@ class TestMleEstimate:
             counts = bp.sample_counts(truth, 5000, bp.trial_seed(41, t))
             assert estimate == 2.0 * bp.mle_estimate(counts, forward).d_hat
 
+    @pytest.mark.parametrize("cap", [1, 2, None])
+    def test_each_row_of_a_batch_is_its_one_row_fit(self, monkeypatch, model015, cap):
+        # rows that stop at d = 0 (the first cell), rows that end on different passes,
+        # and under a cap of 1 or 2 passes rows still refining when the passes run out
+        if cap is not None:
+            monkeypatch.setattr(inference, "_MAX_REFINE_STEPS", cap)
+        forward = bp.direct_forward(model015, bp.PixelGrid(), "gaussian")
+        obs = np.array([
+            bp.sample_counts(forward(d), 37_000, bp.trial_seed(c, t)).counts
+            for c, d in enumerate((0.0465, 0.3, 0.8, 1.4)) for t in range(12)
+        ], dtype=float)
+        batch = _fit(obs, forward)
+        refined = ~np.isin(batch.d_hat, inference._GRID)
+        for row in range(len(obs)):
+            alone = _fit(obs[row:row + 1], forward)
+            for name, got, want in zip(batch._fields, batch, alone):
+                if name == "log_likelihood" and not refined[row]:
+                    # a grid point's log-likelihood is the grid product's, whose
+                    # rounding depends on how many rows it multiplies
+                    np.testing.assert_allclose(got[row], want[0], rtol=1e-15)
+                else:
+                    assert got[row] == want[0], (name, row)
+        assert np.any(batch.iterations == 0)
+        if cap is None:
+            assert np.all(batch.converged) and np.any(refined)
+            assert len(set(batch.iterations.tolist())) > 2
+        else:
+            assert np.any(~batch.converged)
+            assert np.all(batch.iterations[~batch.converged] == cap)
+
     def test_flat_likelihood_flagged(self):
         constant = lambda d: np.full(4, 0.25)
         counts = bp.CountMatrix(np.array([25, 25, 25, 25]))
@@ -1130,12 +1170,20 @@ class TestTrialDraws:
 
     def test_trial_states_match_numpy(self):
         states = inference._trial_states(list(self.MASTERS), 301)
-        assert [len(cell) for cell in states] == [301] * len(self.MASTERS)
-        for master, cell in zip(self.MASTERS, states):
-            for t, (state, inc) in enumerate(cell):
+        assert states.shape == (len(self.MASTERS), 301, 4)
+        for master, cell in zip(self.MASTERS, states.tolist()):
+            for t, words in enumerate(cell):
                 sub_seed = int(np.random.SeedSequence((master, t)).generate_state(1)[0])
                 expected = np.random.default_rng(sub_seed).bit_generator.state["state"]
-                assert (state, inc) == (expected["state"], expected["inc"]), (master, t)
+                assert inference._pcg64_state(*words) == (expected["state"], expected["inc"]), (
+                    master, t)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**96 + 1])
+    def test_cell_masters_match_numpy(self, seed):
+        # the job-wide pass derives every (method, separation) master of a compare job
+        expected = [int(np.random.SeedSequence((seed, m, c)).generate_state(1)[0])
+                    for m in range(3) for c in range(30)]
+        assert inference._cell_masters(seed, 3, 30) == expected
 
     def test_a_cell_past_the_fit_budget_draws_sample_counts(self, monkeypatch, model015,
                                                             space7):
@@ -1155,10 +1203,22 @@ class TestTrialDraws:
         masters = [2**96 + 1, 3, 2**32, 0, 2**64 - 1, 2**32 - 1]
         seps = np.linspace(0.1, 0.6, len(masters))
         rows = self._drawn_rows(monkeypatch)
-        inference._mc_cells("direct_gaussian", 500, seps, 4, masters, forward)
+        inference._mc_cells("direct_gaussian", 500, seps, inference._trial_states(masters, 4),
+                            forward)
         expected = [bp.sample_counts(forward(d), 500, bp.trial_seed(m, t)).counts
                     for d, m in zip(seps, masters) for t in range(4)]
         np.testing.assert_array_equal(np.concatenate(rows), expected)
+
+    def test_unnormalized_truths_are_rejected_as_sample_counts_rejects_them(self, model015,
+                                                                         space7):
+        # the cells check their truth rows at once; the message names the first row's sum
+        forward = bp.spade_forward(model015, space7, renormalize=False)
+        with pytest.raises(ValueError, match="renormalize first") as single:
+            bp.sample_counts(forward(0.2), 100, seed=0)
+        with pytest.raises(ValueError) as cells:
+            inference._mc_cells("spade", 100, [0.2, 0.7], inference._trial_states([1, 2], 2),
+                                forward)
+        assert str(cells.value) == str(single.value)
 
     @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
     def test_rejects_what_seed_sequence_rejects(self, seed, error):
