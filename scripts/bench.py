@@ -10,8 +10,9 @@ one shared map per measurement whose table is built once), the batched fit
 seeding pass of a compare job (``inference._cell_masters`` and
 ``inference._trial_states``), the Monte-Carlo cells (``inference._mc_cells``,
 on trial states seeded beforehand), their summary (``inference._cell_results``)
-and the counts-file reader
-(``cli.read_counts_file``, on 29 labeled counts files). End to end it times
+and the counts-file reader on 29 labeled counts files, one file per call
+(``cli.read_counts_file``) and all in one batch (``cli._read_counts_files``,
+as ``estimate`` reads them). End to end it times
 ``bispade.cli.main`` on the full default ``compare`` and on an
 ``estimate --calibrate`` of the same 29 files. It also counts, per map kind
 (spade, direct imaging), the lockstep refinement passes of the fits and the
@@ -52,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 import bispade as bp
-from bispade import inference, model, overlap
+from bispade import cli, inference, model, overlap
 from bispade.cli import main as cli_main, read_counts_file, write_counts_file
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -151,6 +152,8 @@ def layers(files: list[Path]) -> dict:
         100, 10)
     items["cli.read_counts_file[29 files]"] = _time(
         lambda: [read_counts_file(path, space) for path in files], 100, 1, "ms")
+    items["cli._read_counts_files[29 files]"] = _time(
+        lambda: list(cli._read_counts_files(files, space)), 100, 1, "ms")
     return items
 
 

@@ -146,7 +146,15 @@ class RunConfig:
                 f"sep-start {start!r}, sep-stop {stop!r} and sep-step {step!r} give about "
                 f"{count:.3g} separations, more than {_MAX_SEPARATIONS}"
             )
-        return np.arange(start, stop + 0.5 * step, step)
+        seps = np.arange(start, stop + 0.5 * step, step)
+        # a step below the float64 spacing at start leaves the grid empty or
+        # repeats start (np.arange steps by (start + step) - start)
+        if not len(seps) or (np.diff(seps) <= 0.0).any():
+            raise ValueError(
+                f"sep-step {step!r} is too small to step from sep-start {start!r} to sep-stop "
+                f"{stop!r} in float64: the grid would be empty or repeat a separation"
+            )
+        return seps
 
 
 def _parse_bool(text: str) -> bool:
@@ -176,7 +184,7 @@ _PARSERS = {name: _text_parser(hint) for name, hint in typing.get_type_hints(Run
 def load_config_file(path: str | Path) -> dict:
     """Parse a flat key = value config file; '#' starts a comment."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"config {path}: cannot read file ({exc})") from exc
     out: dict = {}
@@ -283,57 +291,63 @@ def _separation_label(line: str) -> float | None:
         return math.nan
 
 
-# the layout write_counts_file writes: '#' lines, the column line, rows of five
-# unsigned ASCII integers of at most 18 digits (so below 2**63), each ending in
-# '\n'; a '#' line holds none of the line breaks of str.splitlines
-_EXACT_LAYOUT = re.compile(
-    r"((?:#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*\n)*)"
-    + re.escape(_COLUMNS) + r"\n"
-    r"((?:(?:[0-9]{1,18},){4}[0-9]{1,18}\n)*)"
+# byte classes of the rows write_counts_file writes: 0 any other byte, 1 a
+# digit, 2 the comma between fields, 3 the newline that ends a row
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[np.frombuffer(b"0123456789", dtype=np.uint8)] = 1
+_BYTE_CLASS[ord(",")] = 2
+_BYTE_CLASS[ord("\n")] = 3
+# the '#' lines and the column line write_counts_file writes; a '#' line holds
+# none of the line breaks of str.splitlines
+_WRITTEN_HEAD = re.compile(
+    r"((?:#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*\n)*)" + re.escape(_COLUMNS) + r"\n"
 )
 
 
-def _read_exact(text: str, space: ModeSpace) -> CountMatrix | None:
-    # the file in the layout and row order write_counts_file writes, in one
-    # pass; None for any other file, which the line loop then reads or rejects
-    match = _EXACT_LAYOUT.fullmatch(text)
-    if match is None:
-        return None
-    head, body = match.groups()
+def _read_written(texts: list[str], space: ModeSpace) -> list[CountMatrix | None]:
+    # each text in the layout and row order write_counts_file writes, all read
+    # in one pass; None for any other text, which the line loop then reads or
+    # rejects on its own
     keys = _row_keys(space)
-    if body.count("\n") != len(keys):
-        return None
-    rows = np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",").reshape(len(keys), 5)
-    # the shapes match after the reshape
-    if not (rows[:, :4] == keys).all():
-        return None
-    separation = None
-    for line in head.splitlines():
-        label = _separation_label(line.strip())
-        if label is not None:
-            if not math.isfinite(label):
-                return None
-            separation = label
-    exact = CountMatrix(rows[:, 4].reshape(space.shape), separation)
-    return exact if exact.total <= _MAX_PHOTONS else None
+    heads, bodies, taken = [], [], []
+    for index, text in enumerate(texts):
+        head = _WRITTEN_HEAD.match(text)
+        if head is None:
+            continue
+        body = text[head.end():]
+        if body.isascii() and body.count("\n") == len(keys) and body.endswith("\n"):
+            heads.append(head.group(1))
+            bodies.append(body)
+            taken.append(index)
+    # every taken body is len(keys) rows that end in '\n'; a row passes when it
+    # is five fields of 1 to 18 digits (so below 2**63) split by four commas
+    classes = _BYTE_CLASS.take(np.frombuffer("".join(bodies).encode("ascii"), dtype=np.uint8))
+    seps = np.flatnonzero(classes > 1)  # the commas and newlines
+    ends = np.flatnonzero(classes[seps] == 3)  # the newline of each row, as an index of seps
+    bad = np.diff(ends, prepend=-1) != 5  # a row of other than four commas
+    width = np.diff(seps, prepend=-1) - 1  # the bytes of the field each separator ends
+    bad[np.searchsorted(ends, np.flatnonzero((width < 1) | (width > 18)))] = True
+    bad[np.searchsorted(seps[ends], np.flatnonzero(classes == 0))] = True
+    passed = np.flatnonzero(~bad.reshape(len(taken), len(keys)).any(axis=1))
+    rows_text = "".join([bodies[j] for j in passed]).replace("\n", ",")
+    rows = np.fromstring(rows_text, dtype=np.int64, sep=",").reshape(len(passed), len(keys), 5)
+    in_order = (rows[:, :, :4] == keys).all(axis=(1, 2))
+    counts = rows[in_order, :, 4].reshape(-1, *space.shape)
+    found: list[CountMatrix | None] = [None] * len(texts)
+    for j, file_counts in zip(passed[in_order].tolist(), counts):
+        labels = [label for line in heads[j].splitlines()
+                  if (label := _separation_label(line.strip())) is not None]
+        if not all(map(math.isfinite, labels)):
+            continue
+        matrix = CountMatrix(file_counts, labels[-1] if labels else None)
+        if matrix.total <= _MAX_PHOTONS:
+            found[taken[j]] = matrix
+    return found
 
 
-def read_counts_file(path: str | Path, space: ModeSpace) -> CountMatrix:
-    """Parse a long-format counts file into a CountMatrix over the given mode space.
-
-    Rows may come in any order, but every (idler, signal) pair of the space
-    needs exactly one; a file in the layout and row order of write_counts_file
-    is read in one pass. '#' lines are skipped, except '# separation = <d>', d finite.
-    Counts must fit in int64 and sum to at most 2**53.
-    """
-    try:
-        with open(path) as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"{Path(path)}: cannot read file ({exc})") from exc
-    exact = _read_exact(text, space)
-    if exact is not None:
-        return exact
+def _read_lines(text: str, path: str | Path, space: ModeSpace) -> CountMatrix:
+    # the file line by line, in any layout read_counts_file accepts; the
+    # source of every DataFormatError about a file's contents
     path = Path(path)  # as the messages name it
     configured = f"configured {len(space.idler)}x{len(space.signal)} space"
     keys = _row_keys(space).tolist()
@@ -385,6 +399,37 @@ def read_counts_file(path: str | Path, space: ModeSpace) -> CountMatrix:
     return matrix
 
 
+def _read_counts_files(paths: list[str | Path], space: ModeSpace) -> typing.Iterator[CountMatrix]:
+    # the CountMatrix of each file of paths, in order: every file is opened
+    # first and every file in the written layout read in one pass, while each
+    # error, a read error included, is raised at its file's turn
+    texts, errors = [], {}
+    for index, path in enumerate(paths):
+        try:
+            with open(path) as handle:
+                texts.append(handle.read().removeprefix("\ufeff"))
+        except (OSError, UnicodeDecodeError) as exc:
+            errors[index] = exc
+            texts.append("")
+    for index, (path, text, matrix) in enumerate(zip(paths, texts, _read_written(texts, space))):
+        if index in errors:
+            exc = errors[index]
+            raise DataFormatError(f"{Path(path)}: cannot read file ({exc})") from exc
+        yield matrix if matrix is not None else _read_lines(text, path, space)
+
+
+def read_counts_file(path: str | Path, space: ModeSpace) -> CountMatrix:
+    """Parse a long-format counts file into a CountMatrix over the given mode space.
+
+    Rows may come in any order, but every (idler, signal) pair of the space
+    needs exactly one; a file in the layout and row order of write_counts_file
+    is read in one numpy pass. '#' lines are skipped, except '# separation = <d>',
+    d finite. A leading UTF-8 byte-order mark is skipped. Counts must fit in
+    int64 and sum to at most 2**53.
+    """
+    return next(_read_counts_files([path], space))
+
+
 def cmd_crlb_curves(cfg: RunConfig, args: argparse.Namespace) -> list[tuple]:
     """Table of (K, per-photon CRLB, total FI) rows over a Schmidt-number sweep."""
     k_values = cfg.k_values if cfg.k_values is not None else tuple(np.arange(1.0, 20.01, 0.5))
@@ -423,8 +468,7 @@ def cmd_estimate(cfg: RunConfig, args: argparse.Namespace) -> list[tuple]:
     model = SchmidtModel.from_gamma(cfg.resolved_gamma())
     forward = spade_forward(model, space)
     datasets = []
-    for name in args.files:
-        cm = read_counts_file(name, space)
+    for name, cm in zip(args.files, _read_counts_files(args.files, space)):
         if cm.total < 1:
             raise DataFormatError(f"{name}: counts sum to zero")
         datasets.append((name, cm))

@@ -90,11 +90,11 @@ class CountMatrix:
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
-        if not np.issubdtype(counts.dtype, np.integer):
+        if counts.dtype.kind not in "iu":
             if not np.all(np.isfinite(counts) & (counts == np.floor(counts))):
                 raise ValueError("counts must be finite integers")
             counts = counts.astype(np.int64)
-        if np.any(counts < 0):
+        if (counts < 0).any():
             raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", counts)
         # a Python sum: an int64 sum wraps past 2**63

@@ -15,6 +15,7 @@ from bispade.cli import (
     DataFormatError,
     EXIT_OK,
     EXIT_USAGE,
+    _COLUMNS,
     RunConfig,
     _build_parser,
     _fmt,
@@ -59,6 +60,12 @@ def _make_synthetic_files(tmp_path, seps, photons, cal=None, seed=800):
         )
         paths.append(str(path))
     return paths
+
+
+def _loop_read(path, space):
+    # the file alone through the line loop: the one-pass read declines every text
+    with mock.patch.object(cli, "_read_written", lambda texts, space: [None] * len(texts)):
+        return read_counts_file(path, space)
 
 
 class TestConfig:
@@ -142,6 +149,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="run.cfg:2: expected 'key = value', "
                                              "got 'photons 500'$"):
             load_config_file(cfg_file)
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("\ufeffgamma = 0.25\nseed = 3\n", encoding="utf-8")
+        assert load_config_file(cfg_file) == {"gamma": 0.25, "seed": 3}
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -371,6 +383,8 @@ class TestCountsIo:
                         "{path}:3: non-integer field in '0,0,0,0,x'"),
         "four-columns": (lambda rows: ["0,0,0,0"] + rows[1:], "0.3",
                          "{path}:3: expected 5 columns, got 4"),
+        "empty-field": (lambda rows: ["0,0,,0,5"] + rows[1:], "0.3",
+                        "{path}:3: non-integer field in '0,0,,0,5'"),
         "nan-label": (lambda rows: rows, "nan", "{path}:1: bad separation value 'nan'"),
         "inf-label": (lambda rows: rows, "inf", "{path}:1: bad separation value 'inf'"),
     }
@@ -427,7 +441,7 @@ class TestCountsIo:
         counts = np.arange(144).reshape(space.shape) * 1000
         path = write_counts_file(tmp_path / "c.csv", space, counts, separation=0.25,
                                  meta={"lab": "B"})
-        fast = cli._read_exact(path.read_text(), space)
+        fast = cli._read_written([path.read_text()], space)[0]
         assert fast is not None and fast.separation == 0.25
         np.testing.assert_array_equal(fast.counts, counts)
 
@@ -436,7 +450,7 @@ class TestCountsIo:
         # keys hold two
         space = bp.ModeSpace(idler=((10**4, 10**4),), signal=((0, 0), (10**4, 1)))
         path = write_counts_file(tmp_path / "sparse.csv", space, np.array([[3, 4]]))
-        assert cli._read_exact(path.read_text(), space).counts.tolist() == [[3, 4]]
+        assert cli._read_written([path.read_text()], space)[0].counts.tolist() == [[3, 4]]
         assert read_counts_file(path, space).counts.tolist() == [[3, 4]]
 
     def test_reversed_rows_take_the_line_loop(self, tmp_path, space7):
@@ -446,7 +460,7 @@ class TestCountsIo:
         label, columns, *rows = written.read_text().splitlines()
         reversed_path = tmp_path / "reversed.csv"
         reversed_path.write_text("\n".join([label, columns, *rows[::-1]]) + "\n")
-        assert cli._read_exact(reversed_path.read_text(), space7) is None
+        assert cli._read_written([reversed_path.read_text()], space7)[0] is None
         loop, fast = read_counts_file(reversed_path, space7), read_counts_file(written, space7)
         np.testing.assert_array_equal(loop.counts, fast.counts)
         assert loop.separation == fast.separation == 0.3
@@ -455,7 +469,7 @@ class TestCountsIo:
                              ids={**REJECTED, **OUT_OF_RANGE}.keys())
     def test_the_one_pass_read_declines_every_rejected_file(self, tmp_path, space7, case):
         path, _ = self._edited(tmp_path, space7, case)
-        assert cli._read_exact(path.read_text(), space7) is None
+        assert cli._read_written([path.read_text()], space7)[0] is None
 
     EDITS = ("spaces", "zeros", "plus", "blank", "comment", "no-columns", "crlf", "wide-digits")
 
@@ -526,12 +540,7 @@ class TestCountsIo:
         path.write_text(self._oracle_text(cells, order, separation, edits), newline="")
         expected = [[cells[idler + signal] for signal in space.signal] for idler in space.idler]
         total = sum(cells.values())
-
-        def loop_read(path, space):
-            with mock.patch.object(cli, "_read_exact", lambda text, space: None):
-                return read_counts_file(path, space)
-
-        for read in (read_counts_file, loop_read):
+        for read in (read_counts_file, _loop_read):
             if max(cells.values()) > 2**63 - 1:
                 with pytest.raises(DataFormatError, match=r"csv:\d+: count above 2\*\*63 - 1"):
                     read(path, space)
@@ -542,11 +551,113 @@ class TestCountsIo:
                 cm = read(path, space)
                 assert cm.counts.dtype == np.int64 and cm.counts.tolist() == expected
                 assert cm.separation == separation and cm.total == total
-        fast = cli._read_exact(path.read_text(), space)
+        fast = cli._read_written([path.read_text()], space)[0]
         if max(cells.values()) > 2**63 - 1 or total > 2**53 or order != written:
             assert fast is None
         elif not edits - {"zeros"}:
             assert fast.counts.tolist() == expected and fast.separation == separation
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace(",0\n", ",0000000000000000000\n", 1), None),
+        (lambda text: text[:-1], None),
+        (lambda text: text + "0,0,0,0,3", "{path}:52: duplicate mode tuple (0, 0, 0, 0)"),
+    ], ids=["19-digit-field", "no-last-newline", "unended-extra-row"])
+    def test_a_file_just_outside_the_written_layout_takes_the_line_loop(self, tmp_path, space7,
+                                                                        edit, message):
+        counts = np.arange(49).reshape(7, 7)
+        written = write_counts_file(tmp_path / "written.csv", space7, counts, separation=0.3)
+        path = tmp_path / "edited.csv"
+        path.write_text(edit(written.read_text()))
+        assert cli._read_written([path.read_text()], space7)[0] is None
+        if message is None:
+            assert read_counts_file(path, space7).counts.tolist() == counts.tolist()
+        else:
+            with pytest.raises(DataFormatError) as caught:
+                read_counts_file(path, space7)
+            assert str(caught.value) == message.format(path=path)
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, capsys, space7):
+        # Excel's "CSV UTF-8" and Notepad start the file with U+FEFF
+        written = write_counts_file(tmp_path / "written.csv", space7,
+                                    np.arange(49).reshape(7, 7) + 1, separation=0.3)
+        bom = tmp_path / "bom.csv"
+        bom.write_text("\ufeff" + written.read_text(), encoding="utf-8")
+        with mock.patch.object(cli, "_read_lines", wraps=cli._read_lines) as loop:
+            cm = read_counts_file(bom, space7)
+        assert loop.call_count == 0  # the one-pass read takes it
+        np.testing.assert_array_equal(cm.counts, read_counts_file(written, space7).counts)
+        assert cm.separation == 0.3
+        edited = tmp_path / "bom-edited.csv"
+        edited.write_text("\ufeff" + written.read_text().replace(",", " , "), encoding="utf-8")
+        np.testing.assert_array_equal(read_counts_file(edited, space7).counts, cm.counts)
+        out = tmp_path / "out"
+        assert main(["estimate", str(bom), "--out-dir", str(out)]) == EXIT_OK
+        assert (out / "estimates.csv").exists()
+
+    def test_a_batch_reads_each_file_on_the_fast_path_but_the_edited_one(self, tmp_path, space7):
+        paths = [write_counts_file(tmp_path / f"c{i}.csv", space7,
+                                   np.full((7, 7), i + 1), separation=0.25 * i) for i in range(5)]
+        paths[2].write_text(paths[2].read_text().replace(",", ", "))
+        with mock.patch.object(cli, "_read_written", wraps=cli._read_written) as fast, \
+                mock.patch.object(cli, "_read_lines", wraps=cli._read_lines) as loop:
+            matrices = list(cli._read_counts_files(paths, space7))
+        assert fast.call_count == 1 and len(fast.call_args.args[0]) == 5
+        assert loop.call_count == 1 and loop.call_args.args[1] == paths[2]
+        for i, cm in enumerate(matrices):
+            assert cm.counts.tolist() == np.full((7, 7), i + 1).tolist()
+            assert cm.separation == 0.25 * i
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_batch_reads_every_file_as_the_loop_reads_it_alone(self, tmp_path_factory, data):
+        space = bp.ModeSpace.grid(max_k=2, max_l=1)
+        keys = [idler + signal for idler in space.idler for signal in space.signal]
+        kinds = ("written", "zero", "bom", "hand", "rejected", "missing")
+        folder = tmp_path_factory.mktemp("batch")
+        paths = []
+        for index, kind in enumerate(data.draw(st.lists(st.sampled_from(kinds), max_size=8))):
+            path = folder / f"f{index}.csv"
+            cells = {key: data.draw(st.integers(0, 10**6)) for key in keys}
+            counts = np.array([cells[key] for key in keys]).reshape(space.shape)
+            separation = data.draw(st.none() | st.floats(-10.0, 10.0))
+            if kind in ("written", "zero", "bom"):
+                write_counts_file(path, space, counts * (kind != "zero"), separation)
+                if kind == "bom":
+                    path.write_text("\ufeff" + path.read_text(), encoding="utf-8")
+            elif kind == "hand":
+                order = data.draw(st.permutations(range(len(keys))))
+                edits = data.draw(st.sets(st.sampled_from(self.EDITS)))
+                path.write_text(self._oracle_text(cells, order, separation, edits), newline="")
+            elif kind == "rejected":
+                edit, label, _ = data.draw(st.sampled_from(
+                    [*self.REJECTED.values(), *self.OUT_OF_RANGE.values()]))
+                rows, _ = self._rows(space)
+                head = [f"# separation = {label}", _COLUMNS]
+                path.write_text("\n".join(head + edit(rows)) + "\n")
+            paths.append(path)
+        expected = []
+        for path in paths:
+            try:
+                expected.append(_loop_read(path, space))
+            except DataFormatError as exc:
+                expected.append(str(exc))
+        # a read error ends a batch at its file's turn; the files after it
+        # start a new batch
+        start = 0
+        while start < len(paths):
+            reader = cli._read_counts_files(paths[start:], space)
+            for index in range(start, len(paths)):
+                start = index + 1
+                if isinstance(expected[index], str):
+                    with pytest.raises(DataFormatError) as caught:
+                        next(reader)
+                    assert str(caught.value) == expected[index]
+                    break
+                cm = next(reader)
+                assert cm.counts.dtype == np.int64
+                assert cm.counts.tolist() == expected[index].counts.tolist()
+                assert cm.separation == expected[index].separation
+                assert cm.total == expected[index].total
 
 
 class TestEstimate:
@@ -610,6 +721,28 @@ class TestEstimate:
         assert err.startswith(f"bispade: data error: {path}: cannot read file (")
         assert "can't decode byte 0xff" in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("names, named", [
+        (("good", "zero", "bad"), "{zero}: counts sum to zero"),
+        (("good", "bad", "missing"), "{bad}:3: negative count"),
+        (("missing", "bad"), "{missing}: cannot read file ("),
+    ], ids=["zero-before-bad", "bad-before-missing", "missing-before-bad"])
+    def test_the_first_bad_file_in_order_is_named(self, tmp_path, capsys, space7, names, named):
+        # every file is read before the first is checked, but each error is
+        # raised at its file's turn, a zero sum in between
+        files = {
+            "good": write_counts_file(tmp_path / "good.csv", space7, np.ones((7, 7)), 0.3),
+            "zero": write_counts_file(tmp_path / "zero.csv", space7, np.zeros((7, 7)), 0.3),
+            "bad": tmp_path / "bad.csv",
+            "missing": tmp_path / "missing.csv",
+        }
+        files["bad"].write_text(files["good"].read_text().replace("0,0,0,0,1", "0,0,0,0,-1"))
+        out = tmp_path / "out"
+        assert main(["estimate", *(str(files[name]) for name in names),
+                     "--out-dir", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("bispade: data error: " + named.format(**files))
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_malformed_file_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -952,6 +1085,19 @@ class TestSeparationCount:
         assert err.startswith("bispade: config error: ")
         assert all(name in err for name in ("sep-start", "sep-stop", "sep-step"))
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compare", "matrices"])
+    @pytest.mark.parametrize("stop", [0.3, np.nextafter(0.3, 1.0)], ids=["empty", "repeated"])
+    def test_a_step_below_the_float_spacing_is_a_config_error(self, tmp_path, capsys, command,
+                                                              stop):
+        # 0.3 + 1e-17 == 0.3: the grid would be empty or 0.3 six times
+        out = tmp_path / "out"
+        argv = [command, "--sep-start", "0.3", "--sep-stop", repr(float(stop)),
+                "--sep-step", "1e-17", "--trials", "2", "--out-dir", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("bispade: config error: sep-step 1e-17 is too small ")
+        assert "empty or repeat a separation" in err and not out.exists()
 
     def test_the_bound_itself_is_accepted(self):
         seps = RunConfig(sep_start=0.0, sep_stop=9999.0, sep_step=1.0).separations(0.0, 1.0, 1.0)
