@@ -121,6 +121,9 @@ def _runs(paths: list[Path], zeros: list[Path],
                                                   "--seed", str(seed)]
     # the first sweep again, on the forward maps the runs above left in the process
     runs["compare-sweep_k12-seed1-again"] = runs["compare-sweep_k12-seed1"]
+    # a seed of four 32-bit words: each cell master hashes a 6-word entropy,
+    # whose words past SeedSequence's 4-word pool are mixed into all four
+    runs["compare-seed-2-96"] = ["compare", *_SWEEP, "--seed", str(2**96 + 1)]
     runs["compare-default"] = ["compare"]
     errors = {
         "bad-gamma": ["compare", "--gamma", "-1"],

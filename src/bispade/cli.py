@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import locale
 import math
 import re
 import sys
@@ -263,20 +264,37 @@ def write_counts_file(
     separation: float | None = None,
     meta: dict | None = None,
 ) -> Path:
-    """Long-format counts file: one (idler, signal) mode tuple per row."""
+    """Long-format counts file: one (idler, signal) mode tuple per row.
+
+    Raises ValueError, before any byte is written, on what read_counts_file
+    refuses: counts that are not non-negative integers or that sum above 2**53,
+    a separation that is not finite, or a meta entry whose '# key = value' line
+    breaks in two or reads as a separation label.
+    """
     path = Path(path)
-    counts = np.asarray(counts)
-    if counts.shape != space.shape:
+    if np.shape(counts) != space.shape:
         raise ValueError("counts shape does not match the mode space")
+    matrix = CountMatrix(counts)
+    if matrix.total > _MAX_PHOTONS:
+        raise ValueError(
+            f"counts sum to {matrix.total}, above 2**53 = {_MAX_PHOTONS}, "
+            "where float64 counts stay exact"
+        )
     lines = []
     if separation is not None:
+        if not math.isfinite(separation):
+            raise ValueError(f"separation must be finite, got {separation!r}")
         lines.append(f"# separation = {_fmt(separation)}")
     for key, value in (meta or {}).items():
-        lines.append(f"# {key} = {value}")
+        line = f"# {key} = {value}"
+        if line.splitlines() != [line] or _separation_label(line) is not None:
+            raise ValueError(f"meta line {line!r} must be one line and no separation label")
+        lines.append(line)
     lines.append(_COLUMNS)
-    for (k, l, kp, lp), count in zip(_row_keys(space).tolist(), counts.ravel().tolist()):
-        lines.append(f"{k},{l},{kp},{lp},{int(count)}")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    for (k, l, kp, lp), count in zip(_row_keys(space).tolist(), matrix.counts.ravel().tolist()):
+        lines.append(f"{k},{l},{kp},{lp},{count}")
+    # encoded first, as open() encodes, so that an encoding error leaves no file
+    path.write_bytes(("\n".join(lines) + "\n").encode(locale.getpreferredencoding(False)))
     return path
 
 

@@ -91,8 +91,9 @@ class CountMatrix:
     def __post_init__(self):
         counts = np.asarray(self.counts)
         if counts.dtype.kind not in "iu":
-            if not np.all(np.isfinite(counts) & (counts == np.floor(counts))):
-                raise ValueError("counts must be finite integers")
+            if not np.all(np.isfinite(counts) & (counts == np.floor(counts))
+                          & (np.abs(counts) < 2.0**63)):
+                raise ValueError("counts must be finite integers within the int64 range")
             counts = counts.astype(np.int64)
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
@@ -631,77 +632,61 @@ def trial_seed(master_seed: int, trial: int) -> int:
 
 def _sub_seed(*entropy: int) -> int:
     # the one sub-seed rule: the first 32-bit word of numpy's SeedSequence of entropy;
-    # _sub_seeds is the same rule over many entropy tuples at once
+    # _seed_states is the same rule over many entropy tuples at once
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
 # numpy's SeedSequence hash and PCG64 seeding, fixed by NEP 19: the hash constants,
 # the 4-word pool and the 128-bit PCG64 multiplier
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 _POOL = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_OTHERS = [np.array([row for row in range(_POOL) if row != src]) for src in range(_POOL)]
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
 @lru_cache(maxsize=16)
-def _hash_steps(init: int, mult: int, rows: tuple[tuple[int, ...], ...]) -> tuple:
-    # the (xor, multiplier) constants of successive hashmix calls, one (2 x height x 1)
-    # uint32 array per vectorized step: step i hashes into the rows that rows[i] lists, in
-    # that order; the other rows of a step get constants 0 and their result is not read
-    const = init
-    steps = []
-    for hashed in rows:
-        step = np.zeros((2, max(map(len, rows)), 1), dtype=np.uint32)
-        for row in hashed:
-            after = const * mult & 0xFFFFFFFF
-            step[:, row, 0] = const, after
-            const = after
-        step.flags.writeable = False
-        steps.append(step)
-    return tuple(steps)
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    # the xor and multiplier constants of count successive hashmix calls, as one
+    # (2 x count x 1) uint32 table: each call multiplies by the next call's xor
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    table = np.array([chain[:-1], chain[1:]], dtype=np.uint32).reshape(2, count, 1)
+    table.flags.writeable = False
+    return table
 
 
-def _mix_steps(words: int) -> tuple:
-    # the steps of SeedSequence's mix_entropy over `words` entropy words: hash the pool's
-    # 4 words, hash each pool word s into the other three (word s kept), then hash each
-    # entropy word past the 4th into all four
-    whole = tuple(range(_POOL))
-    into_others = tuple(tuple(row for row in whole if row != src) for src in whole)
-    return _hash_steps(_INIT_A, _MULT_A, (whole, *into_others) + (whole,) * (words - _POOL))
-
-
-def _hashmix(values: np.ndarray, step: np.ndarray) -> np.ndarray:
-    # hashmix of values (one row, or one row per constant) under each constant of a step
-    v = (values ^ step[0]) * step[1]
-    return v ^ (v >> 16)
+def _hashmix(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    # hashmix of values (one row, or one row per call) under each call of a constants table
+    v = (values ^ constants[0]) * constants[1]
+    return v ^ (v >> _XSHIFT)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r = x * _MIX_L - y * _MIX_R
-    return r ^ (r >> 16)
+    return r ^ (r >> _XSHIFT)
 
 
-def _seed_pools(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence's mixed pool, (4 x seeds), of each column of a (words x seeds) uint32 array."""
-    words = len(entropy)
-    steps = _mix_steps(words)
+def _seed_states(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence(e).generate_state(n_words) of each column e of a (words x seeds) uint32 array.
+
+    numpy's mix_entropy and generate_state loop for loop, each step on every column at once.
+    """
+    constants = _hash_constants(_INIT_A, _MULT_A, _POOL * max(_POOL, len(entropy)))
     pool = np.zeros((_POOL, entropy.shape[1]), dtype=np.uint32)
-    pool[:words] = entropy[:_POOL]
-    pool = _hashmix(pool, steps[0])
-    for src in range(_POOL):
-        mixed = _mix(pool, _hashmix(pool[src], steps[1 + src]))
-        mixed[src] = pool[src]
-        pool = mixed
-    for src in range(_POOL, words):
-        pool = _mix(pool, _hashmix(entropy[src], steps[1 + src]))
-    return pool
-
-
-def _generate_state(pools: np.ndarray, n_words: int) -> np.ndarray:
-    """SeedSequence.generate_state(n_words) of each column of pools, as (n_words x seeds) uint32."""
-    step = _hash_steps(_INIT_B, _MULT_B, (tuple(range(n_words)),))[0]
-    return _hashmix(pools[np.arange(n_words) % _POOL], step)
+    pool[:len(entropy)] = entropy[:_POOL]  # zeros past the last entropy word
+    pool = _hashmix(pool, constants[:, :_POOL])
+    call = _POOL
+    for src in range(_POOL):  # each pool word into the other three
+        others = _OTHERS[src]
+        pool[others] = _mix(pool[others], _hashmix(pool[src], constants[:, call:call + 3]))
+        call += 3
+    for src in range(_POOL, len(entropy)):  # each further entropy word into all four
+        pool = _mix(pool, _hashmix(entropy[src], constants[:, call:call + _POOL]))
+        call += _POOL
+    cycled = pool[np.arange(n_words) % _POOL]  # generate_state reads the pool cyclically
+    return _hashmix(cycled, _hash_constants(_INIT_B, _MULT_B, n_words))
 
 
 def _seed_words(seed) -> list[int]:
@@ -715,28 +700,14 @@ def _seed_words(seed) -> list[int]:
     return words
 
 
-def _sub_seeds(prefixes: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
-    """_sub_seed(*p, *i) of each column p of a (words x n) uint32 array and each index i < counts.
-
-    One vectorized pass; the result is an (n,) + counts uint32 array. Every index is
-    one word (an index of 2**32 or more would be two).
-    """
-    index = np.indices(counts, dtype=np.uint32).reshape(len(counts), 1, -1)
-    entropy = np.empty((len(prefixes) + len(counts), prefixes.shape[1], index.shape[2]),
-                       dtype=np.uint32)
-    entropy[:len(prefixes)] = prefixes[:, :, None]
-    entropy[len(prefixes):] = index
-    seeds = _generate_state(_seed_pools(entropy.reshape(len(entropy), -1)), 1)[0]
-    return seeds.reshape((prefixes.shape[1],) + counts)
-
-
 def _cell_masters(seed: int, methods: int, seps: int) -> list[int]:
     """_sub_seed(seed, m, c), the master of the compare cell of method m at separation c.
 
     Every m < methods and c < seps, method-major, in one vectorized pass.
     """
-    words = np.array(_seed_words(seed), dtype=np.uint32)[:, None]
-    return _sub_seeds(words, (methods, seps)).ravel().tolist()
+    index = np.indices((methods, seps), dtype=np.uint32).reshape(2, -1)
+    words = np.array(_seed_words(seed), dtype=np.uint32)[:, None].repeat(index.shape[1], axis=1)
+    return _seed_states(np.vstack([words, index]), 1)[0].tolist()
 
 
 def _check_trials(trials) -> None:
@@ -756,9 +727,9 @@ def _trial_states(masters: Sequence[int], trials: int) -> np.ndarray:
     words = [_seed_words(m) for m in masters]
     for size in sorted({len(w) for w in words}):
         cells = [c for c, w in enumerate(words) if len(w) == size]
-        prefixes = np.array([words[c] for c in cells], dtype=np.uint32).T
-        seeds = _sub_seeds(prefixes, (trials,)).reshape(1, -1)
-        halves = _generate_state(_seed_pools(seeds), 8).astype(np.uint64)
+        prefixes = np.array([words[c] for c in cells], dtype=np.uint32).T.repeat(trials, axis=1)
+        index = np.tile(np.arange(trials, dtype=np.uint32), len(cells))
+        halves = _seed_states(_seed_states(np.vstack([prefixes, index]), 1), 8).astype(np.uint64)
         states[cells] = (halves[0::2] | halves[1::2] << 32).T.reshape(len(cells), trials, 4)
     return states
 

@@ -1,4 +1,5 @@
 import argparse
+import math
 from dataclasses import fields
 from unittest import mock
 
@@ -312,6 +313,65 @@ class TestCountsIo:
         with pytest.raises(ValueError, match="^counts shape does not match the mode space$"):
             write_counts_file(tmp_path / "c.csv", space7, np.ones((7, 6), dtype=np.int64))
         assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("counts, separation, meta, message", [
+        (np.full((2, 2), 2.7), None, None, "finite integers"),
+        (np.full((2, 2), 1e19), None, None, "finite integers"),
+        (np.full((2, 2), -3), None, None, "non-negative"),
+        (np.full((2, 2), 2**64 - 1, dtype=np.uint64), None, None, "above 2\\*\\*53"),
+        (np.full((2, 2), 2**51 + 1), None, None, "above 2\\*\\*53"),
+        (np.ones((2, 2)), math.nan, None, "separation must be finite, got nan"),
+        (np.ones((2, 2)), math.inf, None, "separation must be finite, got inf"),
+        (np.ones((2, 2)), None, {"note": "a\n0,0,0,0,5"}, "must be one line"),
+        (np.ones((2, 2)), None, {"note": "a\u2028"}, "must be one line"),
+        (np.ones((2, 2)), 0.2, {"separation": "0.3"}, "no separation label"),
+        (np.ones((2, 2)), None, {" separation ": "x"}, "no separation label"),
+        (np.ones((2, 2)), None, {"note": "\udc80"}, "surrogates not allowed"),
+    ])
+    def test_write_refuses_what_the_reader_refuses(self, tmp_path, counts, separation, meta,
+                                                   message):
+        # before any byte is written, so no file is left behind
+        space = bp.ModeSpace(idler=((0, 0), (1, 0)), signal=((0, 0), (0, 1)))
+        with pytest.raises(ValueError, match=message):
+            write_counts_file(tmp_path / "c.csv", space, counts, separation, meta)
+        assert not (tmp_path / "c.csv").exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_what_the_writer_accepts_reads_back(self, tmp_path_factory, data):
+        space = bp.ModeSpace(idler=((0, 0), (1, 0)), signal=((0, 0), (0, 1)))
+        dtype = data.draw(st.sampled_from([np.int64, np.uint64, np.float64]))
+        count = st.integers(0, 2**50) | st.sampled_from([-1, 2**53, 2**63 - 1, 2**64 - 1])
+        if dtype is np.float64:
+            count = count.map(float) | st.floats(allow_nan=True, allow_infinity=True)
+        else:
+            low, high = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+            count = (count | st.integers(low, high)).filter(lambda v: low <= v <= high)
+        counts = np.array(data.draw(st.lists(count, min_size=4, max_size=4)),
+                          dtype=dtype).reshape(space.shape)
+        separation = data.draw(st.none() | st.floats())
+        breaks = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+        meta = data.draw(st.dictionaries(
+            st.sampled_from(["lab", "note", "separation", " separation", "sep=aration"]),
+            st.text(max_size=6) | st.text(breaks, min_size=1, max_size=2)))
+        path = tmp_path_factory.mktemp("write") / "c.csv"
+        # the rules of the reader, stated independently
+        readable = (np.isfinite(counts).all() and (counts == np.floor(counts)).all()
+                    and (counts >= 0).all() and sum(map(int, counts.ravel())) <= 2**53
+                    and (separation is None or math.isfinite(separation))
+                    and not any(key.partition("=")[0].strip() == "separation"
+                                or set(f"{key}{value}") & set(breaks)
+                                for key, value in meta.items()))
+        try:
+            write_counts_file(path, space, counts, separation, meta)
+        except ValueError:
+            assert not readable
+            assert not path.exists()
+            return
+        assert readable
+        cm = read_counts_file(path, space)
+        np.testing.assert_array_equal(cm.counts, counts)
+        assert cm.separation == (None if separation is None else float(_fmt(separation)))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "abc"])
     def test_non_finite_separation_rejected(self, tmp_path, space7, value):
@@ -782,7 +842,10 @@ class TestEstimate:
         space = bp.ModeSpace.grid()
         counts = np.ones(space.shape, dtype=np.int64)
         files = [write_counts_file(tmp_path / f"{name}.csv", space, counts, separation=d)
-                 for name, d in (("a", 0.1), ("b", 0.2), ("bad", float(value)))]
+                 for name, d in (("a", 0.1), ("b", 0.2))]
+        # by hand: the writer refuses a label the reader refuses
+        files.append(tmp_path / "bad.csv")
+        files[-1].write_text(files[0].read_text().replace("= 0.1", f"= {value}"))
         code = main(["estimate", *map(str, files), "--calibrate",
                      "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_DATA

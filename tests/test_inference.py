@@ -1226,3 +1226,20 @@ class TestTrialDraws:
             bp.trial_seed(seed, 0)
         with pytest.raises(error):
             bp.mc_standard_error("direct_gaussian", 0.15, 100, 0.3, 4, seed=seed)
+
+
+_WORD = st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns=st.integers(1, 8).flatmap(
+           lambda words: st.lists(st.lists(_WORD, min_size=words, max_size=words),
+                                  min_size=1, max_size=4)),
+       n_words=st.sampled_from([1, 8]))
+def test_seed_states_match_numpy_seed_sequence(columns, n_words):
+    # each entropy word past the 4-word pool is mixed into all four pool words;
+    # the callers reach that only with seeds of 3 and masters of 4 or more words
+    entropy = np.array(columns, dtype=np.uint32).T
+    expected = [np.random.SeedSequence(column).generate_state(n_words) for column in columns]
+    np.testing.assert_array_equal(inference._seed_states(entropy, n_words),
+                                  np.array(expected).T)

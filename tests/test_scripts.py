@@ -42,7 +42,8 @@ def test_output_digest_lines(capsys):
     assert len(set(names)) == len(names)
     for name in ("compare-default/compare.csv", "estimate-calibrate/estimates.csv",
                  "matrices/matrix_04.csv", "crlb-curves/crlb_curves.csv", "estimate-help/stdout",
-                 "compare-sweep_k51-seed3/compare.csv", "error-negative-seed/stderr"):
+                 "compare-sweep_k51-seed3/compare.csv", "compare-seed-2-96/compare.csv",
+                 "error-negative-seed/stderr"):
         assert name in names
     # a nan separation label is a data error: exit code 2
     exit_two = hashlib.sha256(b"2").hexdigest()
@@ -65,6 +66,7 @@ def test_output_digest_lines(capsys):
     assert f"estimate-hand-edited/exit {exit_zero}" in lines
     assert f"estimate-reordered/exit {exit_zero}" in lines
     assert f"estimate-config-calibrate-no/exit {exit_zero}" in lines
+    assert f"compare-seed-2-96/exit {exit_zero}" in lines
     # a measurement revisited in the same process writes the same table
     digests = dict(line.split() for line in lines)
     assert (digests["compare-sweep_k12-seed1-again/compare.csv"]
