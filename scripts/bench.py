@@ -17,10 +17,11 @@ as ``estimate`` reads them). End to end it times
 ``estimate --calibrate`` of the same 29 files. It also counts, per map kind
 (spade, direct imaging), the lockstep refinement passes of the fits and the
 forward evaluations (``model._spade_probs`` and ``model._pixel_probs`` calls,
-and the separations they evaluate) in 30 ``compare`` jobs at the benchmark's
-sweep_k12 setting, run in one process on emptied map caches, and the spade
-forward evaluations of an ``estimate --calibrate`` job over the 29 files: the
-first job on emptied map caches, then the mean of 10 more in the same process.
+and the separations they evaluate) of ``compare`` jobs at the benchmark's
+sweep_k12 setting, and the spade forward evaluations of an ``estimate
+--calibrate`` job over the 29 files. Each is counted for the first job on
+emptied map caches, then as the mean of more jobs in the same process: 29
+more sweep jobs at other seeds, 10 more estimate jobs.
 
 Every timing uses ``time.perf_counter`` on inputs fixed in this file, after
 one untimed call. A sample is the mean of a fixed number of calls. Each item
@@ -65,6 +66,7 @@ STEP = 0.0465
 SWEEP = ["compare", "--gamma", "0.15", "--modes-k", "6", "--modes-l", "0", "--photons",
          "37000", "--trials", "8", "--sep-start", "0.0465", "--sep-stop", "1.209",
          "--sep-step", "0.2325"]
+# seeds of the counted sweep jobs: the first is the cold job, the others warm jobs
 SWEEP_JOBS = range(1, 31)
 # warm estimate --calibrate jobs counted after the cold one
 ESTIMATE_JOBS = 10
@@ -219,11 +221,11 @@ def _counting_forward(counts: dict):
 def sweep_counts(root: Path) -> dict:
     # lockstep passes of each _fit call: every pass adds one iteration to each row
     # still refining, so the passes are the most iterations of any row; a pixel
-    # map has 1-D outcomes, a mode-space map 2-D ones. The maps start cold, as in a
-    # fresh process, so that the layer timings above do not warm them.
-    counts = {f"{kind}_{item}": 0 for kind in ("direct", "spade")
-              for item in ("passes", "forward_calls", "forward_rows")}
+    # map has 1-D outcomes, a mode-space map 2-D ones. The first job starts on
+    # emptied map caches, as in a fresh process, so that the layer timings above
+    # do not warm it; the later jobs run on the maps it left.
     fit = inference._fit
+    counts = {}
 
     def counting_fit(obs, forward):
         fits = fit(obs, forward)
@@ -233,15 +235,20 @@ def sweep_counts(root: Path) -> dict:
 
     bp.spade_forward.cache_clear()
     bp.direct_forward.cache_clear()
+    out = {}
     inference._fit = counting_fit
     try:
-        with _counting_forward(counts):
-            for seed in SWEEP_JOBS:
-                _run([*SWEEP, "--seed", str(seed), "--out-dir", str(root / "sweep")])
+        for label, seeds in (("cold_job", SWEEP_JOBS[:1]), ("warm_job", SWEEP_JOBS[1:])):
+            counts.update({f"{kind}_{item}": 0 for kind in ("direct", "spade")
+                           for item in ("passes", "forward_calls", "forward_rows")})
+            with _counting_forward(counts):
+                for seed in seeds:
+                    _run([*SWEEP, "--seed", str(seed), "--out-dir", str(root / "sweep")])
+            out.update({f"{name}_per_sweep_k12_{label}": count / len(seeds)
+                        for name, count in counts.items()})
     finally:
         inference._fit = fit
-    jobs = len(SWEEP_JOBS)
-    return {f"{name}_per_sweep_k12_job": count / jobs for name, count in counts.items()}
+    return out
 
 
 def estimate_counts(root: Path, files: list[Path]) -> dict:

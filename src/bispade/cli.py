@@ -350,16 +350,16 @@ def _read_written(texts: list[str], space: ModeSpace) -> list[CountMatrix | None
     rows_text = "".join([bodies[j] for j in passed]).replace("\n", ",")
     rows = np.fromstring(rows_text, dtype=np.int64, sep=",").reshape(len(passed), len(keys), 5)
     in_order = (rows[:, :, :4] == keys).all(axis=(1, 2))
-    counts = rows[in_order, :, 4].reshape(-1, *space.shape)
+    counts = rows[in_order, :, 4]  # (files, len(keys)), each count a non-negative int64
+    totals = map(sum, counts.tolist())  # exact: an int64 sum wraps past 2**63
     found: list[CountMatrix | None] = [None] * len(texts)
-    for j, file_counts in zip(passed[in_order].tolist(), counts):
+    for j, file_counts, total in zip(passed[in_order].tolist(),
+                                     counts.reshape(len(counts), *space.shape), totals):
         labels = [label for line in heads[j].splitlines()
                   if (label := _separation_label(line.strip())) is not None]
-        if not all(map(math.isfinite, labels)):
-            continue
-        matrix = CountMatrix(file_counts, labels[-1] if labels else None)
-        if matrix.total <= _MAX_PHOTONS:
-            found[taken[j]] = matrix
+        if all(map(math.isfinite, labels)) and total <= _MAX_PHOTONS:
+            found[taken[j]] = CountMatrix._proved(file_counts, labels[-1] if labels else None,
+                                                  total)
     return found
 
 
@@ -502,12 +502,13 @@ def cmd_estimate(cfg: RunConfig, args: argparse.Namespace) -> list[tuple]:
         calibration = fit_calibration(labeled, forward)
     obs = np.stack([cm.counts.ravel() for _, cm in datasets]).astype(float)
     fits = _fit(obs, forward.calibrated(calibration))
+    schmidt_k = model.schmidt_number
     rows = []
-    for i, (_, cm) in enumerate(datasets):
+    for i, ((_, cm), d_hat, loglik) in enumerate(zip(datasets, fits.d_hat.tolist(),
+                                                     fits.log_likelihood.tolist())):
         label = "" if cm.separation is None else _fmt(cm.separation)
-        d_hat, bound = fits.d_hat[i], crlb(model.schmidt_number, cm.total)
-        rows.append(f"{label},{_fmt(d_hat)},{_fmt(2.0 * d_hat)},{_fmt(fits.log_likelihood[i])},"
-                    f"{_fmt(bound)},{';'.join(fits.flags(i)) or 'ok'}")
+        rows.append(f"{label},{_fmt(d_hat)},{_fmt(2.0 * d_hat)},{_fmt(loglik)},"
+                    f"{_fmt(crlb(schmidt_k, cm.total))},{';'.join(fits.flags(i)) or 'ok'}")
     extra = {
         "calibrate": cfg.calibrate,
         "files": len(datasets),

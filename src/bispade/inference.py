@@ -101,6 +101,13 @@ class CountMatrix:
         # a Python sum: an int64 sum wraps past 2**63
         object.__setattr__(self, "total", sum(counts.ravel().tolist()))
 
+    @classmethod
+    def _proved(cls, counts: np.ndarray, separation: float | None, total: int) -> CountMatrix:
+        # int64 counts already proved non-negative, with their exact sum: no checks, no sum
+        matrix = object.__new__(cls)
+        vars(matrix).update(counts=counts, separation=separation, total=total)
+        return matrix
+
 
 @dataclass(frozen=True)
 class FisherReport:
@@ -430,7 +437,8 @@ def fit_calibration(
     datasets pairs known separations with their counts. Outcomes whose model
     probability never varies across the separations are rank deficient; they
     get alpha = 1, beta = mean residual, and a mark in the degenerate mask.
-    alpha is clipped at 0 and beta to [0, 1].
+    alpha is clipped at 0 and beta to [0, 1]. The model rows are the map's kept
+    rows (_ForwardMap.rows): a shared map evaluates none at repeated separations.
     """
     if len(datasets) < 2:
         raise ValueError("need at least two labeled datasets")
@@ -442,10 +450,11 @@ def fit_calibration(
     shape = datasets[0][1].counts.shape
     if any(cm.counts.shape != shape for _, cm in datasets):
         raise ValueError("datasets must share a counts shape")
-    x, _ = _as_map(forward).batch(np.array(seps), False)
+    x = _as_map(forward).rows(np.array(seps))
     if x.shape[1] != math.prod(shape):
         raise ValueError("forward model size does not match the counts")
-    y = np.stack([cm.counts.ravel() / cm.total for _, cm in datasets])
+    totals = np.array([cm.total for _, cm in datasets], dtype=float)
+    y = np.stack([cm.counts.ravel() for _, cm in datasets]) / totals[:, None]
     x_mean = x.mean(axis=0)
     y_mean = y.mean(axis=0)
     sxx = ((x - x_mean) ** 2).sum(axis=0)
@@ -471,6 +480,10 @@ class _ForwardMap:
     rows, the d-derivatives None unless derivative is true. The map keeps, for
     its lifetime, the grid rows, the d-derivatives at the grid points a fit has
     asked for, and the rows at 0 and _CURVE_STEP; calling it builds none of them.
+    It also keeps the rows of the last rows(d) call (the truth rows of Monte-Carlo
+    cells, the model rows of a calibration), one (separations x outcomes) array,
+    0.8 MB for 2,000 separations on the 7x7 space: repeated jobs at one setting
+    in one process read them again; a one-shot command-line run gains nothing.
     A calibrated map (calibrated) is a view of its base map: its rows, of a batch
     pass or kept, are the base map's rows passed through _calibrate_rows. Its kept
     rows are calibrated from the base map's, which the base map builds only once,
@@ -528,6 +541,21 @@ class _ForwardMap:
             known[new] = True
         return table[index]
 
+    def rows(self, d: np.ndarray) -> np.ndarray:
+        """batch(d, False)[0] for a 1-D float array d, read-only, kept for the last d.
+
+        Keyed by the bytes of d, so -0.0 is not 0.0; a forward row does not depend
+        on its batch. The (key, rows) pair is read once and replaced whole, so a
+        caller never pairs one key with another call's rows.
+        """
+        key = d.tobytes()
+        kept = vars(self).get("_kept_rows")
+        if kept is None or kept[0] != key:
+            kept = (key, self.batch(d, False)[0])
+            kept[1].flags.writeable = False
+            vars(self)["_kept_rows"] = kept
+        return kept[1]
+
     @cached_property
     def curve_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(probabilities, d-derivatives) at d = 0 and _CURVE_STEP, read-only."""
@@ -584,8 +612,9 @@ def _as_map(forward, step: float = _DIFF_STEP) -> _ForwardMap:
 # One map per measurement and process, so its grid tables are built once: equal
 # arguments, passed the same way, return the same map. Once fits have read them,
 # a map holds up to three tables of 200 x outcomes floats (probabilities, their
-# logs, the slopes filled so far), 6.6 MB for a 37x37 space; a full cache of
-# eight such maps holds up to 53 MB.
+# logs, the slopes filled so far), 6.6 MB for a 37x37 space, and the rows at its
+# last separations (rows); a full cache of eight such maps holds up to 53 MB
+# besides those rows.
 @lru_cache(maxsize=8)
 def spade_forward(
     model: SchmidtModel, space: ModeSpace, renormalize: bool = True
@@ -778,27 +807,22 @@ def _mc_cells(method, n_photons, seps, states, forward) -> list[MonteCarloResult
     states holds, for the cell at seps[i], the _trial_states row of its master seed:
     its trial t draws exactly sample_counts(truth, n_photons, trial_seed(master, t)),
     on one Generator set to the PCG64 state default_rng of that sub-seed starts from.
-    The cells share one grid table of forward. Every cell's truth vector comes
-    from one batched forward evaluation and all are checked at once, as
-    sample_counts checks one. Consecutive whole cells share one _fit call of at
-    most _FIT_ROWS rows (a cell with more trials is fitted alone); rows fit
-    independently, so the grouping changes no result. The cells' statistics
-    are reduced along the trials of one (cells x trials) array (_cell_results).
+    The cells share one grid table of forward. The truth rows are the ones forward
+    keeps at seps (_ForwardMap.rows: one batch pass, none for a shared map's repeated
+    seps), all checked at every call, as sample_counts checks one. Consecutive
+    whole cells share one _fit call of at most _FIT_ROWS rows (a cell with more
+    trials is fitted alone); rows fit independently, so the grouping changes no
+    result. The cells' statistics are reduced along the trials of one
+    (cells x trials) array (_cell_results).
     """
     seps = np.asarray(seps, dtype=float)
     trials = states.shape[1]
-    truths, _ = forward.batch(seps, False)
-    weights = _normalized(truths)
+    weights = _normalized(forward.rows(seps))
     # made here, not at import: numpy.random loads on first use
     rng = np.random.default_rng(0)
     bit_generator = rng.bit_generator
     pcg = {"state": 0, "inc": 0}
     setting = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-
-    def draw(cell, words):
-        pcg["state"], pcg["inc"] = _pcg64_state(*words)
-        bit_generator.state = setting
-        return _draw(weights[cell], n_photons, rng)
 
     d_hat = np.empty((len(seps), trials))
     boundary = np.empty((len(seps), trials), dtype=bool)
@@ -806,9 +830,14 @@ def _mc_cells(method, n_photons, seps, states, forward) -> list[MonteCarloResult
     cells_per_fit = max(1, _FIT_ROWS // trials)
     for first in range(0, len(seps), cells_per_fit):
         cells = range(first, min(first + cells_per_fit, len(seps)))
-        obs = _checked_draws(np.array(
-            [draw(c, words) for c in cells for words in states[c].tolist()], dtype=float
-        ), n_photons)
+        draws = []
+        for c in cells:
+            truth = weights[c]
+            for words in states[c].tolist():
+                pcg["state"], pcg["inc"] = _pcg64_state(*words)
+                bit_generator.state = setting
+                draws.append(_draw(truth, n_photons, rng))
+        obs = _checked_draws(np.array(draws, dtype=float), n_photons)
         fits = _fit(obs, forward)
         fitted = slice(first, cells.stop)
         d_hat[fitted] = fits.d_hat.reshape(-1, trials)

@@ -71,6 +71,8 @@ def test_output_digest_lines(capsys):
     digests = dict(line.split() for line in lines)
     assert (digests["compare-sweep_k12-seed1-again/compare.csv"]
             == digests["compare-sweep_k12-seed1/compare.csv"])
+    assert (digests["estimate-calibrate-again/estimates.csv"]
+            == digests["estimate-calibrate/estimates.csv"])
 
 
 def test_bench_runs_every_item_once(tmp_path, monkeypatch, capsys):
@@ -82,7 +84,7 @@ def test_bench_runs_every_item_once(tmp_path, monkeypatch, capsys):
         return bench._summary([0.0], unit)
 
     monkeypatch.setattr(bench, "_time", once)
-    monkeypatch.setattr(bench, "SWEEP_JOBS", range(1, 2))
+    monkeypatch.setattr(bench, "SWEEP_JOBS", range(1, 3))
     monkeypatch.setattr(bench, "ESTIMATE_JOBS", 2)
     out = tmp_path / "bench.json"
     assert bench.run(["--label", "smoke", "--out", str(out)]) == 0
@@ -94,12 +96,17 @@ def test_bench_runs_every_item_once(tmp_path, monkeypatch, capsys):
     assert result["environment"]["cpu_count"] >= 1
     counts = result["counts"]
     for kind in ("direct", "spade"):
-        for item in ("passes", "forward_calls", "forward_rows"):
-            assert counts[f"{kind}_{item}_per_sweep_k12_job"] > 0
-    # a warm estimate --calibrate job evaluates its calibration rows and later passes,
-    # not the grid table a cold job builds
+        for job in ("cold_job", "warm_job"):
+            for item in ("passes", "forward_calls", "forward_rows"):
+                assert counts[f"{kind}_{item}_per_sweep_k12_{job}"] > 0
+        # a warm sweep job evaluates its fits' later passes, not the grid tables
+        # and truth rows a cold job builds (the passes, and so the calls, vary by seed)
+        assert (counts[f"{kind}_forward_rows_per_sweep_k12_cold_job"]
+                > counts[f"{kind}_forward_rows_per_sweep_k12_warm_job"] + 200)
+    # so does a warm estimate --calibrate job: no grid table and no calibration rows
     for item in ("calls", "rows"):
         cold = counts[f"spade_forward_{item}_per_estimate_cold_job"]
         warm = counts[f"spade_forward_{item}_per_estimate_warm_job"]
         assert cold > warm > 0
     assert counts["spade_forward_rows_per_estimate_cold_job"] > 200
+    assert len(counts) == 2 * 2 * 3 + 2 * 2
