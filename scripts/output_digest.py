@@ -106,8 +106,6 @@ def _runs(paths: list[Path], zeros: list[Path],
     runs["matrices-l1"] = ["matrices", "--modes-k", "2", "--modes-l", "1", "--gamma", "0.3"]
     runs["estimate"] = ["estimate", *files, "--gamma", "0.15"]
     runs["estimate-calibrate"] = ["estimate", *files, "--calibrate", "--gamma", "0.15"]
-    # the same job again, on the calibration rows the first one left on the shared map
-    runs["estimate-calibrate-again"] = runs["estimate-calibrate"]
     runs["estimate-calibrate-zero"] = ["estimate", *files, *map(str, zeros), "--calibrate",
                                        "--gamma", "0.15"]
     runs["estimate-space-mismatch"] = ["estimate", files[0], "--modes-l", "1"]

@@ -420,15 +420,21 @@ def _read_lines(text: str, path: str | Path, space: ModeSpace) -> CountMatrix:
 def _read_counts_files(paths: list[str | Path], space: ModeSpace) -> typing.Iterator[CountMatrix]:
     # the CountMatrix of each file of paths, in order: every file is opened
     # first and every file in the written layout read in one pass, while each
-    # error, a read error included, is raised at its file's turn
+    # error, a read error included, is raised at its file's turn. A file is read
+    # as open() reads it in text mode, without its TextIOWrapper: decoded whole
+    # in the locale's encoding, then with universal newlines
     texts, errors = [], {}
+    encoding = locale.getpreferredencoding(False)
     for index, path in enumerate(paths):
         try:
-            with open(path) as handle:
-                texts.append(handle.read().removeprefix("\ufeff"))
+            with open(path, "rb", buffering=0) as handle:
+                text = handle.read().decode(encoding)
         except (OSError, UnicodeDecodeError) as exc:
             errors[index] = exc
-            texts.append("")
+            text = ""
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        texts.append(text.removeprefix("\ufeff"))
     for index, (path, text, matrix) in enumerate(zip(paths, texts, _read_written(texts, space))):
         if index in errors:
             exc = errors[index]

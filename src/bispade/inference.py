@@ -397,13 +397,10 @@ def _fit(obs: np.ndarray, forward: _ForwardMap) -> _Fits:
         information = photons * (slopes * ratio).sum(axis=1)
         lo = np.where(score > 0.0, at, lo)
         hi = np.where(score < 0.0, at, hi)
-        step = np.divide(score, information, out=np.zeros_like(score), where=information > 0.0)
-        newton = (
-            (information > 0.0)
-            & (at + step > lo)
-            & (at + step < hi)
-            & (np.abs(step) <= 0.5 * last_step)
-        )
+        informed = information > 0.0
+        step = np.divide(score, information, out=np.zeros_like(score), where=informed)
+        moved = at + step
+        newton = informed & (moved > lo) & (moved < hi) & (np.abs(step) <= 0.5 * last_step)
         step = np.where(newton, step, 0.5 * (lo + hi) - at)
         done = np.abs(step) < 1e-3 * _REFINE_TOL
         # a row ends at this pass's point once it is done or out of passes
@@ -437,8 +434,7 @@ def fit_calibration(
     datasets pairs known separations with their counts. Outcomes whose model
     probability never varies across the separations are rank deficient; they
     get alpha = 1, beta = mean residual, and a mark in the degenerate mask.
-    alpha is clipped at 0 and beta to [0, 1]. The model rows are the map's kept
-    rows (_ForwardMap.rows): a shared map evaluates none at repeated separations.
+    alpha is clipped at 0 and beta to [0, 1].
     """
     if len(datasets) < 2:
         raise ValueError("need at least two labeled datasets")
@@ -450,7 +446,7 @@ def fit_calibration(
     shape = datasets[0][1].counts.shape
     if any(cm.counts.shape != shape for _, cm in datasets):
         raise ValueError("datasets must share a counts shape")
-    x = _as_map(forward).rows(np.array(seps))
+    x, _ = _as_map(forward).batch(np.array(seps), False)
     if x.shape[1] != math.prod(shape):
         raise ValueError("forward model size does not match the counts")
     totals = np.array([cm.total for _, cm in datasets], dtype=float)
@@ -480,10 +476,6 @@ class _ForwardMap:
     rows, the d-derivatives None unless derivative is true. The map keeps, for
     its lifetime, the grid rows, the d-derivatives at the grid points a fit has
     asked for, and the rows at 0 and _CURVE_STEP; calling it builds none of them.
-    It also keeps the rows of the last rows(d) call (the truth rows of Monte-Carlo
-    cells, the model rows of a calibration), one (separations x outcomes) array,
-    0.8 MB for 2,000 separations on the 7x7 space: repeated jobs at one setting
-    in one process read them again; a one-shot command-line run gains nothing.
     A calibrated map (calibrated) is a view of its base map: its rows, of a batch
     pass or kept, are the base map's rows passed through _calibrate_rows. Its kept
     rows are calibrated from the base map's, which the base map builds only once,
@@ -541,21 +533,6 @@ class _ForwardMap:
             known[new] = True
         return table[index]
 
-    def rows(self, d: np.ndarray) -> np.ndarray:
-        """batch(d, False)[0] for a 1-D float array d, read-only, kept for the last d.
-
-        Keyed by the bytes of d, so -0.0 is not 0.0; a forward row does not depend
-        on its batch. The (key, rows) pair is read once and replaced whole, so a
-        caller never pairs one key with another call's rows.
-        """
-        key = d.tobytes()
-        kept = vars(self).get("_kept_rows")
-        if kept is None or kept[0] != key:
-            kept = (key, self.batch(d, False)[0])
-            kept[1].flags.writeable = False
-            vars(self)["_kept_rows"] = kept
-        return kept[1]
-
     @cached_property
     def curve_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(probabilities, d-derivatives) at d = 0 and _CURVE_STEP, read-only."""
@@ -612,9 +589,8 @@ def _as_map(forward, step: float = _DIFF_STEP) -> _ForwardMap:
 # One map per measurement and process, so its grid tables are built once: equal
 # arguments, passed the same way, return the same map. Once fits have read them,
 # a map holds up to three tables of 200 x outcomes floats (probabilities, their
-# logs, the slopes filled so far), 6.6 MB for a 37x37 space, and the rows at its
-# last separations (rows); a full cache of eight such maps holds up to 53 MB
-# besides those rows.
+# logs, the slopes filled so far), 6.6 MB for a 37x37 space; a full cache of
+# eight such maps holds up to 53 MB.
 @lru_cache(maxsize=8)
 def spade_forward(
     model: SchmidtModel, space: ModeSpace, renormalize: bool = True
@@ -807,17 +783,17 @@ def _mc_cells(method, n_photons, seps, states, forward) -> list[MonteCarloResult
     states holds, for the cell at seps[i], the _trial_states row of its master seed:
     its trial t draws exactly sample_counts(truth, n_photons, trial_seed(master, t)),
     on one Generator set to the PCG64 state default_rng of that sub-seed starts from.
-    The cells share one grid table of forward. The truth rows are the ones forward
-    keeps at seps (_ForwardMap.rows: one batch pass, none for a shared map's repeated
-    seps), all checked at every call, as sample_counts checks one. Consecutive
-    whole cells share one _fit call of at most _FIT_ROWS rows (a cell with more
-    trials is fitted alone); rows fit independently, so the grouping changes no
-    result. The cells' statistics are reduced along the trials of one
-    (cells x trials) array (_cell_results).
+    The cells share one grid table of forward. Every cell's truth vector comes
+    from one batched forward evaluation and all are checked at once, as
+    sample_counts checks one. Consecutive whole cells share one _fit call of at
+    most _FIT_ROWS rows (a cell with more trials is fitted alone); rows fit
+    independently, so the grouping changes no result. The cells' statistics
+    are reduced along the trials of one (cells x trials) array (_cell_results).
     """
     seps = np.asarray(seps, dtype=float)
     trials = states.shape[1]
-    weights = _normalized(forward.rows(seps))
+    truths, _ = forward.batch(seps, False)
+    weights = _normalized(truths)
     # made here, not at import: numpy.random loads on first use
     rng = np.random.default_rng(0)
     bit_generator = rng.bit_generator

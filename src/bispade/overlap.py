@@ -98,14 +98,13 @@ def _overlap_amplitudes(n: int, d: np.ndarray) -> np.ndarray:
         amp -= 0.5 * x[:, None, None]
         np.exp(amp, out=amp)
         amp *= lag.reshape((n + 1) ** 2, len(d))[cells].transpose(2, 0, 1)
-    zero = x == 0.0
-    if zero.any():
-        amp[zero] = np.eye(n + 1)
+    if not x.all():
+        amp[x == 0.0] = np.eye(n + 1)
     if not np.isfinite(amp).all():
         raise NumericalError(f"overlap table overflows for mode orders up to {n}")
     negative = d < 0.0
     flip = odd & (below != negative[:, None, None]) if negative.any() else odd_below
-    return np.where(flip, -amp, amp)
+    return np.negative(amp, out=amp, where=flip)
 
 
 def displaced_overlap(m: int, n: int, d: float, sign: int = 1) -> float:

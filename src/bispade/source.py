@@ -53,8 +53,9 @@ def _finite_positive(value) -> bool:
 
 
 def _is_integer(value) -> bool:
-    # a Python or numpy integer, but not a bool
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # a Python or numpy integer, but not a bool; a plain int skips the slower ABC check
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 def _checked_gamma(gamma) -> float:

@@ -654,6 +654,29 @@ class TestCountsIo:
         assert main(["estimate", str(bom), "--out-dir", str(out)]) == EXIT_OK
         assert (out / "estimates.csv").exists()
 
+    @pytest.mark.parametrize("data", [
+        b"a\r\nb\rc\n\r\r\nd\r", b"\r", b"\r\n\r", b"\xef\xbb\xbf# x\r\n", b"",
+        b"# separation = 0.3\xff\n", b"ok\r\n\xe2\x82", b"\xc3\x28\r\n",
+    ], ids=["mixed", "cr", "crlf-cr", "bom-crlf", "empty", "bad-byte", "cut-char", "bad-pair"])
+    def test_files_are_read_as_text_mode_reads_them(self, tmp_path, space7, data):
+        # the binary read decodes in the locale's encoding and translates newlines
+        # as open() in text mode does: the same text, or the same decode error
+        path = tmp_path / "f.csv"
+        path.write_bytes(data)
+        try:
+            with open(path) as handle:
+                expected = handle.read().removeprefix("\ufeff")
+        except UnicodeDecodeError as exc:
+            expected = f"{path}: cannot read file ({exc})"
+        with mock.patch.object(cli, "_read_written", wraps=cli._read_written) as fast, \
+                mock.patch.object(cli, "_read_lines", side_effect=DataFormatError("loop")):
+            with pytest.raises(DataFormatError) as caught:
+                next(cli._read_counts_files([path], space7))
+        if str(caught.value) == "loop":
+            assert fast.call_args.args[0] == [expected]
+        else:
+            assert str(caught.value) == expected
+
     def test_a_batch_reads_each_file_on_the_fast_path_but_the_edited_one(self, tmp_path, space7):
         paths = [write_counts_file(tmp_path / f"c{i}.csv", space7,
                                    np.full((7, 7), i + 1), separation=0.25 * i) for i in range(5)]

@@ -880,65 +880,6 @@ class TestKeptRows:
         # the derivatives stay in the base map's table
         assert "_slope_table" not in vars(view)
 
-    @pytest.mark.parametrize("name", _KEPT_ROW_MAPS)
-    def test_kept_rows_are_the_batch_rows(self, name):
-        forward, _ = _kept_row_case(name)
-        fresh = _fresh(forward)
-        d = np.array([0.0, 0.3, -0.3, 1.7, 0.3])
-        rows = fresh.rows(d)
-        np.testing.assert_array_equal(_bits(rows), _bits(forward.batch(d, False)[0]))
-        assert fresh.rows(d.copy()) is rows
-        with pytest.raises(ValueError, match="read-only"):
-            rows[0, 0] = 0.0
-        # keyed by the bytes of d: -0.0 is evaluated afresh, then 0.0 again
-        signed = np.array([-0.0, 0.3, -0.3, 1.7, 0.3])
-        negative = fresh.rows(signed)
-        assert negative is not rows
-        np.testing.assert_array_equal(_bits(negative), _bits(forward.batch(signed, False)[0]))
-        assert fresh.rows(d) is not negative
-
-    @pytest.mark.parametrize("method", bp.METHODS)
-    def test_a_warm_job_evaluates_no_truth_row(self, monkeypatch, model015, space7, method):
-        # a second job at the same separations reads the truth rows the map kept and
-        # evaluates only its fits' later passes; a job at other separations evaluates
-        # its truth rows in one batch
-        evaluated = self._counting_rows(monkeypatch)
-        shared = inference._method_forward(method, model015, space7, bp.PixelGrid())
-        forward = _ForwardMap(shared.batch, shared.shape)
-        seps = 0.0465 * np.arange(1, 27, 5)
-        states = inference._trial_states(list(range(len(seps))), 4)
-        cold = inference._mc_cells(method, 37_000, seps, states, forward)
-        assert evaluated[0] == (len(seps), False)
-        evaluated.clear()
-        warm = inference._mc_cells(method, 37_000, seps.copy(), states, forward)
-        assert evaluated and all(derivative for _, derivative in evaluated)
-        for a, b in zip(cold, warm):
-            np.testing.assert_array_equal(a.estimates, b.estimates)
-            assert (a.mean, a.std_err, a.boundary_fraction) == (b.mean, b.std_err,
-                                                                b.boundary_fraction)
-        evaluated.clear()
-        inference._mc_cells(method, 37_000, seps + 0.01, states, forward)
-        assert [rows for rows, derivative in evaluated if not derivative] == [len(seps)]
-
-    def test_a_second_calibration_at_the_same_labels_evaluates_nothing(
-            self, monkeypatch, model015, space7):
-        evaluated = self._counting_rows(monkeypatch)
-        shared = bp.spade_forward(model015, space7)
-        forward = _ForwardMap(shared.batch, shared.shape)
-        labels = [0.1, 0.4, 0.7, 1.0]
-        datasets = [(d, bp.sample_counts(forward(d), 10_000, seed=i))
-                    for i, d in enumerate(labels)]
-        evaluated.clear()
-        cold = bp.fit_calibration(datasets, forward)
-        assert evaluated == [(len(labels), False)]
-        evaluated.clear()
-        warm = bp.fit_calibration(datasets, forward)
-        assert evaluated == []
-        for name in ("alpha", "beta", "degenerate"):
-            np.testing.assert_array_equal(getattr(cold, name), getattr(warm, name))
-        bp.fit_calibration(datasets[::-1], forward)
-        assert evaluated == [(len(labels), False)]
-
     def test_cold_plain_callable_makes_no_more_scalar_calls(self, model015):
         # a plain callable's map is new per call: 200 grid rows, then 5 scalar calls
         # (the row and its difference quotient) per row of the d = 0 stop and of each pass
@@ -1298,29 +1239,10 @@ class TestTrialDraws:
         forward = bp.spade_forward(model015, space7, renormalize=False)
         with pytest.raises(ValueError, match="renormalize first") as single:
             bp.sample_counts(forward(0.2), 100, seed=0)
-        # and again on the second call, which reads the rows the map kept
-        for _ in range(2):
-            with pytest.raises(ValueError) as cells:
-                inference._mc_cells("spade", 100, [0.2, 0.7],
-                                    inference._trial_states([1, 2], 2), forward)
-            assert str(cells.value) == str(single.value)
-
-    def test_a_plain_callable_gets_its_new_truth_in_every_call(self, monkeypatch, model015):
-        # a plain callable's map is new per call, so it keeps no truth rows between calls
-        grid = bp.PixelGrid()
-        source = {"model": model015}
-
-        def public(d):
-            return bp.pixel_probs(d, grid, source["model"], "spdc")
-
-        rows = self._drawn_rows(monkeypatch)
-        for gamma in (0.15, 0.4):
-            source["model"] = bp.SchmidtModel.from_gamma(gamma)
-            rows.clear()
-            bp.mc_standard_error("direct_spdc", 0.15, 500, 0.3, 3, seed=9, forward=public)
-            expected = [bp.sample_counts(public(0.3), 500, bp.trial_seed(9, t)).counts
-                        for t in range(3)]
-            np.testing.assert_array_equal(np.concatenate(rows), expected)
+        with pytest.raises(ValueError) as cells:
+            inference._mc_cells("spade", 100, [0.2, 0.7], inference._trial_states([1, 2], 2),
+                                forward)
+        assert str(cells.value) == str(single.value)
 
     @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
     def test_rejects_what_seed_sequence_rejects(self, seed, error):
