@@ -144,6 +144,7 @@ def _runs(paths: list[Path], zeros: list[Path],
         "zero-sep-step": ["matrices", "--sep-step", "0"],
         "one-trial": ["compare", "--trials", "1"],
         "sep-stop-below-start": ["matrices", "--sep-start", "0.5", "--sep-stop", "0.1"],
+        "negative-sep-start": ["compare", "--sep-start", "-0.3", "--sep-stop", "-0.3"],
         "config-line-without-equals": ["matrices", "--config", str(derived["no_equals"])],
         "estimate-numerical": ["estimate", files[0], "--gamma", "1e-7"],
         **{f"counts-{name.replace('_', '-')}": ["estimate", str(derived[name])]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import locale
 import math
 import re
 import sys
@@ -139,6 +138,10 @@ class RunConfig:
             stop = self.sep_stop
         if self.sep_step is not None:
             step = self.sep_step
+        # d is a per-arm shift, and every fit searches d in [0, 2]
+        if start < 0.0:
+            raise ValueError(f"sep-start must be non-negative, got {start!r}")
+        start = abs(start)  # -0.0 reads as 0.0
         if stop < start:
             raise ValueError("sep-stop must be >= sep-start")
         count = (stop - start) / step + 1.0
@@ -182,10 +185,20 @@ def _text_parser(hint):
 _PARSERS = {name: _text_parser(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
 
 
+def _read_text(path: str | Path) -> str:
+    # the text of a file the CLI reads, on every machine: its bytes in one unbuffered
+    # read, decoded as UTF-8, a leading byte-order mark dropped, CRLF and CR made '\n'
+    with open(path, "rb", buffering=0) as handle:
+        text = handle.read().decode("utf-8").removeprefix("\ufeff")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def load_config_file(path: str | Path) -> dict:
-    """Parse a flat key = value config file; '#' starts a comment."""
+    """Parse a flat key = value UTF-8 config file; '#' starts a comment."""
     try:
-        text = Path(path).read_text().removeprefix("\ufeff")
+        text = _read_text(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"config {path}: cannot read file ({exc})") from exc
     out: dict = {}
@@ -241,7 +254,7 @@ def _write_table(cfg: RunConfig, command: str, name: str, extra: dict, columns: 
     except OSError as exc:
         raise ValueError(f"out-dir {out_dir}: not a usable directory ({exc})") from exc
     path = out_dir / name
-    path.write_text("\n".join(header + [columns] + rows) + "\n", newline="\n")
+    path.write_text("\n".join(header + [columns] + rows) + "\n", encoding="utf-8", newline="\n")
     return path
 
 
@@ -264,7 +277,7 @@ def write_counts_file(
     separation: float | None = None,
     meta: dict | None = None,
 ) -> Path:
-    """Long-format counts file: one (idler, signal) mode tuple per row.
+    """Long-format UTF-8 counts file: one (idler, signal) mode tuple per row.
 
     Raises ValueError, before any byte is written, on what read_counts_file
     refuses: counts that are not non-negative integers or that sum above 2**53,
@@ -293,8 +306,8 @@ def write_counts_file(
     lines.append(_COLUMNS)
     for (k, l, kp, lp), count in zip(_row_keys(space).tolist(), matrix.counts.ravel().tolist()):
         lines.append(f"{k},{l},{kp},{lp},{count}")
-    # encoded first, as open() encodes, so that an encoding error leaves no file
-    path.write_bytes(("\n".join(lines) + "\n").encode(locale.getpreferredencoding(False)))
+    # encoded first, so that an encoding error leaves no file
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
     return path
 
 
@@ -420,21 +433,14 @@ def _read_lines(text: str, path: str | Path, space: ModeSpace) -> CountMatrix:
 def _read_counts_files(paths: list[str | Path], space: ModeSpace) -> typing.Iterator[CountMatrix]:
     # the CountMatrix of each file of paths, in order: every file is opened
     # first and every file in the written layout read in one pass, while each
-    # error, a read error included, is raised at its file's turn. A file is read
-    # as open() reads it in text mode, without its TextIOWrapper: decoded whole
-    # in the locale's encoding, then with universal newlines
+    # error, a read error included, is raised at its file's turn
     texts, errors = [], {}
-    encoding = locale.getpreferredencoding(False)
     for index, path in enumerate(paths):
         try:
-            with open(path, "rb", buffering=0) as handle:
-                text = handle.read().decode(encoding)
+            texts.append(_read_text(path))
         except (OSError, UnicodeDecodeError) as exc:
             errors[index] = exc
-            text = ""
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        texts.append(text.removeprefix("\ufeff"))
+            texts.append("")
     for index, (path, text, matrix) in enumerate(zip(paths, texts, _read_written(texts, space))):
         if index in errors:
             exc = errors[index]
@@ -443,7 +449,7 @@ def _read_counts_files(paths: list[str | Path], space: ModeSpace) -> typing.Iter
 
 
 def read_counts_file(path: str | Path, space: ModeSpace) -> CountMatrix:
-    """Parse a long-format counts file into a CountMatrix over the given mode space.
+    """Parse a long-format UTF-8 counts file into a CountMatrix over the given mode space.
 
     Rows may come in any order, but every (idler, signal) pair of the space
     needs exactly one; a file in the layout and row order of write_counts_file
@@ -532,7 +538,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> list[tuple]:
     grid = PixelGrid()
     _check_trials(cfg.trials)
     # the cell of the method at METHODS[m] and separation seps[c] has master seed
-    # _sub_seed(seed, m, c); its trials take trial_seed sub-seeds of it
+    # trial_seed's rule on (seed, m, c); its trials take trial_seed sub-seeds of it
     states = _trial_states(_cell_masters(cfg.seed, len(METHODS), len(seps)), cfg.trials)
     by_method = [
         _mc_cells(method, cfg.photons, seps, states[m * len(seps):(m + 1) * len(seps)],

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -476,17 +476,18 @@ class _ForwardMap:
     rows, the d-derivatives None unless derivative is true. The map keeps, for
     its lifetime, the grid rows, the d-derivatives at the grid points a fit has
     asked for, and the rows at 0 and _CURVE_STEP; calling it builds none of them.
-    A calibrated map (calibrated) is a view of its base map: its rows, of a batch
-    pass or kept, are the base map's rows passed through _calibrate_rows. Its kept
-    rows are calibrated from the base map's, which the base map builds only once,
-    and its derivatives at grid points stay in the base map's table.
+    A view (calibrated) holds its base map and one function rows(probs, slopes)
+    -> (probs, slopes) on (separations x outcomes) rows: its rows, of a batch
+    pass or kept, are the base map's rows passed through it. Its kept rows come
+    from the base map's, which the base map builds only once, and its
+    derivatives at grid points stay in the base map's table.
     """
 
     batch: Callable
     shape: tuple
     base: _ForwardMap | None = None
-    # not compared: a map stays hashable, and a view's batch already differs per calibration
-    calibration: CalibrationModel | None = field(default=None, compare=False)
+    # compared by identity, as batch is, so a map stays hashable
+    rows: Callable | None = None
 
     def __call__(self, d):
         d = np.asarray(d, dtype=float)
@@ -499,7 +500,7 @@ class _ForwardMap:
         if self.base is None:
             probs = self.batch(_GRID, False)[0]
         else:
-            probs = _calibrate_map_rows(self.calibration, self.base.grid_probs, None)[0]
+            probs = self.rows(self.base.grid_probs, None)[0]
         probs.flags.writeable = False
         return probs
 
@@ -521,8 +522,7 @@ class _ForwardMap:
         Only the points no earlier call asked for are evaluated, in one batch pass.
         """
         if self.base is not None:
-            probs, slopes = self.base.grid_probs[index], self.base.grid_slopes(index)
-            return _calibrate_map_rows(self.calibration, probs, slopes)[1]
+            return self.rows(self.base.grid_probs[index], self.base.grid_slopes(index))[1]
         table, known = self._slope_table
         # a mask, not np.unique: that would import numpy.ma
         want = np.zeros(len(_GRID), dtype=bool)
@@ -539,7 +539,7 @@ class _ForwardMap:
         if self.base is None:
             rows = self.batch(np.array([0.0, _CURVE_STEP]), True)
         else:
-            rows = _calibrate_map_rows(self.calibration, *self.base.curve_rows)
+            rows = self.rows(*self.base.curve_rows)
         for table in rows:
             table.flags.writeable = False
         return rows
@@ -548,19 +548,9 @@ class _ForwardMap:
         """This map followed by apply_calibration's map (this map itself for None)."""
         if calibration is None:
             return self
-        return _ForwardMap(
-            lambda d, derivative: _calibrate_map_rows(calibration, *self.batch(d, derivative)),
-            self.shape,
-            self,
-            calibration,
-        )
-
-
-def _calibrate_map_rows(calibration: CalibrationModel, probs: np.ndarray, slopes):
-    # _calibrate_rows on a map's rows, whose outcomes must be the calibration's
-    if calibration.alpha.size != probs.shape[1]:
-        raise ValueError("calibration shape does not match the counts")
-    return _calibrate_rows(probs, slopes, calibration)
+        rows = partial(_calibrate_rows, cal=calibration)
+        return _ForwardMap(lambda d, derivative: rows(*self.batch(d, derivative)),
+                           self.shape, self, rows)
 
 
 def _as_map(forward, step: float = _DIFF_STEP) -> _ForwardMap:
@@ -632,13 +622,9 @@ def _method_forward(method: str, model: SchmidtModel, space: ModeSpace, grid: Pi
 
 def trial_seed(master_seed: int, trial: int) -> int:
     """Deterministic per-trial sub-seed derived from the master seed and trial index."""
-    return _sub_seed(master_seed, trial)
-
-
-def _sub_seed(*entropy: int) -> int:
-    # the one sub-seed rule: the first 32-bit word of numpy's SeedSequence of entropy;
-    # _seed_states is the same rule over many entropy tuples at once
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    # the one sub-seed rule, also of the compare cells' masters: the first 32-bit word
+    # of numpy's SeedSequence of the entropy; _seed_states is it over many entropies at once
+    return int(np.random.SeedSequence((master_seed, trial)).generate_state(1)[0])
 
 
 # numpy's SeedSequence hash and PCG64 seeding, fixed by NEP 19: the hash constants,
@@ -706,9 +692,10 @@ def _seed_words(seed) -> list[int]:
 
 
 def _cell_masters(seed: int, methods: int, seps: int) -> list[int]:
-    """_sub_seed(seed, m, c), the master of the compare cell of method m at separation c.
+    """Master seeds of the compare cells, trial_seed's rule on (seed, m, c).
 
-    Every m < methods and c < seps, method-major, in one vectorized pass.
+    The cell of method m at separation c, for every m < methods and c < seps,
+    method-major, in one vectorized pass.
     """
     index = np.indices((methods, seps), dtype=np.uint32).reshape(2, -1)
     words = np.array(_seed_words(seed), dtype=np.uint32)[:, None].repeat(index.shape[1], axis=1)
@@ -725,18 +712,13 @@ def _trial_states(masters: Sequence[int], trials: int) -> np.ndarray:
 
     A (masters x trials x 4) uint64 array: default_rng hashes each sub-seed again,
     and PCG64 reads 8 words of it as 4 little-endian uint64 q0..q3, which _pcg64_state
-    turns into the generator's state. Cells whose masters have the same number of
-    words hash in one vectorized pass.
+    turns into the generator's state. The masters share a number of 32-bit words
+    (a compare job's cell masters are one word each) and hash in one vectorized pass.
     """
-    states = np.empty((len(masters), trials, 4), dtype=np.uint64)
-    words = [_seed_words(m) for m in masters]
-    for size in sorted({len(w) for w in words}):
-        cells = [c for c, w in enumerate(words) if len(w) == size]
-        prefixes = np.array([words[c] for c in cells], dtype=np.uint32).T.repeat(trials, axis=1)
-        index = np.tile(np.arange(trials, dtype=np.uint32), len(cells))
-        halves = _seed_states(_seed_states(np.vstack([prefixes, index]), 1), 8).astype(np.uint64)
-        states[cells] = (halves[0::2] | halves[1::2] << 32).T.reshape(len(cells), trials, 4)
-    return states
+    words = np.array([_seed_words(m) for m in masters], dtype=np.uint32).T.repeat(trials, axis=1)
+    index = np.tile(np.arange(trials, dtype=np.uint32), len(masters))
+    halves = _seed_states(_seed_states(np.vstack([words, index]), 1), 8).astype(np.uint64)
+    return (halves[0::2] | halves[1::2] << 32).T.reshape(len(masters), trials, 4)
 
 
 def _pcg64_state(q0: int, q1: int, q2: int, q3: int) -> tuple[int, int]:

@@ -328,8 +328,11 @@ def _calibrate_rows(probs: np.ndarray, slopes: np.ndarray | None, cal: Calibrati
 
     Each row becomes alpha*p + beta, floored at zero and divided by its total.
     Returns (probs, slopes), slopes by the quotient rule (None when slopes is
-    None). Raises NumericalError when a row maps to zero everywhere.
+    None). Raises ValueError when the calibration has another number of outcomes,
+    and NumericalError when a row maps to zero everywhere.
     """
+    if cal.alpha.size != probs.shape[1]:
+        raise ValueError("calibration shape does not match the counts")
     alpha = cal.alpha.ravel()
     raw = alpha * probs + cal.beta.ravel()
     live = raw > 0.0

@@ -1,6 +1,10 @@
 import argparse
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -564,7 +568,7 @@ class TestCountsIo:
         rows, _ = self._rows(space7)
         path = tmp_path / "breaks.csv"
         head = [f"# note{brk}0,0,0,0,5", "k_idler,l_idler,k_signal,l_signal,count"]
-        path.write_text("\n".join(head + rows) + "\n")
+        path.write_text("\n".join(head + rows) + "\n", encoding="utf-8")
         with pytest.raises(DataFormatError) as caught:
             read_counts_file(path, space7)
         assert str(caught.value) == f"{path}:4: duplicate mode tuple (0, 0, 0, 0)"
@@ -576,7 +580,7 @@ class TestCountsIo:
         cells = {key: 1000 + index for index, key in enumerate(keys)}
         path = tmp_path / "edited.csv"
         path.write_text(self._oracle_text(cells, range(len(keys))[::-1], 0.25, {edit}),
-                        newline="")
+                        encoding="utf-8", newline="")
         cm = read_counts_file(path, space)
         assert cm.counts.tolist() == [[cells[idler + signal] for signal in space.signal]
                                       for idler in space.idler]
@@ -597,7 +601,8 @@ class TestCountsIo:
         separation = data.draw(st.none() | st.floats(-10.0, 10.0))
         edits = data.draw(st.sets(st.sampled_from(self.EDITS)))
         path = tmp_path_factory.getbasetemp() / "oracle.csv"
-        path.write_text(self._oracle_text(cells, order, separation, edits), newline="")
+        path.write_text(self._oracle_text(cells, order, separation, edits), encoding="utf-8",
+                        newline="")
         expected = [[cells[idler + signal] for signal in space.signal] for idler in space.idler]
         total = sum(cells.values())
         for read in (read_counts_file, _loop_read):
@@ -611,7 +616,7 @@ class TestCountsIo:
                 cm = read(path, space)
                 assert cm.counts.dtype == np.int64 and cm.counts.tolist() == expected
                 assert cm.separation == separation and cm.total == total
-        fast = cli._read_written([path.read_text()], space)[0]
+        fast = cli._read_written([path.read_text(encoding="utf-8")], space)[0]
         if max(cells.values()) > 2**63 - 1 or total > 2**53 or order != written:
             assert fast is None
         elif not edits - {"zeros"}:
@@ -659,12 +664,12 @@ class TestCountsIo:
         b"# separation = 0.3\xff\n", b"ok\r\n\xe2\x82", b"\xc3\x28\r\n",
     ], ids=["mixed", "cr", "crlf-cr", "bom-crlf", "empty", "bad-byte", "cut-char", "bad-pair"])
     def test_files_are_read_as_text_mode_reads_them(self, tmp_path, space7, data):
-        # the binary read decodes in the locale's encoding and translates newlines
-        # as open() in text mode does: the same text, or the same decode error
+        # the binary read decodes as UTF-8 and translates newlines as open() in
+        # text mode does with that encoding: the same text, or the same decode error
         path = tmp_path / "f.csv"
         path.write_bytes(data)
         try:
-            with open(path) as handle:
+            with open(path, encoding="utf-8") as handle:
                 expected = handle.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             expected = f"{path}: cannot read file ({exc})"
@@ -710,7 +715,8 @@ class TestCountsIo:
             elif kind == "hand":
                 order = data.draw(st.permutations(range(len(keys))))
                 edits = data.draw(st.sets(st.sampled_from(self.EDITS)))
-                path.write_text(self._oracle_text(cells, order, separation, edits), newline="")
+                path.write_text(self._oracle_text(cells, order, separation, edits),
+                                encoding="utf-8", newline="")
             elif kind == "rejected":
                 edit, label, _ = data.draw(st.sampled_from(
                     [*self.REJECTED.values(), *self.OUT_OF_RANGE.values()]))
@@ -1190,6 +1196,45 @@ class TestSeparationCount:
         assert len(seps) == 10_000
 
 
+class TestNegativeSeparations:
+    # d is a per-arm shift and every fit searches d in [0, 2], so no row may start below 0
+    @pytest.mark.parametrize("command", ["compare", "matrices"])
+    @pytest.mark.parametrize("start, stop", [("-0.3", "-0.3"), ("-1e-300", "0.5")],
+                             ids=["both-negative", "just-below-zero"])
+    def test_a_negative_start_is_a_config_error_naming_it(self, tmp_path, capsys, command,
+                                                          start, stop):
+        out = tmp_path / "out"
+        argv = [command, f"--sep-start={start}", f"--sep-stop={stop}", "--out-dir", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"bispade: config error: sep-start must be non-negative, got {float(start)!r}\n")
+        assert not out.exists()
+
+    def test_a_negative_start_in_a_config_file_is_refused(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("sep_start = -0.3\nsep_stop = 0.3\n")
+        argv = ["matrices", "--config", str(cfg_file), "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_USAGE
+        assert "sep-start must be non-negative, got -0.3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name, first", [
+        ("compare", "compare.csv", "0,0,spade,"),
+        ("matrices", "matrix_00.csv", "0,0,0,0,"),
+    ])
+    def test_minus_zero_reads_as_zero(self, tmp_path, command, name, first):
+        tables = {}
+        for start in ("-0.0", "0.0"):
+            out = tmp_path / start
+            argv = [command, f"--sep-start={start}", "--sep-stop", "0.2", "--sep-step", "0.2",
+                    "--trials", "2", "--photons", "500", "--out-dir", str(out)]
+            assert main(argv) == EXIT_OK
+            tables[start] = (out / name).read_text()
+        assert tables["-0.0"] == tables["0.0"]
+        header, _, rows = _read_rows(tmp_path / "-0.0" / name)
+        assert ",".join(rows[0]).startswith(first)
+        assert "-0" not in "".join(header)
+
+
 @pytest.mark.parametrize("tail", ["", "sub"])
 def test_out_dir_naming_a_file_is_a_config_error(tmp_path, capsys, tail):
     taken = tmp_path / "taken"
@@ -1210,6 +1255,32 @@ def test_unreadable_config_file_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"bispade: config error: config {missing}: cannot read file")
     assert err.count("\n") == 1
+
+
+def test_a_non_utf8_locale_reads_utf8_files_that_start_with_a_byte_order_mark(tmp_path, space7):
+    # every file is UTF-8 whatever the locale: under the C locale, a counts file
+    # and a config file that start with a BOM and hold non-ASCII comments read as
+    # they read here
+    written = write_counts_file(tmp_path / "written.csv", space7,
+                                np.arange(49).reshape(7, 7) * 40, separation=0.3,
+                                meta={"note": "\u03b3 = 0.15, \u03bb = 405 nm"})
+    counts = tmp_path / "bom.csv"
+    counts.write_bytes(b"\xef\xbb\xbf" + written.read_bytes())
+    config = tmp_path / "bom.cfg"
+    config.write_bytes("\ufeff# \u03b3 of the source\r\ngamma = 0.2\r\n".encode("utf-8"))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(bp.__file__).parents[1])}
+    script = ("import codecs, locale, sys; from bispade.cli import main; "
+              "print(codecs.lookup(locale.getpreferredencoding(False)).name); "
+              "sys.exit(main(sys.argv[1:]))")
+    argv = ["estimate", str(counts), "--config", str(config)]
+    child = subprocess.run([sys.executable, "-c", script, *argv, "--out-dir", str(tmp_path / "c")],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == EXIT_OK, child.stderr
+    assert child.stdout.splitlines()[0] != "utf-8"
+    here = tmp_path / "here"
+    assert main(["estimate", str(written), "--gamma", "0.2", "--out-dir", str(here)]) == EXIT_OK
+    assert (tmp_path / "c" / "estimates.csv").read_bytes() == (here / "estimates.csv").read_bytes()
 
 
 def test_non_utf8_config_file_is_a_config_error_naming_it(tmp_path, capsys):

@@ -1177,7 +1177,8 @@ class TestMonteCarlo:
 class TestTrialDraws:
     """The Monte-Carlo draws against numpy's own seeding, never against the vectorized hash."""
 
-    MASTERS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 1)
+    # masters of 1, 2, 3 and 4 32-bit words; the masters of one seeding pass share a word count
+    MASTERS = ((0, 1, 2**32 - 1), (2**32, 2**64 - 1), (2**64, 2**96 - 1), (2**96, 2**96 + 1))
 
     @staticmethod
     def _drawn_rows(monkeypatch):
@@ -1193,14 +1194,15 @@ class TestTrialDraws:
         return rows
 
     def test_trial_states_match_numpy(self):
-        states = inference._trial_states(list(self.MASTERS), 301)
-        assert states.shape == (len(self.MASTERS), 301, 4)
-        for master, cell in zip(self.MASTERS, states.tolist()):
-            for t, words in enumerate(cell):
-                sub_seed = int(np.random.SeedSequence((master, t)).generate_state(1)[0])
-                expected = np.random.default_rng(sub_seed).bit_generator.state["state"]
-                assert inference._pcg64_state(*words) == (expected["state"], expected["inc"]), (
-                    master, t)
+        for masters in self.MASTERS:
+            states = inference._trial_states(list(masters), 301)
+            assert states.shape == (len(masters), 301, 4)
+            for master, cell in zip(masters, states.tolist()):
+                for t, words in enumerate(cell):
+                    sub_seed = int(np.random.SeedSequence((master, t)).generate_state(1)[0])
+                    expected = np.random.default_rng(sub_seed).bit_generator.state["state"]
+                    assert inference._pcg64_state(*words) == (
+                        expected["state"], expected["inc"]), (master, t)
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**96 + 1])
     def test_cell_masters_match_numpy(self, seed):
@@ -1222,16 +1224,17 @@ class TestTrialDraws:
         np.testing.assert_array_equal(np.concatenate(rows), expected)
 
     def test_masters_of_every_word_count_in_one_call(self, monkeypatch, model015):
-        # the cells hash in groups of equal word count; each keeps its own trials
+        # one call per word count, its masters out of order; each cell keeps its own trials
         forward = bp.direct_forward(model015, bp.PixelGrid(), "gaussian")
-        masters = [2**96 + 1, 3, 2**32, 0, 2**64 - 1, 2**32 - 1]
-        seps = np.linspace(0.1, 0.6, len(masters))
         rows = self._drawn_rows(monkeypatch)
-        inference._mc_cells("direct_gaussian", 500, seps, inference._trial_states(masters, 4),
-                            forward)
-        expected = [bp.sample_counts(forward(d), 500, bp.trial_seed(m, t)).counts
-                    for d, m in zip(seps, masters) for t in range(4)]
-        np.testing.assert_array_equal(np.concatenate(rows), expected)
+        for masters in ([3, 0, 2**32 - 1], [2**64 - 1, 2**32], [2**95, 2**64 + 5], [2**96 + 1]):
+            seps = np.linspace(0.1, 0.6, len(masters))
+            rows.clear()
+            inference._mc_cells("direct_gaussian", 500, seps,
+                                inference._trial_states(masters, 4), forward)
+            expected = [bp.sample_counts(forward(d), 500, bp.trial_seed(m, t)).counts
+                        for d, m in zip(seps, masters) for t in range(4)]
+            np.testing.assert_array_equal(np.concatenate(rows), expected)
 
     def test_unnormalized_truths_are_rejected_as_sample_counts_rejects_them(self, model015,
                                                                          space7):

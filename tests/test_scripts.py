@@ -60,7 +60,7 @@ def test_output_digest_lines(capsys):
     # a setting out of range, in a flag or a config file, is a config error: exit code 1
     exit_one = hashlib.sha256(b"1").hexdigest()
     for name in ("negative-modes-k", "zero-sep-step", "one-trial", "sep-stop-below-start",
-                 "config-line-without-equals"):
+                 "negative-sep-start", "config-line-without-equals"):
         assert f"error-{name}/exit {exit_one}" in lines
     exit_zero = hashlib.sha256(b"0").hexdigest()
     assert f"estimate-hand-edited/exit {exit_zero}" in lines
