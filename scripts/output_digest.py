@@ -147,6 +147,8 @@ def _runs(paths: list[Path], zeros: list[Path],
         "negative-sep-start": ["compare", "--sep-start", "-0.3", "--sep-stop", "-0.3"],
         "config-line-without-equals": ["matrices", "--config", str(derived["no_equals"])],
         "estimate-numerical": ["estimate", files[0], "--gamma", "1e-7"],
+        # its out-dir holds a directory named compare.csv (made in digest_lines)
+        "output-is-a-directory": ["compare", *_SWEEP],
         **{f"counts-{name.replace('_', '-')}": ["estimate", str(derived[name])]
            for name in READER_ERRORS},
     }
@@ -179,6 +181,7 @@ def digest_lines() -> list[str]:
         for name, text in CONFIGS.items():
             derived[name] = root / f"{name}.cfg"
             derived[name].write_text(text)
+        (root / "error-output-is-a-directory" / "compare.csv").mkdir(parents=True)
         # argparse wraps help to the terminal width it reads from COLUMNS
         with mock.patch.dict(os.environ, COLUMNS="80"):
             for name, argv in _runs(inputs, zeros, derived).items():
@@ -192,7 +195,7 @@ def digest_lines() -> list[str]:
                 lines.append(f"{name}/stderr {_sha(clean(stderr.getvalue()))}")
                 lines.append(f"{name}/exit {_sha(str(code))}")
                 if out_dir.is_dir():
-                    for path in sorted(out_dir.iterdir()):
+                    for path in sorted(filter(Path.is_file, out_dir.iterdir())):
                         lines.append(f"{name}/{path.name} {_sha(clean(path.read_text()))}")
     return lines
 

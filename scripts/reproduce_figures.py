@@ -7,8 +7,9 @@ Writes plot-ready CSV tables into --out-dir:
   compare.csv       Monte-Carlo spade vs direct-imaging standard errors
 
 The full run, with its comparison sweep of 30 separations x 3 methods x 200
-trials at N = 37,000, takes about 0.6 s wall on a 2-core x86 box with
-OPENBLAS_NUM_THREADS=1; pass --quick for a small smoke-scale run.
+trials at N = 37,000, takes about 0.9 s wall, process start included, on a
+2-core x86 box with OPENBLAS_NUM_THREADS=1; pass --quick for a small
+smoke-scale run.
 """
 import argparse
 import sys

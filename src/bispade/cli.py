@@ -249,12 +249,13 @@ def _write_table(cfg: RunConfig, command: str, name: str, extra: dict, columns: 
         *(f"# {key} = {value}" for key, value in extra.items()),
     ]
     out_dir = Path(cfg.out_dir)
+    path = out_dir / name
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(header + [columns] + rows) + "\n", encoding="utf-8",
+                        newline="\n")
     except OSError as exc:
-        raise ValueError(f"out-dir {out_dir}: not a usable directory ({exc})") from exc
-    path = out_dir / name
-    path.write_text("\n".join(header + [columns] + rows) + "\n", encoding="utf-8", newline="\n")
+        raise ValueError(f"out-dir {out_dir}: cannot write {name} ({exc})") from exc
     return path
 
 

@@ -64,6 +64,9 @@ METHODS = ("spade", "direct_gaussian", "direct_spdc")
 # from the best grid point until the step is below 1e-3 * _REFINE_TOL
 _GRID = np.linspace(0.0, 2.0, 200)
 _GRID.flags.writeable = False
+# the points whose rows a forward map keeps: the grid, then the step of the d = 0 stop
+_KEPT = np.append(_GRID, _CURVE_STEP)
+_KEPT.flags.writeable = False
 _REFINE_TOL = 1e-5
 _MAX_REFINE_STEPS = 100
 # row budget of one _fit call in a Monte-Carlo sweep: consecutive whole cells
@@ -343,12 +346,11 @@ def _fit(obs: np.ndarray, forward: _ForwardMap) -> _Fits:
     sum_i n_i p_i''(0) / p_i(0) < 0, and that has no count on an outcome
     dead at 0 has its maximum at 0 and stops before the first pass. The map
     is even in d, so p_i''(0) is read as p_i'(h) / h at h = _CURVE_STEP.
-    The first pass and the d = 0 stop read rows the map keeps (grid_probs,
-    grid_slopes, curve_rows): a forward row does not depend on the batch it is
-    evaluated in, so they are the rows a batch pass would give. A pass carries
-    only the rows still refining, and a row's log-likelihood is taken at the
-    pass it ends in: the pass its step falls below the tolerance, or the last
-    of _MAX_REFINE_STEPS.
+    The first pass and the d = 0 stop read rows the map keeps (kept_rows): a
+    forward row does not depend on the batch it is evaluated in, so they are the
+    rows a batch pass would give. A pass carries only the rows still refining,
+    and a row's log-likelihood is taken at the pass it ends in: the pass its
+    step falls below the tolerance, or the last of _MAX_REFINE_STEPS.
     """
     if forward.log_probs.shape[1] != obs.shape[1]:
         raise ValueError("forward model size does not match the counts")
@@ -366,7 +368,7 @@ def _fit(obs: np.ndarray, forward: _ForwardMap) -> _Fits:
     converged = np.zeros(len(obs), dtype=bool)
     peaked = best == 0
     if np.any(peaked):
-        probs, slopes = forward.curve_rows
+        probs, slopes = forward.kept_rows(np.array([0, len(_GRID)]))
         live = probs[0] > LIKELIHOOD_FLOOR
         ratio = np.divide(slopes[1] / _CURVE_STEP, probs[0], out=np.zeros_like(probs[0]),
                           where=live)
@@ -388,7 +390,7 @@ def _fit(obs: np.ndarray, forward: _ForwardMap) -> _Fits:
             break
         if pass_no == 0:
             # every row starts at its best grid point, whose rows the map keeps
-            probs, slopes = forward.grid_probs[index], forward.grid_slopes(index)
+            probs, slopes = forward.kept_rows(index)
         else:
             probs, slopes = forward.batch(at, True)
         live = probs > LIKELIHOOD_FLOOR
@@ -474,13 +476,13 @@ class _ForwardMap:
     np.shape(d) + shape. batch(d, derivative) takes a 1-D array of separations
     and returns (probabilities, d-derivatives) as (separations x outcomes)
     rows, the d-derivatives None unless derivative is true. The map keeps, for
-    its lifetime, the grid rows, the d-derivatives at the grid points a fit has
-    asked for, and the rows at 0 and _CURVE_STEP; calling it builds none of them.
+    its lifetime, one table over the points _KEPT (the grid, then _CURVE_STEP):
+    the probabilities at every point, built on first use, and the d-derivatives
+    at the points a fit has asked for (kept_rows); calling it builds none of them.
     A view (calibrated) holds its base map and one function rows(probs, slopes)
     -> (probs, slopes) on (separations x outcomes) rows: its rows, of a batch
-    pass or kept, are the base map's rows passed through it. Its kept rows come
-    from the base map's, which the base map builds only once, and its
-    derivatives at grid points stay in the base map's table.
+    pass or kept, are the base map's rows passed through it, and its
+    derivatives stay in the base map's table.
     """
 
     batch: Callable
@@ -495,54 +497,43 @@ class _ForwardMap:
         return probs.reshape(d.shape + self.shape)
 
     @cached_property
-    def grid_probs(self) -> np.ndarray:
-        """(grid points, outcomes) probabilities on the search grid, read-only."""
+    def _kept(self) -> np.ndarray:
+        # (kept points, outcomes) probabilities at _KEPT, read-only
         if self.base is None:
-            probs = self.batch(_GRID, False)[0]
+            probs = self.batch(_KEPT, False)[0]
         else:
-            probs = self.rows(self.base.grid_probs, None)[0]
+            probs = self.rows(self.base._kept, None)[0]
         probs.flags.writeable = False
         return probs
 
     @cached_property
     def log_probs(self) -> np.ndarray:
         """(grid points, outcomes) log-probabilities on the search grid, floored, read-only."""
-        table = np.log(np.maximum(self.grid_probs, LIKELIHOOD_FLOOR))
+        table = np.log(np.maximum(self._kept[:len(_GRID)], LIKELIHOOD_FLOOR))
         table.flags.writeable = False
         return table
 
     @cached_property
-    def _slope_table(self) -> tuple[np.ndarray, np.ndarray]:
-        # (grid points, outcomes) d-derivatives and the mask of the points filled in
-        return np.empty_like(self.grid_probs), np.zeros(len(_GRID), dtype=bool)
+    def _kept_slopes(self) -> tuple[np.ndarray, np.ndarray]:
+        # (kept points, outcomes) d-derivatives and the mask of the points filled in
+        return np.empty_like(self._kept), np.zeros(len(_KEPT), dtype=bool)
 
-    def grid_slopes(self, index: np.ndarray) -> np.ndarray:
-        """d-derivatives at the grid points _GRID[index], one row per index.
+    def kept_rows(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(probabilities, d-derivatives) at the kept points _KEPT[index], one row per index.
 
-        Only the points no earlier call asked for are evaluated, in one batch pass.
+        Only the derivatives no earlier call asked for are evaluated, in one batch pass.
         """
         if self.base is not None:
-            return self.rows(self.base.grid_probs[index], self.base.grid_slopes(index))[1]
-        table, known = self._slope_table
+            return self.rows(*self.base.kept_rows(index))
+        table, known = self._kept_slopes
         # a mask, not np.unique: that would import numpy.ma
-        want = np.zeros(len(_GRID), dtype=bool)
+        want = np.zeros(len(_KEPT), dtype=bool)
         want[index] = True
         new = np.flatnonzero(want & ~known)
         if new.size:
-            table[new] = self.batch(_GRID[new], True)[1]
+            table[new] = self.batch(_KEPT[new], True)[1]
             known[new] = True
-        return table[index]
-
-    @cached_property
-    def curve_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(probabilities, d-derivatives) at d = 0 and _CURVE_STEP, read-only."""
-        if self.base is None:
-            rows = self.batch(np.array([0.0, _CURVE_STEP]), True)
-        else:
-            rows = self.rows(*self.base.curve_rows)
-        for table in rows:
-            table.flags.writeable = False
-        return rows
+        return self._kept[index], table[index]
 
     def calibrated(self, calibration: CalibrationModel | None) -> _ForwardMap:
         """This map followed by apply_calibration's map (this map itself for None)."""
@@ -576,9 +567,9 @@ def _as_map(forward, step: float = _DIFF_STEP) -> _ForwardMap:
     return _ForwardMap(batch, (-1,))
 
 
-# One map per measurement and process, so its grid tables are built once: equal
+# One map per measurement and process, so its kept tables are built once: equal
 # arguments, passed the same way, return the same map. Once fits have read them,
-# a map holds up to three tables of 200 x outcomes floats (probabilities, their
+# a map holds up to three tables of 201 x outcomes floats (probabilities, their
 # logs, the slopes filled so far), 6.6 MB for a 37x37 space; a full cache of
 # eight such maps holds up to 53 MB.
 @lru_cache(maxsize=8)
@@ -589,13 +580,10 @@ def spade_forward(
 
     Equal arguments return the same map, shared by every caller in the process.
     """
-
-    def batch(d, derivative):
-        entries, slopes, _ = _spade_probs(d, space, model, renormalize, derivative)
-        rows = (len(d), math.prod(space.shape))
-        return entries.reshape(rows), None if slopes is None else slopes.reshape(rows)
-
-    return _ForwardMap(batch, space.shape)
+    return _ForwardMap(
+        lambda d, derivative: _spade_probs(d, space, model, renormalize, derivative)[:2],
+        space.shape,
+    )
 
 
 @lru_cache(maxsize=8)

@@ -168,7 +168,7 @@ def small_sep_prob(k: int, l: int, kp: int, lp: int, d: float, model: SchmidtMod
     """
     space = ModeSpace(idler=((k, l),), signal=((kp, lp),))
     entries, slopes, _ = _spade_probs(np.array([0.0, _CURVE_STEP]), space, model, False, True)
-    return float(entries[0, 0, 0] + 0.5 * d * d * slopes[1, 0, 0] / _CURVE_STEP)
+    return float(entries[0, 0] + 0.5 * d * d * slopes[1, 0] / _CURVE_STEP)
 
 
 def _in_blocks(evaluate, d: np.ndarray, row_cells: int):
@@ -195,7 +195,6 @@ class _SpadePlan(NamedTuple):
     None for a plan without derivative.
     """
 
-    shape: tuple                      # the space's shape
     size: int                         # the largest mode order of the overlap table
     cells: np.ndarray                 # flat table index of each outcome's <k|k',d>
     weight: np.ndarray                # C_{k',l}^2 delta_{l,l'}
@@ -234,8 +233,8 @@ def _spade_plan(space: ModeSpace, gamma: float, derivative: bool) -> _SpadePlan:
     if derivative:
         slope_parts = (2.0 * weight, flat(np.maximum(kp - 1, 0)), flat(kp + 1),
                        per_outcome(np.sqrt(0.5 * kp)), per_outcome(np.sqrt(0.5 * (kp + 1.0))))
-    plan = _SpadePlan(space.shape, size, flat(kp), weight, *slope_parts)
-    for array in plan[2:]:
+    plan = _SpadePlan(size, flat(kp), weight, *slope_parts)
+    for array in plan[1:]:
         if array is not None:
             array.flags.writeable = False
     return plan
@@ -245,11 +244,12 @@ def _spade_probs(d: np.ndarray, space: ModeSpace, model: SchmidtModel, renormali
                  derivative: bool):
     """Probability matrices (and their d-derivatives) at each separation of the 1-D array d.
 
-    Returns (entries, slopes, totals): entries and slopes of shape
-    (len(d),) + space.shape, and the in-space mass per separation. slopes is
-    the first d-derivative when derivative is true, else None. The slope of an
-    amplitude is d<m|n',d>/dd = sqrt(n'/2) <m|n'-1,d> - sqrt((n'+1)/2) <m|n'+1,d>,
-    which needs one table column past the largest index of the space.
+    Returns (entries, slopes, totals): entries and slopes as (separations x
+    outcomes) rows, each row a flattened matrix, and the in-space mass per
+    separation. slopes is the first d-derivative when derivative is true, else
+    None. The slope of an amplitude is d<m|n',d>/dd = sqrt(n'/2) <m|n'-1,d> -
+    sqrt((n'+1)/2) <m|n'+1,d>, which needs one table column past the largest
+    index of the space.
     """
     _check_separations(d)
     if len(space.idler) * len(space.signal) <= _MAX_CACHED_PLAN_OUTCOMES:
@@ -269,8 +269,7 @@ def _spade_probs(d: np.ndarray, space: ModeSpace, model: SchmidtModel, renormali
 
 
 def _spade_block(amps, plan, renormalize):
-    rows = len(amps)
-    amps = amps.reshape(rows, (plan.size + 1) ** 2)
+    amps = amps.reshape(len(amps), (plan.size + 1) ** 2)
     # take gives contiguous rows, so that each row sums in the same order whatever len(d) is
     a = amps.take(plan.cells, axis=1)
     entries = plan.weight * (a * a)
@@ -289,8 +288,7 @@ def _spade_block(amps, plan, renormalize):
         if slopes is not None:
             slope_totals = slopes.sum(axis=1)
             slopes = (slopes - entries * slope_totals[:, None]) / totals[:, None]
-    shape = (rows,) + plan.shape
-    return entries.reshape(shape), None if slopes is None else slopes.reshape(shape), totals
+    return entries, slopes, totals
 
 
 def prob_matrix(
@@ -309,7 +307,7 @@ def prob_matrix(
     entries, _, totals = _spade_probs(np.array([float(d)]), space, model, renormalize, False)
     return ProbabilityMatrix(
         space=space,
-        entries=entries[0],
+        entries=entries[0].reshape(space.shape),
         d=float(d),
         in_space_mass=float(totals[0]),
     )

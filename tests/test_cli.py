@@ -1248,6 +1248,17 @@ def test_out_dir_naming_a_file_is_a_config_error(tmp_path, capsys, tail):
     assert taken.read_text() == "not a directory\n"
 
 
+def test_a_table_that_cannot_be_written_is_a_config_error(tmp_path, capsys):
+    # a directory where the table goes: the message names the out-dir and the file
+    (tmp_path / "compare.csv").mkdir()
+    code = main(["compare", "--trials", "2", "--sep-start", "0.3", "--sep-stop", "0.3",
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"bispade: config error: out-dir {tmp_path}: cannot write compare.csv (")
+    assert err.count("\n") == 1
+
+
 def test_unreadable_config_file_is_a_config_error(tmp_path, capsys):
     missing = tmp_path / "missing.cfg"
     argv = ["crlb-curves", "--config", str(missing), "--out-dir", str(tmp_path / "out")]

@@ -496,15 +496,21 @@ class TestSharedMaps:
     @pytest.mark.parametrize("method", bp.METHODS)
     def test_shared_tables_are_read_only(self, model015, space7, method):
         forward = inference._method_forward(method, model015, space7, bp.PixelGrid())
-        for table in (forward.grid_probs, forward.log_probs, *forward.curve_rows):
+        for table in (forward._kept, forward.log_probs):
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0.0
+        # kept_rows hands out copies: writing into them changes no later read
+        index = np.array([0, len(inference._GRID)])
+        for rows in forward.kept_rows(index):
+            rows[:] = 0.0
+        for rows in forward.kept_rows(index):
+            assert rows[1].any()
 
     def test_scalar_call_builds_no_table(self, model015, space7):
         bp.spade_forward.cache_clear()
         forward = bp.spade_forward(model015, space7)
         forward(0.3)
-        assert not {"grid_probs", "log_probs", "_slope_table", "curve_rows"} & set(vars(forward))
+        assert not {"_kept", "log_probs", "_kept_slopes"} & set(vars(forward))
 
     @pytest.mark.parametrize("method", bp.METHODS)
     def test_table_equals_scalar_oracle(self, model015, space7, method):
@@ -526,15 +532,15 @@ class TestSharedMaps:
                                   beta=rng.uniform(0.0, 0.02, space7.shape))
         rows = np.stack([
             bp.apply_calibration(bp.prob_matrix(float(d), space7, model015), cal).entries.ravel()
-            for d in np.linspace(0.0, 2.0, 200)
+            for d in inference._KEPT
         ])
         forward = bp.spade_forward(model015, space7)
         calibrated = forward.calibrated(cal)
-        np.testing.assert_array_equal(calibrated.grid_probs, rows)
+        np.testing.assert_array_equal(calibrated._kept, rows)
         np.testing.assert_array_equal(calibrated.log_probs,
-                                      np.log(np.maximum(rows, bp.LIKELIHOOD_FLOOR)))
+                                      np.log(np.maximum(rows[:-1], bp.LIKELIHOOD_FLOOR)))
         # the base map's table is the uncalibrated one
-        assert not np.array_equal(forward.grid_probs, rows)
+        assert not np.array_equal(forward._kept, rows)
 
 
 def _rows_near_zero(truth_at):
@@ -760,7 +766,7 @@ def _kept_row_case(name):
         forward = _as_map(lambda d: bp.pixel_probs(d, few, schmidt, "spdc"))
     else:
         forward = inference._method_forward(name, schmidt, space7, bp.PixelGrid())
-    return forward, forward.batch(inference._GRID, True)
+    return forward, forward.batch(inference._KEPT, True)
 
 
 def _fresh(forward):
@@ -773,7 +779,7 @@ def _bits(rows):
     return np.ascontiguousarray(rows).view(np.int64)
 
 
-_GRID_INDEX = st.lists(st.integers(0, len(inference._GRID) - 1), min_size=1, max_size=300)
+_GRID_INDEX = st.lists(st.integers(0, len(inference._KEPT) - 1), min_size=1, max_size=300)
 
 
 class TestKeptRows:
@@ -795,22 +801,23 @@ class TestKeptRows:
     @given(index=_GRID_INDEX)
     def test_rows_do_not_depend_on_the_batch(self, name, index):
         # a row evaluated among any other rows, repeats included, is bit for bit the
-        # row of the whole grid's batch, and its probabilities are the grid table's
+        # row of the batch of every kept point, and its probabilities are the kept table's
         forward, (probs, slopes) = _kept_row_case(name)
-        part_probs, part_slopes = forward.batch(inference._GRID[index], True)
+        part_probs, part_slopes = forward.batch(inference._KEPT[index], True)
         np.testing.assert_array_equal(_bits(part_probs), _bits(probs[index]))
-        np.testing.assert_array_equal(_bits(part_probs), _bits(forward.grid_probs[index]))
+        np.testing.assert_array_equal(_bits(part_probs), _bits(forward._kept[index]))
         np.testing.assert_array_equal(_bits(part_slopes), _bits(slopes[index]))
 
     @pytest.mark.parametrize("name", _KEPT_ROW_MAPS)
     @settings(max_examples=10, deadline=None)
     @given(first=_GRID_INDEX, second=_GRID_INDEX)
     def test_kept_slopes_are_the_batch_rows(self, name, first, second):
-        forward, (_, slopes) = _kept_row_case(name)
+        forward, (probs, slopes) = _kept_row_case(name)
         fresh = _fresh(forward)
         for index in (first, second):
-            np.testing.assert_array_equal(_bits(fresh.grid_slopes(np.array(index))),
-                                          _bits(slopes[index]))
+            kept_probs, kept_slopes = fresh.kept_rows(np.array(index))
+            np.testing.assert_array_equal(_bits(kept_probs), _bits(probs[index]))
+            np.testing.assert_array_equal(_bits(kept_slopes), _bits(slopes[index]))
 
     @staticmethod
     def _counting_rows(monkeypatch):
@@ -836,14 +843,16 @@ class TestKeptRows:
         best = np.argmax(obs @ forward.log_probs.T, axis=1)
         refined = cold.iterations > 0
         assert (best == 0).any() and refined.any()
-        # a cold map evaluates its grid table, the d = 0 stop's two rows, the best grid
-        # points of the rows that refine, then in passes 2, 3, ... the rows still active
+        # a cold map evaluates its kept probabilities, the d = 0 stop's two rows, the
+        # best grid points but 0 of the rows that refine, then in passes 2, 3, ... the
+        # rows still active
         later = int(np.maximum(cold.iterations - 1, 0).sum())
         first = np.zeros(len(inference._GRID), dtype=bool)
         first[best[refined]] = True
-        assert evaluated[0] == (len(inference._GRID), False)
+        first[0] = False
+        assert evaluated[0] == (len(inference._KEPT), False)
         assert sum(rows for rows, _ in evaluated) == (
-            len(inference._GRID) + 2 + first.sum() + later)
+            len(inference._KEPT) + 2 + first.sum() + later)
         evaluated.clear()
         warm = _fit(obs, forward)
         for a, b in zip(cold, warm):
@@ -878,10 +887,10 @@ class TestKeptRows:
             assert all(derivative for _, derivative in evaluated)
             assert sum(rows for rows, _ in evaluated) == later
         # the derivatives stay in the base map's table
-        assert "_slope_table" not in vars(view)
+        assert "_kept_slopes" not in vars(view)
 
     def test_cold_plain_callable_makes_no_more_scalar_calls(self, model015):
-        # a plain callable's map is new per call: 200 grid rows, then 5 scalar calls
+        # a plain callable's map is new per call: 201 kept rows, then 5 scalar calls
         # (the row and its difference quotient) per row of the d = 0 stop and of each pass
         grid = bp.PixelGrid()
         calls = []
@@ -895,10 +904,10 @@ class TestKeptRows:
         at_zero, off_zero = (bp.sample_counts(truth, 37_000, bp.trial_seed(0, t)) for t in (2, 0))
         calls.clear()
         stopped = bp.mle_estimate(at_zero, public)
-        assert stopped.refine_iterations == 0 and len(calls) == 200 + 2 * 5
+        assert stopped.refine_iterations == 0 and len(calls) == len(inference._KEPT) + 2 * 5
         calls.clear()
         refined = bp.mle_estimate(off_zero, public)
-        assert refined.refine_iterations == 4 and len(calls) == 200 + 4 * 5
+        assert refined.refine_iterations == 4 and len(calls) == len(inference._KEPT) + 4 * 5
 
 
 class TestMleEstimate:

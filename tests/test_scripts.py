@@ -57,10 +57,11 @@ def test_output_digest_lines(capsys):
         assert f"error-counts-{name.replace('_', '-')}/exit {exit_two}" in lines
     for name in ("abc-separation-label", "unreadable-counts"):
         assert f"error-{name}/exit {exit_two}" in lines
-    # a setting out of range, in a flag or a config file, is a config error: exit code 1
+    # a setting out of range, in a flag or a config file, or an output table that cannot
+    # be written is a config error: exit code 1
     exit_one = hashlib.sha256(b"1").hexdigest()
     for name in ("negative-modes-k", "zero-sep-step", "one-trial", "sep-stop-below-start",
-                 "negative-sep-start", "config-line-without-equals"):
+                 "negative-sep-start", "config-line-without-equals", "output-is-a-directory"):
         assert f"error-{name}/exit {exit_one}" in lines
     exit_zero = hashlib.sha256(b"0").hexdigest()
     assert f"estimate-hand-edited/exit {exit_zero}" in lines
