@@ -108,13 +108,15 @@ def layers(files: list[Path]) -> dict:
     grid = bp.PixelGrid()
     one = np.array([0.3])
     many = np.linspace(0.0, 2.0, 200)
+    # the space's largest mode order and its plan, built once as a forward map builds it
+    setup = model._spade_setup(space, m.gamma)
     items = {}
     for label, d in (("1", one), ("200", many)):
         calls = 200 if len(d) == 1 else 10
         items[f"overlap._overlap_amplitudes[{label}]"] = _time(
             lambda d=d: overlap._overlap_amplitudes(7, d), 100, calls)
         items[f"model._spade_probs[{label}]"] = _time(
-            lambda d=d: model._spade_probs(d, space, m, True, derivative=True), 100, calls)
+            lambda d=d: model._spade_probs(d, *setup, True, derivative=True), 100, calls)
         for kind in ("gaussian", "spdc"):
             items[f"model._pixel_probs[{kind},{label}]"] = _time(
                 lambda d=d, kind=kind: model._pixel_probs(d, grid, m, kind, derivative=True),

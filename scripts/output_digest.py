@@ -149,6 +149,8 @@ def _runs(paths: list[Path], zeros: list[Path],
         "estimate-numerical": ["estimate", files[0], "--gamma", "1e-7"],
         # its out-dir holds a directory named compare.csv (made in digest_lines)
         "output-is-a-directory": ["compare", *_SWEEP],
+        # its out-dir holds a directory named matrix_03.csv, the fourth of five tables
+        "write-fails-part-way": ["matrices"],
         **{f"counts-{name.replace('_', '-')}": ["estimate", str(derived[name])]
            for name in READER_ERRORS},
     }
@@ -182,6 +184,7 @@ def digest_lines() -> list[str]:
             derived[name] = root / f"{name}.cfg"
             derived[name].write_text(text)
         (root / "error-output-is-a-directory" / "compare.csv").mkdir(parents=True)
+        (root / "error-write-fails-part-way" / "matrix_03.csv").mkdir(parents=True)
         # argparse wraps help to the terminal width it reads from COLUMNS
         with mock.patch.dict(os.environ, COLUMNS="80"):
             for name, argv in _runs(inputs, zeros, derived).items():

@@ -8,7 +8,9 @@ deterministic given (config, seed) and writes comma-separated tables with a
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import math
 import re
 import sys
@@ -236,9 +238,13 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _write_table(cfg: RunConfig, command: str, name: str, extra: dict, columns: str,
-                 rows: list[str]) -> Path:
-    """Write one output table into cfg.out_dir: '#' header lines, the column line, the rows."""
+def _write_tables(cfg: RunConfig, command: str, tables: list[tuple]) -> list[Path]:
+    """Write each (name, extra, columns, rows) table into cfg.out_dir: all of them or none.
+
+    A table is '#' header lines, the column line and the rows. When a write fails,
+    the tables this run opened and the directories it made are removed, and the
+    failure is a ValueError that names the out-dir and the table.
+    """
     gamma = cfg.resolved_gamma()
     header = [
         f"# artifact_version = {__version__}",
@@ -246,17 +252,29 @@ def _write_table(cfg: RunConfig, command: str, name: str, extra: dict, columns: 
         f"# gamma = {_fmt(gamma)}",
         f"# schmidt_number = {_fmt(schmidt_number(gamma))}",
         f"# separation_convention = {CONVENTION}",
-        *(f"# {key} = {value}" for key, value in extra.items()),
     ]
     out_dir = Path(cfg.out_dir)
-    path = out_dir / name
+    made, written, name = [], [], tables[0][0]
     try:
+        # the missing directories, innermost first
+        made = list(itertools.takewhile(lambda path: not path.exists(),
+                                        (out_dir, *out_dir.parents)))
         out_dir.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(header + [columns] + rows) + "\n", encoding="utf-8",
-                        newline="\n")
+        for name, extra, columns, rows in tables:
+            lines = [*header, *(f"# {key} = {value}" for key, value in extra.items()), columns,
+                     *rows]
+            path = out_dir / name
+            with path.open("w", encoding="utf-8", newline="\n") as file:
+                written.append(path)
+                file.write("\n".join(lines) + "\n")
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            for path in written:
+                path.unlink()
+            for path in made:
+                path.rmdir()
         raise ValueError(f"out-dir {out_dir}: cannot write {name} ({exc})") from exc
-    return path
+    return written
 
 
 _COLUMNS = "k_idler,l_idler,k_signal,l_signal,count"
@@ -615,8 +633,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args)
         _, compute = _COMMANDS[args.command]
-        for table in compute(cfg, args):
-            print(_write_table(cfg, args.command, *table))
+        for path in _write_tables(cfg, args.command, compute(cfg, args)):
+            print(path)
     except ValueError as exc:
         print(f"bispade: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -28,6 +28,7 @@ from .model import (
     _calibrate_rows,
     _pixel_probs,
     _spade_probs,
+    _spade_setup,
 )
 from .source import (SchmidtModel, _checked_gamma, _coefficient, _is_integer, _mode_indices,
                      coefficient_ratio)
@@ -567,11 +568,12 @@ def _as_map(forward, step: float = _DIFF_STEP) -> _ForwardMap:
     return _ForwardMap(batch, (-1,))
 
 
-# One map per measurement and process, so its kept tables are built once: equal
-# arguments, passed the same way, return the same map. Once fits have read them,
-# a map holds up to three tables of 201 x outcomes floats (probabilities, their
-# logs, the slopes filled so far), 6.6 MB for a 37x37 space; a full cache of
-# eight such maps holds up to 53 MB.
+# One map per measurement and process, so its kept tables and its spade plan are
+# built once: equal arguments, passed the same way, return the same map. Once fits
+# have read them, a map holds up to three tables of 201 x outcomes floats
+# (probabilities, their logs, the slopes filled so far) and its plan of 64 bytes
+# per outcome, 6.7 MB for a 37x37 space; a full cache of eight such maps holds up
+# to 54 MB.
 @lru_cache(maxsize=8)
 def spade_forward(
     model: SchmidtModel, space: ModeSpace, renormalize: bool = True
@@ -580,8 +582,9 @@ def spade_forward(
 
     Equal arguments return the same map, shared by every caller in the process.
     """
+    order, plan = _spade_setup(space, model.gamma)
     return _ForwardMap(
-        lambda d, derivative: _spade_probs(d, space, model, renormalize, derivative)[:2],
+        lambda d, derivative: _spade_probs(d, order, plan, renormalize, derivative)[:2],
         space.shape,
     )
 

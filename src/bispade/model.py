@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, cached_property, lru_cache, partial
+from functools import cache, cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -33,11 +33,6 @@ _MIN_IN_SPACE_MASS = 1e-9
 _BLOCK_CELLS = 1 << 14
 # the step h at which p'(h) / h of a map even in d stands for p''(0)
 _CURVE_STEP = 1e-5
-# the spade plan cache: at most this many plans, each of a space of at most this
-# many outcomes; a plan with derivative holds 56 bytes per outcome, so a full
-# cache holds at most 16 x 0.92 MB
-_MAX_CACHED_PLANS = 16
-_MAX_CACHED_PLAN_OUTCOMES = 1 << 14
 
 
 def _check_pairs(pairs, label):
@@ -167,7 +162,8 @@ def small_sep_prob(k: int, l: int, kp: int, lp: int, d: float, model: SchmidtMod
     d, so p''(0) is read as p'(h) / h at h = _CURVE_STEP, good to O(h^2).
     """
     space = ModeSpace(idler=((k, l),), signal=((kp, lp),))
-    entries, slopes, _ = _spade_probs(np.array([0.0, _CURVE_STEP]), space, model, False, True)
+    entries, slopes, _ = _spade_probs(np.array([0.0, _CURVE_STEP]),
+                                      *_spade_setup(space, model.gamma), False, True)
     return float(entries[0, 0] + 0.5 * d * d * slopes[1, 0] / _CURVE_STEP)
 
 
@@ -189,93 +185,81 @@ def _check_separations(d: np.ndarray) -> None:
 
 
 class _SpadePlan(NamedTuple):
-    """Everything in _spade_block that depends on the space, gamma and derivative alone.
+    """Everything in _spade_block that depends on the space and gamma alone.
 
-    Arrays are flat over the space's outcomes, read-only. The slope entries are
-    None for a plan without derivative.
+    Arrays are flat over the space's outcomes, read-only. A table up to the
+    space's largest mode order reads cells; the table one column wider, whose
+    slopes need it, reads wide_cells and the slope cells.
     """
 
-    size: int                         # the largest mode order of the overlap table
-    cells: np.ndarray                 # flat table index of each outcome's <k|k',d>
-    weight: np.ndarray                # C_{k',l}^2 delta_{l,l'}
-    slope_weight: np.ndarray | None   # 2 * weight
-    down_cells: np.ndarray | None     # the cell of <k|k'-1,d> (of <k|0,d> at k' = 0)
-    up_cells: np.ndarray | None       # the cell of <k|k'+1,d>
-    down_scale: np.ndarray | None     # sqrt(k'/2)
-    up_scale: np.ndarray | None       # sqrt((k'+1)/2)
+    cells: np.ndarray         # flat table index of each outcome's <k|k',d>
+    wide_cells: np.ndarray    # the same cells in the table one column wider
+    weight: np.ndarray        # C_{k',l}^2 delta_{l,l'}
+    slope_weight: np.ndarray  # 2 * weight
+    down_cells: np.ndarray    # the wide cell of <k|k'-1,d> (of <k|0,d> at k' = 0)
+    up_cells: np.ndarray      # the wide cell of <k|k'+1,d>
+    down_scale: np.ndarray    # sqrt(k'/2)
+    up_scale: np.ndarray      # sqrt((k'+1)/2)
 
 
-def _table_size(space: ModeSpace, derivative: bool) -> int:
-    # the largest mode order of a space's overlap table: its largest index, and one
-    # column past it for the slopes
-    return max(max(k for k, _ in space.idler), max(k for k, _ in space.signal)) + int(derivative)
-
-
-@lru_cache(maxsize=_MAX_CACHED_PLANS)
-def _spade_plan(space: ModeSpace, gamma: float, derivative: bool) -> _SpadePlan:
+def _spade_plan(space: ModeSpace, gamma: float) -> _SpadePlan:
     k, l = np.array(space.idler).T
     kp, lp = np.array(space.signal).T
-    size = _table_size(space, derivative)
-    side = size + 1
-    if side * side > np.iinfo(np.intp).max:
-        # the table cannot be allocated, and its flat indices overflow
-        raise NumericalError(f"overlap table for mode orders up to {size} is too large")
+    side = max(k.max(), kp.max()) + 1
 
-    def flat(columns):
-        return (k[:, None] * side + columns[None, :]).ravel()
+    def flat(columns, width):
+        return (k[:, None] * width + columns[None, :]).ravel()
 
     def per_outcome(column_values):
         return np.tile(column_values, len(k))
 
     c = _coefficient(kp + lp.astype(float), gamma)
     weight = np.where(l[:, None] == lp[None, :], (c * c)[None, :], 0.0).ravel()
-    slope_parts = (None,) * 5
-    if derivative:
-        slope_parts = (2.0 * weight, flat(np.maximum(kp - 1, 0)), flat(kp + 1),
-                       per_outcome(np.sqrt(0.5 * kp)), per_outcome(np.sqrt(0.5 * (kp + 1.0))))
-    plan = _SpadePlan(size, flat(kp), weight, *slope_parts)
-    for array in plan[1:]:
-        if array is not None:
-            array.flags.writeable = False
+    plan = _SpadePlan(flat(kp, side), flat(kp, side + 1), weight, 2.0 * weight,
+                      flat(np.maximum(kp - 1, 0), side + 1), flat(kp + 1, side + 1),
+                      per_outcome(np.sqrt(0.5 * kp)), per_outcome(np.sqrt(0.5 * (kp + 1.0))))
+    for array in plan:
+        array.flags.writeable = False
     return plan
 
 
-def _spade_probs(d: np.ndarray, space: ModeSpace, model: SchmidtModel, renormalize: bool,
-                 derivative: bool):
+def _spade_setup(space: ModeSpace, gamma: float):
+    # (the space's largest mode order, a function that builds its plan on its first call)
+    order = max(k for k, _ in space.idler + space.signal)
+    return order, cache(partial(_spade_plan, space, gamma))
+
+
+def _spade_probs(d: np.ndarray, order: int, plan, renormalize: bool, derivative: bool):
     """Probability matrices (and their d-derivatives) at each separation of the 1-D array d.
 
-    Returns (entries, slopes, totals): entries and slopes as (separations x
-    outcomes) rows, each row a flattened matrix, and the in-space mass per
-    separation. slopes is the first d-derivative when derivative is true, else
-    None. The slope of an amplitude is d<m|n',d>/dd = sqrt(n'/2) <m|n'-1,d> -
-    sqrt((n'+1)/2) <m|n'+1,d>, which needs one table column past the largest
-    index of the space.
+    order is the space's largest mode order and plan() returns its _SpadePlan
+    (see _spade_setup). Returns (entries, slopes, totals): entries and slopes as
+    (separations x outcomes) rows, each row a flattened matrix, and the in-space
+    mass per separation. slopes is the first d-derivative when derivative is
+    true, else None. The slope of an amplitude is d<m|n',d>/dd = sqrt(n'/2)
+    <m|n'-1,d> - sqrt((n'+1)/2) <m|n'+1,d>, which needs one table column past
+    the largest index of the space. plan is called after the first overlap
+    table, so a table that cannot be allocated or overflows fails before the
+    plan takes memory.
     """
     _check_separations(d)
-    if len(space.idler) * len(space.signal) <= _MAX_CACHED_PLAN_OUTCOMES:
-        plan = _spade_plan(space, model.gamma, derivative)
-        size, get_plan = plan.size, lambda: plan
-    else:
-        # a larger space builds its plan for this call alone, after its first overlap
-        # table: a table that cannot be allocated or overflows fails before the plan
-        # takes memory
-        size = _table_size(space, derivative)
-        get_plan = cache(partial(_spade_plan.__wrapped__, space, model.gamma, derivative))
+    size = order + int(derivative)
     return _in_blocks(
-        lambda block: _spade_block(_overlap_amplitudes(size, block), get_plan(), renormalize),
+        lambda block: _spade_block(_overlap_amplitudes(size, block), plan(), renormalize,
+                                   derivative),
         d,
         (size + 1) ** 2,
     )
 
 
-def _spade_block(amps, plan, renormalize):
-    amps = amps.reshape(len(amps), (plan.size + 1) ** 2)
+def _spade_block(amps, plan, renormalize, derivative):
+    amps = amps.reshape(len(amps), amps.shape[1] * amps.shape[2])
     # take gives contiguous rows, so that each row sums in the same order whatever len(d) is
-    a = amps.take(plan.cells, axis=1)
+    a = amps.take(plan.wide_cells if derivative else plan.cells, axis=1)
     entries = plan.weight * (a * a)
     totals = entries.sum(axis=1)
     slopes = None
-    if plan.slope_weight is not None:
+    if derivative:
         down = plan.down_scale * amps.take(plan.down_cells, axis=1)
         up = plan.up_scale * amps.take(plan.up_cells, axis=1)
         slopes = plan.slope_weight * a * (down - up)
@@ -304,7 +288,8 @@ def prob_matrix(
     (entries divided by the in-space total), matching how measured matrices
     are normalized.
     """
-    entries, _, totals = _spade_probs(np.array([float(d)]), space, model, renormalize, False)
+    entries, _, totals = _spade_probs(np.array([float(d)]), *_spade_setup(space, model.gamma),
+                                      renormalize, False)
     return ProbabilityMatrix(
         space=space,
         entries=entries[0].reshape(space.shape),

@@ -1,4 +1,6 @@
 import argparse
+import errno
+import io
 import math
 import os
 import subprocess
@@ -1257,6 +1259,44 @@ def test_a_table_that_cannot_be_written_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"bispade: config error: out-dir {tmp_path}: cannot write compare.csv (")
     assert err.count("\n") == 1
+
+
+def test_a_failed_write_leaves_none_of_the_run_s_tables(tmp_path, capsys):
+    # matrices writes five tables; the fourth cannot be written, so none is kept or printed
+    (tmp_path / "matrix_03.csv").mkdir()
+    assert main(["matrices", "--out-dir", str(tmp_path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"bispade: config error: out-dir {tmp_path}: cannot write matrix_03.csv (")
+    assert err.count("\n") == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["matrix_03.csv"]
+
+
+def test_a_failed_write_removes_the_directories_the_run_made(tmp_path, monkeypatch, capsys):
+    # the third table opens, then its write fails part-way (a full disk)
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    opened = []
+    path_open = Path.open
+
+    def open_table(path, *args, **kwargs):
+        opened.append(path.name)
+        if path.name == "matrix_02.csv":
+            path_open(path, *args, **kwargs).close()
+            return FullDisk()
+        return path_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_table)
+    out_dir = tmp_path / "new" / "out"
+    assert main(["matrices", "--out-dir", str(out_dir)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert opened == ["matrix_00.csv", "matrix_01.csv", "matrix_02.csv"]
+    assert out == ""
+    assert err == (f"bispade: config error: out-dir {out_dir}: cannot write matrix_02.csv "
+                   "([Errno 28] No space left on device)\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unreadable_config_file_is_a_config_error(tmp_path, capsys):

@@ -315,27 +315,52 @@ class TestProbMatrix:
         with pytest.raises(NumericalError, match="overflows"):
             prob_matrix(1.0, space, model015, renormalize=renormalize)
 
-    def test_plan_built_per_call_gives_the_cached_plan_rows(self, monkeypatch, model015):
-        # a space above the plan cache's bound builds its plan per call; 40 rows of the
-        # 63x63 space span two blocks, and every byte is the cached plan's
+    def test_map_rows_are_the_per_call_plan_rows(self, model015):
+        # a map keeps one plan for both derivative flags; 40 rows of the 63x63 space
+        # span two blocks, and every byte is that of a plan built for the call alone
         space = ModeSpace.grid(20, 2)
         d = np.linspace(-1.5, 2.0, 40)
-        cached = model_module._spade_probs(d, space, model015, True, True)
-        monkeypatch.setattr(model_module, "_MAX_CACHED_PLAN_OUTCOMES", 0)
-        fresh = model_module._spade_probs(d, space, model015, True, True)
-        for kept, built in zip(cached, fresh):
-            assert kept.tobytes() == built.tobytes()
+        forward = spade_forward.__wrapped__(model015, space)
+        for derivative in (False, True):
+            probs, slopes = forward.batch(d, derivative)
+            fresh_probs, fresh_slopes, _ = model_module._spade_probs(
+                d, *model_module._spade_setup(space, model015.gamma), True, derivative)
+            assert probs.tobytes() == fresh_probs.tobytes()
+            if derivative:
+                assert slopes.tobytes() == fresh_slopes.tobytes()
+            else:
+                assert slopes is None and fresh_slopes is None
 
-    def test_table_that_overflows_fails_before_an_uncached_plan(self, monkeypatch, model015):
-        # the plan of a space too large to cache takes memory only after its table
+    @pytest.mark.parametrize("evaluate", [
+        lambda space, m: prob_matrix(1.0, space, m),
+        lambda space, m: spade_forward.__wrapped__(m, space).batch(np.array([1.0]), False),
+    ], ids=["prob_matrix", "fresh_map"])
+    def test_table_that_overflows_fails_before_the_plan(self, monkeypatch, model015, evaluate):
+        # the plan takes memory only after the first overlap table
         built = []
-        monkeypatch.setattr(model_module._spade_plan, "__wrapped__",
-                            lambda *args: built.append(args))
-        monkeypatch.setattr(model_module, "_MAX_CACHED_PLAN_OUTCOMES", 0)
+        monkeypatch.setattr(model_module, "_spade_plan", lambda *args: built.append(args))
         space = ModeSpace(idler=((0, 0), (1100, 0)), signal=((0, 0), (3, 0)))
         with pytest.raises(NumericalError, match="overflows"):
-            model_module._spade_probs(np.array([1.0]), space, model015, True, False)
+            evaluate(space, model015)
         assert built == []
+
+    def test_map_builds_its_plan_once(self, monkeypatch, model015):
+        built = []
+        plan = model_module._spade_plan
+
+        def counting(*args):
+            built.append(args)
+            return plan(*args)
+
+        monkeypatch.setattr(model_module, "_spade_plan", counting)
+        space = ModeSpace.grid(20, 2)
+        forward = spade_forward.__wrapped__(model015, space)
+        assert built == []
+        for rows in (1, 40, 3, 40):
+            for derivative in (False, True):
+                forward.batch(np.linspace(0.0, 1.0, rows), derivative)
+        forward(0.2)
+        assert built == [(space, model015.gamma)]
 
 
 class TestCalibration:

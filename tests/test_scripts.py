@@ -61,8 +61,11 @@ def test_output_digest_lines(capsys):
     # be written is a config error: exit code 1
     exit_one = hashlib.sha256(b"1").hexdigest()
     for name in ("negative-modes-k", "zero-sep-step", "one-trial", "sep-stop-below-start",
-                 "negative-sep-start", "config-line-without-equals", "output-is-a-directory"):
+                 "negative-sep-start", "config-line-without-equals", "output-is-a-directory",
+                 "write-fails-part-way"):
         assert f"error-{name}/exit {exit_one}" in lines
+    # a write that fails part-way leaves none of the run's tables
+    assert not any(name.startswith("error-write-fails-part-way/matrix_") for name in names)
     exit_zero = hashlib.sha256(b"0").hexdigest()
     assert f"estimate-hand-edited/exit {exit_zero}" in lines
     assert f"estimate-reordered/exit {exit_zero}" in lines
