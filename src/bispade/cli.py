@@ -341,16 +341,12 @@ def _separation_label(line: str) -> float | None:
         return math.nan
 
 
-# byte classes of the rows write_counts_file writes: 0 any other byte, 1 a
-# digit, 2 the comma between fields, 3 the newline that ends a row
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[np.frombuffer(b"0123456789", dtype=np.uint8)] = 1
-_BYTE_CLASS[ord(",")] = 2
-_BYTE_CLASS[ord("\n")] = 3
-# the '#' lines and the column line write_counts_file writes; a '#' line holds
-# none of the line breaks of str.splitlines
-_WRITTEN_HEAD = re.compile(
+# the layout write_counts_file writes, matched whole: '#' lines that hold none of
+# the line breaks of str.splitlines, the column line, then rows of five fields of
+# 1 to 18 digits (so below 2**63) split by four commas, each ended by '\n'
+_WRITTEN = re.compile(
     r"((?:#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*\n)*)" + re.escape(_COLUMNS) + r"\n"
+    r"((?:[0-9]{1,18}+,[0-9]{1,18}+,[0-9]{1,18}+,[0-9]{1,18}+,[0-9]{1,18}+\n)*+)"
 )
 
 
@@ -359,39 +355,21 @@ def _read_written(texts: list[str], space: ModeSpace) -> list[CountMatrix | None
     # in one pass; None for any other text, which the line loop then reads or
     # rejects on its own
     keys = _row_keys(space)
-    heads, bodies, taken = [], [], []
-    for index, text in enumerate(texts):
-        head = _WRITTEN_HEAD.match(text)
-        if head is None:
-            continue
-        body = text[head.end():]
-        if body.isascii() and body.count("\n") == len(keys) and body.endswith("\n"):
-            heads.append(head.group(1))
-            bodies.append(body)
-            taken.append(index)
-    # every taken body is len(keys) rows that end in '\n'; a row passes when it
-    # is five fields of 1 to 18 digits (so below 2**63) split by four commas
-    classes = _BYTE_CLASS.take(np.frombuffer("".join(bodies).encode("ascii"), dtype=np.uint8))
-    seps = np.flatnonzero(classes > 1)  # the commas and newlines
-    ends = np.flatnonzero(classes[seps] == 3)  # the newline of each row, as an index of seps
-    bad = np.diff(ends, prepend=-1) != 5  # a row of other than four commas
-    width = np.diff(seps, prepend=-1) - 1  # the bytes of the field each separator ends
-    bad[np.searchsorted(ends, np.flatnonzero((width < 1) | (width > 18)))] = True
-    bad[np.searchsorted(seps[ends], np.flatnonzero(classes == 0))] = True
-    passed = np.flatnonzero(~bad.reshape(len(taken), len(keys)).any(axis=1))
-    rows_text = "".join([bodies[j] for j in passed]).replace("\n", ",")
-    rows = np.fromstring(rows_text, dtype=np.int64, sep=",").reshape(len(passed), len(keys), 5)
+    taken = [(index, match) for index, text in enumerate(texts)
+             if (match := _WRITTEN.fullmatch(text)) and match[2].count("\n") == len(keys)]
+    rows_text = "".join([match[2] for _, match in taken]).replace("\n", ",")
+    rows = np.fromstring(rows_text, dtype=np.int64, sep=",").reshape(len(taken), len(keys), 5)
     in_order = (rows[:, :, :4] == keys).all(axis=(1, 2))
     counts = rows[in_order, :, 4]  # (files, len(keys)), each count a non-negative int64
     totals = map(sum, counts.tolist())  # exact: an int64 sum wraps past 2**63
     found: list[CountMatrix | None] = [None] * len(texts)
-    for j, file_counts, total in zip(passed[in_order].tolist(),
-                                     counts.reshape(len(counts), *space.shape), totals):
-        labels = [label for line in heads[j].splitlines()
+    for (index, match), file_counts, total in zip(itertools.compress(taken, in_order),
+                                                  counts.reshape(len(counts), *space.shape),
+                                                  totals):
+        labels = [label for line in match[1].splitlines()
                   if (label := _separation_label(line.strip())) is not None]
         if all(map(math.isfinite, labels)) and total <= _MAX_PHOTONS:
-            found[taken[j]] = CountMatrix._proved(file_counts, labels[-1] if labels else None,
-                                                  total)
+            found[index] = CountMatrix._proved(file_counts, labels[-1] if labels else None, total)
     return found
 
 

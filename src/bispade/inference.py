@@ -571,7 +571,7 @@ def _as_map(forward, step: float = _DIFF_STEP) -> _ForwardMap:
 # One map per measurement and process, so its kept tables and its spade plan are
 # built once: equal arguments, passed the same way, return the same map. Once fits
 # have read them, a map holds up to three tables of 201 x outcomes floats
-# (probabilities, their logs, the slopes filled so far) and its plan of 64 bytes
+# (probabilities, their logs, the slopes filled so far) and its plan of 56 bytes
 # per outcome, 6.7 MB for a 37x37 space; a full cache of eight such maps holds up
 # to 54 MB.
 @lru_cache(maxsize=8)

@@ -66,6 +66,12 @@ class ModeSpace:
     def grid(cls, max_k: int = 6, max_l: int = 0) -> "ModeSpace":
         """Rectangular k=0..max_k, l=0..max_l set on both arms (default 7x7, l=0)."""
         _mode_indices(max_k=max_k, max_l=max_l)
+        # sized before any pair is listed: listing 2**62 + 1 of them would run without end
+        if ((int(max_k) + 1) * (int(max_l) + 1)) ** 2 > np.iinfo(np.intp).max:
+            raise ValueError(
+                "mode indices must be small enough that numpy can index the grid's "
+                f"((max_k + 1) * (max_l + 1))**2 outcomes, got max_k={max_k}, max_l={max_l}"
+            )
         pairs = tuple((k, l) for l in range(max_l + 1) for k in range(max_k + 1))
         return cls(idler=pairs, signal=pairs)
 
@@ -195,11 +201,11 @@ class _SpadePlan(NamedTuple):
     cells: np.ndarray         # flat table index of each outcome's <k|k',d>
     wide_cells: np.ndarray    # the same cells in the table one column wider
     weight: np.ndarray        # C_{k',l}^2 delta_{l,l'}
-    slope_weight: np.ndarray  # 2 * weight
     down_cells: np.ndarray    # the wide cell of <k|k'-1,d> (of <k|0,d> at k' = 0)
     up_cells: np.ndarray      # the wide cell of <k|k'+1,d>
-    down_scale: np.ndarray    # sqrt(k'/2)
-    up_scale: np.ndarray      # sqrt((k'+1)/2)
+    # twice the ladder scales sqrt(k'/2) and sqrt((k'+1)/2): the 2 of d(a^2)/dd = 2 a da/dd
+    down_scale: np.ndarray    # sqrt(2 k')
+    up_scale: np.ndarray      # sqrt(2 (k'+1))
 
 
 def _spade_plan(space: ModeSpace, gamma: float) -> _SpadePlan:
@@ -215,9 +221,9 @@ def _spade_plan(space: ModeSpace, gamma: float) -> _SpadePlan:
 
     c = _coefficient(kp + lp.astype(float), gamma)
     weight = np.where(l[:, None] == lp[None, :], (c * c)[None, :], 0.0).ravel()
-    plan = _SpadePlan(flat(kp, side), flat(kp, side + 1), weight, 2.0 * weight,
+    plan = _SpadePlan(flat(kp, side), flat(kp, side + 1), weight,
                       flat(np.maximum(kp - 1, 0), side + 1), flat(kp + 1, side + 1),
-                      per_outcome(np.sqrt(0.5 * kp)), per_outcome(np.sqrt(0.5 * (kp + 1.0))))
+                      per_outcome(np.sqrt(2.0 * kp)), per_outcome(np.sqrt(2.0 * (kp + 1.0))))
     for array in plan:
         array.flags.writeable = False
     return plan
@@ -262,7 +268,7 @@ def _spade_block(amps, plan, renormalize, derivative):
     if derivative:
         down = plan.down_scale * amps.take(plan.down_cells, axis=1)
         up = plan.up_scale * amps.take(plan.up_cells, axis=1)
-        slopes = plan.slope_weight * a * (down - up)
+        slopes = plan.weight * a * (down - up)
     if renormalize:
         if np.any(totals < _MIN_IN_SPACE_MASS):
             raise NumericalError(

@@ -2,7 +2,8 @@
 
 These deliberately avoid the recurrence/closed-form code paths they check:
 explicit series sums in exact rational arithmetic, scalar recurrences,
-truncated Hermite-Gauss mode sums, and dense Riemann binning.
+truncated Hermite-Gauss mode sums, dense Riemann binning, and mode
+projections of the two-photon wavefunction.
 """
 import math
 from fractions import Fraction
@@ -156,3 +157,27 @@ def spade_curvature_at_zero(space, gamma: float, renormalize: bool = True) -> np
 def second_difference_at_zero(fn, h: float) -> np.ndarray:
     """(fn(h) - 2 fn(0) + fn(-h)) / h^2: the second derivative of fn at 0 to O(h^2)."""
     return (np.asarray(fn(h)) - 2.0 * np.asarray(fn(0.0)) + np.asarray(fn(-h))) / (h * h)
+
+
+def biphoton_probs(d: float, gamma: float, max_k: int, points: int = 201,
+                   span: float = 14.0) -> np.ndarray:
+    """Coincidence probabilities from the two-photon wavefunction, idler mode k by row.
+
+    The 1-D double-Gaussian state in momentum space,
+    Phi(p_s, p_i) = exp(-u^2/(4 gamma)) exp(-gamma v^2/4) with u = p_s + p_i and
+    v = p_s - p_i, its signal displaced to +-d by the phase exp(-+i p_s d). Both
+    photons are projected on the unit-width modes hg1d_batch(max_k, p) by sums
+    over an even points x points grid on [-span, span]^2; the +-d mixture is
+    renormalized over the (max_k + 1)^2 outcomes. The Fourier phases (-i)^k of
+    the modes drop out of every probability.
+    """
+    p = np.linspace(-span, span, points)
+    p_s, p_i = np.meshgrid(p, p, indexing="ij")
+    phi = np.exp(-(p_s + p_i) ** 2 / (4.0 * gamma) - gamma * (p_s - p_i) ** 2 / 4.0)
+    modes = hg1d_batch(max_k, p)
+    probs = np.zeros((max_k + 1, max_k + 1))
+    for sign in (1.0, -1.0):
+        shifted = phi * np.exp(-1j * sign * d * p)[:, None]
+        amplitudes = modes @ shifted.T @ modes.T  # [idler k, signal k']
+        probs += 0.5 * np.abs(amplitudes) ** 2
+    return probs / probs.sum()

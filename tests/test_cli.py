@@ -3,6 +3,7 @@ import errno
 import io
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import fields
@@ -624,6 +625,61 @@ class TestCountsIo:
         elif not edits - {"zeros"}:
             assert fast.counts.tolist() == expected and fast.separation == separation
 
+    DIFFERENTIAL_SPACES = {
+        "grid-2-1": bp.ModeSpace.grid(2, 1),
+        "grid-6-0": bp.ModeSpace.grid(6, 0),
+        "sparse": bp.ModeSpace(idler=((10**4, 10**4),), signal=((0, 0), (10**4, 1))),
+    }
+    # no '\r': the texts are checked as _read_text returns them
+    INSERTS = (*"0123456789", ",", "\n", "#", " ", "+", "-", ".", "e", "\u0663", "\uff10",
+               "\x85", "k_idler")
+
+    def _randomly_edited(self, text, rng):
+        # text after 0 to 3 one-character inserts or replacements or span deletions,
+        # each at a random place of a random line: '#' lines are edited as often as rows
+        edits = rng.randint(0, 3)
+        for _ in range(edits):
+            lines = text.splitlines(keepends=True) or [""]
+            line = rng.randrange(len(lines))
+            at = sum(map(len, lines[:line])) + rng.randint(0, len(lines[line]))
+            kind = rng.choice(["insert", "replace", "delete"])
+            if kind == "delete":
+                text = text[:at] + text[rng.randint(at, min(at + 40, len(text))):]
+            else:
+                text = text[:at] + rng.choice(self.INSERTS) + text[at + (kind == "replace"):]
+        return text, edits
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(list(DIFFERENTIAL_SPACES)),
+           separation=st.none() | st.floats(-10.0, 10.0),
+           meta=st.sampled_from([None, {"lab": "B"}]), seed=st.integers(0, 2**32 - 1))
+    def test_the_one_pass_read_agrees_with_the_line_loop_on_edited_files(
+            self, tmp_path_factory, name, separation, meta, seed):
+        # eight randomly edited copies of a written file, read as one batch: the
+        # one-pass read declines each or reads what the line loop reads, and it
+        # declines what the loop rejects. Counts and edits come from a generator
+        # seeded by hypothesis, whose own draws cluster at the ends of each range
+        space = self.DIFFERENTIAL_SPACES[name]
+        rng = random.Random(seed)
+        counts = [rng.randint(0, 10**6) for _ in range(space.shape[0] * space.shape[1])]
+        # a count of 16 digits, which an inserted digit takes past 2**53
+        counts[rng.randrange(len(counts))] = rng.choice([0, 2**52])
+        path = write_counts_file(tmp_path_factory.getbasetemp() / "differential.csv", space,
+                                 np.reshape(counts, space.shape), separation, meta)
+        texts, edits = zip(*(self._randomly_edited(cli._read_text(path), rng) for _ in range(8)))
+        for text, edited, fast in zip(texts, edits, cli._read_written(list(texts), space)):
+            try:
+                loop = cli._read_lines(text, path, space)
+            except DataFormatError:
+                assert fast is None
+                continue
+            assert fast is not None or edited
+            if fast is not None:
+                assert fast.counts.dtype == loop.counts.dtype == np.int64
+                assert fast.counts.tolist() == loop.counts.tolist()
+                assert repr(fast.separation) == repr(loop.separation)
+                assert type(fast.total) is type(loop.total) is int and fast.total == loop.total
+
     @pytest.mark.parametrize("edit, message", [
         (lambda text: text.replace(",0\n", ",0000000000000000000\n", 1), None),
         (lambda text: text[:-1], None),
@@ -1110,6 +1166,24 @@ class TestExitCodes:
         ])
         assert code == EXIT_NUMERIC
         assert "overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["matrices"], ["estimate", "unread.csv"]],
+                             ids=["matrices", "estimate"])
+    def test_a_grid_numpy_cannot_index_is_refused_before_its_pairs(self, tmp_path, capsys,
+                                                                   monkeypatch, argv):
+        # listing the 2**62 + 1 pairs of each arm would run without end
+        def refuse(*args):
+            raise AssertionError("the grid listed its pairs")
+
+        monkeypatch.setattr("bispade.model.range", refuse, raising=False)
+        out = tmp_path / "out"
+        assert main([*argv, "--modes-k", str(2**62), "--out-dir", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "bispade: config error: mode indices must be small enough that numpy can index the "
+            "grid's ((max_k + 1) * (max_l + 1))**2 outcomes, got max_k=4611686018427387904, "
+            "max_l=0\n"
+        )
+        assert not out.exists()
 
 
 class TestNonFiniteSettings:

@@ -26,7 +26,7 @@ from bispade import (
 )
 from bispade import model as model_module
 from bispade.model import _pixel_probs
-from oracles import riemann_pixel_probs, scalar_overlap
+from oracles import biphoton_probs, riemann_pixel_probs, scalar_overlap
 
 
 def _entrywise_matrix(d, space, model):
@@ -88,7 +88,11 @@ class TestModeSpace:
         (-1, 0, "non-negative, got max_k=-1"),
         (0, -1, "non-negative, got max_l=-1"),
         (2**63, 0, "at most 2\\*\\*63 - 1, got max_k=9223372036854775808"),
-    ], ids=["negative-k", "negative-l", "2**63"])
+        # 2**62 + 1 pairs, whose (2**62 + 1)**2 outcomes no numpy index reaches
+        (2**62, 0, "small enough that numpy can index the grid's "
+                   + re.escape("((max_k + 1) * (max_l + 1))**2")
+                   + " outcomes, got max_k=4611686018427387904, max_l=0"),
+    ], ids=["negative-k", "negative-l", "2**63", "2**62"])
     def test_grid_rejects_bounds_out_of_range_by_value(self, monkeypatch, max_k, max_l, named):
         # the bounds are checked before the pairs are listed: 2**63 + 1 of them
         # would fill the memory
@@ -216,6 +220,13 @@ class TestSmallSepProb:
 
 
 class TestProbMatrix:
+    @pytest.mark.parametrize("d", [0.0, 0.01, 0.3, 0.9])
+    def test_is_the_transposed_wavefunction_oracle(self, d):
+        # entry (k, k') of prob_matrix carries C_k'^2; with the signal displaced,
+        # the wavefunction carries C_k^2 there, so its rows are prob_matrix's columns
+        pm = prob_matrix(d, ModeSpace.grid(6, 0), SchmidtModel(0.15))
+        np.testing.assert_allclose(biphoton_probs(d, 0.15, 6), pm.entries.T, rtol=0, atol=1e-14)
+
     def test_zero_separation_diagonal(self, model015, space7):
         pm = prob_matrix(0.0, space7, model015, renormalize=True)
         off = pm.entries - np.diag(np.diag(pm.entries))
