@@ -138,6 +138,8 @@ def _runs(paths: list[Path], zeros: list[Path],
         "infinite-pump-waist": ["crlb-curves", "--pump-waist-um", "inf",
                                 "--crystal-length-mm", "2", "--pump-wavelength-nm", "405"],
         "nan-separation-label": ["estimate", str(derived["nan_label"]), "--calibrate"],
+        "calibrate-one-separation": ["estimate", files[0], files[0], "--calibrate"],
+        "separation-past-the-search": ["compare", "--sep-start", "3", "--sep-stop", "3"],
         "abc-separation-label": ["estimate", str(derived["abc_label"])],
         "unreadable-counts": ["estimate", str(derived["unreadable"])],
         "negative-modes-k": ["matrices", "--modes-k", "-1"],

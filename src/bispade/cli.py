@@ -38,8 +38,8 @@ from .inference import (
     spade_forward,
 )
 from .model import ModeSpace, PixelGrid, prob_matrix
-from .source import (SchmidtModel, SourceParams, _checked_gamma, _mode_indices,
-                     gamma_from_physical, schmidt_number)
+from .source import (SchmidtModel, SourceParams, _checked_gamma, _finite_positive,
+                     _mode_indices, gamma_from_physical, schmidt_number)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,8 +90,8 @@ class RunConfig:
     })
 
     def validate(self) -> None:
-        physical = [getattr(self, key) for key in _PHYSICAL_KEYS]
-        given = [v is not None for v in physical]
+        physical = {key.replace("_", "-"): getattr(self, key) for key in _PHYSICAL_KEYS}
+        given = [v is not None for v in physical.values()]
         if any(given) and not all(given):
             raise ValueError(
                 "physical source parameters require all of "
@@ -99,7 +99,19 @@ class RunConfig:
             )
         if self.gamma is not None and any(given):
             raise ValueError("give either gamma or the physical source parameters, not both")
-        _checked_gamma(self.resolved_gamma())
+        if any(given):
+            # each physical setting by its flag and in its own unit, then the gamma of all
+            # three (a setting can also underflow to zero in meters)
+            for flag, value in physical.items():
+                if not _finite_positive(value):
+                    raise ValueError(f"{flag} must be a finite positive number, got {value!r}")
+            try:
+                _checked_gamma(self.resolved_gamma())
+            except ValueError as exc:
+                settings = ", ".join(f"{flag} {value!r}" for flag, value in physical.items())
+                raise ValueError(f"gamma from {settings} is not a finite positive number") from exc
+        else:
+            _checked_gamma(self.resolved_gamma())
         _mode_indices(modes_k=self.modes_k, modes_l=self.modes_l)
         for name in ("sep_start", "sep_stop", "sep_step"):
             value = getattr(self, name)
@@ -243,7 +255,8 @@ def _write_tables(cfg: RunConfig, command: str, tables: list[tuple]) -> list[Pat
 
     A table is '#' header lines, the column line and the rows. When a write fails,
     the tables this run opened and the directories it made are removed, and the
-    failure is a ValueError that names the out-dir and the table.
+    failure is a ValueError that names the out-dir and the table; on a MemoryError
+    they are removed too, and the MemoryError is raised again.
     """
     gamma = cfg.resolved_gamma()
     header = [
@@ -267,12 +280,14 @@ def _write_tables(cfg: RunConfig, command: str, tables: list[tuple]) -> list[Pat
             with path.open("w", encoding="utf-8", newline="\n") as file:
                 written.append(path)
                 file.write("\n".join(lines) + "\n")
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         with contextlib.suppress(OSError):
             for path in written:
                 path.unlink()
             for path in made:
                 path.rmdir()
+        if isinstance(exc, MemoryError):
+            raise
         raise ValueError(f"out-dir {out_dir}: cannot write {name} ({exc})") from exc
     return written
 
@@ -508,6 +523,11 @@ def cmd_estimate(cfg: RunConfig, args: argparse.Namespace) -> list[tuple]:
                 "calibration needs a '# separation = <value>' label in every file; "
                 f"missing in: {', '.join(missing)}"
             )
+        if len({d for d, _ in labeled}) < 2:
+            raise DataFormatError(
+                "calibration needs files at two or more distinct separations; every file "
+                f"is labelled {_fmt(labeled[0][0])}"
+            )
         calibration = fit_calibration(labeled, forward)
     obs = np.stack([cm.counts.ravel() for _, cm in datasets]).astype(float)
     fits = _fit(obs, forward.calibrated(calibration))
@@ -621,6 +641,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except NumericalError as exc:
         print(f"bispade: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"bispade: numerical failure: out of memory{detail}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 

@@ -26,6 +26,7 @@ from .model import (
     ProbabilityMatrix,
     _CURVE_STEP,
     _calibrate_rows,
+    _check_separations,
     _pixel_probs,
     _spade_probs,
     _spade_setup,
@@ -571,9 +572,9 @@ def _as_map(forward, step: float = _DIFF_STEP) -> _ForwardMap:
 # One map per measurement and process, so its kept tables and its spade plan are
 # built once: equal arguments, passed the same way, return the same map. Once fits
 # have read them, a map holds up to three tables of 201 x outcomes floats
-# (probabilities, their logs, the slopes filled so far) and its plan of 56 bytes
+# (probabilities, their logs, the slopes filled so far) and its plan of 40 bytes
 # per outcome, 6.7 MB for a 37x37 space; a full cache of eight such maps holds up
-# to 54 MB.
+# to 53 MB.
 @lru_cache(maxsize=8)
 def spade_forward(
     model: SchmidtModel, space: ModeSpace, renormalize: bool = True
@@ -582,9 +583,9 @@ def spade_forward(
 
     Equal arguments return the same map, shared by every caller in the process.
     """
-    order, plan = _spade_setup(space, model.gamma)
+    size, plan = _spade_setup(space, model.gamma)
     return _ForwardMap(
-        lambda d, derivative: _spade_probs(d, order, plan, renormalize, derivative)[:2],
+        lambda d, derivative: _spade_probs(d, size, plan, renormalize, derivative)[:2],
         space.shape,
     )
 
@@ -735,7 +736,8 @@ def mc_standard_error(
     with the fraction of boundary and flat-likelihood trials. Deterministic
     for a given seed: each trial uses a sub-seed derived from its index, and
     results are reduced in trial order. Without a forward map the method fits
-    the default 7x7 mode space or 50-pixel grid.
+    the default 7x7 mode space or 50-pixel grid. d must lie in [0, 2], the
+    interval every fit searches.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -764,6 +766,13 @@ def _mc_cells(method, n_photons, seps, states, forward) -> list[MonteCarloResult
     are reduced along the trials of one (cells x trials) array (_cell_results).
     """
     seps = np.asarray(seps, dtype=float)
+    _check_separations(seps)
+    # every fit searches d in [0, 2]: a truth past 2 is fitted short of itself,
+    # often with no boundary flag
+    outside = (seps < _GRID[0]) | (seps > _GRID[-1])
+    if outside.any():
+        raise ValueError(f"true separation d must be in [0, 2], the interval every fit "
+                         f"searches, got {float(seps[outside][0])!r}")
     trials = states.shape[1]
     truths, _ = forward.batch(seps, False)
     weights = _normalized(truths)

@@ -193,36 +193,33 @@ def _check_separations(d: np.ndarray) -> None:
 class _SpadePlan(NamedTuple):
     """Everything in _spade_block that depends on the space and gamma alone.
 
-    Arrays are flat over the space's outcomes, read-only. A table up to the
-    space's largest mode order reads cells; the table one column wider, whose
-    slopes need it, reads wide_cells and the slope cells.
+    Arrays are flat over the space's outcomes, read-only, and index the table
+    one column past the space's largest mode order, which the slopes need: the
+    cell after each cell holds <k|k'+1,d>.
     """
 
     cells: np.ndarray         # flat table index of each outcome's <k|k',d>
-    wide_cells: np.ndarray    # the same cells in the table one column wider
     weight: np.ndarray        # C_{k',l}^2 delta_{l,l'}
-    down_cells: np.ndarray    # the wide cell of <k|k'-1,d> (of <k|0,d> at k' = 0)
-    up_cells: np.ndarray      # the wide cell of <k|k'+1,d>
+    down_cells: np.ndarray    # the cell of <k|k'-1,d> (of <k|0,d> at k' = 0)
     # twice the ladder scales sqrt(k'/2) and sqrt((k'+1)/2): the 2 of d(a^2)/dd = 2 a da/dd
     down_scale: np.ndarray    # sqrt(2 k')
     up_scale: np.ndarray      # sqrt(2 (k'+1))
 
 
-def _spade_plan(space: ModeSpace, gamma: float) -> _SpadePlan:
+def _spade_plan(space: ModeSpace, gamma: float, size: int) -> _SpadePlan:
+    # size is that of the overlap table the plan indexes
     k, l = np.array(space.idler).T
     kp, lp = np.array(space.signal).T
-    side = max(k.max(), kp.max()) + 1
 
-    def flat(columns, width):
-        return (k[:, None] * width + columns[None, :]).ravel()
+    def flat(columns):
+        return (k[:, None] * (size + 1) + columns[None, :]).ravel()
 
     def per_outcome(column_values):
         return np.tile(column_values, len(k))
 
     c = _coefficient(kp + lp.astype(float), gamma)
     weight = np.where(l[:, None] == lp[None, :], (c * c)[None, :], 0.0).ravel()
-    plan = _SpadePlan(flat(kp, side), flat(kp, side + 1), weight,
-                      flat(np.maximum(kp - 1, 0), side + 1), flat(kp + 1, side + 1),
+    plan = _SpadePlan(flat(kp), weight, flat(np.maximum(kp - 1, 0)),
                       per_outcome(np.sqrt(2.0 * kp)), per_outcome(np.sqrt(2.0 * (kp + 1.0))))
     for array in plan:
         array.flags.writeable = False
@@ -230,26 +227,26 @@ def _spade_plan(space: ModeSpace, gamma: float) -> _SpadePlan:
 
 
 def _spade_setup(space: ModeSpace, gamma: float):
-    # (the space's largest mode order, a function that builds its plan on its first call)
-    order = max(k for k, _ in space.idler + space.signal)
-    return order, cache(partial(_spade_plan, space, gamma))
+    # (the size of the space's overlap table, one past its largest mode order, and a
+    # function that builds its plan on its first call)
+    size = max(k for k, _ in space.idler + space.signal) + 1
+    return size, cache(partial(_spade_plan, space, gamma, size))
 
 
-def _spade_probs(d: np.ndarray, order: int, plan, renormalize: bool, derivative: bool):
+def _spade_probs(d: np.ndarray, size: int, plan, renormalize: bool, derivative: bool):
     """Probability matrices (and their d-derivatives) at each separation of the 1-D array d.
 
-    order is the space's largest mode order and plan() returns its _SpadePlan
-    (see _spade_setup). Returns (entries, slopes, totals): entries and slopes as
+    size and plan() are the space's overlap table size and _SpadePlan (see
+    _spade_setup). Returns (entries, slopes, totals): entries and slopes as
     (separations x outcomes) rows, each row a flattened matrix, and the in-space
     mass per separation. slopes is the first d-derivative when derivative is
     true, else None. The slope of an amplitude is d<m|n',d>/dd = sqrt(n'/2)
     <m|n'-1,d> - sqrt((n'+1)/2) <m|n'+1,d>, which needs one table column past
-    the largest index of the space. plan is called after the first overlap
-    table, so a table that cannot be allocated or overflows fails before the
-    plan takes memory.
+    the largest index of the space; probabilities read the same table. plan is
+    called after the first overlap table, so a table that cannot be allocated
+    or overflows fails before the plan takes memory.
     """
     _check_separations(d)
-    size = order + int(derivative)
     return _in_blocks(
         lambda block: _spade_block(_overlap_amplitudes(size, block), plan(), renormalize,
                                    derivative),
@@ -261,13 +258,13 @@ def _spade_probs(d: np.ndarray, order: int, plan, renormalize: bool, derivative:
 def _spade_block(amps, plan, renormalize, derivative):
     amps = amps.reshape(len(amps), amps.shape[1] * amps.shape[2])
     # take gives contiguous rows, so that each row sums in the same order whatever len(d) is
-    a = amps.take(plan.wide_cells if derivative else plan.cells, axis=1)
+    a = amps.take(plan.cells, axis=1)
     entries = plan.weight * (a * a)
     totals = entries.sum(axis=1)
     slopes = None
     if derivative:
         down = plan.down_scale * amps.take(plan.down_cells, axis=1)
-        up = plan.up_scale * amps.take(plan.up_cells, axis=1)
+        up = plan.up_scale * amps[:, 1:].take(plan.cells, axis=1)
         slopes = plan.weight * a * (down - up)
     if renormalize:
         if np.any(totals < _MIN_IN_SPACE_MASS):

@@ -33,8 +33,8 @@ def _overlap_layout(n: int):
     # Laguerre recurrence coefficients of each degree m = 1 .. n-1 over the orders
     # 0 .. n-m-1, the flat (min, |difference|) index of each table cell and its
     # |difference| as a float, 0.5*log(min!/max!) per cell, and the cells with an odd
-    # difference, with the row index above the column index, and with both (the sign
-    # pattern of the amplitudes; both at d >= 0)
+    # difference and the row index above the column index (the negative amplitudes
+    # at d >= 0)
     order = np.arange(n + 1.0)
     steps = tuple(
         (((2.0 * m + 1.0 + order[: n - m]) / (m + 1.0))[:, None],
@@ -47,14 +47,12 @@ def _overlap_layout(n: int):
     gap = np.abs(np.subtract.outer(index, index))
     cells = lo * (n + 1) + gap
     half_log_ratio = 0.5 * (log_fact[lo] - log_fact[lo + gap])
-    odd = gap % 2 == 1
-    below = np.greater.outer(index, index)
-    odd_below = odd & below
+    odd_below = (gap % 2 == 1) & np.greater.outer(index, index)
     gap = gap.astype(float)
-    for array in (order, cells, gap, half_log_ratio, odd, below, odd_below,
+    for array in (order, cells, gap, half_log_ratio, odd_below,
                   *(c for step in steps for c in step)):
         array.flags.writeable = False
-    return order, steps, cells, gap, half_log_ratio, odd, below, odd_below
+    return order, steps, cells, gap, half_log_ratio, odd_below
 
 
 def _overlap_amplitudes(n: int, d: np.ndarray) -> np.ndarray:
@@ -67,17 +65,17 @@ def _overlap_amplitudes(n: int, d: np.ndarray) -> np.ndarray:
     separation at once. The displaced-number-state recurrence in n' is not used:
     its rounding errors grow with n'*d (1e-2 in the square at n' = 100, d = 3).
     Returns shape (len(d), n+1, n+1); raises NumericalError where the table
-    overflows (mode orders above about 1000) or cannot be allocated.
+    overflows (mode orders above about 1000) or it or its layout cannot be allocated.
     """
     x = 0.5 * d * d
     # the table before its layout: an order within rounding of 2**63 has an empty
     # float64 order range, and its layout would loop over range(1, n)
     try:
         lag = np.zeros((n + 1, n + 1, len(d)))
+        layout = _overlap_layout if n <= _MAX_CACHED_ORDER else _overlap_layout.__wrapped__
+        order, steps, cells, gap, half_log_ratio, odd_below = layout(n)
     except (ValueError, MemoryError) as exc:
         raise NumericalError(f"overlap table for mode orders up to {n} is too large") from exc
-    layout = _overlap_layout if n <= _MAX_CACHED_ORDER else _overlap_layout.__wrapped__
-    order, steps, cells, gap, half_log_ratio, odd, below, odd_below = layout(n)
     lag[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         if n:
@@ -102,9 +100,12 @@ def _overlap_amplitudes(n: int, d: np.ndarray) -> np.ndarray:
         amp[x == 0.0] = np.eye(n + 1)
     if not np.isfinite(amp).all():
         raise NumericalError(f"overlap table overflows for mode orders up to {n}")
+    np.negative(amp, out=amp, where=odd_below)
     negative = d < 0.0
-    flip = odd & (below != negative[:, None, None]) if negative.any() else odd_below
-    return np.negative(amp, out=amp, where=flip)
+    if negative.any():
+        # the table at -d is the transpose of the table at d
+        amp[negative] = amp[negative].transpose(0, 2, 1)
+    return amp
 
 
 def displaced_overlap(m: int, n: int, d: float, sign: int = 1) -> float:

@@ -922,6 +922,19 @@ class TestEstimate:
         assert code == EXIT_DATA
         assert "u.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labels", [(0.3,), (0.3, 0.3)], ids=["one-file", "one-label"])
+    def test_calibrate_at_one_separation_is_a_data_error_naming_it(self, tmp_path, capsys,
+                                                                    labels):
+        space = bp.ModeSpace.grid()
+        counts = np.ones(space.shape, dtype=np.int64)
+        files = [str(write_counts_file(tmp_path / f"{i}.csv", space, counts, separation=d))
+                 for i, d in enumerate(labels)]
+        out = tmp_path / "out"
+        assert main(["estimate", *files, "--calibrate", "--out-dir", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "bispade: data error: calibration needs files at two or more distinct "
+            "separations; every file is labelled 0.3\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_label_is_a_data_error(self, tmp_path, capsys, value):
@@ -940,6 +953,15 @@ class TestEstimate:
 
 
 class TestCompare:
+    def test_a_separation_past_the_search_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["compare", "--sep-start", "3", "--sep-stop", "3", "--out-dir", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "bispade: config error: true separation d must be in [0, 2], the interval every "
+            "fit searches, got 3.0\n")
+        assert not out.exists()
+
     def test_small_run_structure(self, tmp_path):
         code = main([
             "compare", "--out-dir", str(tmp_path), "--photons", "2000", "--trials", "6",
@@ -1167,6 +1189,22 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC
         assert "overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, name, error, detail", [
+        (["matrices"], "prob_matrix", MemoryError("Unable to allocate 7.45 GiB"),
+         " (Unable to allocate 7.45 GiB)"),
+        (["estimate", "unread.csv"], "_row_keys", MemoryError(), ""),
+    ], ids=["matrices", "estimate"])
+    def test_running_out_of_memory_is_three(self, tmp_path, capsys, monkeypatch, argv, name,
+                                            error, detail):
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, name, exhausted)
+        out = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == f"bispade: numerical failure: out of memory{detail}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["matrices"], ["estimate", "unread.csv"]],
                              ids=["matrices", "estimate"])
     def test_a_grid_numpy_cannot_index_is_refused_before_its_pairs(self, tmp_path, capsys,
@@ -1194,7 +1232,20 @@ class TestNonFiniteSettings:
         (["matrices", "--sep-step", "inf"], "sep-step must be finite, got inf"),
         (["compare", "--seed", "-1"], "seed must be non-negative, got -1"),
         (["crlb-curves", "--pump-waist-um", "inf", "--crystal-length-mm", "2",
-          "--pump-wavelength-nm", "405"], "pump_waist must be a finite positive number"),
+          "--pump-wavelength-nm", "405"], "pump-waist-um must be a finite positive number, got inf"),
+        (["crlb-curves", "--pump-waist-um", "-100", "--crystal-length-mm", "2",
+          "--pump-wavelength-nm", "405"], "pump-waist-um must be a finite positive number, "
+                                          "got -100.0"),
+        # each setting is finite, but the gamma of the three overflows
+        (["crlb-curves", "--pump-waist-um", "100", "--crystal-length-mm", "1e308",
+          "--pump-wavelength-nm", "1e308"],
+         "gamma from pump-waist-um 100.0, crystal-length-mm 1e+308, pump-wavelength-nm 1e+308 "
+         "is not a finite positive number"),
+        # a finite positive waist that is zero in meters
+        (["crlb-curves", "--pump-waist-um", "1e-320", "--crystal-length-mm", "2",
+          "--pump-wavelength-nm", "405"],
+         "gamma from pump-waist-um 1e-320, crystal-length-mm 2.0, pump-wavelength-nm 405.0 "
+         "is not a finite positive number"),
         # crlb-curves builds no mode space, so only the setting check can refuse it
         (["crlb-curves", "--modes-k", "-1"], "mode indices must be non-negative, got modes_k=-1"),
         (["matrices", "--sep-step", "0"], "sep-step must be positive"),
@@ -1212,7 +1263,8 @@ class TestNonFiniteSettings:
          f"mode indices must be at most 2**63 - 1, got modes_k={2**63}"),
         (["crlb-curves", "--k-values", "2,nan"], "Schmidt number must be finite and >= 1, got nan"),
     ], ids=["k-values", "sep-stop", "sep-start", "sep-step", "seed", "pump-waist",
-            "modes-k", "sep-step-zero", "trials", "sep-stop-below-start", "gamma-negative",
+            "pump-waist-negative", "physical-gamma-inf", "pump-waist-underflow", "modes-k",
+            "sep-step-zero", "trials", "sep-stop-below-start", "gamma-negative",
             "gamma-inf", "modes-l-negative", "crlb-curves-modes-k-2**63",
             "matrices-modes-k-2**63", "k-values-nan"])
     def test_is_a_config_error_naming_the_setting(self, tmp_path, capsys, argv, message):
@@ -1346,11 +1398,12 @@ def test_a_failed_write_leaves_none_of_the_run_s_tables(tmp_path, capsys):
     assert [path.name for path in tmp_path.iterdir()] == ["matrix_03.csv"]
 
 
-def test_a_failed_write_removes_the_directories_the_run_made(tmp_path, monkeypatch, capsys):
-    # the third table opens, then its write fails part-way (a full disk)
-    class FullDisk(io.StringIO):
+def _fail_the_third_table_write(monkeypatch, out_dir, error):
+    # matrices into out_dir, whose third table opens and then fails to write with
+    # error; returns the exit code and the names of the tables opened
+    class FailingFile(io.StringIO):
         def write(self, text):
-            raise OSError(errno.ENOSPC, "No space left on device")
+            raise error
 
     opened = []
     path_open = Path.open
@@ -1359,17 +1412,34 @@ def test_a_failed_write_removes_the_directories_the_run_made(tmp_path, monkeypat
         opened.append(path.name)
         if path.name == "matrix_02.csv":
             path_open(path, *args, **kwargs).close()
-            return FullDisk()
+            return FailingFile()
         return path_open(path, *args, **kwargs)
 
     monkeypatch.setattr(Path, "open", open_table)
+    return main(["matrices", "--out-dir", str(out_dir)]), opened
+
+
+def test_a_failed_write_removes_the_directories_the_run_made(tmp_path, monkeypatch, capsys):
+    # a full disk part-way through the third table
     out_dir = tmp_path / "new" / "out"
-    assert main(["matrices", "--out-dir", str(out_dir)]) == EXIT_USAGE
+    code, opened = _fail_the_third_table_write(
+        monkeypatch, out_dir, OSError(errno.ENOSPC, "No space left on device"))
+    assert code == EXIT_USAGE
     out, err = capsys.readouterr()
     assert opened == ["matrix_00.csv", "matrix_01.csv", "matrix_02.csv"]
     assert out == ""
     assert err == (f"bispade: config error: out-dir {out_dir}: cannot write matrix_02.csv "
                    "([Errno 28] No space left on device)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_write_out_of_memory_removes_the_run_s_tables_and_directories(tmp_path, monkeypatch,
+                                                                          capsys):
+    code, opened = _fail_the_third_table_write(monkeypatch, tmp_path / "new" / "out",
+                                               MemoryError())
+    assert code == EXIT_NUMERIC
+    assert opened == ["matrix_00.csv", "matrix_01.csv", "matrix_02.csv"]
+    assert capsys.readouterr() == ("", "bispade: numerical failure: out of memory\n")
     assert list(tmp_path.iterdir()) == []
 
 

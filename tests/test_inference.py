@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -1172,6 +1173,18 @@ class TestMonteCarlo:
     def test_rejects_a_non_finite_separation(self):
         with pytest.raises(ValueError, match="^separations must be finite, got nan$"):
             bp.mc_standard_error("direct_gaussian", 0.15, 100, math.nan, 4, seed=1)
+
+    @pytest.mark.parametrize("d", [2.5, float(np.nextafter(2.0, 3.0)), -0.1])
+    def test_rejects_a_separation_the_fit_cannot_reach(self, d):
+        # every fit searches d in [0, 2]; at d = 2.5 the mean estimate read 3.82 for 5
+        with pytest.raises(ValueError, match=re.escape(f"must be in [0, 2], the interval every "
+                                                       f"fit searches, got {d!r}")):
+            bp.mc_standard_error("spade", 0.15, 100, d, 4, seed=1)
+
+    @pytest.mark.parametrize("d", [0.0, 2.0])
+    def test_accepts_the_ends_of_the_search(self, d):
+        mc = bp.mc_standard_error("direct_gaussian", 0.15, 100, d, 2, seed=1)
+        assert mc.d == d
 
     def test_rejects_fractional_photons(self):
         # a caller's error, not a numerical failure of the draw

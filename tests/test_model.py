@@ -371,7 +371,24 @@ class TestProbMatrix:
             for derivative in (False, True):
                 forward.batch(np.linspace(0.0, 1.0, rows), derivative)
         forward(0.2)
-        assert built == [(space, model015.gamma)]
+        assert built == [(space, model015.gamma, 21)]
+
+    def test_probabilities_and_slopes_read_one_table_size(self, monkeypatch, model015):
+        # one column past the largest mode order, the column the slopes need
+        sizes = []
+        amplitudes = model_module._overlap_amplitudes
+
+        def recording(n, d):
+            sizes.append(n)
+            return amplitudes(n, d)
+
+        monkeypatch.setattr(model_module, "_overlap_amplitudes", recording)
+        space = ModeSpace.grid(20, 2)
+        forward = spade_forward.__wrapped__(model015, space)
+        forward.batch(np.array([0.3]), False)
+        forward.batch(np.array([0.4]), True)
+        prob_matrix(0.5, space, model015)
+        assert sizes == [21, 21, 21]
 
 
 class TestCalibration:

@@ -97,6 +97,15 @@ class TestDisplacedOverlap:
         with pytest.raises(NumericalError, match=f"mode orders up to {2**63 - 1} is too large"):
             displaced_overlap(2**63 - 1, 0, 0.1)
 
+    def test_a_layout_out_of_memory_is_a_numerical_error(self, monkeypatch):
+        def exhausted(n):
+            raise MemoryError(f"Unable to allocate the layout of order {n}")
+
+        monkeypatch.setattr(overlap, "_overlap_layout", exhausted)
+        with pytest.raises(NumericalError, match="^overlap table for mode orders up to 5 is too "
+                                                 "large$"):
+            overlap._overlap_amplitudes(5, np.array([0.1]))
+
     @pytest.mark.parametrize("m, n, d", [(550, 1100, 1.0), (1100, 550, 1.0)])
     def test_overflow_signals(self, m, n, d):
         # Laguerre values of order ~1000 overflow float64; the failure must
@@ -128,9 +137,20 @@ class TestDisplacedOverlap:
         expected = math.exp(400 * math.log(alpha) - 0.5 * alpha * alpha - 0.5 * math.lgamma(401))
         assert displaced_overlap(0, 400, 40.0, 1) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 40])
+    def test_table_at_minus_d_is_the_transpose(self, n):
+        d = np.array([0.0, 1e-5, 0.3, 1.7, 3.0])
+        plus = overlap._overlap_amplitudes(n, d)
+        minus = overlap._overlap_amplitudes(n, -d)
+        assert minus[1:].tobytes() == plus[1:].transpose(0, 2, 1).tobytes()
+        # at d = -0.0 the table is that of d = 0.0, the identity with its odd cells
+        # below the diagonal -0.0: the transpose in value, not in the sign of zero
+        assert minus[0].tobytes() == plus[0].tobytes()
+        np.testing.assert_array_equal(minus[0], plus[0].T)
+
     def test_mixed_signs_and_zero_rows_match_one_row_tables_and_quadrature(self):
-        # the batch takes the negative-d sign path and sets two zero rows (-0.0, 0.0) to
-        # the identity; each row alone at d >= 0 takes the layout's d >= 0 sign mask
+        # the batch transposes its negative-d rows and sets two zero rows (-0.0, 0.0) to
+        # the identity; each row alone reads the same cells
         d = np.array([-0.7, -0.0, 0.0, 1e-5, 0.3])
         table = overlap._overlap_amplitudes(9, d)
         for row, x in enumerate(d):
