@@ -38,8 +38,8 @@ from .inference import (
     spade_forward,
 )
 from .model import ModeSpace, PixelGrid, prob_matrix
-from .source import (SchmidtModel, SourceParams, _checked_gamma, _finite_positive,
-                     _mode_indices, gamma_from_physical, schmidt_number)
+from .source import (SchmidtModel, _checked_gamma, _finite_positive, _mode_indices,
+                     gamma_from_physical, schmidt_number)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -134,12 +134,8 @@ class RunConfig:
         if self.gamma is not None:
             return float(self.gamma)
         if self.pump_waist_um is not None:
-            params = SourceParams(
-                pump_waist=self.pump_waist_um * 1e-6,
-                crystal_length=self.crystal_length_mm * 1e-3,
-                pump_wavelength=self.pump_wavelength_nm * 1e-9,
-            )
-            return gamma_from_physical(params)
+            return gamma_from_physical(self.pump_waist_um * 1e-6, self.crystal_length_mm * 1e-3,
+                                       self.pump_wavelength_nm * 1e-9)
         return DEFAULT_GAMMA
 
     def mode_space(self) -> ModeSpace:
@@ -531,7 +527,7 @@ def cmd_estimate(cfg: RunConfig, args: argparse.Namespace) -> list[tuple]:
         calibration = fit_calibration(labeled, forward)
     obs = np.stack([cm.counts.ravel() for _, cm in datasets]).astype(float)
     fits = _fit(obs, forward.calibrated(calibration))
-    schmidt_k = model.schmidt_number
+    schmidt_k = schmidt_number(model.gamma)
     rows = []
     for i, ((_, cm), d_hat, loglik) in enumerate(zip(datasets, fits.d_hat.tolist(),
                                                      fits.log_likelihood.tolist())):

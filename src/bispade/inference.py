@@ -31,8 +31,8 @@ from .model import (
     _spade_probs,
     _spade_setup,
 )
-from .source import (SchmidtModel, _checked_gamma, _coefficient, _is_integer, _mode_indices,
-                     coefficient_ratio)
+from .source import (SchmidtModel, _checked_gamma, _coefficient, _coefficient_ratio, _is_integer,
+                     _finite_positive, _mode_indices)
 
 __all__ = [
     "PARAMETERIZATION",
@@ -208,7 +208,7 @@ def fi_closed_form(k, l, gamma: float, branch: str):
 
 def fi_total_1d(gamma: float) -> float:
     """Total small-separation FI of the full l = 0 projection set: 1/2 + r^2/2."""
-    r = coefficient_ratio(gamma)
+    r = _coefficient_ratio(gamma)
     return 0.5 + 0.5 * r * r
 
 
@@ -226,7 +226,7 @@ def fi_total_2d(gamma: float) -> float:
 
 def crlb(schmidt_k: float, n_photons: int) -> float:
     """Variance bound 2 / (n sqrt(K)) on separation estimates from n photon pairs."""
-    if not (math.isfinite(schmidt_k) and schmidt_k >= 1.0):
+    if not (_finite_positive(schmidt_k) and schmidt_k >= 1.0):
         raise ValueError(f"Schmidt number must be finite and >= 1, got {schmidt_k!r}")
     _check_photons(n_photons)
     if n_photons < 1:
@@ -596,7 +596,13 @@ def direct_forward(
 ) -> Callable[[float], np.ndarray]:
     """Forward map d -> pixel probability vector with residual bucket (d scalar or array).
 
-    Equal arguments return the same map, shared by every caller in the process.
+    The vector holds the exact pixel masses of the marginal intensity, plus an
+    out-of-span residual bucket. A component's mass between edges u_a < u_b
+    (in units of 1/s from its centre) is (erf(u_b) - erf(u_a))/2. Each
+    difference is taken from erfc on the side of the edges away from zero, so
+    tail pixels keep their relative accuracy and the d = 0 vector stays
+    mirror-symmetric. Each vector sums to one. Equal arguments return the same
+    map, shared by every caller in the process.
     """
     return _ForwardMap(
         lambda d, derivative: _pixel_probs(d, grid, model, kind, derivative),

@@ -26,7 +26,6 @@ __all__ = [
     "small_sep_prob",
     "prob_matrix",
     "apply_calibration",
-    "pixel_probs",
 ]
 
 _MIN_IN_SPACE_MASS = 1e-9
@@ -35,8 +34,16 @@ _BLOCK_CELLS = 1 << 14
 _CURVE_STEP = 1e-5
 
 
+def _two_items(value, label):
+    # value as a tuple of exactly two items, before any rule reads them
+    items = tuple(value) if np.iterable(value) else ()
+    if len(items) != 2:
+        raise ValueError(f"{label} must have two items, got {value!r}")
+    return items
+
+
 def _check_pairs(pairs, label):
-    pairs = tuple(pairs)
+    pairs = tuple(_two_items(pair, f"{label} mode pair") for pair in pairs)
     for pair in pairs:
         # source._mode_indices's rule in plain Python: numpy reads (True, 0) as integers
         if not all(map(_is_integer, pair)):
@@ -129,7 +136,7 @@ class PixelGrid:
     def __post_init__(self):
         if not (_is_integer(self.count) and self.count >= 1):
             raise ValueError(f"pixel count must be an integer of at least 1, got {self.count!r}")
-        lo, hi = map(float, self.span)
+        lo, hi = map(float, _two_items(self.span, "span"))
         if not math.isfinite(hi - lo):
             raise ValueError(f"span ends and width must be finite, got {self.span!r}")
         if not hi > lo:
@@ -400,13 +407,3 @@ def _pixel_block(d, grid, s, derivative):
         slopes = np.concatenate((slopes, np.where(over, 0.0, -raw_totals)[:, None]), axis=1)
     return np.concatenate((probs, residual[:, None]), axis=1), slopes
 
-
-def pixel_probs(d: float, grid: PixelGrid, model: SchmidtModel, kind: str = "spdc") -> np.ndarray:
-    """Exact pixel masses of the marginal intensity, plus an out-of-span residual bucket.
-
-    A component's mass between edges u_a < u_b (in units of 1/s from its centre)
-    is (erf(u_b) - erf(u_a))/2. Each difference is taken from erfc on the side
-    of the edges away from zero, so tail pixels keep their relative accuracy and
-    the d = 0 vector stays mirror-symmetric. The returned vector sums to one.
-    """
-    return _pixel_probs(np.array([float(d)]), grid, model, kind, False)[0][0]

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SourceParams",
     "SchmidtModel",
-    "coefficient_ratio",
     "gamma_from_physical",
     "schmidt_coeff",
     "schmidt_number",
@@ -24,26 +22,13 @@ __all__ = [
 _MAX_MODE_ORDER = 2**63 - 1  # an int64 holds it, and a float64 sum of two cannot wrap
 
 
-@dataclass(frozen=True)
-class SourceParams:
-    """Physical source settings; all lengths in meters."""
-
-    pump_waist: float
-    crystal_length: float
-    pump_wavelength: float
-
-    def __post_init__(self):
-        for name in ("pump_waist", "crystal_length", "pump_wavelength"):
-            value = getattr(self, name)
-            if not _finite_positive(value):
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-
-
-def gamma_from_physical(params: SourceParams) -> float:
-    """gamma = sqrt(L * lambda_p / (2 pi)) / sigma_p."""
-    return math.sqrt(
-        params.crystal_length * params.pump_wavelength / (2.0 * math.pi)
-    ) / params.pump_waist
+def gamma_from_physical(pump_waist: float, crystal_length: float, pump_wavelength: float) -> float:
+    """gamma = sqrt(L * lambda_p / (2 pi)) / sigma_p; all lengths in meters."""
+    for name, value in (("pump_waist", pump_waist), ("crystal_length", crystal_length),
+                        ("pump_wavelength", pump_wavelength)):
+        if not _finite_positive(value):
+            raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+    return math.sqrt(crystal_length * pump_wavelength / (2.0 * math.pi)) / pump_waist
 
 
 def _finite_positive(value) -> bool:
@@ -65,8 +50,8 @@ def _checked_gamma(gamma) -> float:
     return float(gamma)
 
 
-def coefficient_ratio(gamma: float) -> float:
-    """Amplitude decay r = |1-gamma| / (1+gamma) per unit of total mode order."""
+def _coefficient_ratio(gamma) -> float:
+    # amplitude decay r = |1-gamma| / (1+gamma) per unit of total mode order
     gamma = _checked_gamma(gamma)
     return abs(1.0 - gamma) / (1.0 + gamma)
 
@@ -103,7 +88,7 @@ def schmidt_coeff(m, n, gamma):
 def _coefficient(order: np.ndarray, gamma) -> np.ndarray:
     # C_mn of total order m + n (a float64 array)
     gamma = _checked_gamma(gamma)
-    r = coefficient_ratio(gamma)
+    r = _coefficient_ratio(gamma)
     if r == 0.0:
         return np.where(order == 0.0, 1.0, 0.0)
     log_c00 = math.log(4.0 * gamma) - 2.0 * math.log1p(gamma)
@@ -129,7 +114,3 @@ class SchmidtModel:
     @classmethod
     def from_gamma(cls, gamma: float) -> "SchmidtModel":
         return cls(gamma)
-
-    @property
-    def schmidt_number(self) -> float:
-        return schmidt_number(self.gamma)

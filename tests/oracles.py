@@ -181,3 +181,19 @@ def biphoton_probs(d: float, gamma: float, max_k: int, points: int = 201,
         amplitudes = modes @ shifted.T @ modes.T  # [idler k, signal k']
         probs += 0.5 * np.abs(amplitudes) ** 2
     return probs / probs.sum()
+
+
+def configured_fi_at_zero(gamma: float, max_k: int) -> float:
+    """FI about delta = 2d, as d -> 0, of the renormalized k = 0..max_k, l = 0 space.
+
+    With C_k^2 = (4 gamma / (1+gamma)^2)^2 r^(2k), r = |1-gamma| / (1+gamma), only
+    the first-neighbour cells carry information at d -> 0: each contributes
+    (k+1)/2 C_(k+1)^2 (signal k+1, k + 1 <= max_k) or k/2 C_(k-1)^2 (signal
+    k-1, k >= 1), and renormalizing divides their sum by the d = 0 in-space
+    mass sum_(k <= max_k) C_k^2.
+    """
+    r = abs(1.0 - gamma) / (1.0 + gamma)
+    c2 = [(4.0 * gamma / (1.0 + gamma) ** 2) ** 2 * r ** (2 * k) for k in range(max_k + 1)]
+    up = sum((k + 1) / 2 * c2[k + 1] for k in range(max_k))
+    down = sum(k / 2 * c2[k - 1] for k in range(1, max_k + 1))
+    return (up + down) / sum(c2)

@@ -6,6 +6,7 @@ to `bispade.__all__` must be added here too, on purpose.
 import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,12 +45,9 @@ PUBLIC = [
     "small_sep_prob",
     "prob_matrix",
     "apply_calibration",
-    "pixel_probs",
     "displaced_overlap",
     "quad_overlap",
-    "SourceParams",
     "SchmidtModel",
-    "coefficient_ratio",
     "gamma_from_physical",
     "schmidt_coeff",
     "schmidt_number",
@@ -88,14 +86,11 @@ SIGNATURES = {
     "small_sep_prob": "k, l, kp, lp, d, model",
     "prob_matrix": "d, space, model, renormalize",
     "apply_calibration": "matrix, cal",
-    "pixel_probs": "d, grid, model, kind",
     "displaced_overlap": "m, n, d, sign",
     "quad_overlap": "m, n, shift",
-    "SourceParams": "pump_waist, crystal_length, pump_wavelength",
     "SchmidtModel": "gamma",
     "SchmidtModel.from_gamma": "gamma",
-    "coefficient_ratio": "gamma",
-    "gamma_from_physical": "params",
+    "gamma_from_physical": "pump_waist, crystal_length, pump_wavelength",
     "schmidt_coeff": "m, n, gamma",
     "schmidt_number": "gamma",
 }
@@ -132,6 +127,17 @@ def _imported_modules(path):
 
 def test_public_names_are_pinned():
     assert bispade.__all__ == PUBLIC
+
+
+def test_readme_lists_the_public_names():
+    # the "Public names" section of the README: its count, and every backticked
+    # name of its list, each once
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Public names\n", 1)[1].split("\n## ", 1)[0]
+    intro, listing = section.split("\n- ", 1)
+    names = re.findall(r"`([^`]+)`", listing)
+    assert re.search(r"holds (\d+) names", intro)[1] == str(len(bispade.__all__))
+    assert sorted(names) == sorted(bispade.__all__)
 
 
 def test_every_public_name_resolves():

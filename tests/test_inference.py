@@ -12,7 +12,8 @@ import bispade as bp
 from bispade import cli, inference, model
 from bispade.inference import _as_map, _checked_draws, _fit, _ForwardMap
 from bispade.model import _CURVE_STEP
-from oracles import second_difference_at_zero, spade_curvature_at_zero
+from oracles import (biphoton_probs, configured_fi_at_zero, second_difference_at_zero,
+                     spade_curvature_at_zero)
 
 gammas = st.floats(0.05, 3.0)
 
@@ -137,19 +138,17 @@ class TestFisherNumeric:
     def test_built_in_maps_match_a_central_difference_of_the_public_functions(
             self, model015, space7, method, d):
         # the maps supply their exact derivative; the oracle differentiates the
-        # public prob_matrix, pixel_probs and apply_calibration by a fourth-order
-        # central difference, since a second-order one at d = 0.01 loses 1e-7 of
-        # direct imaging's FI of 2e-5 to rounding
+        # public prob_matrix, a direct map's scalar call and apply_calibration by a
+        # fourth-order central difference, since a second-order one at d = 0.01
+        # loses 1e-7 of direct imaging's FI of 2e-5 to rounding
         grid = bp.PixelGrid()
         cal = bp.CalibrationModel(alpha=np.full(space7.shape, 0.8),
                                   beta=np.full(space7.shape, 0.01))
         forward, public = {
             "spade": (bp.spade_forward(model015, space7),
                       lambda x: bp.prob_matrix(x, space7, model015).entries.ravel()),
-            "direct_gaussian": (bp.direct_forward(model015, grid, "gaussian"),
-                                lambda x: bp.pixel_probs(x, grid, model015, "gaussian")),
-            "direct_spdc": (bp.direct_forward(model015, grid, "spdc"),
-                            lambda x: bp.pixel_probs(x, grid, model015, "spdc")),
+            "direct_gaussian": (bp.direct_forward(model015, grid, "gaussian"),) * 2,
+            "direct_spdc": (bp.direct_forward(model015, grid, "spdc"),) * 2,
             "spade_calibrated": (
                 bp.spade_forward(model015, space7).calibrated(cal),
                 lambda x: bp.apply_calibration(bp.prob_matrix(x, space7, model015),
@@ -162,6 +161,26 @@ class TestFisherNumeric:
                        - _central_difference(public, d, 2.0 * h)) / 3.0
         expected = float((slope[keep] ** 2 / p0[keep]).sum())
         assert bp.fisher_numeric(forward, d).total == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("gamma, max_k", [(0.15, 6), (0.15, 12), (0.07, 6), (0.07, 20)])
+    def test_configured_space_at_zero_matches_the_closed_form(self, gamma, max_k):
+        forward = bp.spade_forward(bp.SchmidtModel(gamma), bp.ModeSpace.grid(max_k))
+        assert bp.fisher_numeric(forward, 1e-4).total == pytest.approx(
+            configured_fi_at_zero(gamma, max_k), rel=1e-7
+        )
+
+    @pytest.mark.parametrize("d", [0.01, 0.3])
+    def test_matches_the_fi_of_the_wavefunction_oracle(self, model015, space7, d):
+        # FI does not depend on the order of the outcomes, so the oracle's
+        # transposed matrix gives the same sum
+        h = 1e-4
+        p = biphoton_probs(d, 0.15, 6)
+        slope = (biphoton_probs(d + h, 0.15, 6) - biphoton_probs(d - h, 0.15, 6)) / (2.0 * h)
+        live = p > 1e-15
+        expected = 0.25 * float((slope[live] ** 2 / p[live]).sum())
+        assert bp.fisher_numeric(bp.spade_forward(model015, space7), d).total == pytest.approx(
+            expected, rel=1e-6
+        )
 
     def test_a_plain_callable_gets_a_fourth_order_difference_at_step(self):
         # exact for a cubic, where a second-order difference at step 0.1 is 1.3% off
@@ -311,6 +330,9 @@ class TestCrlb:
     def test_experimental_schmidt_number(self):
         assert bp.crlb(11.6, 1) == pytest.approx(0.5872202195147035, rel=1e-12)
 
+    def test_accepts_numpy_scalars(self):
+        assert bp.crlb(np.float32(4.0), 10) == bp.crlb(np.int64(4), 10) == bp.crlb(4.0, 10)
+
     def test_scales_inversely_with_photons(self):
         assert bp.crlb(4.0, 2000) == pytest.approx(bp.crlb(4.0, 1000) / 2.0, rel=1e-14)
 
@@ -320,7 +342,7 @@ class TestCrlb:
         with pytest.raises(ValueError):
             bp.crlb(2.0, 0)
 
-    @pytest.mark.parametrize("schmidt_k", [math.inf, math.nan])
+    @pytest.mark.parametrize("schmidt_k", [math.inf, math.nan, True, np.True_, "12", None])
     def test_rejects_a_schmidt_number_that_is_not_finite(self, schmidt_k):
         with pytest.raises(ValueError, match=f"^Schmidt number must be finite and >= 1, "
                                              f"got {schmidt_k!r}$"):
@@ -433,8 +455,8 @@ class TestForwardMaps:
         probs, slopes = forward.batch(_SEPARATIONS, derivative=True)
         assert probs.shape == slopes.shape == (len(_SEPARATIONS), grid.count + 1)
         for d, p, slope in zip(_SEPARATIONS, probs, slopes):
-            np.testing.assert_array_equal(p, bp.pixel_probs(d, grid, model015, kind))
-            numeric = _central_difference(lambda x: bp.pixel_probs(x, grid, model015, kind), d)
+            np.testing.assert_array_equal(p, bp.direct_forward(model015, grid, kind)(d))
+            numeric = _central_difference(lambda x: bp.direct_forward(model015, grid, kind)(x), d)
             np.testing.assert_allclose(slope, numeric, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(slopes[0], 0.0, atol=1e-15)
         np.testing.assert_allclose(slopes.sum(axis=1), 0.0, atol=1e-15)
@@ -448,7 +470,7 @@ class TestForwardMaps:
              lambda d: bp.prob_matrix(d, space7, model015, renormalize=False)),
         ] + [
             (bp.direct_forward(model015, bp.PixelGrid(), kind),
-             lambda d, kind=kind: bp.pixel_probs(d, bp.PixelGrid(), model015, kind))
+             lambda d, kind=kind: bp.direct_forward(model015, bp.PixelGrid(), kind)(d))
             for kind in ("gaussian", "spdc")
         ]
         for forward, scalar in maps:
@@ -521,7 +543,7 @@ class TestSharedMaps:
                 return bp.prob_matrix(d, space7, model015).entries.ravel()
         else:
             def scalar(d):
-                return bp.pixel_probs(d, grid, model015, method.removeprefix("direct_"))
+                return bp.direct_forward(model015, grid, method.removeprefix("direct_"))(d)
         rows = np.stack([scalar(float(d)) for d in np.linspace(0.0, 2.0, 200)])
         oracle = np.log(np.maximum(rows, bp.LIKELIHOOD_FLOOR))
         forward = inference._method_forward(method, model015, space7, grid)
@@ -610,7 +632,7 @@ class TestCurvatureAtZero:
                              ids=["default", "off-centre", "wide"])
     def test_pixels(self, model015, kind, grid):
         def public(x):
-            return bp.pixel_probs(x, grid, model015, kind)
+            return bp.direct_forward(model015, grid, kind)(x)
 
         _assert_stops_where_curving_down(bp.direct_forward(model015, grid, kind),
                                          _rows_near_zero(public), public(0.0),
@@ -641,7 +663,7 @@ class TestCurvatureAtZero:
                 return bp.prob_matrix(d, space7, model015).entries
         else:
             def public(d):
-                return bp.pixel_probs(d, grid, model015, method.removeprefix("direct_"))
+                return bp.direct_forward(model015, grid, method.removeprefix("direct_"))(d)
         forward = inference._method_forward(method, model015, space7, grid)
         obs = _rows_near_zero(forward)
         exact = _fit(obs, forward)
@@ -764,7 +786,7 @@ def _kept_row_case(name):
             alpha=rng.uniform(0.5, 1.2, space7.shape), beta=rng.uniform(0.0, 0.02, space7.shape)))
     elif name == "plain":
         few = bp.PixelGrid(7)
-        forward = _as_map(lambda d: bp.pixel_probs(d, few, schmidt, "spdc"))
+        forward = _as_map(lambda d: bp.direct_forward(schmidt, few, "spdc")(d))
     else:
         forward = inference._method_forward(name, schmidt, space7, bp.PixelGrid())
     return forward, forward.batch(inference._KEPT, True)
@@ -898,7 +920,7 @@ class TestKeptRows:
 
         def public(d):
             calls.append(d)
-            return bp.pixel_probs(d, grid, model015, "spdc")
+            return bp.direct_forward(model015, grid, "spdc")(d)
 
         truth = public(0.0465)
         # trial 2 stops at d = 0, trial 0 refines in 4 passes
@@ -1150,7 +1172,7 @@ class TestMonteCarlo:
         mc = bp.mc_standard_error(
             "spade", 0.15, 10000, 0.05, 300, seed=21, forward=forward, model=model015
         )
-        assert mc.std_err ** 2 >= bp.crlb(model015.schmidt_number, 10000) * 0.9
+        assert mc.std_err ** 2 >= bp.crlb(bp.schmidt_number(model015.gamma), 10000) * 0.9
 
     def test_direct_methods_run(self, model015):
         # without a forward map the method fits the default 50-pixel grid

@@ -16,7 +16,6 @@ from bispade import (
     coincidence_prob,
     direct_forward,
     fit_calibration,
-    pixel_probs,
     prob_matrix,
     quad_overlap,
     schmidt_coeff,
@@ -77,6 +76,18 @@ class TestModeSpace:
         with pytest.raises(ValueError, match=re.escape(
                 f"idler mode indices must be in [0, 2**63 - 1], got {pair!r}")):
             ModeSpace(idler=(pair,), signal=((0, 0),))
+
+    @pytest.mark.parametrize("build, label, bad", [
+        (lambda bad: ModeSpace(idler=(bad,), signal=((0, 0),)), "idler mode pair", (0, 0, 0)),
+        (lambda bad: ModeSpace(idler=((0, 0),), signal=(bad,)), "signal mode pair", 5),
+        (lambda bad: ModeSpace(idler=((0, 0),), signal=(bad,)), "signal mode pair", (1,)),
+        (lambda bad: PixelGrid(span=bad), "span", (0.0, 1.0, 2.0)),
+        (lambda bad: PixelGrid(span=bad), "span", 5),
+    ], ids=["idler-triple", "signal-int", "signal-single", "span-triple", "span-int"])
+    def test_a_pair_or_span_of_other_than_two_items_is_named(self, build, label, bad):
+        message = f"{label} must have two items, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(bad)
 
     @pytest.mark.parametrize("max_k, max_l", [(2.5, 0), (2, 1.0), (True, 0)])
     def test_grid_rejects_non_integer_bounds_by_value(self, max_k, max_l):
@@ -482,14 +493,14 @@ class TestMarginalIntensity:
         # the +-d mixture is even in x, so a unit-mass intensity puts exactly one
         # half on the positive half-line; one pixel keeps the total below one, so
         # no renormalization can hide a wrong scale
-        vec = pixel_probs(d, PixelGrid(count=1, span=(0.0, 14.0)), model015, kind)
+        vec = direct_forward(model015, PixelGrid(count=1, span=(0.0, 14.0)), kind)(d)
         assert vec[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_mirror_symmetric(self, model015):
         # the pixel vector of an even intensity reads the same reversed
         for kind in ("gaussian", "spdc"):
             for d in (0.3, 1.35):
-                vec = pixel_probs(d, PixelGrid(), model015, kind)[:-1]
+                vec = direct_forward(model015, PixelGrid(), kind)(d)[:-1]
                 np.testing.assert_allclose(vec, vec[::-1], rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("gamma", [0.07, 0.15, 1.0])
@@ -499,13 +510,11 @@ class TestMarginalIntensity:
         model = SchmidtModel.from_gamma(gamma)
         grid = PixelGrid(count=100, span=(-6.0, 6.0))
         for kind in ("gaussian", "spdc"):
-            vec = pixel_probs(d, grid, model, kind)
+            vec = direct_forward(model, grid, kind)(d)
             brute = riemann_pixel_probs(d, grid, model, kind)
             np.testing.assert_allclose(vec, brute, rtol=0.0, atol=1e-6)
 
     def test_rejects_unknown_kind(self, model015):
-        with pytest.raises(ValueError, match="unknown PSF kind"):
-            pixel_probs(0.1, PixelGrid(), model015, "lorentzian")
         with pytest.raises(ValueError, match="unknown PSF kind"):
             direct_forward(model015, PixelGrid(), "lorentzian")(0.1)
 
@@ -515,14 +524,14 @@ class TestPixelProbs:
         grid = PixelGrid()
         for kind in ("gaussian", "spdc"):
             for d in (0.0, 0.5, 1.35):
-                vec = pixel_probs(d, grid, model015, kind)
+                vec = direct_forward(model015, grid, kind)(d)
                 assert len(vec) == grid.count + 1
                 assert vec.sum() == pytest.approx(1.0, abs=1e-12)
                 assert np.all(vec >= 0.0)
 
     def test_centered_and_symmetric_at_zero(self, model015):
         grid = PixelGrid()
-        vec = pixel_probs(0.0, grid, model015, "gaussian")[:-1]
+        vec = direct_forward(model015, grid, "gaussian")(0.0)[:-1]
         np.testing.assert_allclose(vec, vec[::-1], rtol=1e-10)
         assert np.argmax(vec) in (grid.count // 2 - 1, grid.count // 2)
 
@@ -532,9 +541,20 @@ class TestPixelProbs:
         for gamma in (0.07, 0.15, 1.0):
             model = SchmidtModel.from_gamma(gamma)
             for d in (0.0, 0.7):
-                vec = pixel_probs(d, grid, model, kind)
+                vec = direct_forward(model, grid, kind)(d)
                 brute = riemann_pixel_probs(d, grid, model, kind)
                 assert np.max(np.abs(vec - brute)) < 1e-6
+
+    @pytest.mark.parametrize("grid", [PixelGrid(), PixelGrid(count=1, span=(0.0, 14.0))],
+                             ids=["default", "one-pixel"])
+    @pytest.mark.parametrize("kind", ["gaussian", "spdc"])
+    def test_scalar_call_is_the_one_row_evaluation(self, model015, grid, kind):
+        # a direct map called at one separation returns the one-row pixel vector, bit for bit
+        for d in (0.0, 0.3, -0.3, 1.35):
+            vec = direct_forward(model015, grid, kind)(d)
+            alone = _pixel_probs(np.array([d]), grid, model015, kind, False)[0][0]
+            assert vec.shape == (grid.count + 1,)
+            np.testing.assert_array_equal(vec.view(np.int64), alone.view(np.int64))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -559,7 +579,7 @@ class TestPixelProbs:
         with pytest.raises(ValueError, match=message):
             prob_matrix(d, space7, model015)
         with pytest.raises(ValueError, match=message):
-            pixel_probs(d, PixelGrid(), model015)
+            direct_forward(model015, PixelGrid(), "spdc")(d)
 
     def test_default_grid_mirrors_29_of_its_51_edges(self):
         grid = PixelGrid()
@@ -598,5 +618,5 @@ class TestPixelProbs:
     def test_default_span_leakage_is_small(self, model015):
         # the default span keeps the Gaussian residual below 1e-4 even at the
         # largest experimental separation
-        residual = pixel_probs(1.35, PixelGrid(), model015, "gaussian")[-1]
+        residual = direct_forward(model015, PixelGrid(), "gaussian")(1.35)[-1]
         assert 0.0 <= residual < 1e-4
