@@ -23,6 +23,10 @@ sweep_k12 setting, and the spade forward evaluations of an ``estimate
 emptied map caches, then as the mean of more jobs in the same process: 29
 more sweep jobs at other seeds, 10 more estimate jobs.
 
+The overlap table and the forward maps are timed at 1, 6, 48 and 200
+separations, and the fit at 1, 6 and 48 count rows of a sweep_k12 job
+(``PASS_ROWS``): the row counts of the refinement passes in that job's fits.
+
 Every timing uses ``time.perf_counter`` on inputs fixed in this file, after
 one untimed call. A sample is the mean of a fixed number of calls. Each item
 reports its sample count and median; with at least 40 samples it also
@@ -70,6 +74,9 @@ SWEEP = ["compare", "--gamma", "0.15", "--modes-k", "6", "--modes-l", "0", "--ph
 SWEEP_JOBS = range(1, 31)
 # warm estimate --calibrate jobs counted after the cold one
 ESTIMATE_JOBS = 10
+# rows of the refinement passes of a warm sweep_k12 job's fits: 48 (its 6 cells of 8
+# trials) in the first passes, then fewer, down to 1 in the last
+PASS_ROWS = (1, 6, 48)
 
 
 def _summary(samples: list[float], unit: str) -> dict:
@@ -111,8 +118,9 @@ def layers(files: list[Path]) -> dict:
     # the space's largest mode order and its plan, built once as a forward map builds it
     setup = model._spade_setup(space, m.gamma)
     items = {}
-    for label, d in (("1", one), ("200", many)):
-        calls = 200 if len(d) == 1 else 10
+    sizes = [(str(rows), np.linspace(STEP, 26 * STEP, rows)) for rows in PASS_ROWS[1:]]
+    for label, d in [("1", one), *sizes, ("200", many)]:
+        calls = 200 if len(d) == 1 else 50 if len(d) < 200 else 10
         items[f"overlap._overlap_amplitudes[{label}]"] = _time(
             lambda d=d: overlap._overlap_amplitudes(7, d), 100, calls)
         items[f"model._spade_probs[{label}]"] = _time(
@@ -127,6 +135,12 @@ def layers(files: list[Path]) -> dict:
         items[f"inference._ForwardMap.log_probs[{method}]"] = _time(
             lambda f=f: inference._ForwardMap(f.batch, f.shape).log_probs, 40, 2, "ms")
     for method, forward in forwards.items():
+        # a sweep_k12 job's fit: 8 trials at each of its 6 separations, and the first
+        # trial of each separation or of the first alone
+        job = _draws(forward, STEP * np.arange(1, 27, 5), 8, seed=9)
+        for rows, obs in zip(PASS_ROWS, (job[:1], job[::8], job)):
+            items[f"inference._fit[{method},{rows} of 48 sweep_k12 job rows]"] = _time(
+                lambda f=forward, o=obs: inference._fit(o, f), 40, 1, "ms")
         cell = _draws(forward, [STEP], 48, seed=5)
         sweep = _draws(forward, STEP * np.arange(1, 30, 4), 50, seed=6)
         items[f"inference._fit[{method},48 rows,d=0.0465]"] = _time(

@@ -65,7 +65,11 @@ METHODS = ("spade", "direct_gaussian", "direct_spdc")
 # the d search of every fit: a grid over [0, 2] scored first, then Fisher scoring
 # from the best grid point until the step is below 1e-3 * _REFINE_TOL
 _GRID = np.linspace(0.0, 2.0, 200)
-_GRID.flags.writeable = False
+# the bracket of each grid point: its neighbours, or itself at an end
+_BELOW = _GRID[np.maximum(np.arange(len(_GRID)) - 1, 0)]
+_ABOVE = _GRID[np.minimum(np.arange(len(_GRID)) + 1, len(_GRID) - 1)]
+for _array in (_GRID, _BELOW, _ABOVE):
+    _array.flags.writeable = False
 # the points whose rows a forward map keeps: the grid, then the step of the d = 0 stop
 _KEPT = np.append(_GRID, _CURVE_STEP)
 _KEPT.flags.writeable = False
@@ -261,15 +265,15 @@ def _check_photons(n_photons) -> None:
 def _normalized(p: np.ndarray) -> np.ndarray:
     # the multinomial weights of a flat probability vector, or of each row of a matrix of
     # them, after the checks of sample_counts (the message names the first row that fails)
-    if np.any(p < -1e-12):
+    if (p < -1e-12).any():
         raise ValueError("probabilities must be non-negative")
     totals = p.sum(axis=-1, keepdims=True)
     off = np.abs(totals - 1.0) > 1e-9
-    if np.any(off):
+    if off.any():
         raise ValueError(
             f"probabilities must sum to 1 (got {float(totals[off][0])!r}); renormalize first"
         )
-    return np.clip(p, 0.0, None) / totals
+    return np.maximum(p, 0.0) / totals
 
 
 def _draw(weights: np.ndarray, n_photons: int, rng) -> np.ndarray:
@@ -279,7 +283,7 @@ def _draw(weights: np.ndarray, n_photons: int, rng) -> np.ndarray:
 
 def _checked_draws(draws: np.ndarray, n_photons: int) -> np.ndarray:
     # draws itself, once every row holds n_photons non-negative counts
-    if np.any(draws < 0) or np.any(draws.sum(axis=-1) != n_photons):
+    if (draws < 0).any() or (draws.sum(axis=-1) != n_photons).any():
         raise NumericalError(f"multinomial draw does not hold {n_photons} non-negative counts")
     return draws
 
@@ -357,7 +361,7 @@ def _fit(obs: np.ndarray, forward: _ForwardMap) -> _Fits:
     if forward.log_probs.shape[1] != obs.shape[1]:
         raise ValueError("forward model size does not match the counts")
     scores = obs @ forward.log_probs.T
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise NumericalError("non-finite log-likelihood on the search grid")
     rows = np.arange(len(obs))
     best = np.argmax(scores, axis=1)
@@ -369,24 +373,25 @@ def _fit(obs: np.ndarray, forward: _ForwardMap) -> _Fits:
     iterations = np.zeros(len(obs), dtype=int)
     converged = np.zeros(len(obs), dtype=bool)
     peaked = best == 0
-    if np.any(peaked):
+    if peaked.any():
         probs, slopes = forward.kept_rows(np.array([0, len(_GRID)]))
         live = probs[0] > LIKELIHOOD_FLOOR
-        ratio = np.divide(slopes[1] / _CURVE_STEP, probs[0], out=np.zeros_like(probs[0]),
+        ratio = np.divide(slopes[1] / _CURVE_STEP, probs[0], out=np.zeros(live.shape),
                           where=live)
         # a count on an outcome dead at 0 (such as an off-diagonal spade cell)
         # puts the maximum off 0 however the live outcomes curve
         peaked &= (obs @ ratio < 0.0) & (obs[:, ~live].sum(axis=1) == 0.0)
     converged[peaked] = True
-    # the rows still refining, and each one's point, bracket, last step, counts and photons
+    # the rows still refining, and each one's point, bracket, last step size, counts and photons
     active = rows[~peaked]
     index = best[active]
     at = _GRID[index]
-    lo = _GRID[np.maximum(index - 1, 0)]
-    hi = _GRID[np.minimum(index + 1, len(_GRID) - 1)]
-    last_step = hi - lo
+    lo, hi = _BELOW[index], _ABOVE[index]
+    last_size = hi - lo
     counts = obs[active]
     photons = counts.sum(axis=1)
+    # the rows that ended, pass by pass, each with its counts and probabilities
+    finished = []
     for pass_no in range(_MAX_REFINE_STEPS):
         if not active.size:
             break
@@ -396,31 +401,45 @@ def _fit(obs: np.ndarray, forward: _ForwardMap) -> _Fits:
         else:
             probs, slopes = forward.batch(at, True)
         live = probs > LIKELIHOOD_FLOOR
-        ratio = np.divide(slopes, probs, out=np.zeros_like(probs), where=live)
+        if live.all():
+            ratio = slopes / probs
+        else:
+            ratio = np.divide(slopes, probs, out=np.zeros(probs.shape), where=live)
         score = (counts * ratio).sum(axis=1)
         information = photons * (slopes * ratio).sum(axis=1)
         lo = np.where(score > 0.0, at, lo)
         hi = np.where(score < 0.0, at, hi)
         informed = information > 0.0
-        step = np.divide(score, information, out=np.zeros_like(score), where=informed)
+        if informed.all():
+            step = score / information
+        else:
+            step = np.divide(score, information, out=np.zeros(score.shape), where=informed)
         moved = at + step
-        newton = informed & (moved > lo) & (moved < hi) & (np.abs(step) <= 0.5 * last_step)
-        step = np.where(newton, step, 0.5 * (lo + hi) - at)
-        done = np.abs(step) < 1e-3 * _REFINE_TOL
+        size = np.abs(step)
+        newton = (moved > lo) & (moved < hi)
+        newton &= size <= 0.5 * last_size
+        newton &= informed
+        if not newton.all():
+            step = np.where(newton, step, 0.5 * (lo + hi) - at)
+            moved = at + step
+            size = np.abs(step)
+        done = size < 1e-3 * _REFINE_TOL
         # a row ends at this pass's point once it is done or out of passes
-        ends = done if pass_no < _MAX_REFINE_STEPS - 1 else np.ones_like(done)
-        if np.any(ends):
+        ends = done if pass_no < _MAX_REFINE_STEPS - 1 else np.ones(done.shape, dtype=bool)
+        if ends.any():
             ended = active[ends]
             d_hat[ended] = at[ends]
-            loglik[ended] = (counts[ends] * np.log(np.maximum(probs[ends], LIKELIHOOD_FLOOR))
-                             ).sum(axis=1)
             iterations[ended] = pass_no + 1
             converged[active[done]] = True
+            finished.append((ended, counts[ends], probs[ends]))
             keep = ~ends
-            active, at, lo, hi, step = active[keep], at[keep], lo[keep], hi[keep], step[keep]
+            active, moved, lo, hi, size = active[keep], moved[keep], lo[keep], hi[keep], size[keep]
             counts, photons = counts[keep], photons[keep]
-        at = at + step
-        last_step = np.abs(step)
+        at, last_size = moved, size
+    if finished:
+        # the log-likelihood of each row at the point it ended at, all rows in one pass
+        ended, counts, probs = (np.concatenate(part) for part in zip(*finished))
+        loglik[ended] = (counts * np.log(np.maximum(probs, LIKELIHOOD_FLOOR))).sum(axis=1)
 
     keep_grid = loglik - top <= _TIE * (np.abs(top) + 1.0)
     d_hat = np.where(keep_grid, _GRID[best], d_hat)
@@ -528,11 +547,11 @@ class _ForwardMap:
         if self.base is not None:
             return self.rows(*self.base.kept_rows(index))
         table, known = self._kept_slopes
-        # a mask, not np.unique: that would import numpy.ma
-        want = np.zeros(len(_KEPT), dtype=bool)
-        want[index] = True
-        new = np.flatnonzero(want & ~known)
-        if new.size:
+        if not known[index].all():
+            # a mask, not np.unique: that would import numpy.ma
+            want = np.zeros(len(_KEPT), dtype=bool)
+            want[index] = True
+            new = np.flatnonzero(want & ~known)
             table[new] = self.batch(_KEPT[new], True)[1]
             known[new] = True
         return self._kept[index], table[index]

@@ -7,6 +7,7 @@ direct-imaging pixel baselines used for benchmarking.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, partial
 from typing import NamedTuple
@@ -29,6 +30,9 @@ __all__ = [
 ]
 
 _MIN_IN_SPACE_MASS = 1e-9
+# the centres of the two components of a pixel intensity, in units of d
+_COMPONENTS = np.array([1.0, -1.0])
+_COMPONENTS.flags.writeable = False
 _BLOCK_CELLS = 1 << 14
 # the step h at which p'(h) / h of a map even in d stands for p''(0)
 _CURVE_STEP = 1e-5
@@ -43,6 +47,8 @@ def _two_items(value, label):
 
 
 def _check_pairs(pairs, label):
+    if not np.iterable(pairs):
+        raise ValueError(f"{label} must be a sequence of mode pairs, got {pairs!r}")
     pairs = tuple(_two_items(pair, f"{label} mode pair") for pair in pairs)
     for pair in pairs:
         # source._mode_indices's rule in plain Python: numpy reads (True, 0) as integers
@@ -78,6 +84,15 @@ class ModeSpace:
             raise ValueError(
                 "mode indices must be small enough that numpy can index the grid's "
                 f"((max_k + 1) * (max_l + 1))**2 outcomes, got max_k={max_k}, max_l={max_l}"
+            )
+        # and sized by memory: the plan of a spade map over the grid takes _PLAN_BYTES per outcome
+        outcomes = ((int(max_k) + 1) * (int(max_l) + 1)) ** 2
+        memory = _physical_memory()
+        if memory is not None and outcomes * _PLAN_BYTES > memory:
+            raise ValueError(
+                f"a grid of max_k={max_k}, max_l={max_l} has {outcomes} outcomes, whose spade "
+                f"plan of {_PLAN_BYTES} bytes each takes {outcomes * _PLAN_BYTES} bytes, above "
+                f"the {memory} bytes of physical memory"
             )
         pairs = tuple((k, l) for l in range(max_l + 1) for k in range(max_k + 1))
         return cls(idler=pairs, signal=pairs)
@@ -136,7 +151,11 @@ class PixelGrid:
     def __post_init__(self):
         if not (_is_integer(self.count) and self.count >= 1):
             raise ValueError(f"pixel count must be an integer of at least 1, got {self.count!r}")
-        lo, hi = map(float, _two_items(self.span, "span"))
+        ends = _two_items(self.span, "span")
+        try:
+            lo, hi = map(float, ends)
+        except (TypeError, ValueError):
+            raise ValueError(f"span ends must be real numbers, got {self.span!r}") from None
         if not math.isfinite(hi - lo):
             raise ValueError(f"span ends and width must be finite, got {self.span!r}")
         if not hi > lo:
@@ -155,6 +174,20 @@ class PixelGrid:
         mask = self.edges == -self.edges[::-1]
         mask.flags.writeable = False
         return mask
+
+    @cached_property
+    def _tail_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        # where _pixel_block takes math.erfc in a row of both components' edges (+d
+        # first): at every +d edge and at the -d edges not mirrored; and where each
+        # edge of that row finds its tail among them, a mirrored -d edge at its mirror
+        width = self.count + 1
+        own = np.flatnonzero(~self.mirrored)
+        places = np.concatenate((np.arange(width), np.arange(width)[::-1]))
+        places[width + own] = width + np.arange(len(own))
+        picks = np.concatenate((np.arange(width), width + own))
+        for array in (picks, places):
+            array.flags.writeable = False
+        return picks, places
 
 
 def coincidence_prob(k: int, l: int, kp: int, lp: int, d: float, model: SchmidtModel) -> float:
@@ -211,6 +244,19 @@ class _SpadePlan(NamedTuple):
     # twice the ladder scales sqrt(k'/2) and sqrt((k'+1)/2): the 2 of d(a^2)/dd = 2 a da/dd
     down_scale: np.ndarray    # sqrt(2 k')
     up_scale: np.ndarray      # sqrt(2 (k'+1))
+
+
+# one float64 or int64 array entry per outcome for each field of the plan
+_PLAN_BYTES = 8 * len(_SpadePlan._fields)
+
+
+def _physical_memory() -> int | None:
+    # bytes of physical memory, or None where os.sysconf does not report them
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
 
 
 def _spade_plan(space: ModeSpace, gamma: float, size: int) -> _SpadePlan:
@@ -274,7 +320,7 @@ def _spade_block(amps, plan, renormalize, derivative):
         up = plan.up_scale * amps[:, 1:].take(plan.cells, axis=1)
         slopes = plan.weight * a * (down - up)
     if renormalize:
-        if np.any(totals < _MIN_IN_SPACE_MASS):
+        if (totals < _MIN_IN_SPACE_MASS).any():
             raise NumericalError(
                 f"in-space probability mass {totals.min():.3e} below {_MIN_IN_SPACE_MASS:.0e}"
             )
@@ -329,13 +375,18 @@ def _calibrate_rows(probs: np.ndarray, slopes: np.ndarray | None, cal: Calibrati
     alpha = cal.alpha.ravel()
     raw = alpha * probs + cal.beta.ravel()
     live = raw > 0.0
-    raw = np.where(live, raw, 0.0)
+    # the floor, where any entry needs it
+    floored = not live.all()
+    if floored:
+        raw = np.where(live, raw, 0.0)
     totals = raw.sum(axis=1)
-    if np.any(totals <= 0.0):
+    if (totals <= 0.0).any():
         raise NumericalError("calibrated probabilities vanish everywhere")
     probs = raw / totals[:, None]
     if slopes is not None:
-        raw_slopes = np.where(live, alpha * slopes, 0.0)
+        raw_slopes = alpha * slopes
+        if floored:
+            raw_slopes = np.where(live, raw_slopes, 0.0)
         slopes = (raw_slopes - probs * raw_slopes.sum(axis=1)[:, None]) / totals[:, None]
     return probs, slopes
 
@@ -369,41 +420,61 @@ def _pixel_probs(d: np.ndarray, grid: PixelGrid, model: SchmidtModel, kind: str,
     )
 
 
-def _erfc(x: np.ndarray) -> np.ndarray:
-    # math.erfc of every entry of x
-    flat = x.ravel()
-    return np.fromiter(map(math.erfc, memoryview(flat)), float, flat.size).reshape(x.shape)
-
-
 def _pixel_block(d, grid, s, derivative):
-    u = s * (grid.edges[None, None, :] - np.stack([d, -d], axis=1)[:, :, None])
+    rows, width = len(d), grid.count + 1
+    size = rows * 2 * width
+    # u[:, 0] holds the edges seen from the +d component, u[:, 1] from the -d one; u and
+    # its tails sit in flat arrays with one more entry, so that each difference of
+    # neighbouring edges is one contiguous pass (those across two rows of edges are not read)
+    flat_u, flat_tails = np.empty(size + 1), np.empty(size + 1)
+    flat_u[-1] = flat_tails[-1] = 0.0
+    u = flat_u[:-1].reshape(rows, 2, width)
+    np.subtract(grid.edges, (d[:, None] * _COMPONENTS)[:, :, None], out=u)
+    flat_u *= s
+    # math.erfc at every +d edge and at the -d edges that are not mirrored, in one pass;
     # at a mirrored edge, |u| of the -d component is bit for bit the +d component's |u|
     # at the mirror image (IEEE rounding is symmetric), and so is its tail
-    tails = np.empty_like(u)
-    tails[:, 0] = _erfc(np.abs(u[:, 0]))
-    tails[:, 1] = tails[:, 0, ::-1]
-    own = ~grid.mirrored
-    tails[:, 1, own] = _erfc(np.abs(u[:, 1, own]))
-    lo, hi = u[..., :-1], u[..., 1:]
-    t_lo, t_hi = tails[..., :-1], tails[..., 1:]
+    picks, places = grid._tail_layout
+    at = np.abs(u.reshape(rows, 2 * width).take(picks, axis=1)).ravel()
+    tails = np.fromiter(map(math.erfc, memoryview(at)), float, at.size)
+    tails.reshape(rows, len(picks)).take(places, axis=1,
+                                         out=flat_tails[:-1].reshape(rows, 2 * width))
+    lo, hi = flat_u[:-1], flat_u[1:]
+    t_lo, t_hi = flat_tails[:-1], flat_tails[1:]
     masses = np.where(
         lo >= 0.0, t_lo - t_hi, np.where(hi <= 0.0, t_hi - t_lo, 2.0 - t_lo - t_hi)
-    )
-    probs = 0.25 * (masses[:, 0] + masses[:, 1])
+    ).reshape(rows, 2, width)[..., :-1]
+    # pixel probabilities, then the residual bucket
+    out = np.empty((rows, width))
+    probs = out[:, :-1]
+    np.add(masses[:, 0], masses[:, 1], out=probs)
+    probs *= 0.25
     totals = probs.sum(axis=1)
-    # a total above one is rounding: renormalize and leave no residual
+    # a total above one is rounding: renormalize and leave no residual; a row at or
+    # below one is divided by nothing (its division by 1.0 would be exact)
     over = totals > 1.0
-    scale = np.where(over, totals, 1.0)[:, None]
-    probs = probs / scale
-    residual = np.where(over, 0.0, 1.0 - totals)
+    rescale = over.any()
+    if rescale:
+        scale = np.where(over, totals, 1.0)[:, None]
+        probs /= scale
+        out[:, -1] = np.where(over, 0.0, 1.0 - totals)
+    else:
+        np.subtract(1.0, totals, out=out[:, -1])
     slopes = None
     if derivative:
-        edge = np.exp(-u * u)
-        falls = edge[..., :-1] - edge[..., 1:]
+        edge = flat_u * flat_u
+        np.negative(edge, out=edge)
+        np.exp(edge, out=edge)
+        falls = (edge[:-1] - edge[1:]).reshape(rows, 2, width)[..., :-1]
+        slopes = np.empty((rows, width))
+        raw = slopes[:, :-1]
         # the -d component moves against the +d one
-        raw = 0.5 * s / math.sqrt(math.pi) * (falls[:, 0] - falls[:, 1])
+        np.subtract(falls[:, 0], falls[:, 1], out=raw)
+        raw *= 0.5 * s / math.sqrt(math.pi)
         raw_totals = raw.sum(axis=1)
-        slopes = np.where(over[:, None], raw - probs * raw_totals[:, None], raw) / scale
-        slopes = np.concatenate((slopes, np.where(over, 0.0, -raw_totals)[:, None]), axis=1)
-    return np.concatenate((probs, residual[:, None]), axis=1), slopes
-
+        if rescale:
+            raw[...] = np.where(over[:, None], raw - probs * raw_totals[:, None], raw) / scale
+            slopes[:, -1] = np.where(over, 0.0, -raw_totals)
+        else:
+            np.negative(raw_totals, out=slopes[:, -1])
+    return out, slopes

@@ -25,34 +25,37 @@ _MAX_QUADRATURE_ORDER = 370
 # largest table whose layout is cached: a larger layout costs tens of megabytes,
 # and its table overflows near this order anyway
 _MAX_CACHED_ORDER = 1000
+# Laguerre degrees whose recurrence factors an overlap table computes in one pass:
+# all of them up to this order, and for a larger order a buffer of a few table rows
+_DEGREES = 32
 
 
 @lru_cache(maxsize=32)
 def _overlap_layout(n: int):
     # everything in _overlap_amplitudes that depends on the table size alone: the
-    # Laguerre recurrence coefficients of each degree m = 1 .. n-1 over the orders
-    # 0 .. n-m-1, the flat (min, |difference|) index of each table cell and its
-    # |difference| as a float, 0.5*log(min!/max!) per cell, and the cells with an odd
-    # difference and the row index above the column index (the negative amplitudes
-    # at d >= 0)
+    # degree-1 Laguerre values 1 + order at x = 0, the recurrence coefficients of each
+    # degree m = 1 .. n-1 over every order 0 .. n (the weight of L_(m-1), the slope,
+    # and m + 1, which divides x), the flat (min, |difference|) index of each table
+    # cell and its |difference| as a float, 0.5*log(min!/max!) per cell, and the sign
+    # of each amplitude at d >= 0: -1 at the cells with an odd difference and the row
+    # index above the column index
     order = np.arange(n + 1.0)
-    steps = tuple(
-        (((2.0 * m + 1.0 + order[: n - m]) / (m + 1.0))[:, None],
-         ((m + order[: n - m]) / (m + 1.0))[:, None])
-        for m in range(1, n)
-    )
+    degree = np.arange(1.0, max(n, 1))[:, None]
+    divisor = degree + 1.0
+    lag_weight = ((degree + order) / divisor)[:, :, None]
+    slope = ((2.0 * degree + 1.0 + order) / divisor)[:, :, None]
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(order[1:]))))
     index = np.arange(n + 1)
     lo = np.minimum.outer(index, index)
     gap = np.abs(np.subtract.outer(index, index))
     cells = lo * (n + 1) + gap
     half_log_ratio = 0.5 * (log_fact[lo] - log_fact[lo + gap])
-    odd_below = (gap % 2 == 1) & np.greater.outer(index, index)
+    sign = np.where((gap % 2 == 1) & np.greater.outer(index, index), -1.0, 1.0)
     gap = gap.astype(float)
-    for array in (order, cells, gap, half_log_ratio, odd_below,
-                  *(c for step in steps for c in step)):
+    one_plus_order = (1.0 + order)[:, None]
+    for array in (one_plus_order, lag_weight, slope, divisor, cells, gap, half_log_ratio, sign):
         array.flags.writeable = False
-    return order, steps, cells, gap, half_log_ratio, odd_below
+    return one_plus_order, lag_weight, slope, divisor, cells, gap, half_log_ratio, sign
 
 
 def _overlap_amplitudes(n: int, d: np.ndarray) -> np.ndarray:
@@ -71,36 +74,42 @@ def _overlap_amplitudes(n: int, d: np.ndarray) -> np.ndarray:
     # the table before its layout: an order within rounding of 2**63 has an empty
     # float64 order range, and its layout would loop over range(1, n)
     try:
-        lag = np.zeros((n + 1, n + 1, len(d)))
+        lag = np.empty((n + 1, n + 1, len(d)))
         layout = _overlap_layout if n <= _MAX_CACHED_ORDER else _overlap_layout.__wrapped__
-        order, steps, cells, gap, half_log_ratio, odd_below = layout(n)
+        one_plus_order, lag_weight, slope, divisor, cells, gap, half_log_ratio, sign = layout(n)
+        # per degree m, the factors [lag_weight; slope - x / (m + 1)] of L_(m-1) and L_m,
+        # for up to _DEGREES degrees at a time
+        factors = np.empty((min(len(slope), _DEGREES), 2, n + 1, len(d)))
     except (ValueError, MemoryError) as exc:
         raise NumericalError(f"overlap table for mode orders up to {n} is too large") from exc
+    zero = not x.all()
     lag[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         if n:
-            lag[1, :n] = 1.0 + order[:n, None] - x
-        # L_(m+1) = (slope - x / (m + 1)) L_m - lag_weight L_(m-1), each degree
-        # written into its slice of the table; x / (m + 1) of every degree in one division
-        shifts = x / order[2:, None]
-        for m, (slope, lag_weight) in enumerate(steps, start=1):
-            w = n - m
-            out = lag[m + 1, :w]
-            np.subtract(slope, shifts[m - 1], out=out)
-            out *= lag[m, :w]
-            out -= lag_weight * lag[m - 1, :w]
+            np.subtract(one_plus_order, x, out=lag[1])
+        # L_(m+1) = (slope - x / (m + 1)) L_m - lag_weight L_(m-1) at every order, each
+        # degree one product of contiguous blocks and one difference; the cells of order
+        # above n - m are never read
+        for first in range(0, len(slope), _DEGREES):
+            degrees = slice(first, first + _DEGREES)
+            block = factors[: len(slope[degrees])]
+            block[:, 0] = lag_weight[degrees]
+            np.subtract(slope[degrees], (x / divisor[degrees])[:, None], out=block[:, 1])
+            for m, pair in enumerate(block, start=first + 1):
+                np.multiply(pair, lag[m - 1 : m + 1], out=pair)
+                np.subtract(pair[1], pair[0], out=lag[m + 1])
         # x^(gap/2) in log space; at x = 0 the table is the identity, set below
-        half_log_x = 0.5 * np.log(np.where(x > 0.0, x, 1.0))
+        half_log_x = 0.5 * np.log(np.where(x > 0.0, x, 1.0) if zero else x)
         amp = half_log_x[:, None, None] * gap
         amp += half_log_ratio
         amp -= 0.5 * x[:, None, None]
         np.exp(amp, out=amp)
         amp *= lag.reshape((n + 1) ** 2, len(d))[cells].transpose(2, 0, 1)
-    if not x.all():
+    if zero:
         amp[x == 0.0] = np.eye(n + 1)
     if not np.isfinite(amp).all():
         raise NumericalError(f"overlap table overflows for mode orders up to {n}")
-    np.negative(amp, out=amp, where=odd_below)
+    amp *= sign
     negative = d < 0.0
     if negative.any():
         # the table at -d is the transpose of the table at d

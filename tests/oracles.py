@@ -197,3 +197,150 @@ def configured_fi_at_zero(gamma: float, max_k: int) -> float:
     up = sum((k + 1) / 2 * c2[k + 1] for k in range(max_k))
     down = sum(k / 2 * c2[k - 1] for k in range(1, max_k + 1))
     return (up + down) / sum(c2)
+
+
+def overlap_table_masked(n: int, d: np.ndarray) -> np.ndarray:
+    """The overlap table of overlap._overlap_amplitudes in its former form, for bit-for-bit checks.
+
+    Four ufunc calls per Laguerre degree, L_(m+1) = (slope - x/(m+1)) L_m - lag_weight
+    L_(m-1) written into a zeroed table, and the sign of the odd cells below the
+    diagonal applied by a masked np.negative after the finiteness check. Returns
+    shape (len(d), n+1, n+1), nan or inf where the table overflows.
+    """
+    x = 0.5 * d * d
+    order = np.arange(n + 1.0)
+    index = np.arange(n + 1)
+    lo = np.minimum.outer(index, index)
+    gap = np.abs(np.subtract.outer(index, index))
+    cells = lo * (n + 1) + gap
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(order[1:]))))
+    half_log_ratio = 0.5 * (log_fact[lo] - log_fact[lo + gap])
+    odd_below = (gap % 2 == 1) & np.greater.outer(index, index)
+    gap = gap.astype(float)
+    lag = np.zeros((n + 1, n + 1, len(d)))
+    lag[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n:
+            lag[1, :n] = 1.0 + order[:n, None] - x
+        shifts = x / order[2:, None]
+        for m in range(1, n):
+            w = n - m
+            slope = ((2.0 * m + 1.0 + order[:w]) / (m + 1.0))[:, None]
+            lag_weight = ((m + order[:w]) / (m + 1.0))[:, None]
+            out = lag[m + 1, :w]
+            np.subtract(slope, shifts[m - 1], out=out)
+            out *= lag[m, :w]
+            out -= lag_weight * lag[m - 1, :w]
+        half_log_x = 0.5 * np.log(np.where(x > 0.0, x, 1.0))
+        amp = half_log_x[:, None, None] * gap
+        amp += half_log_ratio
+        amp -= 0.5 * x[:, None, None]
+        np.exp(amp, out=amp)
+        amp *= lag.reshape((n + 1) ** 2, len(d))[cells].transpose(2, 0, 1)
+    if not x.all():
+        amp[x == 0.0] = np.eye(n + 1)
+    np.negative(amp, out=amp, where=odd_below)
+    negative = d < 0.0
+    if negative.any():
+        amp[negative] = amp[negative].transpose(0, 2, 1)
+    return amp
+
+
+def pixel_block_concatenated(d: np.ndarray, grid, s: float, derivative: bool):
+    """model._pixel_block in its former form, for bit-for-bit checks.
+
+    Two math.erfc passes (every +d edge, then the -d edges that grid.mirrored does
+    not mark), the division by a row scale of 1.0 where no total exceeds one, and
+    the residual bucket appended by concatenate.
+    """
+    def erfc(x):
+        flat = x.ravel()
+        return np.fromiter(map(math.erfc, memoryview(flat)), float, flat.size).reshape(x.shape)
+
+    u = s * (grid.edges[None, None, :] - np.stack([d, -d], axis=1)[:, :, None])
+    tails = np.empty_like(u)
+    tails[:, 0] = erfc(np.abs(u[:, 0]))
+    tails[:, 1] = tails[:, 0, ::-1]
+    own = ~grid.mirrored
+    tails[:, 1, own] = erfc(np.abs(u[:, 1, own]))
+    lo, hi = u[..., :-1], u[..., 1:]
+    t_lo, t_hi = tails[..., :-1], tails[..., 1:]
+    masses = np.where(
+        lo >= 0.0, t_lo - t_hi, np.where(hi <= 0.0, t_hi - t_lo, 2.0 - t_lo - t_hi)
+    )
+    probs = 0.25 * (masses[:, 0] + masses[:, 1])
+    totals = probs.sum(axis=1)
+    over = totals > 1.0
+    scale = np.where(over, totals, 1.0)[:, None]
+    probs = probs / scale
+    residual = np.where(over, 0.0, 1.0 - totals)
+    slopes = None
+    if derivative:
+        edge = np.exp(-u * u)
+        falls = edge[..., :-1] - edge[..., 1:]
+        raw = 0.5 * s / math.sqrt(math.pi) * (falls[:, 0] - falls[:, 1])
+        raw_totals = raw.sum(axis=1)
+        slopes = np.where(over[:, None], raw - probs * raw_totals[:, None], raw) / scale
+        slopes = np.concatenate((slopes, np.where(over, 0.0, -raw_totals)[:, None]), axis=1)
+    return np.concatenate((probs, residual[:, None]), axis=1), slopes
+
+
+def biphoton_qfi(d: float, gamma: float, max_n: int) -> float:
+    """Quantum Fisher information about delta = 2d of the bi-photon state, n <= max_n.
+
+    The state is rho = (|psi_+><psi_+| + |psi_-><psi_-|) / 2 with
+    psi_+- = sum_n c_n |n>_idler (x) D(+-d)|n>_signal, c_n^2 = (1 - r^2) r^(2n) (the 1-D
+    x reading), r = |1 - gamma| / (1 + gamma), and D(s) the shift f(x) -> f(x - s). Every
+    inner product of psi_+-, d psi_+- / dd comes from oracles.scalar_overlap cells at the
+    shifts 0 and +-2d, with d D(s)/ds = D(s) T and T = -d/dx, which takes |n> to
+    sqrt((n+1)/2) |n+1> - sqrt(n/2) |n-1>. The QFI is taken on the span of those four
+    vectors, which holds the range of d rho / dd (Braunstein & Caves, PRL 72, 3439
+    (1994)): 2 sum_ij <i|d rho|j>^2 / (p_i + p_j) over the eigenvectors of rho.
+    """
+    r = abs(1.0 - gamma) / (1.0 + gamma)
+    weights = (1.0 - r * r) * r ** (2.0 * np.arange(max_n + 1))
+
+    def shift(m, n, s):
+        # <m| D(s) |n>, the integral of hg_m(x) hg_n(x - s)
+        return scalar_overlap(m, n, s, -1)
+
+    def generator(k, n):
+        # <k| T |n>
+        return {n + 1: math.sqrt((n + 1) / 2), n - 1: -math.sqrt(n / 2)}.get(k, 0.0)
+
+    def moments(s):
+        # sum_n c_n^2 of <n|D(s)|n>, <n|D(s) T|n> and <n|T^T D(s) T|n>
+        rows = []
+        for n in range(max_n + 1):
+            near = [k for k in (n - 1, n + 1) if k >= 0]
+            rows.append((shift(n, n, s),
+                         sum(shift(n, k, s) * generator(k, n) for k in near),
+                         sum(generator(j, n) * shift(j, k, s) * generator(k, n)
+                             for j in near for k in near)))
+        return weights @ np.array(rows)
+
+    signs = (1.0, -1.0)
+    table = {b - a: moments((b - a) * d) for a in signs for b in signs}
+    # Gram matrix of psi_+, psi_-, d psi_+, d psi_-: D(a d)^T D(b d) = D((b - a) d)
+    gram = np.empty((4, 4))
+    for i, a in enumerate(signs):
+        for j, b in enumerate(signs):
+            plain, once, twice = table[b - a]
+            gram[i, j] = plain
+            gram[i, 2 + j] = b * once
+            gram[2 + j, i] = b * once
+            gram[2 + i, 2 + j] = a * b * twice
+    # coordinates of the four vectors in an orthonormal basis of their span
+    values, vectors = np.linalg.eigh(gram)
+    kept = values > 1e-13 * values.max()
+    coords = np.sqrt(values[kept])[:, None] * vectors[:, kept].T
+    plus, minus, d_plus, d_minus = coords.T
+    rho = 0.5 * (np.outer(plus, plus) + np.outer(minus, minus))
+    d_rho = 0.5 * (np.outer(d_plus, plus) + np.outer(plus, d_plus)
+                   + np.outer(d_minus, minus) + np.outer(minus, d_minus))
+    p, basis = np.linalg.eigh(rho)
+    m = basis.T @ d_rho @ basis
+    total = p[:, None] + p[None, :]
+    support = total > 1e-14
+    # about delta = 2d, a quarter of the QFI about d
+    return 0.5 * float((m[support] ** 2 / total[support]).sum())

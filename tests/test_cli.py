@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 import bispade as bp
-from bispade import cli, inference
+from bispade import cli, inference, model
 from bispade.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -1221,6 +1221,27 @@ class TestExitCodes:
             "grid's ((max_k + 1) * (max_l + 1))**2 outcomes, got max_k=4611686018427387904, "
             "max_l=0\n"
         )
+        assert not out.exists()
+
+
+    def test_a_grid_memory_cannot_hold_is_refused_before_its_pairs(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # numpy can index the (3037000499**2)**2 outcomes, but their plan takes about
+        # 3.4e20 bytes: listing each arm's 3037000499 pairs would run until memory runs out
+        if model._physical_memory() is None:
+            pytest.skip("os.sysconf reports no physical memory here")
+
+        def refuse(*args):
+            raise AssertionError("the grid listed its pairs")
+
+        monkeypatch.setattr("bispade.model.range", refuse, raising=False)
+        out = tmp_path / "out"
+        assert main(["matrices", "--modes-k", "3037000498", "--out-dir", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("bispade: config error: a grid of max_k=3037000498, max_l=0 has "
+                              "9223372030926249001 outcomes, whose spade plan of 40 bytes each "
+                              "takes 368934881237049960040 bytes, above the ")
+        assert err.endswith(" bytes of physical memory\n")
         assert not out.exists()
 
 

@@ -12,8 +12,8 @@ import bispade as bp
 from bispade import cli, inference, model
 from bispade.inference import _as_map, _checked_draws, _fit, _ForwardMap
 from bispade.model import _CURVE_STEP
-from oracles import (biphoton_probs, configured_fi_at_zero, second_difference_at_zero,
-                     spade_curvature_at_zero)
+from oracles import (biphoton_probs, biphoton_qfi, configured_fi_at_zero,
+                     second_difference_at_zero, spade_curvature_at_zero)
 
 gammas = st.floats(0.05, 3.0)
 
@@ -321,6 +321,34 @@ class TestFiTotals:
         for gamma in (0.05, 0.3, 0.7, 0.999, 1.001, 2.0, 10.0):
             assert bp.fi_total_2d(gamma) > 0.5
         assert bp.fi_total_2d(1.0) == 0.5
+
+
+class TestQuantumLimit:
+    # terms past these orders change the QFI by less than 1e-9 of itself
+    MAX_N = {1.0: 2, 0.15: 45, 0.07: 90}
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.15, 0.07])
+    @pytest.mark.parametrize("d", [0.001, 0.3, 1.0])
+    def test_qfi_of_the_state_is_sqrt_k_over_two(self, d, gamma):
+        # (gamma + 1/gamma)/4 at every d, written from the formula
+        assert biphoton_qfi(d, gamma, self.MAX_N[gamma]) == pytest.approx(
+            (gamma + 1.0 / gamma) / 4.0, rel=1e-8)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.15, 0.07])
+    @pytest.mark.parametrize("d", [0.001, 0.3, 1.0])
+    def test_hg_coincidences_rise_toward_the_qfi(self, d, gamma):
+        model = bp.SchmidtModel.from_gamma(gamma)
+        limit = biphoton_qfi(d, gamma, self.MAX_N[gamma])
+        fi = [bp.fisher_numeric(bp.spade_forward(model, bp.ModeSpace.grid(k)), d).total
+              for k in (1, 2, 4, 6, 10, 16, 24)]
+        assert all(value <= limit * (1.0 + 1e-9) for value in fi)
+        if gamma == 1.0:
+            # one Schmidt mode: grid(4) already reaches the limit to 1e-2
+            assert all(b >= a - 1e-12 for a, b in zip(fi, fi[1:]))
+            assert fi[-1] == pytest.approx(limit, rel=1e-9)
+        else:
+            assert all(b > a for a, b in zip(fi, fi[1:]))
+            assert fi[-1] > 0.98 * limit
 
 
 class TestCrlb:

@@ -24,8 +24,8 @@ from bispade import (
     CountMatrix,
 )
 from bispade import model as model_module
-from bispade.model import _pixel_probs
-from oracles import biphoton_probs, riemann_pixel_probs, scalar_overlap
+from bispade.model import _pixel_block, _pixel_probs
+from oracles import biphoton_probs, pixel_block_concatenated, riemann_pixel_probs, scalar_overlap
 
 
 def _entrywise_matrix(d, space, model):
@@ -40,6 +40,10 @@ def _entrywise_matrix(d, space, model):
 _pairs = st.lists(
     st.tuples(st.integers(0, 30), st.integers(0, 2)), min_size=1, max_size=12, unique=True
 )
+
+
+def _refuse_listing(*args):
+    raise AssertionError("the grid listed its pairs")
 
 
 class TestModeSpace:
@@ -89,6 +93,53 @@ class TestModeSpace:
         with pytest.raises(ValueError, match=re.escape(message)):
             build(bad)
 
+    @pytest.mark.parametrize("arm, bad", [("idler", 5), ("idler", None), ("signal", 5),
+                                          ("signal", None)],
+                             ids=["idler-int", "idler-none", "signal-int", "signal-none"])
+    def test_a_pair_list_that_is_no_sequence_is_named(self, arm, bad):
+        arms = {"idler": ((0, 0),), "signal": ((0, 0),), arm: bad}
+        with pytest.raises(ValueError, match=f"^{arm} must be a sequence of mode pairs, "
+                                             f"got {bad!r}$"):
+            ModeSpace(**arms)
+
+    @pytest.mark.parametrize("span", [(None, 1.0), ("a", 1.0)], ids=["none", "text"])
+    def test_a_span_end_that_is_no_number_is_named(self, span):
+        with pytest.raises(ValueError, match=re.escape(f"span ends must be real numbers, "
+                                                       f"got {span!r}")):
+            PixelGrid(span=span)
+
+    @staticmethod
+    def _memory(monkeypatch, pages):
+        # physical memory of pages * 8 bytes, or none reported for pages None
+        def sysconf(name):
+            if pages is None:
+                raise ValueError(f"unrecognized configuration name {name!r}")
+            return {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 8}[name]
+
+        monkeypatch.setattr(model_module.os, "sysconf", sysconf)
+
+    def test_grid_is_sized_by_memory_before_its_pairs(self, monkeypatch):
+        # the 14x14 grid has 196 outcomes, whose plan takes 40 bytes each: 7,840 bytes
+        self._memory(monkeypatch, 7_840 // 8)
+        assert ModeSpace.grid(6, 1).shape == (14, 14)
+        self._memory(monkeypatch, 7_840 // 8 - 1)
+        monkeypatch.setattr("bispade.model.range", _refuse_listing, raising=False)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "a grid of max_k=6, max_l=1 has 196 outcomes, whose spade plan of 40 bytes "
+                "each takes 7840 bytes, above the 7832 bytes of physical memory") + "$"):
+            ModeSpace.grid(6, 1)
+
+    def test_grid_builds_where_no_memory_is_reported(self, monkeypatch):
+        self._memory(monkeypatch, None)
+        assert ModeSpace.grid(6, 1).shape == (14, 14)
+
+    def test_plan_bytes_per_outcome(self, model015):
+        space = ModeSpace.grid(3, 1)
+        plan = model_module._spade_setup(space, model015.gamma)[1]()
+        outcomes = len(space.idler) * len(space.signal)
+        assert sum(array.nbytes for array in plan) == model_module._PLAN_BYTES * outcomes == (
+            40 * outcomes)
+
     @pytest.mark.parametrize("max_k, max_l", [(2.5, 0), (2, 1.0), (True, 0)])
     def test_grid_rejects_non_integer_bounds_by_value(self, max_k, max_l):
         with pytest.raises(ValueError, match=f"^mode indices must be integers, "
@@ -107,10 +158,7 @@ class TestModeSpace:
     def test_grid_rejects_bounds_out_of_range_by_value(self, monkeypatch, max_k, max_l, named):
         # the bounds are checked before the pairs are listed: 2**63 + 1 of them
         # would fill the memory
-        def refuse(*args):
-            raise AssertionError("the grid listed its pairs")
-
-        monkeypatch.setattr("bispade.model.range", refuse, raising=False)
+        monkeypatch.setattr("bispade.model.range", _refuse_listing, raising=False)
         with pytest.raises(ValueError, match=f"^mode indices must be {named}$"):
             ModeSpace.grid(max_k, max_l)
 
@@ -614,6 +662,40 @@ class TestPixelProbs:
             alone = _pixel_probs(np.array([x]), grid, model015, kind, True)
             np.testing.assert_array_equal(probs[row].view(np.int64), alone[0][0].view(np.int64))
             np.testing.assert_array_equal(slopes[row].view(np.int64), alone[1][0].view(np.int64))
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_block_is_bitwise_the_concatenated_block(self, data):
+        # one erfc pass, preallocated rows and no division by 1.0 give the former
+        # block bit for bit, signed zeros included: odd and even pixel counts,
+        # symmetric and asymmetric spans, s of 1 and others, d = 0, d < 0 and d on an edge
+        count = data.draw(st.integers(1, 60), label="count")
+        width = data.draw(st.floats(0.5, 20.0), label="width")
+        low = data.draw(st.one_of(st.just(-0.5 * width), st.floats(-12.0, 4.0)), label="low")
+        grid = PixelGrid(count, (low, low + width))
+        s = data.draw(st.one_of(st.just(1.0), st.floats(0.05, 3.0)), label="s")
+        edges = st.sampled_from(grid.edges.tolist())
+        d = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0]), edges, edges.map(lambda e: -e),
+                      st.floats(-3.0, 3.0)), min_size=1, max_size=6), label="d"))
+        derivative = data.draw(st.booleans(), label="derivative")
+        for ours, theirs in zip(_pixel_block(d, grid, s, derivative),
+                                pixel_block_concatenated(d, grid, s, derivative)):
+            if theirs is None:
+                assert ours is None
+            else:
+                np.testing.assert_array_equal(ours.view(np.int64), theirs.view(np.int64))
+
+    def test_block_renormalizes_as_the_concatenated_block(self):
+        # on this span the gaussian totals at d = 1.63 and 1.72 round above one: the
+        # rows that rescale and those that do not match the former block bit for bit
+        grid = PixelGrid(50, (-8.0, 8.0))
+        d = np.array([0.3, 1.63, -1.72, 0.7, 1.72])
+        probs, slopes = _pixel_block(d, grid, 1.0, True)
+        # a rescaled row leaves no residual slope
+        assert np.array_equal(slopes[:, -1] == 0.0, [False, True, True, False, True])
+        for ours, theirs in zip((probs, slopes), pixel_block_concatenated(d, grid, 1.0, True)):
+            np.testing.assert_array_equal(ours.view(np.int64), theirs.view(np.int64))
 
     def test_default_span_leakage_is_small(self, model015):
         # the default span keeps the Gaussian residual below 1e-4 even at the

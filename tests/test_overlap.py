@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 from bispade import NumericalError, displaced_overlap, quad_overlap
 from bispade import overlap
+from oracles import overlap_table_masked
 
 modes = st.integers(0, 12)
 shifts = st.floats(0.0, 3.0)
@@ -159,6 +160,26 @@ class TestDisplacedOverlap:
             # quad_overlap(m, n, s) is the amplitude at d = -s
             quad = np.array([[quad_overlap(m, n, -x) for n in range(10)] for m in range(10)])
             np.testing.assert_allclose(table[row], quad, rtol=0.0, atol=1e-12)
+
+
+class TestOverlapKernel:
+    @given(n=st.integers(0, 40),
+           d=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-160]),
+                                st.floats(-6.0, 6.0)), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_table_is_bitwise_the_masked_sign_table(self, n, d):
+        # two ufuncs per Laguerre degree and a sign table give the four-ufunc recurrence
+        # and the masked negation bit for bit, signed zeros included
+        d = np.array(d)
+        table = overlap._overlap_amplitudes(n, d)
+        np.testing.assert_array_equal(table.view(np.int64),
+                                      overlap_table_masked(n, d).view(np.int64))
+
+    def test_the_sign_table_leaves_negative_zeros_below_the_diagonal(self):
+        # at d = 0 the odd cells below the diagonal of the identity are -0.0
+        table = overlap._overlap_amplitudes(3, np.array([0.0]))[0]
+        assert np.signbit(table[1, 0]) and np.signbit(table[3, 2])
+        assert not np.signbit(table[0, 1]) and not np.signbit(table[2, 0])
 
 
 class TestQuadOverlap:

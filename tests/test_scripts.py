@@ -91,9 +91,10 @@ def test_bench_runs_every_item_once(tmp_path, monkeypatch, capsys):
     out = tmp_path / "bench.json"
     assert bench.run(["--label", "smoke", "--out", str(out)]) == 0
     (result,) = json.loads(out.read_text())["runs"]["smoke"]
-    assert len(result["layers"]) == 25 and len(result["end_to_end"]) == 2
+    assert len(result["layers"]) == 42 and len(result["end_to_end"]) == 2
     for item in ("inference._trial_states[18x8 trials]", "inference._cell_results[18x8 trials]",
-                 "cli._read_counts_files[29 files]"):
+                 "cli._read_counts_files[29 files]", "overlap._overlap_amplitudes[6]",
+                 "model._pixel_probs[spdc,48]", "inference._fit[spade,1 of 48 sweep_k12 job rows]"):
         assert item in result["layers"]
     assert result["environment"]["cpu_count"] >= 1
     counts = result["counts"]
