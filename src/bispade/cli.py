@@ -309,10 +309,11 @@ def write_counts_file(
 ) -> Path:
     """Long-format UTF-8 counts file: one (idler, signal) mode tuple per row.
 
-    Raises ValueError, before any byte is written, on what read_counts_file
-    refuses: counts that are not non-negative integers or that sum above 2**53,
-    a separation that is not finite, or a meta entry whose '# key = value' line
-    breaks in two or reads as a separation label.
+    The k_idler column is the detection mode of the displaced photon, as in
+    prob_matrix. Raises ValueError, before any byte is written, on what
+    read_counts_file refuses: counts that are not non-negative integers or that
+    sum above 2**53, a separation that is not finite, or a meta entry whose
+    '# key = value' line breaks in two or reads as a separation label.
     """
     path = Path(path)
     if np.shape(counts) != space.shape:

@@ -100,8 +100,9 @@ class CountMatrix:
     def __post_init__(self):
         counts = np.asarray(self.counts)
         if counts.dtype.kind not in "iu":
-            if not np.all(np.isfinite(counts) & (counts == np.floor(counts))
-                          & (np.abs(counts) < 2.0**63)):
+            if counts.dtype.kind == "b" or not np.all(
+                    np.isfinite(counts) & (counts == np.floor(counts))
+                    & (np.abs(counts) < 2.0**63)):
                 raise ValueError("counts must be finite integers within the int64 range")
             counts = counts.astype(np.int64)
         if (counts < 0).any():
@@ -169,7 +170,9 @@ def fisher_numeric(
     maps of spade_forward and direct_forward, calibrated or not, supply the
     exact derivative; for any other callable it is a fourth-order central
     difference at `step`. Outcomes below `floor` are skipped and reported
-    instead of dividing by nearly zero.
+    instead of dividing by nearly zero. Every built-in map is even in d, so at d = 0
+    the informative outcomes read 0/0: they are skipped and the total is exactly 0.0.
+    The bound at a fitted d = 0 is the d -> 0 limit, the total at a small d.
     """
     if not step > 0:
         raise ValueError("step must be positive")
@@ -223,16 +226,24 @@ def fi_branch_totals_2d(gamma: float) -> tuple[float, float]:
 
 
 def fi_total_2d(gamma: float) -> float:
-    """Total small-separation FI over all modes: (gamma + 1/gamma)/4 = sqrt(K)/2."""
+    """Total small-separation FI over all modes: (gamma + 1/gamma)/4 = sqrt(K)/2.
+
+    It is the quantum Fisher information of the bi-photon state, the quantum limit: at
+    gamma = 0.15 the configured 7x7 measurement reaches 1.558 of its 1.704.
+    """
     gamma = _checked_gamma(gamma)
     return 0.25 * (gamma + 1.0 / gamma)
 
 
 def crlb(schmidt_k: float, n_photons: int) -> float:
-    """Variance bound 2 / (n sqrt(K)) on separation estimates from n photon pairs."""
+    """Variance bound 2 / (n sqrt(K)) on separation estimates from n photon pairs.
+
+    It is 1 / (n QFI), sqrt(K)/2 the quantum Fisher information of the bi-photon state, the
+    quantum limit: at gamma = 0.15 the configured 7x7 measurement reaches 1.558 of its 1.704.
+    """
     if not (_finite_positive(schmidt_k) and schmidt_k >= 1.0):
         raise ValueError(f"Schmidt number must be finite and >= 1, got {schmidt_k!r}")
-    _check_photons(n_photons)
+    _check_natural(n_photons, "n_photons")
     if n_photons < 1:
         raise ValueError(f"photon count must be >= 1, got {n_photons!r}")
     return 2.0 / (n_photons * math.sqrt(schmidt_k))
@@ -251,15 +262,18 @@ def sample_counts(probabilities, n_photons: int, seed) -> CountMatrix:
     """
     matrix = isinstance(probabilities, ProbabilityMatrix)
     p = probabilities.entries if matrix else np.asarray(probabilities, dtype=float)
-    _check_photons(n_photons)
+    _check_natural(n_photons, "n_photons")
+    if isinstance(seed, (bool, np.bool_)):
+        raise ValueError(f"seed must not be a bool, got {seed!r}")
     rng = np.random.default_rng(seed)
     draw = _checked_draws(_draw(_normalized(p.ravel()), n_photons, rng), n_photons)
     return CountMatrix(draw.reshape(p.shape), probabilities.d if matrix else None)
 
 
-def _check_photons(n_photons) -> None:
-    if not (_is_integer(n_photons) and n_photons >= 0):
-        raise ValueError(f"n_photons must be a non-negative integer, got {n_photons!r}")
+def _check_natural(value, name: str) -> None:
+    # the rule of photon numbers and integer seeds: a Python or numpy integer, not a bool
+    if not (_is_integer(value) and value >= 0):
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def _normalized(p: np.ndarray) -> np.ndarray:
@@ -639,6 +653,8 @@ def _method_forward(method: str, model: SchmidtModel, space: ModeSpace, grid: Pi
 
 def trial_seed(master_seed: int, trial: int) -> int:
     """Deterministic per-trial sub-seed derived from the master seed and trial index."""
+    _check_natural(master_seed, "master_seed")
+    _check_natural(trial, "trial")
     # the one sub-seed rule, also of the compare cells' masters: the first 32-bit word
     # of numpy's SeedSequence of the entropy; _seed_states is it over many entropies at once
     return int(np.random.SeedSequence((master_seed, trial)).generate_state(1)[0])
@@ -698,14 +714,10 @@ def _seed_states(entropy: np.ndarray, n_words: int) -> np.ndarray:
 
 
 def _seed_words(seed) -> list[int]:
-    # the 32-bit words, least significant first, that SeedSequence reads from an integer
+    # the 32-bit words, least significant first, that SeedSequence reads from a
+    # non-negative integer (the public entries refuse any other seed by _check_natural)
     seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"expected non-negative integer seed, got {seed!r}")
-    words = [seed & 0xFFFFFFFF]
-    while seed := seed >> 32:
-        words.append(seed & 0xFFFFFFFF)
-    return words
+    return [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
 
 
 def _cell_masters(seed: int, methods: int, seps: int) -> list[int]:
@@ -772,8 +784,9 @@ def mc_standard_error(
         raise ValueError(f"model gamma {model.gamma!r} differs from gamma {gamma!r}")
     if forward is None:
         forward = _method_forward(method, model, ModeSpace.grid(), PixelGrid())
-    _check_photons(n_photons)
+    _check_natural(n_photons, "n_photons")
     _check_trials(trials)
+    _check_natural(seed, "seed")
     return _mc_cells(method, n_photons, [d], _trial_states([seed], trials), _as_map(forward))[0]
 
 

@@ -169,19 +169,12 @@ class PixelGrid:
         return edges
 
     @cached_property
-    def mirrored(self) -> np.ndarray:
-        """Read-only mask of the edges whose mirror image is exactly an edge: e_j == -e_(count-j)."""
-        mask = self.edges == -self.edges[::-1]
-        mask.flags.writeable = False
-        return mask
-
-    @cached_property
     def _tail_layout(self) -> tuple[np.ndarray, np.ndarray]:
-        # where _pixel_block takes math.erfc in a row of both components' edges (+d
-        # first): at every +d edge and at the -d edges not mirrored; and where each
-        # edge of that row finds its tail among them, a mirrored -d edge at its mirror
+        # where _pixel_block takes math.erfc in a row of both components' edges (+d first):
+        # at every +d edge and at the -d edges not mirrored (e_j != -e_(count-j)); and where
+        # each edge of that row finds its tail among them, a mirrored -d edge at its mirror
         width = self.count + 1
-        own = np.flatnonzero(~self.mirrored)
+        own = np.flatnonzero(self.edges != -self.edges[::-1])
         places = np.concatenate((np.arange(width), np.arange(width)[::-1]))
         places[width + own] = width + np.arange(len(own))
         picks = np.concatenate((np.arange(width), width + own))
@@ -324,11 +317,17 @@ def _spade_block(amps, plan, renormalize, derivative):
             raise NumericalError(
                 f"in-space probability mass {totals.min():.3e} below {_MIN_IN_SPACE_MASS:.0e}"
             )
-        entries = entries / totals[:, None]
-        if slopes is not None:
-            slope_totals = slopes.sum(axis=1)
-            slopes = (slopes - entries * slope_totals[:, None]) / totals[:, None]
+        entries, slopes = _renormalized(entries, slopes, totals)
     return entries, slopes, totals
+
+
+def _renormalized(rows: np.ndarray, slopes: np.ndarray | None, totals: np.ndarray):
+    # (rows x outcomes) rows divided by their totals, and their d-derivatives by the
+    # quotient rule (p' - p sum(p')) / total, p the divided rows; slopes None stays None
+    rows = rows / totals[:, None]
+    if slopes is not None:
+        slopes = (slopes - rows * slopes.sum(axis=1)[:, None]) / totals[:, None]
+    return rows, slopes
 
 
 def prob_matrix(
@@ -342,7 +341,8 @@ def prob_matrix(
     is displaced. The entries come from one overlap table for the whole space.
     With renormalize=True the matrix conditions on detection inside the space
     (entries divided by the in-space total), matching how measured matrices
-    are normalized.
+    are normalized. The Schmidt weight sits on the signal index k', so the idler
+    index k (a table's k_idler column) is the detection mode of the displaced photon.
     """
     entries, _, totals = _spade_probs(np.array([float(d)]), *_spade_setup(space, model.gamma),
                                       renormalize, False)
@@ -374,21 +374,17 @@ def _calibrate_rows(probs: np.ndarray, slopes: np.ndarray | None, cal: Calibrati
         raise ValueError("calibration shape does not match the counts")
     alpha = cal.alpha.ravel()
     raw = alpha * probs + cal.beta.ravel()
+    if slopes is not None:
+        slopes = alpha * slopes
     live = raw > 0.0
-    # the floor, where any entry needs it
-    floored = not live.all()
-    if floored:
+    if not live.all():  # the floor, where any entry needs it
         raw = np.where(live, raw, 0.0)
+        if slopes is not None:
+            slopes = np.where(live, slopes, 0.0)
     totals = raw.sum(axis=1)
     if (totals <= 0.0).any():
         raise NumericalError("calibrated probabilities vanish everywhere")
-    probs = raw / totals[:, None]
-    if slopes is not None:
-        raw_slopes = alpha * slopes
-        if floored:
-            raw_slopes = np.where(live, raw_slopes, 0.0)
-        slopes = (raw_slopes - probs * raw_slopes.sum(axis=1)[:, None]) / totals[:, None]
-    return probs, slopes
+    return _renormalized(raw, slopes, totals)
 
 
 def _psf_scale(model: SchmidtModel, kind: str) -> float:
@@ -450,16 +446,7 @@ def _pixel_block(d, grid, s, derivative):
     np.add(masses[:, 0], masses[:, 1], out=probs)
     probs *= 0.25
     totals = probs.sum(axis=1)
-    # a total above one is rounding: renormalize and leave no residual; a row at or
-    # below one is divided by nothing (its division by 1.0 would be exact)
-    over = totals > 1.0
-    rescale = over.any()
-    if rescale:
-        scale = np.where(over, totals, 1.0)[:, None]
-        probs /= scale
-        out[:, -1] = np.where(over, 0.0, 1.0 - totals)
-    else:
-        np.subtract(1.0, totals, out=out[:, -1])
+    np.subtract(1.0, totals, out=out[:, -1])
     slopes = None
     if derivative:
         edge = flat_u * flat_u
@@ -471,10 +458,14 @@ def _pixel_block(d, grid, s, derivative):
         # the -d component moves against the +d one
         np.subtract(falls[:, 0], falls[:, 1], out=raw)
         raw *= 0.5 * s / math.sqrt(math.pi)
-        raw_totals = raw.sum(axis=1)
-        if rescale:
-            raw[...] = np.where(over[:, None], raw - probs * raw_totals[:, None], raw) / scale
-            slopes[:, -1] = np.where(over, 0.0, -raw_totals)
-        else:
-            np.negative(raw_totals, out=slopes[:, -1])
+        np.negative(raw.sum(axis=1), out=slopes[:, -1])
+    # a total above one is rounding: renormalize that row and leave it no residual; a
+    # row at or below one is divided by nothing (its division by 1.0 would be exact)
+    over = totals > 1.0
+    if over.any():
+        rescaled = _renormalized(probs[over], None if slopes is None else slopes[over, :-1],
+                                 totals[over])
+        for whole, part in zip((out, slopes), rescaled):
+            if whole is not None:
+                whole[over, :-1], whole[over, -1] = part, 0.0
     return out, slopes

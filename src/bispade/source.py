@@ -58,9 +58,12 @@ def _coefficient_ratio(gamma) -> float:
 
 def _mode_indices(**indices) -> tuple[np.ndarray, ...]:
     # the one mode-order rule: each named index is a Python or numpy integer, not a bool,
-    # or an array of integer dtype, from 0 to _MAX_MODE_ORDER; returned as float64 arrays
+    # or an array of integer dtype, from 0 to _MAX_MODE_ORDER; returned as float64 arrays.
+    # A sequence that is no array is checked item by item: numpy reads [True, 2] as int64
     arrays = {name: np.asarray(value) for name, value in indices.items() if not _is_integer(value)}
-    if not all(np.issubdtype(a.dtype, np.integer) for a in arrays.values()):
+    if not all(np.issubdtype(a.dtype, np.integer) and (a is indices[name] or all(
+            map(_is_integer, np.asarray(indices[name], dtype=object).flat)))
+               for name, a in arrays.items()):
         named = ", ".join(f"{name}={value!r}" for name, value in indices.items())
         raise ValueError(f"mode indices must be integers, got {named}")
     for name, value in indices.items():

@@ -249,9 +249,10 @@ def overlap_table_masked(n: int, d: np.ndarray) -> np.ndarray:
 def pixel_block_concatenated(d: np.ndarray, grid, s: float, derivative: bool):
     """model._pixel_block in its former form, for bit-for-bit checks.
 
-    Two math.erfc passes (every +d edge, then the -d edges that grid.mirrored does
-    not mark), the division by a row scale of 1.0 where no total exceeds one, and
-    the residual bucket appended by concatenate.
+    Two math.erfc passes (every +d edge, then the -d edges whose mirror image is not
+    exactly an edge, a mask taken here from grid.edges alone), the division by a row
+    scale of 1.0 where no total exceeds one, and the residual bucket appended by
+    concatenate.
     """
     def erfc(x):
         flat = x.ravel()
@@ -261,7 +262,7 @@ def pixel_block_concatenated(d: np.ndarray, grid, s: float, derivative: bool):
     tails = np.empty_like(u)
     tails[:, 0] = erfc(np.abs(u[:, 0]))
     tails[:, 1] = tails[:, 0, ::-1]
-    own = ~grid.mirrored
+    own = grid.edges != -grid.edges[::-1]
     tails[:, 1, own] = erfc(np.abs(u[:, 1, own]))
     lo, hi = u[..., :-1], u[..., 1:]
     t_lo, t_hi = tails[..., :-1], tails[..., 1:]

@@ -37,6 +37,13 @@ class TestCountMatrix:
         with pytest.raises(ValueError, match="finite integers"):
             bp.CountMatrix(np.array([count, 1.0]))
 
+    @pytest.mark.parametrize("counts", [np.array([True, False]), [[True], [True]]])
+    def test_rejects_bools(self, counts):
+        # a bool is no count, as it is no photon number
+        with pytest.raises(ValueError, match="^counts must be finite integers within the int64 "
+                                             "range$"):
+            bp.CountMatrix(counts)
+
     def test_integer_valued_floats_become_int64(self):
         cm = bp.CountMatrix(np.array([[1.0, 0.0], [2.0, 4.0]]))
         assert cm.counts.dtype == np.int64
@@ -442,6 +449,16 @@ class TestSampleCounts:
         pm = bp.prob_matrix(0.3, space7, model015)
         with pytest.raises(ValueError, match=f"non-negative integer, got {photons!r}$"):
             bp.sample_counts(pm, photons, seed=1)
+
+    @pytest.mark.parametrize("seed", [True, np.True_])
+    def test_rejects_a_bool_seed(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must not be a bool, got {seed!r}$"):
+            bp.sample_counts(np.array([0.5, 0.5]), 10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [None, 7, np.uint8(7), [1, 2], np.random.SeedSequence(7),
+                                      np.random.PCG64(7)])
+    def test_takes_every_other_seed_default_rng_takes(self, seed):
+        assert bp.sample_counts(np.array([0.5, 0.5]), 10, seed=seed).total == 10
 
     def test_draws_that_miss_the_photon_number_are_numerical_failures(self):
         _checked_draws(np.array([[1, 2], [3, 0]]), 3)
@@ -1319,12 +1336,29 @@ class TestTrialDraws:
                                 forward)
         assert str(cells.value) == str(single.value)
 
-    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, ValueError)])
     def test_rejects_what_seed_sequence_rejects(self, seed, error):
-        with pytest.raises(error):
+        with pytest.raises(error, match=f"^master_seed must be a non-negative integer, "
+                                        f"got {seed!r}$"):
             bp.trial_seed(seed, 0)
-        with pytest.raises(error):
+        with pytest.raises(error, match=f"^seed must be a non-negative integer, got {seed!r}$"):
             bp.mc_standard_error("direct_gaussian", 0.15, 100, 0.3, 4, seed=seed)
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_a_bool_is_no_seed(self, flag):
+        # SeedSequence reads True as 1
+        with pytest.raises(ValueError, match=f"^master_seed must be a non-negative integer, "
+                                             f"got {flag!r}$"):
+            bp.trial_seed(flag, 0)
+        with pytest.raises(ValueError, match=f"^trial must be a non-negative integer, "
+                                             f"got {flag!r}$"):
+            bp.trial_seed(0, flag)
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, "
+                                             f"got {flag!r}$"):
+            bp.mc_standard_error("spade", 0.15, 100, 0.3, 2, seed=flag)
+
+    def test_numpy_integer_seeds_are_their_values(self):
+        assert bp.trial_seed(np.uint64(2**64 - 1), np.int8(3)) == bp.trial_seed(2**64 - 1, 3)
 
 
 _WORD = st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1)

@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from bispade import (
     CountMatrix,
 )
 from bispade import model as model_module
-from bispade.model import _pixel_block, _pixel_probs
+from bispade.model import _pixel_block, _pixel_probs, _renormalized, _spade_probs, _spade_setup
 from oracles import biphoton_probs, pixel_block_concatenated, riemann_pixel_probs, scalar_overlap
 
 
@@ -524,6 +525,48 @@ class TestCalibration:
             np.testing.assert_allclose(reproduced, target, atol=1e-6)
 
 
+def _assert_bitwise(ours, theirs):
+    for a, b in zip(ours, theirs, strict=True):
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestRenormalized:
+    @given(d=st.lists(st.one_of(st.sampled_from([0.0, 1.63, 1.72]), st.floats(-2.0, 2.0)),
+                      min_size=1, max_size=6).map(np.array),
+           beta=st.sampled_from([0.0, 1e-4, 0.01]))
+    @settings(max_examples=100, deadline=None)
+    def test_every_forward_map_renormalizes_by_the_one_quotient_rule(self, model015, space7,
+                                                                     d, beta):
+        # spade rows: the raw rows are those of renormalize=False
+        setup = _spade_setup(space7, model015.gamma)
+        raw, raw_slopes, totals = _spade_probs(d, *setup, False, True)
+        entries, slopes, _ = _spade_probs(d, *setup, True, True)
+        _assert_bitwise((entries, slopes), _renormalized(raw, raw_slopes, totals))
+        # a calibrated view: alpha p + beta floored at zero, where some cells have alpha 0
+        alpha = np.where(np.arange(49).reshape(7, 7) % 5 == 0, 0.0, 0.8)
+        cal = CalibrationModel(alpha=alpha, beta=np.full(space7.shape, beta))
+        mapped = alpha.ravel() * entries + beta
+        live = mapped > 0.0
+        floored = np.where(live, mapped, 0.0)
+        expected = _renormalized(floored, np.where(live, alpha.ravel() * slopes, 0.0),
+                                 floored.sum(axis=1))
+        _assert_bitwise(spade_forward(model015, space7).calibrated(cal).batch(d, True), expected)
+        # pixel rows on a span where the totals at d = 1.63 and 1.72 round above one: those
+        # rows are renormalized and leave no residual, the others are left as they are
+        grid = PixelGrid(50, (-8.0, 8.0))
+        with mock.patch.object(model_module, "_renormalized",
+                               lambda rows, slopes, totals: (rows, slopes)):
+            raw, raw_slopes = _pixel_block(d, grid, 1.0, True)
+        probs, slopes = _pixel_block(d, grid, 1.0, True)
+        over = raw[:, :-1].sum(axis=1) > 1.0
+        assert over[np.isin(np.abs(d), (1.63, 1.72))].all()
+        _assert_bitwise((probs[~over], slopes[~over]), (raw[~over], raw_slopes[~over]))
+        rows = raw[over, :-1]
+        _assert_bitwise((probs[over, :-1], slopes[over, :-1]),
+                        _renormalized(rows, raw_slopes[over, :-1], rows.sum(axis=1)))
+        assert np.all(probs[over, -1] == 0.0) and np.all(slopes[over, -1] == 0.0)
+
+
 class TestMarginalIntensity:
     """The direct-imaging marginal intensity, checked through its exact pixel masses."""
 
@@ -630,16 +673,19 @@ class TestPixelProbs:
             direct_forward(model015, PixelGrid(), "spdc")(d)
 
     def test_default_grid_mirrors_29_of_its_51_edges(self):
-        grid = PixelGrid()
-        assert grid.mirrored.sum() == 29
-        assert not grid.mirrored.flags.writeable
+        # a mirrored -d edge takes no math.erfc of its own: it reads the +d tail at its mirror
+        picks, places = PixelGrid()._tail_layout
+        assert len(picks) == 2 * 51 - 29
+        assert np.count_nonzero(places[51:] < 51) == 29
+        assert not picks.flags.writeable and not places.flags.writeable
 
     @pytest.mark.parametrize("count, span",
                              [(50, (-4.0, 4.0)), (7, (-1.0, 3.0)), (9, (-3.3, 3.3))])
     def test_mirrored_tails_are_bitwise_the_direct_ones(self, model015, count, span):
-        # the same grid with no edge marked mirrored takes math.erfc at every edge
+        # the same grid laid out with no edge mirrored takes math.erfc at every edge
         grid, direct = PixelGrid(count, span), PixelGrid(count, span)
-        direct.__dict__["mirrored"] = np.zeros(count + 1, dtype=bool)
+        every_edge = np.arange(2 * (count + 1))
+        direct.__dict__["_tail_layout"] = (every_edge, every_edge)
         d = np.concatenate(([0.0, 1e-300, 0.0465], np.random.default_rng(5).uniform(0, 2, 40)))
         for kind in ("gaussian", "spdc"):
             for ours, theirs in zip(_pixel_probs(d, grid, model015, kind, True),

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import hypothesis.strategies as st
 
 from bispade import (
     SchmidtModel,
+    fi_closed_form,
     gamma_from_physical,
     schmidt_coeff,
     schmidt_number,
@@ -87,6 +89,23 @@ class TestSchmidtCoeff:
     def test_rejects_non_integer_indices(self, m, n):
         with pytest.raises(ValueError, match="mode indices must be integers, got m="):
             schmidt_coeff(m, n, 0.15)
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_rejects_a_list_that_holds_a_bool(self, flag):
+        # numpy reads [True, 2] as int64, so a list is checked item by item
+        with pytest.raises(ValueError, match=re.escape(
+                f"mode indices must be integers, got m=[{flag!r}, 2], n=0")):
+            schmidt_coeff([flag, 2], 0, 0.15)
+        with pytest.raises(ValueError, match=re.escape(
+                f"mode indices must be integers, got k=[{flag!r}, 0], l=[0, 0]")):
+            fi_closed_form([flag, 0], [0, 0], 0.15, "up")
+
+    def test_integer_lists_are_the_integer_arrays(self):
+        for m in ([1, 2], (1, np.int64(2)), [[1], [2]]):
+            np.testing.assert_array_equal(schmidt_coeff(m, 0, 0.15),
+                                          schmidt_coeff(np.array(m), 0, 0.15))
+        assert fi_closed_form([1, 0], [0, 0], 0.15, "up").tolist() == [
+            fi_closed_form(1, 0, 0.15, "up"), fi_closed_form(0, 0, 0.15, "up")]
 
     def test_accepts_integer_dtype_arrays(self):
         m = np.arange(5, dtype=np.int32)
