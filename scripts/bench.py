@@ -6,7 +6,7 @@ forward maps (``model._spade_probs``, ``model._pixel_probs``), the grid table
 of a fresh map (``inference._ForwardMap.log_probs``, built cold on a new
 ``_ForwardMap(f.batch, f.shape)`` per call, because the constructors return
 one shared map per measurement whose table is built once), the batched fit
-(``inference._fit``), the multinomial draw (``inference._draw``), the
+(``inference._fit``), the multinomial draw (``Generator.multinomial``), the
 seeding pass of a compare job (``inference._cell_masters`` and
 ``inference._trial_states``), the Monte-Carlo cells (``inference._mc_cells``,
 on trial states seeded beforehand), their summary (``inference._cell_results``)
@@ -103,8 +103,8 @@ def _draws(forward, seps, trials: int, seed: int) -> np.ndarray:
     # count rows of `trials` draws at each separation of seps
     truths = forward(np.asarray(seps))
     return np.array([
-        inference._draw(truth.ravel() / truth.sum(), PHOTONS,
-                        np.random.default_rng(bp.trial_seed(seed, t)))
+        np.random.default_rng(bp.trial_seed(seed, t)).multinomial(PHOTONS,
+                                                                  truth.ravel() / truth.sum())
         for truth in truths for t in range(trials)
     ], dtype=float)
 
@@ -127,7 +127,7 @@ def layers(files: list[Path]) -> dict:
             lambda d=d: model._spade_probs(d, *setup, True, derivative=True), 100, calls)
         for kind in ("gaussian", "spdc"):
             items[f"model._pixel_probs[{kind},{label}]"] = _time(
-                lambda d=d, kind=kind: model._pixel_probs(d, grid, m, kind, derivative=True),
+                lambda d=d, s=model._psf_scale(m, kind): model._pixel_probs(d, grid, s, True),
                 100, calls)
     forwards = {method: inference._method_forward(method, m, space, grid)
                 for method in bp.METHODS}
@@ -149,8 +149,8 @@ def layers(files: list[Path]) -> dict:
             lambda f=forward, o=sweep: inference._fit(o, f), 20, 1, "ms")
     weights = forwards["spade"](0.3).ravel()
     weights = weights / weights.sum()
-    items["inference._draw[49 outcomes]"] = _time(
-        lambda: inference._draw(weights, PHOTONS, np.random.default_rng(12345)), 100, 50)
+    items["Generator.multinomial[49 outcomes]"] = _time(
+        lambda: np.random.default_rng(12345).multinomial(PHOTONS, weights), 100, 50)
     seps = STEP * np.arange(1, 27, 5)
     # the seeding pass of a sweep_k12 job: 3 methods x 6 cells of 8 trials
     items["inference._trial_states[18x8 trials]"] = _time(

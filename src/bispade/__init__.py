@@ -9,8 +9,7 @@ against direct imaging.
 
 __version__ = "0.1.0"
 
-from . import errors, inference, model, overlap, source
-from .errors import *
+from . import inference, model, overlap, source
 from .inference import *
 from .model import *
 from .overlap import *
@@ -18,7 +17,6 @@ from .source import *
 
 __all__ = [
     "__version__",
-    *errors.__all__,
     *inference.__all__,
     *model.__all__,
     *overlap.__all__,

@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NumericalError
 from .inference import (
     METHODS,
     PARAMETERIZATION,
@@ -38,7 +37,7 @@ from .inference import (
     spade_forward,
 )
 from .model import ModeSpace, PixelGrid, prob_matrix
-from .source import (SchmidtModel, _checked_gamma, _finite_positive, _mode_indices,
+from .source import (NumericalError, SchmidtModel, _checked_gamma, _finite_positive, _mode_indices,
                      gamma_from_physical, schmidt_number)
 
 EXIT_OK = 0

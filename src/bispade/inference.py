@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NumericalError
 from .model import (
     CalibrationModel,
     ModeSpace,
@@ -28,11 +27,12 @@ from .model import (
     _calibrate_rows,
     _check_separations,
     _pixel_probs,
+    _psf_scale,
     _spade_probs,
     _spade_setup,
 )
-from .source import (SchmidtModel, _checked_gamma, _coefficient, _coefficient_ratio, _is_integer,
-                     _finite_positive, _mode_indices)
+from .source import (NumericalError, SchmidtModel, _checked_gamma, _coefficient,
+                     _coefficient_ratio, _is_integer, _finite_positive, _mode_indices)
 
 __all__ = [
     "PARAMETERIZATION",
@@ -99,12 +99,15 @@ class CountMatrix:
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
-        if counts.dtype.kind not in "iu":
-            if counts.dtype.kind == "b" or not np.all(
-                    np.isfinite(counts) & (counts == np.floor(counts))
-                    & (np.abs(counts) < 2.0**63)):
-                raise ValueError("counts must be finite integers within the int64 range")
-            counts = counts.astype(np.int64)
+        kind = counts.dtype.kind
+        # numpy reads [True, 2] as int64: a sequence that is no array is checked item by item
+        items = () if counts is self.counts else np.asarray(self.counts, dtype=object).flat
+        if any(isinstance(item, (bool, np.bool_)) for item in items) or not (
+                kind == "i" or kind == "u" and int(counts.max(initial=0)) < 2**63
+                or kind == "f" and np.all(np.isfinite(counts) & (counts == np.floor(counts))
+                                          & (np.abs(counts) < 2.0**63))):
+            raise ValueError("counts must be finite integers within the int64 range")
+        counts = counts.astype(np.int64) if kind == "f" else counts
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", counts)
@@ -266,7 +269,7 @@ def sample_counts(probabilities, n_photons: int, seed) -> CountMatrix:
     if isinstance(seed, (bool, np.bool_)):
         raise ValueError(f"seed must not be a bool, got {seed!r}")
     rng = np.random.default_rng(seed)
-    draw = _checked_draws(_draw(_normalized(p.ravel()), n_photons, rng), n_photons)
+    draw = _checked_draws(rng.multinomial(n_photons, _normalized(p.ravel())), n_photons)
     return CountMatrix(draw.reshape(p.shape), probabilities.d if matrix else None)
 
 
@@ -288,11 +291,6 @@ def _normalized(p: np.ndarray) -> np.ndarray:
             f"probabilities must sum to 1 (got {float(totals[off][0])!r}); renormalize first"
         )
     return np.maximum(p, 0.0) / totals
-
-
-def _draw(weights: np.ndarray, n_photons: int, rng) -> np.ndarray:
-    # the one multinomial draw behind sample_counts and the Monte-Carlo cells, on Generator rng
-    return rng.multinomial(int(n_photons), weights)
 
 
 def _checked_draws(draws: np.ndarray, n_photons: int) -> np.ndarray:
@@ -637,10 +635,9 @@ def direct_forward(
     mirror-symmetric. Each vector sums to one. Equal arguments return the same
     map, shared by every caller in the process.
     """
-    return _ForwardMap(
-        lambda d, derivative: _pixel_probs(d, grid, model, kind, derivative),
-        (grid.count + 1,),
-    )
+    s = _psf_scale(model, kind)
+    return _ForwardMap(lambda d, derivative: _pixel_probs(d, grid, s, derivative),
+                       (grid.count + 1,))
 
 
 def _method_forward(method: str, model: SchmidtModel, space: ModeSpace, grid: PixelGrid):
@@ -832,7 +829,7 @@ def _mc_cells(method, n_photons, seps, states, forward) -> list[MonteCarloResult
             for words in states[c].tolist():
                 pcg["state"], pcg["inc"] = _pcg64_state(*words)
                 bit_generator.state = setting
-                draws.append(_draw(truth, n_photons, rng))
+                draws.append(rng.multinomial(n_photons, truth))
         obs = _checked_draws(np.array(draws, dtype=float), n_photons)
         fits = _fit(obs, forward)
         fitted = slice(first, cells.stop)

@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError
 from .overlap import _overlap_amplitudes
-from .source import _MAX_MODE_ORDER, SchmidtModel, _coefficient, _is_integer, _mode_indices
+from .source import (_MAX_MODE_ORDER, NumericalError, SchmidtModel, _coefficient, _is_integer,
+                     _mode_indices)
 
 __all__ = [
     "ModeSpace",
@@ -400,9 +400,8 @@ def _psf_scale(model: SchmidtModel, kind: str) -> float:
     raise ValueError(f"unknown PSF kind {kind!r}; expected 'gaussian' or 'spdc'")
 
 
-def _pixel_probs(d: np.ndarray, grid: PixelGrid, model: SchmidtModel, kind: str,
-                 derivative: bool):
-    """Pixel vectors (and their d-derivatives) at each separation in d.
+def _pixel_probs(d: np.ndarray, grid: PixelGrid, s: float, derivative: bool):
+    """Pixel vectors (and their d-derivatives) at each separation in d, PSF scale s.
 
     Returns (probs, slopes), each of shape (len(d), grid.count + 1). slopes
     is the first d-derivative when derivative is true, else None. The slope
@@ -410,7 +409,6 @@ def _pixel_probs(d: np.ndarray, grid: PixelGrid, model: SchmidtModel, kind: str,
     pixel edges.
     """
     _check_separations(d)
-    s = _psf_scale(model, kind)
     return _in_blocks(
         lambda block: _pixel_block(block, grid, s, derivative), d, 2 * (grid.count + 1)
     )

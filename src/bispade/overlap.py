@@ -14,8 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalError
-from .source import _mode_indices
+from .source import NumericalError, _mode_indices
 
 __all__ = ["displaced_overlap", "quad_overlap"]
 

@@ -2,7 +2,8 @@
 
 The dimensionless parameter gamma fixes the whole mode decomposition: the
 coefficients C_mn and the Schmidt number K. gamma can be given directly or
-derived from pump/crystal parameters.
+derived from pump/crystal parameters. The module also holds the failure type
+every other module raises, NumericalError.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "NumericalError",
     "SchmidtModel",
     "gamma_from_physical",
     "schmidt_coeff",
@@ -20,6 +22,10 @@ __all__ = [
 ]
 
 _MAX_MODE_ORDER = 2**63 - 1  # an int64 holds it, and a float64 sum of two cannot wrap
+
+
+class NumericalError(RuntimeError):
+    """A computation degenerated numerically (vanishing mass, cap hit, non-finite value)."""
 
 
 def gamma_from_physical(pump_waist: float, crystal_length: float, pump_wavelength: float) -> float:

@@ -15,7 +15,6 @@ import bispade
 
 PUBLIC = [
     "__version__",
-    "NumericalError",
     "PARAMETERIZATION",
     "LIKELIHOOD_FLOOR",
     "METHODS",
@@ -47,6 +46,7 @@ PUBLIC = [
     "apply_calibration",
     "displaced_overlap",
     "quad_overlap",
+    "NumericalError",
     "SchmidtModel",
     "gamma_from_physical",
     "schmidt_coeff",

@@ -325,7 +325,7 @@ class TestCountsIo:
         (np.full((2, 2), 2.7), None, None, "finite integers"),
         (np.full((2, 2), 1e19), None, None, "finite integers"),
         (np.full((2, 2), -3), None, None, "non-negative"),
-        (np.full((2, 2), 2**64 - 1, dtype=np.uint64), None, None, "above 2\\*\\*53"),
+        (np.full((2, 2), 2**62, dtype=np.uint64), None, None, "above 2\\*\\*53"),
         (np.full((2, 2), 2**51 + 1), None, None, "above 2\\*\\*53"),
         (np.ones((2, 2)), math.nan, None, "separation must be finite, got nan"),
         (np.ones((2, 2)), math.inf, None, "separation must be finite, got inf"),
@@ -334,6 +334,7 @@ class TestCountsIo:
         (np.ones((2, 2)), 0.2, {"separation": "0.3"}, "no separation label"),
         (np.ones((2, 2)), None, {" separation ": "x"}, "no separation label"),
         (np.ones((2, 2)), None, {"note": "\udc80"}, "surrogates not allowed"),
+        (np.full((2, 2), 2**64 - 1, dtype=np.uint64), None, None, "within the int64 range"),
     ])
     def test_write_refuses_what_the_reader_refuses(self, tmp_path, counts, separation, meta,
                                                    message):

@@ -37,12 +37,34 @@ class TestCountMatrix:
         with pytest.raises(ValueError, match="finite integers"):
             bp.CountMatrix(np.array([count, 1.0]))
 
-    @pytest.mark.parametrize("counts", [np.array([True, False]), [[True], [True]]])
+    @pytest.mark.parametrize("counts", [
+        np.array([True, False]), [[True], [True]],
+        # numpy reads these lists as int64 or float64 arrays, so their items are checked
+        [True, 2], [np.True_, 3], [[1, 2], [3, False]], [True, 2.0],
+        [np.array([True]), np.array([2])],
+    ])
     def test_rejects_bools(self, counts):
         # a bool is no count, as it is no photon number
         with pytest.raises(ValueError, match="^counts must be finite integers within the int64 "
                                              "range$"):
             bp.CountMatrix(counts)
+
+    @pytest.mark.parametrize("counts", [np.array([2**63], dtype=np.uint64), [2**63],
+                                        [np.uint64(2**64 - 1), 1], [2**64]])
+    def test_rejects_counts_past_int64(self, counts):
+        with pytest.raises(ValueError, match="^counts must be finite integers within the int64 "
+                                             "range$"):
+            bp.CountMatrix(counts)
+
+    @pytest.mark.parametrize("counts, expected", [
+        ([3, 0, 5], [3, 0, 5]), ([np.int32(3), 4], [3, 4]), ([1.0, 2.0], [1, 2]),
+        (np.array([2**63 - 1], dtype=np.uint64), [2**63 - 1]),
+        (np.array([7, 0], dtype=np.uint8), [7, 0]),
+    ])
+    def test_integer_lists_arrays_and_integer_valued_floats_are_counts(self, counts, expected):
+        cm = bp.CountMatrix(counts)
+        np.testing.assert_array_equal(cm.counts, expected)
+        assert cm.total == sum(expected) and isinstance(cm.total, int)
 
     def test_integer_valued_floats_become_int64(self):
         cm = bp.CountMatrix(np.array([[1.0, 0.0], [2.0, 4.0]]))
