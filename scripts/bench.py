@@ -7,8 +7,8 @@ of a fresh map (``inference._ForwardMap.log_probs``, built cold on a new
 ``_ForwardMap(f.batch, f.shape)`` per call, because the constructors return
 one shared map per measurement whose table is built once), the batched fit
 (``inference._fit``), the multinomial draw (``Generator.multinomial``), the
-seeding pass of a compare job (``inference._cell_masters`` and
-``inference._trial_states``), the Monte-Carlo cells (``inference._mc_cells``,
+job-wide seeding pass of a compare job on its one-word cell masters
+(``inference._trial_states``), the Monte-Carlo cells (``inference._mc_cells``,
 on trial states seeded beforehand), their summary (``inference._cell_results``)
 and the counts-file reader on 29 labeled counts files, one file per call
 (``cli.read_counts_file``) and all in one batch (``cli._read_counts_files``,
@@ -152,11 +152,12 @@ def layers(files: list[Path]) -> dict:
     items["Generator.multinomial[49 outcomes]"] = _time(
         lambda: np.random.default_rng(12345).multinomial(PHOTONS, weights), 100, 50)
     seps = STEP * np.arange(1, 27, 5)
-    # the seeding pass of a sweep_k12 job: 3 methods x 6 cells of 8 trials
+    # the job-wide seeding pass of a sweep_k12 job: 3 methods x 6 cells of 8 trials, on
+    # 18 one-word masters
+    masters = np.arange(len(forwards) * len(seps), dtype=np.uint32)[None, :]
     items["inference._trial_states[18x8 trials]"] = _time(
-        lambda: inference._trial_states(inference._cell_masters(7, len(forwards), len(seps)), 8),
-        100, 10)
-    states = inference._trial_states(list(range(len(seps))), 8)
+        lambda: inference._trial_states(masters, 8), 100, 10)
+    states = inference._trial_states(masters[:, :len(seps)], 8)
     for method, forward in forwards.items():
         items[f"inference._mc_cells[{method},6x8 trials]"] = _time(
             lambda method=method, f=forward: inference._mc_cells(method, PHOTONS, seps, states, f),

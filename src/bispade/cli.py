@@ -23,15 +23,10 @@ import numpy as np
 
 from . import __version__
 from .inference import (
-    METHODS,
     PARAMETERIZATION,
     CountMatrix,
-    _cell_masters,
-    _check_trials,
+    _compare_cells,
     _fit,
-    _mc_cells,
-    _method_forward,
-    _trial_states,
     crlb,
     fit_calibration,
     spade_forward,
@@ -549,15 +544,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> list[tuple]:
     model = SchmidtModel.from_gamma(cfg.resolved_gamma())
     space = cfg.mode_space()
     grid = PixelGrid()
-    _check_trials(cfg.trials)
-    # the cell of the method at METHODS[m] and separation seps[c] has master seed
-    # trial_seed's rule on (seed, m, c); its trials take trial_seed sub-seeds of it
-    states = _trial_states(_cell_masters(cfg.seed, len(METHODS), len(seps)), cfg.trials)
-    by_method = [
-        _mc_cells(method, cfg.photons, seps, states[m * len(seps):(m + 1) * len(seps)],
-                  _method_forward(method, model, space, grid))
-        for m, method in enumerate(METHODS)
-    ]
+    by_method = _compare_cells(cfg.seed, cfg.photons, seps, cfg.trials, model, space, grid)
     # sep-major rows, methods in METHODS order within a separation
     rows = [
         f"{_fmt(r.d)},{_fmt(2.0 * r.d)},{r.method},{_fmt(r.std_err)},"

@@ -607,18 +607,14 @@ def _as_map(forward, step: float = _DIFF_STEP) -> _ForwardMap:
 # per outcome, 6.7 MB for a 37x37 space; a full cache of eight such maps holds up
 # to 53 MB.
 @lru_cache(maxsize=8)
-def spade_forward(
-    model: SchmidtModel, space: ModeSpace, renormalize: bool = True
-) -> Callable[[float], np.ndarray]:
-    """Forward map d -> coincidence probability matrix entries (d scalar or array).
+def spade_forward(model: SchmidtModel, space: ModeSpace) -> Callable[[float], np.ndarray]:
+    """Forward map d -> renormalized coincidence probability matrix entries (d scalar or array).
 
     Equal arguments return the same map, shared by every caller in the process.
     """
     size, plan = _spade_setup(space, model.gamma)
-    return _ForwardMap(
-        lambda d, derivative: _spade_probs(d, size, plan, renormalize, derivative)[:2],
-        space.shape,
-    )
+    return _ForwardMap(lambda d, derivative: _spade_probs(d, size, plan, True, derivative)[:2],
+                       space.shape)
 
 
 @lru_cache(maxsize=8)
@@ -710,22 +706,13 @@ def _seed_states(entropy: np.ndarray, n_words: int) -> np.ndarray:
     return _hashmix(cycled, _hash_constants(_INIT_B, _MULT_B, n_words))
 
 
-def _seed_words(seed) -> list[int]:
+def _seed_words(seed) -> np.ndarray:
     # the 32-bit words, least significant first, that SeedSequence reads from a
-    # non-negative integer (the public entries refuse any other seed by _check_natural)
+    # non-negative integer, as one (words x 1) uint32 column (the public entries refuse
+    # any other seed by _check_natural)
     seed = operator.index(seed)
-    return [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
-
-
-def _cell_masters(seed: int, methods: int, seps: int) -> list[int]:
-    """Master seeds of the compare cells, trial_seed's rule on (seed, m, c).
-
-    The cell of method m at separation c, for every m < methods and c < seps,
-    method-major, in one vectorized pass.
-    """
-    index = np.indices((methods, seps), dtype=np.uint32).reshape(2, -1)
-    words = np.array(_seed_words(seed), dtype=np.uint32)[:, None].repeat(index.shape[1], axis=1)
-    return _seed_states(np.vstack([words, index]), 1)[0].tolist()
+    return np.array([[seed >> shift & 0xFFFFFFFF]
+                     for shift in range(0, max(seed.bit_length(), 1), 32)], dtype=np.uint32)
 
 
 def _check_trials(trials) -> None:
@@ -733,24 +720,36 @@ def _check_trials(trials) -> None:
         raise ValueError(f"need an integer number of at least 2 trials, got {trials!r}")
 
 
-def _trial_states(masters: Sequence[int], trials: int) -> np.ndarray:
+def _trial_states(masters: np.ndarray, trials: int) -> np.ndarray:
     """PCG64 seed words of default_rng(trial_seed(m, t)) for each master m and t < trials.
 
-    A (masters x trials x 4) uint64 array: default_rng hashes each sub-seed again,
-    and PCG64 reads 8 words of it as 4 little-endian uint64 q0..q3, which _pcg64_state
-    turns into the generator's state. The masters share a number of 32-bit words
-    (a compare job's cell masters are one word each) and hash in one vectorized pass.
+    masters is a (words x masters) uint32 array, one column of 32-bit words per
+    master, as SeedSequence reads them (a compare job's cell masters are one word
+    each). A (masters x trials x 4) uint64 array: default_rng hashes each sub-seed
+    again, and PCG64 reads 8 words of it as 4 little-endian uint64 q0..q3, its
+    SeedSequence's generate_state(4, np.uint64), all in one vectorized pass.
     """
-    words = np.array([_seed_words(m) for m in masters], dtype=np.uint32).T.repeat(trials, axis=1)
-    index = np.tile(np.arange(trials, dtype=np.uint32), len(masters))
+    words = masters.repeat(trials, axis=1)
+    index = np.tile(np.arange(trials, dtype=np.uint32), masters.shape[1])
     halves = _seed_states(_seed_states(np.vstack([words, index]), 1), 8).astype(np.uint64)
-    return (halves[0::2] | halves[1::2] << 32).T.reshape(len(masters), trials, 4)
+    return (halves[0::2] | halves[1::2] << 32).T.reshape(masters.shape[1], trials, 4)
 
 
-def _pcg64_state(q0: int, q1: int, q2: int, q3: int) -> tuple[int, int]:
-    # PCG64's (state, inc) after seeding with initstate = q0 << 64 | q1, initseq = q2 << 64 | q3
-    inc = ((q2 << 64 | q3) << 1 | 1) & _MASK128
-    return (((q0 << 64 | q1) + inc) * _PCG_MULT + inc) & _MASK128, inc
+def _compare_cells(seed, n_photons, seps, trials, model, space, grid) -> list[list]:
+    """The Monte-Carlo cells of a compare job: for each method of METHODS, its cells at seps.
+
+    The cell of METHODS[m] at seps[c] has master seed trial_seed's rule on (seed, m, c),
+    and its trials take trial_seed sub-seeds of that master. The masters of every cell
+    come from one vectorized pass and stay one-word uint32 columns into the one pass that
+    seeds every trial of the job.
+    """
+    _check_trials(trials)
+    index = np.indices((len(METHODS), len(seps)), dtype=np.uint32).reshape(2, -1)
+    words = _seed_words(seed).repeat(index.shape[1], axis=1)
+    masters = _seed_states(np.vstack([words, index]), 1)
+    states = _trial_states(masters, trials).reshape(len(METHODS), len(seps), trials, 4)
+    return [_mc_cells(method, n_photons, seps, cells, _method_forward(method, model, space, grid))
+            for method, cells in zip(METHODS, states)]
 
 
 def mc_standard_error(
@@ -784,7 +783,8 @@ def mc_standard_error(
     _check_natural(n_photons, "n_photons")
     _check_trials(trials)
     _check_natural(seed, "seed")
-    return _mc_cells(method, n_photons, [d], _trial_states([seed], trials), _as_map(forward))[0]
+    return _mc_cells(method, n_photons, [d], _trial_states(_seed_words(seed), trials),
+                     _as_map(forward))[0]
 
 
 def _mc_cells(method, n_photons, seps, states, forward) -> list[MonteCarloResult]:
@@ -826,8 +826,10 @@ def _mc_cells(method, n_photons, seps, states, forward) -> list[MonteCarloResult
         draws = []
         for c in cells:
             truth = weights[c]
-            for words in states[c].tolist():
-                pcg["state"], pcg["inc"] = _pcg64_state(*words)
+            for q0, q1, q2, q3 in states[c].tolist():
+                # PCG64 seeded with initstate q0 << 64 | q1 and initseq q2 << 64 | q3
+                inc = pcg["inc"] = ((q2 << 64 | q3) << 1 | 1) & _MASK128
+                pcg["state"] = (((q0 << 64 | q1) + inc) * _PCG_MULT + inc) & _MASK128
                 bit_generator.state = setting
                 draws.append(rng.multinomial(n_photons, truth))
         obs = _checked_draws(np.array(draws, dtype=float), n_photons)

@@ -160,16 +160,19 @@ def second_difference_at_zero(fn, h: float) -> np.ndarray:
 
 
 def biphoton_probs(d: float, gamma: float, max_k: int, points: int = 201,
-                   span: float = 14.0) -> np.ndarray:
+                   span: float = 14.0, idler_shift: int = 0) -> np.ndarray:
     """Coincidence probabilities from the two-photon wavefunction, idler mode k by row.
 
     The 1-D double-Gaussian state in momentum space,
     Phi(p_s, p_i) = exp(-u^2/(4 gamma)) exp(-gamma v^2/4) with u = p_s + p_i and
-    v = p_s - p_i, its signal displaced to +-d by the phase exp(-+i p_s d). Both
-    photons are projected on the unit-width modes hg1d_batch(max_k, p) by sums
-    over an even points x points grid on [-span, span]^2; the +-d mixture is
+    v = p_s - p_i, its signal displaced to +-d by the phase exp(-+i p_s d), and its
+    idler to +-s d, s = idler_shift in {-1, 0, +1}, by the phase exp(-+i s d p_i):
+    s = +1 moves both photons the same way, s = -1 opposite ways, s = 0 the signal
+    alone. Both photons are projected on the unit-width modes hg1d_batch(max_k, p)
+    by sums over an even points x points grid on [-span, span]^2; the +-d mixture is
     renormalized over the (max_k + 1)^2 outcomes. The Fourier phases (-i)^k of
-    the modes drop out of every probability.
+    the modes drop out of every probability. gamma > 1 makes r = (1 - gamma) /
+    (1 + gamma) negative, a sign the wavefunction carries itself.
     """
     p = np.linspace(-span, span, points)
     p_s, p_i = np.meshgrid(p, p, indexing="ij")
@@ -178,6 +181,8 @@ def biphoton_probs(d: float, gamma: float, max_k: int, points: int = 201,
     probs = np.zeros((max_k + 1, max_k + 1))
     for sign in (1.0, -1.0):
         shifted = phi * np.exp(-1j * sign * d * p)[:, None]
+        if idler_shift:
+            shifted = shifted * np.exp(-1j * sign * idler_shift * d * p)[None, :]
         amplitudes = modes @ shifted.T @ modes.T  # [idler k, signal k']
         probs += 0.5 * np.abs(amplitudes) ** 2
     return probs / probs.sum()

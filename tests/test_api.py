@@ -74,7 +74,7 @@ SIGNATURES = {
     "mle_estimate": "counts, forward, calibration",
     "fit_calibration": "datasets, forward",
     "mc_standard_error": "method, gamma, n_photons, d, trials, seed, *, forward, model",
-    "spade_forward": "model, space, renormalize",
+    "spade_forward": "model, space",
     "direct_forward": "model, grid, kind",
     "trial_seed": "master_seed, trial",
     "ModeSpace": "idler, signal",
