@@ -21,7 +21,10 @@ and the separations they evaluate) of ``compare`` jobs at the benchmark's
 sweep_k12 setting, and the spade forward evaluations of an ``estimate
 --calibrate`` job over the 29 files. Each is counted for the first job on
 emptied map caches, then as the mean of more jobs in the same process: 29
-more sweep jobs at other seeds, 10 more estimate jobs.
+more sweep jobs at other seeds, 10 more estimate jobs. It counts the
+``sys.intern`` calls of one warm ``cli.main`` job of each kind, and reads the
+peak RSS of a fresh interpreter after the first and the last of ``RSS_JOBS``
+``estimate --calibrate`` jobs, each job with its own out-dir.
 
 The overlap table and the forward maps are timed at 1, 6, 48 and 200
 separations, and the fit at 1, 6 and 48 count rows of a sweep_k12 job
@@ -50,6 +53,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -74,6 +78,31 @@ SWEEP = ["compare", "--gamma", "0.15", "--modes-k", "6", "--modes-l", "0", "--ph
 SWEEP_JOBS = range(1, 31)
 # warm estimate --calibrate jobs counted after the cold one
 ESTIMATE_JOBS = 10
+# estimate --calibrate jobs of the peak-RSS run, one fresh interpreter, each job with its own
+# out-dir; the peak is read after the first job and after the last
+RSS_JOBS = 1000
+# the peak-RSS run: argv is the out-dir root, the job count, then the job's command line.
+# It reads VmHWM where Linux has it: the ru_maxrss of a process started by exec also
+# counts the RSS its parent had when it forked, here the whole bench process
+RSS_RUN = """
+import contextlib, io, resource, sys
+from bispade.cli import main
+
+def peak_mb():
+    with contextlib.suppress(OSError), open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+root, jobs, *argv = sys.argv[1:]
+for job in range(int(jobs)):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main([*argv, "--out-dir", root + "/job" + str(job)]):
+            sys.exit("peak-RSS run: a job failed")
+    if job in (0, int(jobs) - 1):
+        print(peak_mb())
+"""
 # rows of the refinement passes of a warm sweep_k12 job's fits: 48 (its 6 cells of 8
 # trials) in the first passes, then fewer, down to 1 in the last
 PASS_ROWS = (1, 6, 48)
@@ -286,6 +315,38 @@ def estimate_counts(root: Path, files: list[Path]) -> dict:
     return out
 
 
+def intern_counts(root: Path, files: list[Path]) -> dict:
+    # sys.intern calls of one warm cli.main job of each kind, each job in a fresh out-dir: a
+    # first job may intern names of the modules it imports, so one job of each runs before
+    estimate = ["estimate", *map(str, files), "--calibrate", "--gamma", "0.15"]
+    out = {}
+    for label, argv in (("sweep_k12", [*SWEEP, "--seed", "1"]), ("estimate", estimate)):
+        _run([*argv, "--out-dir", str(root / f"intern-{label}-first")])
+        second = [*argv, "--out-dir", str(root / f"intern-{label}-second")]
+        calls = []
+        intern = sys.intern
+        sys.intern = lambda text: calls.append(text) or intern(text)
+        try:
+            _run(second)
+        finally:
+            sys.intern = intern
+        out[f"sys_intern_calls_per_{label}_warm_job"] = len(calls)
+    return out
+
+
+def peak_rss(root: Path, files: list[Path]) -> dict:
+    # the peak RSS of one fresh interpreter after the first and the last of RSS_JOBS
+    # estimate --calibrate jobs over the counts files, each job with its own out-dir
+    argv = [str(root / "rss"), str(RSS_JOBS), "estimate", *map(str, files), "--calibrate",
+            "--gamma", "0.15"]
+    env = {**os.environ, "PYTHONPATH": str(Path(bp.__file__).parents[1])}
+    first, last = map(float, subprocess.run([sys.executable, "-c", RSS_RUN, *argv], env=env,
+                                            check=True, capture_output=True,
+                                            text=True).stdout.split())
+    return {"estimate_peak_rss_mb_after_job_1": first,
+            f"estimate_peak_rss_mb_after_job_{RSS_JOBS}": last}
+
+
 def environment() -> dict:
     package = Path(bp.__file__).parent
     digest = hashlib.sha256()
@@ -315,7 +376,9 @@ def run(argv=None):
         files = _counts_files(root / "inputs")
         result = {"environment": environment(), "layers": layers(files),
                   "end_to_end": end_to_end(root, files),
-                  "counts": {**sweep_counts(root), **estimate_counts(root, files)}}
+                  "counts": {**sweep_counts(root), **estimate_counts(root, files),
+                             **intern_counts(root, files)},
+                  "peak_rss": peak_rss(root, files)}
     path = Path(args.out)
     data = json.loads(path.read_text()) if path.exists() else {}
     data.setdefault("harness", "scripts/bench.py")

@@ -2,8 +2,9 @@
 """Print a sha256 digest of every output of a fixed set of command-line runs.
 
 Each run calls ``bispade.cli.main`` in-process with its own output directory
-under one temporary directory. For every run the script prints one
-``<run>/stdout``, ``<run>/stderr`` and ``<run>/exit`` line, and one
+under one temporary directory, which is also the runs' working directory (one
+run names its output directory relative to it). For every run the script
+prints one ``<run>/stdout``, ``<run>/stderr`` and ``<run>/exit`` line, and one
 ``<run>/<file>`` line per file the run wrote, each as ``name sha256``. The
 temporary path is replaced by ``<tmp>`` before hashing, so two runs of the
 script on the same program print the same lines.
@@ -40,6 +41,9 @@ READER_ERRORS = ("duplicate", "negative", "outside", "missing", "non_integer", "
                  "count_2_63", "sum_past_2_53")
 # config files, each written as <name>.cfg for a --config run
 CONFIGS = {"calibrate_no": "calibrate = no\n", "no_equals": "gamma = 0.15\nphotons 500\n"}
+# runs whose --out-dir is relative to the temporary directory, the runs' working
+# directory, and spelled with './', a doubled slash and a trailing slash
+RELATIVE_OUT_DIRS = {"matrices-relative-out-dir": "./matrices-relative-out-dir//tables/"}
 
 
 def _write_inputs(directory: Path) -> tuple[list[Path], list[Path]]:
@@ -104,6 +108,7 @@ def _runs(paths: list[Path], zeros: list[Path],
     runs["crlb-curves-k-values"] = ["crlb-curves", "--k-values", "1,2,11.6,50"]
     runs["matrices"] = ["matrices"]
     runs["matrices-l1"] = ["matrices", "--modes-k", "2", "--modes-l", "1", "--gamma", "0.3"]
+    runs["matrices-relative-out-dir"] = ["matrices"]
     runs["estimate"] = ["estimate", *files, "--gamma", "0.15"]
     runs["estimate-calibrate"] = ["estimate", *files, "--calibrate", "--gamma", "0.15"]
     runs["estimate-calibrate-zero"] = ["estimate", *files, *map(str, zeros), "--calibrate",
@@ -188,12 +193,13 @@ def digest_lines() -> list[str]:
         (root / "error-output-is-a-directory" / "compare.csv").mkdir(parents=True)
         (root / "error-write-fails-part-way" / "matrix_03.csv").mkdir(parents=True)
         # argparse wraps help to the terminal width it reads from COLUMNS
-        with mock.patch.dict(os.environ, COLUMNS="80"):
+        with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.chdir(root):
             for name, argv in _runs(inputs, zeros, derived).items():
-                out_dir = root / name
+                spelled = RELATIVE_OUT_DIRS.get(name)
+                out_dir = root / (spelled or name)
                 stdout, stderr = io.StringIO(), io.StringIO()
                 if argv[-1] not in ("--help", "--version"):
-                    argv = [*argv, "--out-dir", str(out_dir)]
+                    argv = [*argv, "--out-dir", spelled or str(out_dir)]
                 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                     code = cli_main(argv)
                 lines.append(f"{name}/stdout {_sha(clean(stdout.getvalue()))}")

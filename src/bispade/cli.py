@@ -12,6 +12,7 @@ import contextlib
 import functools
 import itertools
 import math
+import os
 import re
 import sys
 import types
@@ -240,13 +241,16 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _write_tables(cfg: RunConfig, command: str, tables: list[tuple]) -> list[Path]:
+def _write_tables(cfg: RunConfig, command: str, tables: list[tuple]) -> list[str]:
     """Write each (name, extra, columns, rows) table into cfg.out_dir: all of them or none.
 
     A table is '#' header lines, the column line and the rows. When a write fails,
     the tables this run opened and the directories it made are removed, and the
     failure is a ValueError that names the out-dir and the table; on a MemoryError
-    they are removed too, and the MemoryError is raised again.
+    they are removed too, and the MemoryError is raised again. The out-dir and the
+    returned paths are spelled as pathlib spells them, but built as strings: pathlib
+    interns every path component, one of them each run's own out-dir, and that
+    interning grows the interpreter's table of interned strings run after run.
     """
     gamma = cfg.resolved_gamma()
     header = [
@@ -256,26 +260,41 @@ def _write_tables(cfg: RunConfig, command: str, tables: list[tuple]) -> list[Pat
         f"# schmidt_number = {_fmt(schmidt_number(gamma))}",
         f"# separation_convention = {CONVENTION}",
     ]
-    out_dir = Path(cfg.out_dir)
+    # the out-dir and its parents, innermost first, each spelled as str(PurePath) spells it
+    # on POSIX: empty and '.' parts dropped, '..' kept, a leading '/' or '//' kept, '.'
+    # when nothing is left
+    root = "//" if re.match("//(?!/)", cfg.out_dir) else "/" if cfg.out_dir[:1] == "/" else ""
+    parts = [part for part in cfg.out_dir.split("/") if part not in ("", ".")]
+    spellings = [root + "/".join(parts[:n]) or "." for n in range(len(parts), -1, -1)]
+    out_dir = spellings[0]
+    # a table's path: its name alone in '.', no second slash after a bare root
+    prefix = "" if out_dir == "." else out_dir if out_dir.endswith("/") else out_dir + "/"
     made, written, name = [], [], tables[0][0]
     try:
         # the missing directories, innermost first
-        made = list(itertools.takewhile(lambda path: not path.exists(),
-                                        (out_dir, *out_dir.parents)))
-        out_dir.mkdir(parents=True, exist_ok=True)
+        made = list(itertools.takewhile(lambda path: not os.path.exists(path), spellings))
+        try:
+            os.mkdir(out_dir)
+        except FileNotFoundError:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError:
+            # as Path.mkdir(parents=True, exist_ok=True): the error of a path through a
+            # file names out_dir, where os.makedirs alone would name a parent
+            if not os.path.isdir(out_dir):
+                raise
         for name, extra, columns, rows in tables:
             lines = [*header, *(f"# {key} = {value}" for key, value in extra.items()), columns,
                      *rows]
-            path = out_dir / name
-            with path.open("w", encoding="utf-8", newline="\n") as file:
+            path = prefix + name
+            with open(path, "w", encoding="utf-8", newline="\n") as file:
                 written.append(path)
                 file.write("\n".join(lines) + "\n")
     except (OSError, MemoryError) as exc:
         with contextlib.suppress(OSError):
             for path in written:
-                path.unlink()
+                os.unlink(path)
             for path in made:
-                path.rmdir()
+                os.rmdir(path)
         if isinstance(exc, MemoryError):
             raise
         raise ValueError(f"out-dir {out_dir}: cannot write {name} ({exc})") from exc

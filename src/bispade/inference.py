@@ -281,7 +281,13 @@ def _check_natural(value, name: str) -> None:
 
 def _normalized(p: np.ndarray) -> np.ndarray:
     # the multinomial weights of a flat probability vector, or of each row of a matrix of
-    # them, after the checks of sample_counts (the message names the first row that fails)
+    # them, after the checks of sample_counts
+    return np.maximum(p, 0.0) / _checked_totals(p)
+
+
+def _checked_totals(p: np.ndarray) -> np.ndarray:
+    # the totals of p's rows (keepdims), once no entry is below -1e-12 and every total is
+    # within 1e-9 of one (the message names the first row that fails)
     if (p < -1e-12).any():
         raise ValueError("probabilities must be non-negative")
     totals = p.sum(axis=-1, keepdims=True)
@@ -290,7 +296,7 @@ def _normalized(p: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"probabilities must sum to 1 (got {float(totals[off][0])!r}); renormalize first"
         )
-    return np.maximum(p, 0.0) / totals
+    return totals
 
 
 def _checked_draws(draws: np.ndarray, n_photons: int) -> np.ndarray:
@@ -308,7 +314,8 @@ def mle_estimate(
     """Maximize the multinomial log-likelihood of `counts` under `forward`.
 
     forward(d) returns outcome probabilities at per-arm shift d (any shape,
-    flattened against the counts). A calibration, when given, applies the
+    flattened against the counts) that sum to one; a map whose rows on the search
+    grid do not is refused with sample_counts's ValueError. A calibration, when given, applies the
     per-outcome affine map to the model and renormalizes before the
     likelihood, mirroring apply_calibration. The search over d in [0, 2] is
     fixed: it scores a 200-point grid, then refines by safeguarded Fisher
@@ -541,8 +548,14 @@ class _ForwardMap:
 
     @cached_property
     def log_probs(self) -> np.ndarray:
-        """(grid points, outcomes) log-probabilities on the search grid, floored, read-only."""
-        table = np.log(np.maximum(self._kept[:len(_GRID)], LIKELIHOOD_FLOOR))
+        """(grid points, outcomes) log-probabilities on the search grid, floored, read-only.
+
+        Raises ValueError, as sample_counts does, when a grid row holds a negative entry
+        or does not sum to one: a likelihood fits only a normalized map.
+        """
+        probs = self._kept[:len(_GRID)]
+        _checked_totals(probs)
+        table = np.log(np.maximum(probs, LIKELIHOOD_FLOOR))
         table.flags.writeable = False
         return table
 

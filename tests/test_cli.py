@@ -7,7 +7,7 @@ import random
 import subprocess
 import sys
 from dataclasses import fields
-from pathlib import Path
+from pathlib import Path, PurePath
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -1385,17 +1385,20 @@ class TestNegativeSeparations:
         assert "-0" not in "".join(header)
 
 
-@pytest.mark.parametrize("tail", ["", "sub"])
+@pytest.mark.parametrize("tail", ["", "sub", "sub/deeper"])
 def test_out_dir_naming_a_file_is_a_config_error(tmp_path, capsys, tail):
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
     out = taken / tail if tail else taken
+    # pathlib is the oracle: its mkdir names out itself, where os.makedirs alone would
+    # name taken/sub below a file
+    with pytest.raises(OSError) as oracle:
+        out.mkdir(parents=True, exist_ok=True)
     assert main(["crlb-curves", "--out-dir", str(out)]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("bispade: config error: out-dir ")
-    assert str(out) in err
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == (f"bispade: config error: out-dir {out}: cannot write "
+                                       f"crlb_curves.csv ({oracle.value})\n")
     assert taken.read_text() == "not a directory\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["taken"]
 
 
 def test_a_table_that_cannot_be_written_is_a_config_error(tmp_path, capsys):
@@ -1428,16 +1431,17 @@ def _fail_the_third_table_write(monkeypatch, out_dir, error):
             raise error
 
     opened = []
-    path_open = Path.open
 
     def open_table(path, *args, **kwargs):
-        opened.append(path.name)
-        if path.name == "matrix_02.csv":
-            path_open(path, *args, **kwargs).close()
+        name = os.path.basename(path)
+        opened.append(name)
+        if name == "matrix_02.csv":
+            open(path, *args, **kwargs).close()
             return FailingFile()
-        return path_open(path, *args, **kwargs)
+        return open(path, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "open", open_table)
+    # the writer's open: the module global shadows the builtin within cli alone
+    monkeypatch.setattr(cli, "open", open_table, raising=False)
     return main(["matrices", "--out-dir", str(out_dir)]), opened
 
 
@@ -1463,6 +1467,44 @@ def test_a_write_out_of_memory_removes_the_run_s_tables_and_directories(tmp_path
     assert opened == ["matrix_00.csv", "matrix_01.csv", "matrix_02.csv"]
     assert capsys.readouterr() == ("", "bispade: numerical failure: out of memory\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["compare", "estimate"])
+def test_a_warm_job_interns_no_string(tmp_path, monkeypatch, capsys, command):
+    # pathlib interns every component of a path, among them each job's own out-dir,
+    # and the table of interned strings grows job after job. A first job may intern
+    # what it imports (numpy.random, 13 names); the second interns nothing
+    if command == "compare":
+        argv = ["compare", "--trials", "2", "--sep-start", "0.3", "--sep-stop", "0.3"]
+    else:
+        files = _make_synthetic_files(tmp_path, [0.2, 0.6], photons=5_000)
+        argv = ["estimate", *files, "--calibrate", "--gamma", "0.15"]
+    assert main([*argv, "--out-dir", str(tmp_path / "first")]) == EXIT_OK
+    second = [*argv, "--out-dir", str(tmp_path / "second" / "job")]
+    interned = []
+    intern = sys.intern
+    monkeypatch.setattr(sys, "intern", lambda text: interned.append(text) or intern(text))
+    assert main(second) == EXIT_OK
+    assert interned == []
+
+
+@pytest.mark.parametrize("spelling", [".", "./x/", "x//y", "x/./y", "x/../y", "{absolute}/"])
+def test_paths_and_messages_spell_the_out_dir_as_pathlib_does(tmp_path, monkeypatch, capsys,
+                                                               spelling):
+    # pathlib is the oracle: str(PurePath(out_dir) / name) for a table, as printed
+    # and as named in the message of a write that fails
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x").mkdir()
+    out_dir = spelling.format(absolute=tmp_path / "abs")
+    table = PurePath(out_dir) / "crlb_curves.csv"
+    assert main(["crlb-curves", "--out-dir", out_dir]) == EXIT_OK
+    assert capsys.readouterr() == (f"{table}\n", "")
+    os.unlink(table)
+    os.mkdir(table)
+    assert main(["crlb-curves", "--out-dir", out_dir]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", (
+        f"bispade: config error: out-dir {PurePath(out_dir)}: cannot write crlb_curves.csv "
+        f"({IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(table))})\n"))
 
 
 def test_unreadable_config_file_is_a_config_error(tmp_path, capsys):

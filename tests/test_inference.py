@@ -721,10 +721,19 @@ class TestCurvatureAtZero:
             np.testing.assert_allclose(curvature, numeric, rtol=0.0, atol=1e-6)
         forward = _spade_map(model015, space, renormalize)
         obs = _rows_near_zero(lambda d: public(d) / public(d).sum())
-        stopped = _assert_stops_where_curving_down(forward, obs, public(0.0).ravel(),
-                                                   curvature.ravel())
-        # the rows that refine instead hold counts on cells dead at 0
-        assert np.all(obs[~stopped][:, public(0.0).ravel() == 0.0].sum(axis=1) > 0)
+        if renormalize:
+            stopped = _assert_stops_where_curving_down(forward, obs, public(0.0).ravel(),
+                                                       curvature.ravel())
+            # the rows that refine instead hold counts on cells dead at 0
+            assert np.all(obs[~stopped][:, public(0.0).ravel() == 0.0].sum(axis=1) > 0)
+        else:
+            # the raw rows keep their slopes, but they sum below one, so they are no
+            # likelihood: the fit refuses them
+            _, slopes = forward.batch(np.array([0.0, _CURVE_STEP]), True)
+            np.testing.assert_allclose(slopes[1] / _CURVE_STEP, curvature.ravel(), rtol=0.0,
+                                       atol=1e-6)
+            with pytest.raises(ValueError, match="renormalize first"):
+                _fit(obs, forward)
 
     @pytest.mark.parametrize("kind", ["gaussian", "spdc"])
     # on the wide grid the spdc masses sum above one by rounding and are renormalized
@@ -838,6 +847,11 @@ class TestStopAtZero:
         truth = forward(0.002)
         counts = bp.sample_counts(truth / truth.sum(), 10_000_000, seed=0)
         obs = counts.counts.ravel()[None, :].astype(float)
+        if not renormalize:
+            # the raw rows sum below one: no likelihood, so no fit
+            with pytest.raises(ValueError, match="renormalize first"):
+                _fit(obs, forward)
+            return
         assert np.argmax(obs @ forward.log_probs.T) == 0
         fits = _fit(obs, forward)
         assert fits.iterations[0] > 0 and fits.converged[0]
@@ -1035,6 +1049,27 @@ class TestKeptRows:
 
 
 class TestMleEstimate:
+    def test_rows_that_do_not_sum_to_one_are_refused_once_per_map(self, model015, space7,
+                                                                  monkeypatch):
+        # the raw rows sum to about 0.45 at d = 0.3: a fit of them came out low with no
+        # warning; the grid table refuses them as sample_counts does, checked once per map
+        def raw(d):
+            return bp.prob_matrix(d, space7, model015, renormalize=False).entries
+
+        counts = bp.sample_counts(bp.prob_matrix(0.3, space7, model015), 37_000, seed=0)
+        with pytest.raises(ValueError, match=r"^probabilities must sum to 1 \(got 0\.4\d*\); "
+                                             r"renormalize first$"):
+            bp.mle_estimate(counts, raw)
+        checks = []
+        checked_totals = inference._checked_totals
+        monkeypatch.setattr(inference, "_checked_totals",
+                            lambda p: checks.append(p.shape) or checked_totals(p))
+        forward = _as_map(lambda d: raw(d) / raw(d).sum())
+        obs = np.array([counts.counts.ravel()] * 3, dtype=float)
+        for _ in range(2):
+            assert np.all(np.abs(_fit(obs, forward).d_hat - 0.3) < 0.05)
+        assert checks == [(200, 49)]
+
     @pytest.mark.parametrize("d_true", [0.0, 0.2, 0.5, 1.0])
     def test_fixed_point_on_expected_counts(self, model015, space7, d_true):
         forward = bp.spade_forward(model015, space7)

@@ -75,6 +75,15 @@ def test_output_digest_lines(capsys):
     digests = dict(line.split() for line in lines)
     assert (digests["compare-sweep_k12-seed1-again/compare.csv"]
             == digests["compare-sweep_k12-seed1/compare.csv"])
+    # a relative out-dir spelled with './', '//' and a trailing '/': the paths are
+    # printed as pathlib spells them, and the tables are those of matrices
+    printed = "".join(f"matrices-relative-out-dir/tables/matrix_{index:02d}.csv\n"
+                      for index in range(5))
+    assert (digests["matrices-relative-out-dir/stdout"]
+            == hashlib.sha256(printed.encode()).hexdigest())
+    for index in range(5):
+        name = f"matrix_{index:02d}.csv"
+        assert digests[f"matrices-relative-out-dir/{name}"] == digests[f"matrices/{name}"]
 
 
 def test_bench_runs_every_item_once(tmp_path, monkeypatch, capsys):
@@ -88,6 +97,7 @@ def test_bench_runs_every_item_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench, "_time", once)
     monkeypatch.setattr(bench, "SWEEP_JOBS", range(1, 3))
     monkeypatch.setattr(bench, "ESTIMATE_JOBS", 2)
+    monkeypatch.setattr(bench, "RSS_JOBS", 3)
     out = tmp_path / "bench.json"
     assert bench.run(["--label", "smoke", "--out", str(out)]) == 0
     (result,) = json.loads(out.read_text())["runs"]["smoke"]
@@ -113,4 +123,10 @@ def test_bench_runs_every_item_once(tmp_path, monkeypatch, capsys):
         warm = counts[f"spade_forward_{item}_per_estimate_warm_job"]
         assert cold > warm > 0
     assert counts["spade_forward_rows_per_estimate_cold_job"] > 200
-    assert len(counts) == 2 * 2 * 3 + 2 * 2
+    # a warm job of either kind interns no string
+    assert counts["sys_intern_calls_per_sweep_k12_warm_job"] == 0
+    assert counts["sys_intern_calls_per_estimate_warm_job"] == 0
+    assert len(counts) == 2 * 2 * 3 + 2 * 2 + 2
+    peaks = result["peak_rss"]
+    assert 0 < peaks["estimate_peak_rss_mb_after_job_1"]
+    assert peaks["estimate_peak_rss_mb_after_job_1"] <= peaks["estimate_peak_rss_mb_after_job_3"]
